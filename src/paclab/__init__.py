@@ -36,7 +36,6 @@ from .families import (
     labeled_anchored_family,
     plateau_data_family,
     plateau_family,
-    staged_union,
 )
 from .losses import (
     AbsoluteLoss,
@@ -58,8 +57,6 @@ from .learners import (
     TruncationLearner,
     UnionLearner,
     scheffe_sample_size,
-    scheffe_select,
-    selection_sample_size,
     yatracos_set,
 )
 from .nfl import (
@@ -67,7 +64,6 @@ from .nfl import (
     CurvePoint,
     ExactOracleReport,
     NflInstance,
-    PairingContext,
     clopper_pearson_lower,
     clopper_pearson_upper,
     estimate_sample_complexity,

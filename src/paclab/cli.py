@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .dist import SparseDist
+from .dist import SparseDist, frac_str
 from .dominance import FunctionTable, dominates_prefix, synthesize
 from .errors import (
     ClassTooLarge,
@@ -33,12 +33,12 @@ from .errors import (
 from .families import (
     FiniteClass,
     SequenceSpec,
+    StagedClass,
     anchored_family,
     eta_rule_from_json,
     labeled_anchored_family,
     n_rule_from_json,
     plateau_data_family,
-    staged_union,
 )
 from .learners import (
     ConstantLearner,
@@ -83,12 +83,38 @@ def _frac(value, path: str) -> Fraction:
         raise ConfigError(path, f"not a rational: {value!r} ({exc})")
 
 
-def _load_class(spec: dict, path: str = "class."):
-    if "family" not in spec and "eta" in spec and "n" in spec:
-        # verbatim staged-class spec: {"task", "eta": {rule}, "n": {rule}, ...}
-        spec = {**spec, "family": "staged"}
-    family = _req(spec, "family", path)
+def _index(value, size: int, path: str) -> int:
+    """A member index into a class of `size` members."""
+    i = int(value)
+    if not 0 <= i < size:
+        raise ConfigError(path, f"member index {i} outside 0..{size - 1}")
+    return i
+
+
+def _load_staged(spec: dict, path: str = "class."):
+    """The staged union a class spec describes, or None if it is not staged.
+
+    A spec is staged when its family is "staged", or when it names no
+    family but gives "eta" and "n" (the verbatim shape {"task", "eta":
+    {rule}, "n": {rule}, ...})."""
+    if not (spec.get("family") == "staged"
+            or ("family" not in spec and "eta" in spec and "n" in spec)):
+        return None
+    task = spec.get("task", "distribution")
+    eta = eta_rule_from_json(_req(spec, "eta", path))
+    n = n_rule_from_json(_req(spec, "n", path))
+    loss = loss_rule_from_json(spec["loss"]) if "loss" in spec else None
+    return StagedClass(task, SequenceSpec(eta, n), loss=loss)
+
+
+def _load_class(spec: dict, staged, path: str = "class."):
+    """The finite class of a spec; `staged` is its `_load_staged` result,
+    which is truncated at the spec's truncate_epsilon."""
     budget = int(spec.get("budget", 1 << 20))
+    if staged is not None:
+        eps = _frac(_req(spec, "truncate_epsilon", path), path + "truncate_epsilon")
+        return staged.truncate(eps, budget=budget)
+    family = _req(spec, "family", path)
     if family == "anchored":
         return anchored_family(_frac(_req(spec, "eta", path), path + "eta"),
                                int(_req(spec, "n", path)),
@@ -100,19 +126,15 @@ def _load_class(spec: dict, path: str = "class."):
         loss = loss_rule_from_json(_req(spec, "loss", path))
         return plateau_data_family(loss, _frac(_req(spec, "eta", path), path + "eta"),
                                    int(_req(spec, "width", path)), budget=budget)
-    if family == "staged":
-        staged = _load_staged(spec, path)
-        eps = _frac(_req(spec, "truncate_epsilon", path), path + "truncate_epsilon")
-        return staged.truncate(eps, budget=budget)
     raise ConfigError(path + "family", f"unknown family {family!r}")
 
 
-def _load_staged(spec: dict, path: str = "class."):
-    task = spec.get("task", "distribution")
-    eta = eta_rule_from_json(_req(spec, "eta", path))
-    n = n_rule_from_json(_req(spec, "n", path))
-    loss = loss_rule_from_json(spec["loss"]) if "loss" in spec else None
-    return staged_union(task, SequenceSpec(eta, n), loss=loss)
+def _class_and_learner(cfg: dict):
+    """The finite class and the learner of a learn/sample-complexity config."""
+    spec = _req(cfg, "class")
+    staged = _load_staged(spec)
+    cls = _load_class(spec, staged)
+    return cls, _load_learner(_req(cfg, "learner"), cls, staged)
 
 
 def _load_instance(spec: dict, path: str = "instance."):
@@ -147,7 +169,7 @@ def _load_learner(spec: dict, cls: FiniteClass, staged=None, path: str = "learne
     if kind == "empirical-baseline":
         return EmpiricalBaseline(cls.task, real_ctx=cls.real_ctx)
     if kind == "constant":
-        idx = int(_req(spec, "member_index", path))
+        idx = _index(_req(spec, "member_index", path), len(cls), path + "member_index")
         return ConstantLearner(cls.members[idx], cls.task, name=f"constant-m{idx}")
     raise ConfigError(path + "kind", f"unknown learner {kind!r}")
 
@@ -181,17 +203,14 @@ def _table(spec: dict, path: str, base_dir: Path = None) -> FunctionTable:
 
 def _run_construct(cfg, rng):
     spec = _req(cfg, "class")
-    staged_like = (spec.get("family") == "staged"
-                   or ("family" not in spec and "eta" in spec and "n" in spec))
-    if staged_like and "truncate_epsilon" not in spec:
+    staged = _load_staged(spec)
+    if staged is not None and "truncate_epsilon" not in spec:
         # countable handle: report the rules and the first stage sizes, no
         # member materialization beyond what the caller asks for
-        staged = _load_staged(spec)
         horizon = int(cfg.get("stage_horizon", 6))
         levels, sizes = {}, {}
         for i in range(1, horizon + 1):
-            lvl = staged.spec.eta_value(i)
-            levels[str(i)] = f"{lvl.numerator}/{lvl.denominator}"
+            levels[str(i)] = frac_str(staged.spec.eta_value(i))
             sizes[str(i)] = staged.stage_size(i)
         report = {
             "kind": "construct",
@@ -202,7 +221,7 @@ def _run_construct(cfg, rng):
             "stage_sizes": sizes,
         }
         return report, {}, []
-    cls = _load_class(spec)
+    cls = _load_class(spec, staged)
     cap = int(cfg.get("max_members", 1 << 12))
     members = [m.to_json_obj() if isinstance(m, SparseDist) else repr(m)
                for m in cls.members[:cap]]
@@ -217,11 +236,8 @@ def _run_construct(cfg, rng):
 
 
 def _run_learn(cfg, rng):
-    spec = _req(cfg, "class")
-    staged = _load_staged(spec) if spec.get("family") == "staged" else None
-    cls = _load_class(spec)
-    learner = _load_learner(_req(cfg, "learner"), cls, staged)
-    target_idx = int(_req(cfg, "target_index"))
+    cls, learner = _class_and_learner(cfg)
+    target_idx = _index(_req(cfg, "target_index"), len(cls), "target_index")
     m = int(_req(cfg, "m"))
     trials = int(cfg.get("trials", 1))
     threshold = _frac(cfg.get("threshold", "1/8"), "threshold")
@@ -245,10 +261,7 @@ def _run_learn(cfg, rng):
 
 
 def _run_sample_complexity(cfg, rng):
-    spec = _req(cfg, "class")
-    staged = _load_staged(spec) if spec.get("family") == "staged" else None
-    cls = _load_class(spec)
-    learner = _load_learner(_req(cfg, "learner"), cls, staged)
+    cls, learner = _class_and_learner(cfg)
     proto = cfg.get("protocol", {})
     points = []
     requests = cfg.get("points")
@@ -279,7 +292,7 @@ def _run_sample_complexity(cfg, rng):
             failures.append(f"points[{i}]: m_hat {points[i].m_hat} < {low}")
         if high is not None and points[i].m_hat > int(high):
             failures.append(f"points[{i}]: m_hat {points[i].m_hat} > {high}")
-    return report, {"curve.csv": curve.to_csv(), "plotdata.csv": curve.to_csv()}, failures
+    return report, {"curve.csv": curve.to_csv()}, failures
 
 
 def _run_nfl_exact(cfg, rng):
@@ -315,6 +328,9 @@ def _run_nfl_mc(cfg, rng):
     learner = _load_learner(_req(cfg, "learner"), inst.family)
     threshold = _frac(cfg.get("threshold", inst.eta / 8), "threshold")
     indices = cfg.get("member_indices")
+    if indices is not None:
+        indices = [_index(v, len(inst.family), f"member_indices[{j}]")
+                   for j, v in enumerate(indices)]
     stats = mc_risk(inst.family, learner, m, trials, rng, threshold,
                     loss=inst.loss, member_indices=indices)
     report = {
@@ -424,9 +440,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=None, help="output directory (default: config 'out' or '.')")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; execution is serial and "
-                             "deterministic either way")
     args = parser.parse_args(argv)
 
     try:
@@ -436,6 +449,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if not isinstance(cfg, dict):
+        print("config error: top level must be a JSON object", file=sys.stderr)
         return EXIT_CONFIG
 
     out_dir = Path(args.out or cfg.get("out") or ".")

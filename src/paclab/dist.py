@@ -25,6 +25,11 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def frac_str(x: Fraction) -> str:
+    """The one rational encoding in reports: always "num/den", so 1 is "1/1"."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 def atom_key(a: Atom):
     """Canonical total order: ascending natural, unlabeled before labeled."""
     if isinstance(a, tuple):
@@ -103,16 +108,13 @@ class SparseDist:
         label = f" tag={self.tag!r}" if self.tag else ""
         return f"SparseDist({{{body}}}{label})"
 
-    def with_tag(self, tag: str) -> "SparseDist":
-        return SparseDist(self.items, tag=tag)
-
     # -- serialization (exact rationals as "num/den" strings) --
 
     def to_json_obj(self) -> dict:
         def enc_atom(a):
             return [a[0], a[1]] if isinstance(a, tuple) else a
         return {
-            "atoms": [[enc_atom(a), f"{p.numerator}/{p.denominator}"] for a, p in self.items],
+            "atoms": [[enc_atom(a), frac_str(p)] for a, p in self.items],
             "tag": self.tag,
         }
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .dist import frac_str
 from .errors import BadN, BadPrecondition, EmptyList, LengthMismatch
 from .families import (
     AffineOfTarget,
@@ -24,7 +25,6 @@ from .families import (
     StagedClass,
     TASK_DISTRIBUTION,
     anchored_family,
-    staged_union,
 )
 from .nfl import estimate_sample_complexity, markov_reverse
 from .rng import RngStream
@@ -167,7 +167,7 @@ class SynthesisReport:
 def synthesized_class(g: FunctionTable) -> StagedClass:
     """The staged union with level rule 8/k and stage width 8*(g(k)+1)."""
     spec = SequenceSpec(eta=Reciprocal(Fraction(8)), n=AffineOfTarget(tuple(g.values)))
-    return staged_union(TASK_DISTRIBUTION, spec)
+    return StagedClass(TASK_DISTRIBUTION, spec)
 
 
 def stage_lower_bound(g: FunctionTable, k: int) -> int:
@@ -204,13 +204,13 @@ def _spot_check(g: FunctionTable, k: int, rng: RngStream, trials: int,
     return {
         "k": k,
         "stage_width": width,
-        "subfamily": {"eta": f"{eta.numerator}/{eta.denominator}",
+        "subfamily": {"eta": frac_str(eta),
                       "window": 4 * n_spot, "set_size": n_spot,
                       "members": len(family)},
-        "epsilon": f"{eps.numerator}/{eps.denominator}",
+        "epsilon": frac_str(eps),
         "delta_convention": "markov_reverse(eta/4, eta/8); the fixed 1/7 "
                             "convention is reported, not used",
-        "delta": f"{delta.numerator}/{delta.denominator}",
+        "delta": frac_str(delta),
         "delta_reference": "1/7",
         "point": point.to_json_obj(),
     }

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .dist import SparseDist, delta, mixture, uniform
+from .dist import SparseDist, delta, frac_str, mixture, uniform
 from .errors import (
     BadEta,
     BadN,
@@ -115,8 +115,7 @@ class Constant(EtaRule):
         raise NonVanishing(f"constant level {self.c} never drops to {eps}")
 
     def to_json_obj(self):
-        c = Fraction(self.c)
-        return {"kind": "constant", "c": f"{c.numerator}/{c.denominator}"}
+        return {"kind": "constant", "c": frac_str(Fraction(self.c))}
 
 
 @dataclass(frozen=True)
@@ -135,8 +134,7 @@ class Reciprocal(EtaRule):
         return max(1, math.ceil(Fraction(self.c) / eps))
 
     def to_json_obj(self):
-        c = Fraction(self.c)
-        return {"kind": "reciprocal", "c": f"{c.numerator}/{c.denominator}"}
+        return {"kind": "reciprocal", "c": frac_str(Fraction(self.c))}
 
 
 @dataclass(frozen=True)
@@ -154,8 +152,7 @@ class EtaTable(EtaRule):
         raise NonVanishing("a finite table says nothing about its tail")
 
     def to_json_obj(self):
-        return {"kind": "table",
-                "values": [f"{Fraction(v).numerator}/{Fraction(v).denominator}" for v in self.values_by_index]}
+        return {"kind": "table", "values": [frac_str(Fraction(v)) for v in self.values_by_index]}
 
 
 @dataclass(frozen=True)
@@ -502,11 +499,6 @@ class StagedClass:
 
     def to_json_obj(self):
         return {"task": self.task, "spec": self.spec.to_json_obj()}
-
-
-def staged_union(task: str, spec: SequenceSpec, loss=None) -> StagedClass:
-    """The countable union of anchored stages along a sequence spec."""
-    return StagedClass(task, spec, loss=loss)
 
 
 def eta_rule_from_json(obj: dict) -> EtaRule:

@@ -6,8 +6,8 @@ sample); ties always break toward the lowest index in the candidate
 class's canonical order. The Scheffé engine precomputes the pairwise
 comparison sets once per class; selection itself runs on integer
 numerators over a common denominator (numpy when the numbers fit in
-int64, exact Fractions otherwise), so the chosen member is the exact
-argmin either way.
+int64, Python ints otherwise), so the chosen member is the exact argmin
+either way.
 """
 
 from __future__ import annotations
@@ -54,18 +54,12 @@ def scheffe_sample_size(n_members: int, eps, delta) -> int:
                      / (2 * (eps / 4) ** 2))
 
 
-def selection_sample_size(n_candidates: int, eps, delta) -> int:
-    """Hoeffding-plus-union sample size for picking among fixed candidates
-    of a [0,1]-valued loss to within eps with confidence 1-delta."""
-    return math.ceil(2 / float(eps) ** 2
-                     * (math.log(max(n_candidates, 1)) + math.log(2 / float(delta))))
-
-
 class ScheffeEngine:
     """Minimum-distance selection over one fixed finite class.
 
     Builds the deduplicated collection of ordered-pair comparison sets
-    and each member's exact probability of each set. select() returns
+    and each member's exact probability of each set, stored as an integer
+    numerator over the common denominator `denom`. select() returns
     the index minimizing the maximum deviation between member and
     empirical set probabilities.
     """
@@ -90,14 +84,9 @@ class ScheffeEngine:
             for _, mass in p.items:
                 denom = denom * mass.denominator // math.gcd(denom, mass.denominator)
         self.denom = denom
-        probs = [[event_prob(p, s) for s in sets] for p in self.members]
-        self._probs_frac = probs
-        nums = [[int(v * denom) for v in row] for row in probs]
+        nums = [[int(event_prob(p, s) * denom) for s in sets] for p in self.members]
         self._use_numpy = denom < INT64_SAFE and bool(sets)
-        if self._use_numpy:
-            self._nums = np.array(nums, dtype=np.int64)
-        else:
-            self._nums = nums
+        self._nums = np.array(nums, dtype=np.int64) if self._use_numpy else nums
 
     def _set_counts(self, atoms: Sequence) -> list:
         counts: dict = {}
@@ -120,23 +109,9 @@ class ScheffeEngine:
             c = np.array(cnt, dtype=np.int64)
             dev = np.abs(self._nums * m - self.denom * c).max(axis=1)
             return int(dev.argmin())
-        best, best_i = None, 0
-        for i, row in enumerate(self._probs_frac):
-            dev = max(abs(v - Fraction(c, m)) for v, c in zip(row, cnt))
-            if best is None or dev < best:
-                best, best_i = dev, i
-        return best_i
-
-    def deviation(self, i: int, sample: Sample | Sequence) -> Fraction:
-        """Exact max deviation of member i against the sample."""
-        atoms = sample.atoms if isinstance(sample, Sample) else tuple(sample)
-        if not atoms:
-            raise EmptySample("deviation needs a sample")
-        if not self.sets:
-            return Fraction(0)
-        m = len(atoms)
-        cnt = self._set_counts(atoms)
-        return max(abs(v - Fraction(c, m)) for v, c in zip(self._probs_frac[i], cnt))
+        rows = self._nums.tolist() if self._use_numpy else self._nums
+        devs = [max(abs(v * m - self.denom * c) for v, c in zip(row, cnt)) for row in rows]
+        return devs.index(min(devs))
 
     def empirical_gap(self, target: SparseDist, sample: Sample | Sequence) -> Fraction:
         """max over comparison sets of |target(A) - empirical(A)|."""
@@ -148,11 +123,6 @@ class ScheffeEngine:
         m = len(atoms)
         cnt = self._set_counts(atoms)
         return max(abs(event_prob(target, s) - Fraction(c, m)) for s, c in zip(self.sets, cnt))
-
-
-def scheffe_select(cls: FiniteClass, sample: Sample | Sequence) -> SparseDist:
-    """One-shot minimum-distance selection (builds the engine each call)."""
-    return cls.members[ScheffeEngine(cls.members).select(sample)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .dist import SparseDist, tv
+from .dist import SparseDist, frac_str, tv
 from .errors import BadRange, EtaAboveGmax
 from .families import (
     BinaryHypothesis,
@@ -115,8 +115,7 @@ class CappedLinearLoss(LossRule):
         return y
 
     def to_json_obj(self):
-        c = Fraction(self.cap)
-        return {"kind": "capped-linear", "cap": f"{c.numerator}/{c.denominator}"}
+        return {"kind": "capped-linear", "cap": frac_str(Fraction(self.cap))}
 
 
 def loss_rule_from_json(obj: dict) -> LossRule:
@@ -168,26 +167,18 @@ def real_risk(loss: LossRule, ctx: RealTaskContext, h: RealHypothesis, p: Sparse
     return out
 
 
-def task_loss(cls_or_task, out, target: SparseDist, loss: Optional[LossRule] = None,
-              real_ctx: Optional[RealTaskContext] = None) -> Fraction:
-    """Uniform entry point: loss of a learner output against a target.
-
-    Accepts either a FiniteClass (task and real context inferred) or a
-    task-kind string.
-    """
-    if isinstance(cls_or_task, FiniteClass):
-        task = cls_or_task.task
-        real_ctx = real_ctx or cls_or_task.real_ctx
-    else:
-        task = cls_or_task
+def task_loss(cls: FiniteClass, out, target: SparseDist, loss: Optional[LossRule] = None) -> Fraction:
+    """Uniform entry point: loss of a learner output against a target, by
+    the class's task (and, for the real task, its context)."""
+    task = cls.task
     if task == TASK_DISTRIBUTION:
         return tv(out, target)
     if task == TASK_CLASSIFICATION:
         return zero_one_excess(out, target)
     if task == TASK_REAL:
-        if loss is None or real_ctx is None:
+        if loss is None or cls.real_ctx is None:
             raise BadRange("real task loss needs a loss rule and context")
-        return real_risk(loss, real_ctx, out, target)
+        return real_risk(loss, cls.real_ctx, out, target)
     raise BadRange(f"unknown task {task!r}")
 
 

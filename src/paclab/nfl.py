@@ -22,13 +22,14 @@ instance leaves it below the fully within-family certified floor
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .dist import Sample, SparseDist, delta, draw, mixture, sequence_prob, uniform
+from .dist import Sample, SparseDist, delta, draw, frac_str, mixture, sequence_prob, uniform
 from .errors import (
     BadPrecondition,
     BadRange,
@@ -51,15 +52,16 @@ from .losses import LossRule, opt_loss, task_loss
 from .rng import RngStream
 
 DEFAULT_ENUM_BUDGET = 10_000_000
+# Slice matchings kept, one per (window, fixed set, size): all 299 slices
+# of an n=3 distribution instance fit, so exhaustive sweeps do not thrash.
+MATCHING_CACHE_SIZE = 1024
 
 
 # ---------------------------------------------------------------------------
 # support-swap pairing
 # ---------------------------------------------------------------------------
 
-_matching_cache: Dict[tuple, dict] = {}
-
-
+@functools.lru_cache(maxsize=MATCHING_CACHE_SIZE)
 def _slice_matching(base: int, fixed: frozenset, size: int) -> dict:
     """Canonical matching of {D : D in window minus fixed, |D| = p} into
     disjoint pairs, p = size - |fixed|.
@@ -69,10 +71,6 @@ def _slice_matching(base: int, fixed: frozenset, size: int) -> dict:
     strandings get fresh overflow blocks above the window, one block per
     stranded set, keeping the map an involution with empty overlaps.
     """
-    key = (base, fixed, size)
-    cached = _matching_cache.get(key)
-    if cached is not None:
-        return cached
     p = size - len(fixed)
     free = [x for x in range(1, base + 1) if x not in fixed]
     subsets = [frozenset(c) for c in itertools.combinations(free, p)]
@@ -92,7 +90,6 @@ def _slice_matching(base: int, fixed: frozenset, size: int) -> dict:
             overflow_next += p
             match[d] = block
             match[block] = d
-    _matching_cache[key] = match
     return match
 
 
@@ -125,26 +122,6 @@ def observed_atoms(task: str, seq: Sequence, base: int) -> frozenset:
     if task == TASK_DISTRIBUTION:
         return frozenset(x for x in seq if isinstance(x, int) and 1 <= x <= base)
     return frozenset(x for (x, _b) in seq if 1 <= x <= base)
-
-
-@dataclass(frozen=True)
-class PairingContext:
-    """A sample sequence together with its window, as the swap machinery
-    sees it: the fixed set is the sample's distinct window atoms."""
-
-    seq: tuple
-    base: int
-    task: str = TASK_DISTRIBUTION
-
-    @property
-    def fixed(self) -> frozenset:
-        return observed_atoms(self.task, self.seq, self.base)
-
-    def swap(self, a) -> frozenset:
-        return swap_set(self.base, self.fixed, a)
-
-    def swap_member(self, member: SparseDist) -> SparseDist:
-        return swap_distribution(self.base, self.seq, member)
 
 
 def swap_distribution(base: int, seq: Sequence, member: SparseDist) -> SparseDist:
@@ -297,15 +274,13 @@ class LearnerReport:
         return max(self.tails[Fraction(threshold)])
 
     def to_json_obj(self):
-        def enc(x):
-            return f"{x.numerator}/{x.denominator}"
         return {
             "name": self.name,
-            "per_member_mean": [enc(v) for v in self.per_member_mean],
-            "class_average": enc(self.class_average),
+            "per_member_mean": [frac_str(v) for v in self.per_member_mean],
+            "class_average": frac_str(self.class_average),
             "class_average_decimal": format(float(self.class_average), ".12g"),
-            "class_max": enc(self.class_max),
-            "tails": {enc(a): [enc(v) for v in vals] for a, vals in self.tails.items()},
+            "class_max": frac_str(self.class_max),
+            "tails": {frac_str(a): [frac_str(v) for v in vals] for a, vals in self.tails.items()},
         }
 
 
@@ -323,19 +298,17 @@ class ExactOracleReport:
     reference_lines: Dict[str, Fraction] = field(default_factory=dict)
 
     def to_json_obj(self):
-        def enc(x):
-            return f"{x.numerator}/{x.denominator}"
         return {
             "task": self.task,
-            "eta": enc(self.eta),
+            "eta": frac_str(self.eta),
             "window": self.window,
             "set_size": self.set_size,
             "m": self.m,
             "family_size": self.family_size,
-            "symmetrized_bound": enc(self.symmetrized_bound),
+            "symmetrized_bound": frac_str(self.symmetrized_bound),
             "symmetrized_bound_decimal": format(float(self.symmetrized_bound), ".12g"),
-            "thresholds": [enc(a) for a in self.thresholds],
-            "reference_lines": {k: enc(v) for k, v in self.reference_lines.items()},
+            "thresholds": [frac_str(a) for a in self.thresholds],
+            "reference_lines": {k: frac_str(v) for k, v in self.reference_lines.items()},
             "learners": [lr.to_json_obj() for lr in self.learners],
         }
 
@@ -493,13 +466,12 @@ class McMemberStat:
     ci_high: float
 
     def to_json_obj(self):
-        t = self.threshold
         return {
             "member_index": self.member_index,
             "trials": self.trials,
             "mean_error": format(self.mean_error, ".12g"),
             "failures": self.failures,
-            "threshold": f"{t.numerator}/{t.denominator}",
+            "threshold": frac_str(self.threshold),
             "ci_low": format(self.ci_low, ".12g"),
             "ci_high": format(self.ci_high, ".12g"),
         }
@@ -552,8 +524,8 @@ class CurvePoint:
     def to_json_obj(self):
         return {
             "k": self.k,
-            "epsilon": f"{self.eps.numerator}/{self.eps.denominator}",
-            "delta": f"{self.delta.numerator}/{self.delta.denominator}",
+            "epsilon": frac_str(self.eps),
+            "delta": frac_str(self.delta),
             "m_hat": self.m_hat,
             "trials": self.trials,
             "worst_failures": self.worst_failures,
@@ -571,8 +543,8 @@ class ComplexityCurve:
         for p in self.points:
             lines.append(",".join([
                 "" if p.k is None else str(p.k),
-                f"{p.eps.numerator}/{p.eps.denominator}",
-                f"{p.delta.numerator}/{p.delta.denominator}",
+                frac_str(p.eps),
+                frac_str(p.delta),
                 str(p.m_hat), str(p.trials), str(p.worst_failures),
                 format(p.worst_ucb, ".12g"),
             ]))

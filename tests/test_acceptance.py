@@ -167,8 +167,8 @@ def test_criterion_06_lower_bound_direction():
 
 
 def test_criterion_07_truncation_learner():
-    staged = pl.staged_union("distribution",
-                             pl.SequenceSpec(pl.Reciprocal(F(8)), pl.IdentityN()))
+    staged = pl.StagedClass("distribution",
+                            pl.SequenceSpec(pl.Reciprocal(F(8)), pl.IdentityN()))
     eps = F(8)
     learner = pl.TruncationLearner(staged, eps)
     assert staged.spec.settling_index(eps / 4) == 4

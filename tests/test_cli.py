@@ -9,6 +9,11 @@ import pytest
 from paclab import cli
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SCHEMA = CONFIG_DIR.parent / "docs" / "config.schema.json"
+
+# a staged class spec in the verbatim shape: no "family" key
+STAGED_NO_FAMILY = {"task": "distribution", "eta": {"kind": "constant", "c": "1/8"},
+                    "n": {"kind": "identity"}, "truncate_epsilon": "1/2"}
 
 
 def run_cli(args):
@@ -55,6 +60,39 @@ def test_kind_mismatch_is_config_error(tmp_path):
 
 def test_missing_file_is_config_error(tmp_path):
     assert run_cli(["construct", "--config", tmp_path / "nope.json"]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("body", ["[1, 2]", "3", '"construct"', "null"])
+def test_non_object_config_is_config_error(tmp_path, capsys, body):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(body)
+    assert run_cli(["construct", "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
+INSTANCE = {"task": "distribution", "eta": "1/2", "n": 2}  # 28 members
+INDEX_FIELDS = {
+    "target_index": lambda i: {
+        "kind": "learn", "class": {"family": "anchored", "eta": "1/2", "n": 2},
+        "learner": {"kind": "scheffe"}, "target_index": i, "m": 4},
+    "learners[0].member_index": lambda i: {
+        "kind": "nfl-exact", "instance": INSTANCE, "m": 0,
+        "learners": [{"kind": "constant", "member_index": i}]},
+    "member_indices[1]": lambda i: {
+        "kind": "nfl-mc", "instance": INSTANCE, "m": 2, "trials": 3,
+        "learner": {"kind": "scheffe"}, "member_indices": [0, i]},
+}
+
+
+@pytest.mark.parametrize("value", [500, -1])
+@pytest.mark.parametrize("path", sorted(INDEX_FIELDS))
+def test_member_index_out_of_range_is_config_error(tmp_path, capsys, path, value):
+    cfg = {**INDEX_FIELDS[path](value), "seed": 1}
+    out = tmp_path / "o"
+    code = run_cli([cfg["kind"], "--config", write_cfg(tmp_path, cfg), "--out", out])
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: config field '{path}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_budget_exit_code(tmp_path):
@@ -104,7 +142,6 @@ def test_sample_complexity_writes_curve(tmp_path):
     lines = (out / "curve.csv").read_text().splitlines()
     assert lines[0] == "k,epsilon,delta,m_hat,trials,failures,ucb"
     assert len(lines) == 2
-    assert (out / "plotdata.csv").exists()
 
 
 def test_synthesize_plotdata(tmp_path):
@@ -158,6 +195,39 @@ def test_verbatim_staged_class_spec(tmp_path):
     assert run_cli(["construct", "--config", cfg2, "--out", out2]) == 0
     report2 = json.loads((out2 / "report.json").read_text())
     assert report2["size"] == 27
+
+
+@pytest.mark.parametrize("sub,extra", [
+    ("learn", {"target_index": 1, "m": 4, "trials": 5}),
+    ("sample-complexity", {"points": [{"epsilon": "1/2", "delta": "1/10"}],
+                           "protocol": {"trials": 60, "m_max": 8}}),
+])
+def test_staged_spec_without_family_learns(tmp_path, sub, extra):
+    # the truncation learner reads a verbatim staged spec exactly like one
+    # that says "family": "staged"
+    reports = []
+    for i, spec in enumerate([STAGED_NO_FAMILY, {**STAGED_NO_FAMILY, "family": "staged"}]):
+        cfg = write_cfg(tmp_path, {"kind": sub, "seed": 8, "class": spec,
+                                   "learner": {"kind": "truncation", "epsilon": "1/2"},
+                                   **extra}, name=f"cfg{i}.json")
+        out = tmp_path / f"o{i}"
+        assert run_cli([sub, "--config", cfg, "--out", out]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_configs_match_schema():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(SCHEMA.read_text())
+    jsonschema.Draft202012Validator.check_schema(schema)
+    configs = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))]
+    assert len(configs) == 7
+    configs.append({"kind": "construct", "seed": 3, "class": STAGED_NO_FAMILY,
+                    "stage_horizon": 16})
+    for cfg in configs:
+        jsonschema.validate(cfg, schema)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({"kind": "construct", "seed": 3, "class": {"n": 2}}, schema)
 
 
 def test_dominate_reads_csv_tables(tmp_path):

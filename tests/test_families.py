@@ -169,14 +169,14 @@ class TestStagedUnion:
         return pl.SequenceSpec(pl.Reciprocal(F(8)), pl.IdentityN())
 
     def test_truncate_at_eight(self):
-        su = pl.staged_union("distribution", self.spec())
+        su = pl.StagedClass("distribution", self.spec())
         tr = su.truncate(8)
         assert len(tr) == 27  # base + (2^1-1) + (2^2-1) + (2^3-1) + (2^4-1)
         assert tr.labels[0] == "base"
         assert tr[0] == pl.delta(0)
 
     def test_duplicates_kept_across_stages(self):
-        tr = pl.staged_union("distribution", self.spec()).truncate(8)
+        tr = pl.StagedClass("distribution", self.spec()).truncate(8)
         # stage 1 A=[1] and stage 2 A=[1] coincide at clamped level 1
         assert tr[1] == tr[2]
         assert tr.labels[1] != tr.labels[2]
@@ -184,7 +184,7 @@ class TestStagedUnion:
     def test_truncation_is_quarter_eps_approximation(self):
         # every member of an excluded stage sits within eps/4 of the base
         spec = pl.SequenceSpec(pl.Reciprocal(F(1, 2)), pl.IdentityN())
-        su = pl.staged_union("distribution", spec)
+        su = pl.StagedClass("distribution", spec)
         eps = F(1, 2)
         cutoff = spec.settling_index(eps / 4)
         assert cutoff == 4
@@ -197,13 +197,13 @@ class TestStagedUnion:
                 assert d <= eps / 4
 
     def test_stage_masses(self):
-        su = pl.staged_union("distribution", self.spec())
+        su = pl.StagedClass("distribution", self.spec())
         stage16 = su.stage(16)
         for member in stage16.members[:8]:
             assert member.prob(0) == F(1, 2)  # 1 - 8/16
 
     def test_classification_stage_shape(self):
-        su = pl.staged_union("classification", self.spec())
+        su = pl.StagedClass("classification", self.spec())
         assert su.stage_size(16) == 2 ** 32  # size computed, never materialized
         stage1 = su.stage(1)
         assert len(stage1) == 4
@@ -211,11 +211,11 @@ class TestStagedUnion:
 
     def test_real_union_needs_loss(self):
         with pytest.raises(EtaAboveGmax):
-            pl.staged_union("real", self.spec())
+            pl.StagedClass("real", self.spec())
 
     def test_real_union_range_check(self):
         spec = pl.SequenceSpec(pl.Constant(F(1, 2)), pl.IdentityN())
-        su = pl.staged_union("real", spec, loss=pl.CappedLinearLoss(F(1, 4)))
+        su = pl.StagedClass("real", spec, loss=pl.CappedLinearLoss(F(1, 4)))
         with pytest.raises(EtaAboveGmax):
             su.stage(1)
 
@@ -223,11 +223,11 @@ class TestStagedUnion:
         # widths grow like 8*(2^k+1); sizes are computed, never materialized
         g = [2 ** k for k in range(1, 11)]
         spec = pl.SequenceSpec(pl.Reciprocal(F(8)), pl.AffineOfTarget(tuple(g)))
-        su = pl.staged_union("distribution", spec)
+        su = pl.StagedClass("distribution", spec)
         assert su.stage_size(10) == 2 ** (8 * (2 ** 10 + 1)) - 1
 
     def test_truncate_budget(self):
-        su = pl.staged_union("distribution", self.spec())
+        su = pl.StagedClass("distribution", self.spec())
         with pytest.raises(ClassTooLarge):
             su.truncate(2, budget=1000)  # cutoff 16, ~131k members
 
@@ -235,7 +235,7 @@ class TestStagedUnion:
 class TestTruncationApproximationOtherTasks:
     def test_classification_excluded_stages_near_base(self):
         spec = pl.SequenceSpec(pl.Reciprocal(F(1, 2)), pl.IdentityN())
-        su = pl.staged_union("classification", spec)
+        su = pl.StagedClass("classification", spec)
         eps = F(1, 2)
         cutoff = spec.settling_index(eps / 4)
         base = pl.delta((0, 0))
@@ -248,7 +248,7 @@ class TestTruncationApproximationOtherTasks:
         # the zero hypothesis differ by at most the stage level
         loss = pl.AbsoluteLoss()
         spec = pl.SequenceSpec(pl.Reciprocal(F(1, 2)), pl.IdentityN())
-        su = pl.staged_union("real", spec, loss=loss)
+        su = pl.StagedClass("real", spec, loss=loss)
         eps = F(1, 2)
         cutoff = spec.settling_index(eps / 4)
         h0 = pl.RealHypothesis(())

@@ -40,18 +40,18 @@ class TestYatracos:
 class TestScheffe:
     def test_singleton_class(self):
         cls = pl.FiniteClass("distribution", [pl.uniform([5])])
-        assert pl.scheffe_select(cls, [1, 2, 3]) == pl.uniform([5])
+        assert pl.ScheffeLearner(cls).run([1, 2, 3]) == pl.uniform([5])
 
     def test_two_point_example(self):
         cls = pl.FiniteClass("distribution", [pl.delta(0), pl.delta(1)])
-        assert pl.scheffe_select(cls, [0, 0, 0]) == pl.delta(0)
+        assert pl.ScheffeLearner(cls).run([0, 0, 0]) == pl.delta(0)
 
     def test_empty_inputs(self):
         with pytest.raises(EmptyClass):
             pl.ScheffeEngine([])
         cls = pl.FiniteClass("distribution", [pl.delta(0), pl.delta(1)])
         with pytest.raises(EmptySample):
-            pl.scheffe_select(cls, [])
+            pl.ScheffeLearner(cls).run([])
 
     def test_properness(self):
         fam = pl.anchored_family(F(1, 2), 3)
@@ -78,6 +78,20 @@ class TestScheffe:
             engine2._use_numpy = False
             assert fast == engine2.select(s)
 
+    def test_int64_overflow_path_is_exact_argmin(self):
+        # the denominator fits int64 but denom * m does not stay below 2^62
+        # once m >= 3 (and overflows int64 at m = 5), so selection runs on
+        # Python ints; it must match the Fraction argmin
+        q = 2 ** 61 - 1
+        fam = [pl.SparseDist({0: F(k, q), 1: 1 - F(k, q)}) for k in (1, 2, q - 1)]
+        engine = pl.ScheffeEngine(fam)
+        assert engine._use_numpy and engine.denom * 3 >= 2 ** 62
+        for m in (3, 5):
+            for seq in itertools.product([0, 1], repeat=m):
+                devs = [max(abs(pl.event_prob(p, s) - pl.empirical_measure(seq, s))
+                            for s in engine.sets) for p in fam]
+                assert engine.select(seq) == devs.index(min(devs))
+
     def test_sample_size_formula(self):
         assert pl.scheffe_sample_size(3, 0.4, 0.1) == 280
 
@@ -102,8 +116,8 @@ class TestScheffe:
 
 class TestTruncationLearner:
     def staged(self):
-        return pl.staged_union("distribution",
-                               pl.SequenceSpec(pl.Reciprocal(F(8)), pl.IdentityN()))
+        return pl.StagedClass("distribution",
+                              pl.SequenceSpec(pl.Reciprocal(F(8)), pl.IdentityN()))
 
     def test_truncates_and_learns(self):
         learner = pl.TruncationLearner(self.staged(), 8)
@@ -114,16 +128,16 @@ class TestTruncationLearner:
         assert learner.run(s) in learner.truncated.members
 
     def test_nonvanishing(self):
-        staged = pl.staged_union("distribution",
-                                 pl.SequenceSpec(pl.Constant(F(1, 3)), pl.IdentityN()))
+        staged = pl.StagedClass("distribution",
+                                pl.SequenceSpec(pl.Constant(F(1, 3)), pl.IdentityN()))
         with pytest.raises(pl.errors.NonVanishing):
             pl.TruncationLearner(staged, F(1, 2))
 
     def test_nontrivial_accuracy_learning(self):
         # levels 1/(2i): truncation at eps=1/2 keeps stages 1..4; at the
         # advertised size the realizable guarantee TV <= eps holds often
-        staged = pl.staged_union("distribution",
-                                 pl.SequenceSpec(pl.Reciprocal(F(1, 2)), pl.IdentityN()))
+        staged = pl.StagedClass("distribution",
+                                pl.SequenceSpec(pl.Reciprocal(F(1, 2)), pl.IdentityN()))
         learner = pl.TruncationLearner(staged, F(1, 2))
         assert len(learner.truncated) == 27
         m = learner.advertised_sample_size(0.2)

@@ -55,6 +55,9 @@ class TestSwapSet:
                     assert len(g) == len(a)
                     assert a & g == fixed
                     assert pl.swap_set(base, fixed, g) == a
+        cache = pl.nfl._slice_matching.cache_info()
+        assert cache.maxsize == pl.nfl.MATCHING_CACHE_SIZE
+        assert cache.currsize <= cache.maxsize
 
     def test_overflow_partner_on_odd_slice(self):
         # window 8, one fixed atom: seven candidate sets, so one of them
@@ -430,17 +433,9 @@ class TestClassificationChainTightness:
         assert rep2.learners[0].class_average == 2 * rep2.symmetrized_bound == F(49, 256)
 
 
-class TestPairingContext:
-    def test_context_derives_fixed_set(self):
-        ctx = pl.PairingContext((0, 3, 3, 9), base=8)
-        assert ctx.fixed == {3}
-
-    def test_context_swaps(self):
-        inst = pl.nfl_distribution_instance(F(1, 2), 2)
-        ctx = pl.PairingContext((0, 1), base=8)
-        member = inst.family[0]  # A = [1, 2]
-        assert ctx.swap(frozenset({1, 2})) == pl.swap_set(8, frozenset({1}), {1, 2})
-        assert ctx.swap_member(member) == pl.swap_distribution(8, (0, 1), member)
+class TestObservedAtoms:
+    def test_derives_fixed_set(self):
+        assert observed_atoms("distribution", (0, 3, 3, 9), 8) == {3}
 
 
 class TestAlternativeEnumeration:
