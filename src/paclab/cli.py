@@ -161,7 +161,7 @@ def _load_learner(spec: dict, cls: FiniteClass, staged=None, path: str = "learne
         eps = _frac(_req(spec, "epsilon", path), path + "epsilon")
         return TruncationLearner(staged, eps, budget=int(spec.get("budget", 1 << 20)))
     if kind == "erm":
-        return ErmLearner.for_class(cls, loss=getattr(cls, "loss_rule", None))
+        return ErmLearner.for_class(cls)
     if kind == "union":
         subs = [_load_learner(s, cls, staged, f"{path}of[{i}].")
                 for i, s in enumerate(_req(spec, "of", path))]
@@ -241,9 +241,7 @@ def _run_learn(cfg, rng):
     m = int(_req(cfg, "m"))
     trials = int(cfg.get("trials", 1))
     threshold = _frac(cfg.get("threshold", "1/8"), "threshold")
-    stats = mc_risk(cls, learner, m, trials, rng, threshold,
-                    loss=getattr(cls, "loss_rule", None),
-                    member_indices=[target_idx])
+    stats = mc_risk(cls, learner, m, trials, rng, threshold, member_indices=[target_idx])
     report = {
         "kind": "learn",
         "learner": learner.name,
@@ -276,7 +274,6 @@ def _run_sample_complexity(cfg, rng):
             m_min=int(proto.get("m_min", 1)),
             m_max=int(proto.get("m_max", 1024)),
             targets_cap=int(proto.get("targets_cap", 64)),
-            loss=getattr(cls, "loss_rule", None),
             k=pt.get("k")))
     curve = ComplexityCurve(points)
     report = {
@@ -331,8 +328,7 @@ def _run_nfl_mc(cfg, rng):
     if indices is not None:
         indices = [_index(v, len(inst.family), f"member_indices[{j}]")
                    for j, v in enumerate(indices)]
-    stats = mc_risk(inst.family, learner, m, trials, rng, threshold,
-                    loss=inst.loss, member_indices=indices)
+    stats = mc_risk(inst.family, learner, m, trials, rng, threshold, member_indices=indices)
     report = {
         "kind": "nfl-mc",
         "learner": learner.name,

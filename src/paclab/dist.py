@@ -51,13 +51,6 @@ def check_atom(a: Atom) -> Atom:
     raise BadDistribution(f"bad atom {a!r}")
 
 
-def as_prob(x) -> Fraction:
-    p = Fraction(x)
-    if p < 0 or p > 1:
-        raise BadDistribution(f"probability {p} outside [0, 1]")
-    return p
-
-
 class SparseDist:
     """Immutable exact pmf; zero-mass atoms are never stored.
 
@@ -251,7 +244,7 @@ def draw(p: SparseDist, m: int, rng: RngStream) -> Sample:
 
 def empirical_measure(s: Sample | Sequence[Atom], event: Iterable[Atom]) -> Fraction:
     """Fraction of sample entries lying in the event, exact."""
-    atoms = s.atoms if isinstance(s, Sample) else tuple(s)
+    atoms = tuple(s)
     if not atoms:
         raise EmptySample("empirical measure of an empty sample")
     ev = set(event)
@@ -260,7 +253,7 @@ def empirical_measure(s: Sample | Sequence[Atom], event: Iterable[Atom]) -> Frac
 
 def empirical_dist(s: Sample | Sequence[Atom], tag: Optional[str] = None) -> SparseDist:
     """Empirical distribution of a non-empty sample."""
-    atoms = s.atoms if isinstance(s, Sample) else tuple(s)
+    atoms = tuple(s)
     if not atoms:
         raise EmptySample("empirical distribution of an empty sample")
     m = len(atoms)

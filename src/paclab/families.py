@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .dist import SparseDist, delta, frac_str, mixture, uniform
 from .errors import (
@@ -27,6 +27,9 @@ from .errors import (
     EtaAboveGmax,
     NonVanishing,
 )
+
+if TYPE_CHECKING:
+    from .losses import LossRule
 
 ONE = Fraction(1)
 
@@ -68,16 +71,7 @@ class RealHypothesis:
                 return v
         return Fraction(0)
 
-    @staticmethod
-    def from_map(mapping) -> "RealHypothesis":
-        items = tuple(sorted((int(k), Fraction(v)) for k, v in dict(mapping).items() if Fraction(v) != 0))
-        for _, v in items:
-            if not 0 <= v <= 1:
-                raise BadEta(f"hypothesis value {v} outside [0,1]")
-        return RealHypothesis(items)
 
-
-ALL_ZERO = BinaryHypothesis(())
 ALL_ZERO_REAL = RealHypothesis(())
 
 
@@ -281,13 +275,16 @@ Member = Union[SparseDist, BinaryHypothesis, RealHypothesis]
 
 @dataclass(frozen=True)
 class RealTaskContext:
-    """Decodes bit labels of real-task data into y-values.
+    """Everything the real task needs beyond its members: the pointwise
+    loss rule g, and the decoding of bit labels into y-values.
 
-    Data atoms are (x, b) with b in {0,1}; b=1 means y = level_value
-    (the plateau height g_inverse(eta)), b=0 means y = 0.
+    This is the one place a real-task class keeps its loss rule; risk
+    evaluators and learners read it from `FiniteClass.real_ctx`. Data
+    atoms are (x, b) with b in {0,1}; b=1 means y = level_value (the
+    plateau height g_inverse(eta)), b=0 means y = 0.
     """
 
-    level: Fraction        # eta, in loss units
+    loss: LossRule         # pointwise loss g(|h(x) - y|)
     level_value: Fraction  # g_inverse(eta), in y units
 
     def y_of_bit(self, b: int) -> Fraction:
@@ -299,7 +296,7 @@ class FiniteClass:
 
     def __init__(self, task: str, members: Sequence[Member], labels: Optional[Sequence[str]] = None,
                  real_ctx: Optional[RealTaskContext] = None, tag: Optional[str] = None,
-                 loss_rule=None, benchmark: Optional["FiniteClass"] = None):
+                 benchmark: Optional["FiniteClass"] = None):
         if task not in TASKS:
             raise BadN(f"unknown task {task!r}")
         self.task = task
@@ -307,7 +304,6 @@ class FiniteClass:
         self.labels = list(labels) if labels is not None else [f"m{i}" for i in range(len(members))]
         self.real_ctx = real_ctx
         self.tag = tag
-        self.loss_rule = loss_rule
         # for data-distribution handles: the hypothesis class losses are
         # benchmarked against (defaults to the handle itself)
         self.benchmark = benchmark
@@ -322,15 +318,15 @@ class FiniteClass:
         return self.members.index(member)
 
 
-def _subset_bitmasks(n: int, size_filter: Optional[int], include_empty: bool):
+def _subset_bitmasks(n: int, size_filter: Optional[int]):
+    """Non-empty subset bitmasks of {1..n}, all or only those of one size."""
     if size_filter is not None:
         masks = []
         for mask in range(1 << n):
             if mask.bit_count() == size_filter:
                 masks.append(mask)
         return masks
-    start = 0 if include_empty else 1
-    return list(range(start, 1 << n))
+    return list(range(1, 1 << n))
 
 
 def _mask_to_set(mask: int):
@@ -356,7 +352,7 @@ def anchored_family(eta, n: int, size_filter: Optional[int] = None,
     if count > budget:
         raise ClassTooLarge(f"{count} members exceed budget {budget}")
     members, labels = [], []
-    for mask in _subset_bitmasks(n, size_filter, include_empty=False):
+    for mask in _subset_bitmasks(n, size_filter):
         a = _mask_to_set(mask)
         members.append(mixture([(1 - eta, delta(0)), (eta, uniform(a))],
                                tag=f"anchor(eta={eta},A={a})"))
@@ -404,9 +400,9 @@ def plateau_family(loss, eta, n: int, budget: int = DEFAULT_MEMBER_BUDGET) -> Fi
         a = _mask_to_set(mask)
         members.append(RealHypothesis(tuple((x, height) for x in a)) if a else ALL_ZERO_REAL)
         labels.append(f"A={a}")
-    ctx = RealTaskContext(level=eta, level_value=height)
+    ctx = RealTaskContext(loss, height)
     return FiniteClass(TASK_REAL, members, labels, real_ctx=ctx,
-                       tag=f"plateau(eta={eta},n={n})", loss_rule=loss)
+                       tag=f"plateau(eta={eta},n={n})")
 
 
 def plateau_data_family(loss, eta, n: int, budget: int = DEFAULT_MEMBER_BUDGET) -> FiniteClass:
@@ -422,8 +418,7 @@ def plateau_data_family(loss, eta, n: int, budget: int = DEFAULT_MEMBER_BUDGET) 
         members.append(SparseDist(pmf, tag=f"plateau-data({lab})"))
         labels.append(lab)
     return FiniteClass(TASK_REAL, members, labels, real_ctx=hyps.real_ctx,
-                       tag=f"plateau-data(eta={eta},n={n})", loss_rule=loss,
-                       benchmark=hyps)
+                       tag=f"plateau-data(eta={eta},n={n})", benchmark=hyps)
 
 
 class StagedClass:
@@ -494,8 +489,7 @@ class StagedClass:
             labels.extend(fam.labels)
             ctx = ctx or fam.real_ctx
         return FiniteClass(self.task, members, labels, real_ctx=ctx,
-                           tag=f"truncate(eps={eps},stages=1..{cutoff})",
-                           loss_rule=self.loss)
+                           tag=f"truncate(eps={eps},stages=1..{cutoff})")
 
     def to_json_obj(self):
         return {"task": self.task, "spec": self.spec.to_json_obj()}

@@ -30,7 +30,7 @@ from .families import (
     TASK_DISTRIBUTION,
     TASK_REAL,
 )
-from .losses import LossRule, hypotheses_of_class
+from .losses import hypotheses_of_class
 
 INT64_SAFE = 1 << 62
 
@@ -96,7 +96,7 @@ class ScheffeEngine:
 
     def select(self, sample: Sample | Sequence) -> int:
         """Index of the member with the smallest maximum deviation."""
-        atoms = sample.atoms if isinstance(sample, Sample) else tuple(sample)
+        atoms = tuple(sample)
         if not atoms:
             raise EmptySample("minimum-distance selection needs a sample")
         if not self.sets:
@@ -115,7 +115,7 @@ class ScheffeEngine:
 
     def empirical_gap(self, target: SparseDist, sample: Sample | Sequence) -> Fraction:
         """max over comparison sets of |target(A) - empirical(A)|."""
-        atoms = sample.atoms if isinstance(sample, Sample) else tuple(sample)
+        atoms = tuple(sample)
         if not atoms:
             raise EmptySample("empirical gap needs a sample")
         if not self.sets:
@@ -198,20 +198,19 @@ class ErmLearner(Learner):
     the tie rule returns the lowest-index hypothesis.
     """
 
-    def __init__(self, hypotheses: Sequence, task: str, loss: Optional[LossRule] = None,
-                 real_ctx=None, name: Optional[str] = None):
+    def __init__(self, hypotheses: Sequence, task: str, real_ctx=None,
+                 name: Optional[str] = None):
         if not hypotheses:
             raise EmptyClass("ERM over an empty hypothesis list")
         if task not in (TASK_CLASSIFICATION, TASK_REAL):
             raise MixedTasks("ERM here handles the two hypothesis tasks")
         self.hypotheses = list(hypotheses)
         self.task = task
-        self.loss = loss
         self.real_ctx = real_ctx
         self.name = name or f"erm({len(self.hypotheses)})"
 
     @staticmethod
-    def for_class(cls: FiniteClass, loss: Optional[LossRule] = None) -> "ErmLearner":
+    def for_class(cls: FiniteClass) -> "ErmLearner":
         """ERM whose hypothesis list is induced by a class handle: labelers
         read off labeled distributions; for the real task the attached
         benchmark hypothesis class (or the members themselves when the
@@ -220,8 +219,7 @@ class ErmLearner(Learner):
             return ErmLearner(hypotheses_of_class(cls), TASK_CLASSIFICATION)
         if cls.task == TASK_REAL:
             source = cls.benchmark if cls.benchmark is not None else cls
-            return ErmLearner(list(source.members), TASK_REAL,
-                              loss=loss or cls.loss_rule, real_ctx=cls.real_ctx)
+            return ErmLearner(list(source.members), TASK_REAL, real_ctx=cls.real_ctx)
         raise MixedTasks("distribution classes take the minimum-distance learner")
 
     def empirical_risk(self, h, atoms) -> Fraction:
@@ -231,13 +229,14 @@ class ErmLearner(Learner):
         if self.task == TASK_CLASSIFICATION:
             bad = sum(1 for (x, y) in atoms if h(x) != y)
             return Fraction(bad, m)
+        ctx = self.real_ctx
         total = Fraction(0)
         for (x, b) in atoms:
-            total += self.loss.g(abs(h(x) - self.real_ctx.y_of_bit(b)))
+            total += ctx.loss.g(abs(h(x) - ctx.y_of_bit(b)))
         return total / m
 
     def run(self, sample):
-        atoms = sample.atoms if isinstance(sample, Sample) else tuple(sample)
+        atoms = tuple(sample)
         best, best_h = None, self.hypotheses[0]
         for h in self.hypotheses:
             risk = self.empirical_risk(h, atoms)
@@ -255,7 +254,7 @@ class UnionLearner(Learner):
     on the data that produced them would void the deviation guarantee.
     """
 
-    def __init__(self, learners: Sequence[Learner], loss: Optional[LossRule] = None, real_ctx=None):
+    def __init__(self, learners: Sequence[Learner], real_ctx=None):
         if not learners:
             raise EmptyClass("union of no learners")
         tasks = {ln.task for ln in learners}
@@ -263,13 +262,12 @@ class UnionLearner(Learner):
             raise MixedTasks(f"constituents disagree on task: {sorted(tasks)}")
         self.learners = list(learners)
         self.task = learners[0].task
-        self.loss = loss
         self.real_ctx = real_ctx
         self.agnostic_factor = 3 if self.task == TASK_DISTRIBUTION else 1
         self.name = f"union({len(self.learners)})"
 
     def run(self, sample):
-        atoms = sample.atoms if isinstance(sample, Sample) else tuple(sample)
+        atoms = tuple(sample)
         if len(atoms) < 2:
             raise SampleTooSmall("need at least 2 points to split")
         cut = (len(atoms) + 1) // 2
@@ -277,7 +275,7 @@ class UnionLearner(Learner):
         candidates = [ln.run(Sample(first)) for ln in self.learners]
         if self.task == TASK_DISTRIBUTION:
             return candidates[ScheffeEngine(candidates).select(second)]
-        selector = ErmLearner(candidates, self.task, loss=self.loss, real_ctx=self.real_ctx)
+        selector = ErmLearner(candidates, self.task, real_ctx=self.real_ctx)
         return selector.run(Sample(second))
 
 
@@ -292,7 +290,7 @@ class EmpiricalBaseline(Learner):
         self.name = "empirical-baseline"
 
     def run(self, sample):
-        atoms = sample.atoms if isinstance(sample, Sample) else tuple(sample)
+        atoms = tuple(sample)
         if self.task == TASK_DISTRIBUTION:
             return empirical_dist(atoms)
         counts: dict = {}

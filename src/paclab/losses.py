@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .dist import SparseDist, frac_str, tv
 from .errors import BadRange, EtaAboveGmax
@@ -158,35 +158,37 @@ def zero_one_excess(h: BinaryHypothesis, p: SparseDist) -> Fraction:
     return zero_one_risk(h, p) - zero_one_risk(bayes_labeler(p), p)
 
 
-def real_risk(loss: LossRule, ctx: RealTaskContext, h: RealHypothesis, p: SparseDist) -> Fraction:
-    """E_{(x,b)~p} g(|h(x) - y(b)|), with bit labels decoded through ctx."""
+def real_risk(ctx: RealTaskContext, h: RealHypothesis, p: SparseDist) -> Fraction:
+    """E_{(x,b)~p} g(|h(x) - y(b)|), with the loss rule g and the bit-label
+    decoding both read from ctx."""
     out = Fraction(0)
     for atom, mass in p.items:
         x, b = atom
-        out += mass * loss.g(abs(h(x) - ctx.y_of_bit(b)))
+        out += mass * ctx.loss.g(abs(h(x) - ctx.y_of_bit(b)))
     return out
 
 
-def task_loss(cls: FiniteClass, out, target: SparseDist, loss: Optional[LossRule] = None) -> Fraction:
+def task_loss(cls: FiniteClass, out, target: SparseDist) -> Fraction:
     """Uniform entry point: loss of a learner output against a target, by
-    the class's task (and, for the real task, its context)."""
+    the class's task. For the real task the loss rule lives in the class's
+    context, `cls.real_ctx`."""
     task = cls.task
     if task == TASK_DISTRIBUTION:
         return tv(out, target)
     if task == TASK_CLASSIFICATION:
         return zero_one_excess(out, target)
     if task == TASK_REAL:
-        if loss is None or cls.real_ctx is None:
-            raise BadRange("real task loss needs a loss rule and context")
-        return real_risk(loss, cls.real_ctx, out, target)
+        if cls.real_ctx is None:
+            raise BadRange("real task loss needs a task context")
+        return real_risk(cls.real_ctx, out, target)
     raise BadRange(f"unknown task {task!r}")
 
 
-def opt_loss(cls: FiniteClass, target: SparseDist, loss: Optional[LossRule] = None) -> Tuple[Fraction, int]:
+def opt_loss(cls: FiniteClass, target: SparseDist) -> Tuple[Fraction, int]:
     """Least loss over the class against the target, with the witness index."""
     best, best_i = None, -1
     for i, member in enumerate(cls.members):
-        val = task_loss(cls, member, target, loss=loss)
+        val = task_loss(cls, member, target)
         if best is None or val < best:
             best, best_i = val, i
     if best is None:

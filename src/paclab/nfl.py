@@ -170,7 +170,6 @@ class NflInstance:
     window: int               # distribution: base = 4n; labeled tasks: width
     set_size: Optional[int]   # distribution only: the support-size filter n
     family: FiniteClass
-    loss: Optional[LossRule] = None
 
 
 def nfl_distribution_instance(eta, n: int, budget: int = 1 << 20) -> NflInstance:
@@ -191,7 +190,7 @@ def nfl_real_instance(loss: LossRule, eta, width: int, budget: int = 1 << 20) ->
     """Realizable plateau-data family over a uniform window of `width` points."""
     eta = Fraction(eta)
     fam = plateau_data_family(loss, eta, width, budget=budget)
-    return NflInstance(TASK_REAL, eta, width, None, fam, loss=loss)
+    return NflInstance(TASK_REAL, eta, width, None, fam)
 
 
 def instance_alphabet(inst: NflInstance) -> list:
@@ -234,6 +233,8 @@ def swap_member_index(inst: NflInstance, member_index: int, seq: Sequence) -> Op
 # ---------------------------------------------------------------------------
 
 def _check_enum_budget(inst: NflInstance, m: int, budget: int):
+    if m < 0:
+        raise BadRange(f"sample size m={m} is negative")
     size = len(inst.family)
     support = max(len(p.support()) for p in inst.family.members)
     alphabet = len(instance_alphabet(inst))
@@ -269,9 +270,6 @@ class LearnerReport:
     class_average: Fraction
     class_max: Fraction
     tails: Dict[Fraction, List[Fraction]]  # threshold -> per-member tail prob
-
-    def tail_max(self, threshold) -> Fraction:
-        return max(self.tails[Fraction(threshold)])
 
     def to_json_obj(self):
         return {
@@ -344,7 +342,7 @@ def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
                 key = (i, out)
                 err = loss_cache.get(key)
                 if err is None:
-                    err = task_loss(inst.family, out, member, loss=inst.loss)
+                    err = task_loss(inst.family, out, member)
                     loss_cache[key] = err
                 mean += w * err
                 for a in thresholds:
@@ -478,8 +476,7 @@ class McMemberStat:
 
 
 def mc_risk(cls: FiniteClass, learner: Learner, m: int, trials: int, rng: RngStream,
-            threshold, loss: Optional[LossRule] = None,
-            member_indices: Optional[Sequence[int]] = None) -> List[McMemberStat]:
+            threshold, member_indices: Optional[Sequence[int]] = None) -> List[McMemberStat]:
     """Monte Carlo stand-in for the exact oracle beyond the enumeration
     budget: per-member empirical mean error and failure frequency (error
     >= threshold) with two-sided 95% Clopper-Pearson intervals. Trial t
@@ -488,7 +485,6 @@ def mc_risk(cls: FiniteClass, learner: Learner, m: int, trials: int, rng: RngStr
     if trials <= 0:
         raise EmptyEstimate("mc_risk needs at least one trial")
     threshold = Fraction(threshold)
-    loss = loss or cls.loss_rule
     indices = list(member_indices) if member_indices is not None else list(range(len(cls)))
     stats = []
     for i in indices:
@@ -497,7 +493,7 @@ def mc_risk(cls: FiniteClass, learner: Learner, m: int, trials: int, rng: RngStr
         failures = 0
         for t in range(trials):
             sample = draw(target, m, rng.child(i, t))
-            err = task_loss(cls, learner.run(sample), target, loss=loss)
+            err = task_loss(cls, learner.run(sample), target)
             total += float(err)
             if err >= threshold:
                 failures += 1
@@ -552,24 +548,24 @@ class ComplexityCurve:
 
 
 def _guarantee(cls: FiniteClass, target: SparseDist, eps: Fraction,
-               agnostic_factor: int, loss: Optional[LossRule]) -> Fraction:
+               agnostic_factor: int) -> Fraction:
     if cls.task == TASK_CLASSIFICATION:
         return eps  # excess risk already nets out the best labeler
     bench = cls.benchmark if cls.benchmark is not None else cls
-    opt, _ = opt_loss(bench, target, loss=loss)
+    opt, _ = opt_loss(bench, target)
     return agnostic_factor * opt + eps
 
 
-def _level_certifies(cls, learner, targets, m, trials, eps, delta, rng, loss, max_fail):
+def _level_certifies(cls, learner, targets, m, trials, eps, delta, rng, max_fail):
     """Run one grid level; (passed, worst_failures, worst_ucb over targets)."""
     worst_fail, worst_ucb = 0, 0.0
     for t_idx in targets:
         target = cls.members[t_idx]
-        bar = _guarantee(cls, target, eps, learner.agnostic_factor, loss)
+        bar = _guarantee(cls, target, eps, learner.agnostic_factor)
         failures = 0
         for t in range(trials):
             sample = draw(target, m, rng.child(m, t_idx, t))
-            err = task_loss(cls, learner.run(sample), target, loss=loss)
+            err = task_loss(cls, learner.run(sample), target)
             if err > bar:
                 failures += 1
                 if failures > max_fail:
@@ -584,7 +580,6 @@ def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
                                rng: RngStream, trials: int = 200,
                                m_min: int = 1, m_max: int = 1024,
                                targets_cap: int = 64,
-                               loss: Optional[LossRule] = None,
                                k: Optional[int] = None) -> CurvePoint:
     """Smallest m on a doubling-then-bisection grid at which, for every
     tested target, the 95% Clopper-Pearson upper bound on
@@ -597,7 +592,6 @@ def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
     targets.
     """
     eps, delta = Fraction(eps), Fraction(delta)
-    loss = loss or cls.loss_rule
     if len(cls) == 0:
         raise EmptyClass("no targets")
     max_fail = max_certifiable_failures(trials, float(delta))
@@ -616,7 +610,7 @@ def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
     last_failed = 0
     while m <= m_max:
         ok, fails, ucb = _level_certifies(cls, learner, targets, m, trials,
-                                          eps, delta, rng, loss, max_fail)
+                                          eps, delta, rng, max_fail)
         if ok:
             certified = (m, fails, ucb)
             break
@@ -631,7 +625,7 @@ def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
     while hi - lo > 1:
         mid = (lo + hi) // 2
         ok, f2, u2 = _level_certifies(cls, learner, targets, mid, trials,
-                                      eps, delta, rng, loss, max_fail)
+                                      eps, delta, rng, max_fail)
         if ok:
             hi, best = mid, (mid, f2, u2)
         else:

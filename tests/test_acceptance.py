@@ -246,12 +246,12 @@ def test_criterion_09_real_valued_reduction():
         for h in hyps.members:
             ones = {x for x, _ in h.values}
             dis = len(ones ^ plateau)
-            val = pl.real_risk(loss, data.real_ctx, h, target)
+            val = pl.real_risk(data.real_ctx, h, target)
             assert val == eta * F(dis, width)
             pairs += 1
     h0 = hyps[0]
     for target in data.members:
-        assert pl.real_risk(loss, data.real_ctx, h0, target) <= eta
+        assert pl.real_risk(data.real_ctx, h0, target) <= eta
     record(9, True, f"{pairs} loss values equal eta * disagreement fraction exactly; "
                     f"zero hypothesis risk <= eta on all {len(data)} targets")
 

@@ -259,6 +259,35 @@ def test_union_learner_config(tmp_path):
     assert report["learner"] == "union(2)"
 
 
+REAL_ABSOLUTE = {"eta": "1/2", "width": 3, "loss": {"kind": "absolute"}}
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "learn", "seed": 5,
+     "class": {"family": "plateau-data", **REAL_ABSOLUTE},
+     "learner": {"kind": "union", "of": [{"kind": "erm"}, {"kind": "empirical-baseline"}]},
+     "target_index": 2, "m": 4, "trials": 3},
+    {"kind": "nfl-mc", "seed": 5, "instance": {"task": "real", **REAL_ABSOLUTE},
+     "learner": {"kind": "union", "of": [{"kind": "erm"}]}, "m": 4, "trials": 3},
+], ids=["learn", "nfl-mc"])
+def test_union_learner_on_real_task(tmp_path, cfg):
+    # the ERM selector inside the union reads the loss rule from the class
+    out = tmp_path / "o"
+    assert run_cli([cfg["kind"], "--config", write_cfg(tmp_path, cfg), "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["learner"] == f"union({len(cfg['learner']['of'])})"
+
+
+def test_negative_m_in_exact_oracle_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "kind": "nfl-exact", "seed": 5,
+        "instance": {"task": "distribution", "eta": "1/2", "n": 1},
+        "m": -1, "learners": [{"kind": "empirical-baseline"}],
+    })
+    assert run_cli(["nfl-exact", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_multi_point_curve_with_k(tmp_path):
     cfg = write_cfg(tmp_path, {
         "kind": "sample-complexity", "seed": 6,

@@ -262,6 +262,6 @@ class TestTruncationApproximationOtherTasks:
         ctx = stage.real_ctx
         for h in stage.members:
             for target in targets:
-                gap = abs(pl.real_risk(loss, ctx, h, target)
-                          - pl.real_risk(loss, ctx, h0, target))
+                gap = abs(pl.real_risk(ctx, h, target)
+                          - pl.real_risk(ctx, h0, target))
                 assert gap <= level <= eps / 4

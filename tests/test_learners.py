@@ -174,7 +174,7 @@ class TestErm:
 
     def test_absolute_loss_example(self):
         fam = pl.plateau_family(pl.AbsoluteLoss(), F(1, 2), 1)
-        erm = pl.ErmLearner.for_class(fam, loss=pl.AbsoluteLoss())
+        erm = pl.ErmLearner.for_class(fam)
         out = erm.run(pl.Sample(((1, 1), (1, 1))))  # y = 1/2 twice
         assert out.values == ((1, F(1, 2)),)
 
@@ -256,7 +256,7 @@ class TestBaselinesAndLosses:
         fam = pl.plateau_data_family(loss, F(1, 2), 4)
         h0 = pl.plateau_family(loss, F(1, 2), 4)[0]
         for target in fam.members:
-            assert pl.real_risk(loss, fam.real_ctx, h0, target) <= F(1, 2)
+            assert pl.real_risk(fam.real_ctx, h0, target) <= F(1, 2)
 
     def test_opt_loss_witness(self):
         fam = pl.anchored_family(F(1, 2), 2)

@@ -316,8 +316,7 @@ class TestRealTaskOracle:
     def test_real_exact_oracle_above_bound(self):
         loss = pl.AbsoluteLoss()
         inst = pl.nfl_real_instance(loss, F(1, 2), 4)
-        erm = pl.ErmLearner.for_class(
-            pl.plateau_family(loss, F(1, 2), 4), loss=loss)
+        erm = pl.ErmLearner.for_class(pl.plateau_family(loss, F(1, 2), 4))
         base = pl.EmpiricalBaseline("real", real_ctx=inst.family.real_ctx)
         report = pl.nfl_exact(inst, [erm, base], 2)
         for lr in report.learners:
@@ -327,7 +326,7 @@ class TestRealTaskOracle:
         grid = [F(1, 2) * F(d, 4) for d in range(5)]
         for h in pl.plateau_family(loss, F(1, 2), 4).members:
             for target in inst.family.members:
-                assert pl.real_risk(loss, inst.family.real_ctx, h, target) in grid
+                assert pl.real_risk(inst.family.real_ctx, h, target) in grid
 
     def test_real_bound_m2_regression(self):
         # uniform marginal over 4 points: E[pair distance] at m=2 is
@@ -348,7 +347,7 @@ class TestEstimateOtherTasks:
     def test_real_branch(self):
         loss = pl.AbsoluteLoss()
         fam = pl.plateau_data_family(loss, F(1, 2), 2)
-        erm = pl.ErmLearner.for_class(pl.plateau_family(loss, F(1, 2), 2), loss=loss)
+        erm = pl.ErmLearner.for_class(pl.plateau_family(loss, F(1, 2), 2))
         pt = pl.estimate_sample_complexity(fam, erm, F(1, 4), F(1, 10),
                                            pl.RngStream(SEED, 22), trials=80,
                                            m_max=256)
