@@ -34,6 +34,7 @@ from .families import (
     FiniteClass,
     SequenceSpec,
     StagedClass,
+    TASK_REAL,
     anchored_family,
     eta_rule_from_json,
     labeled_anchored_family,
@@ -83,9 +84,18 @@ def _frac(value, path: str) -> Fraction:
         raise ConfigError(path, f"not a rational: {value!r} ({exc})")
 
 
+def _int(value, path: str) -> int:
+    """An integer field; anything int() rejects (text, null, a list or an
+    object) is a config error naming the field."""
+    try:
+        return int(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(path, f"not an integer: {value!r} ({exc})") from None
+
+
 def _index(value, size: int, path: str) -> int:
     """A member index into a class of `size` members."""
-    i = int(value)
+    i = _int(value, path)
     if not 0 <= i < size:
         raise ConfigError(path, f"member index {i} outside 0..{size - 1}")
     return i
@@ -110,22 +120,23 @@ def _load_staged(spec: dict, path: str = "class."):
 def _load_class(spec: dict, staged, path: str = "class."):
     """The finite class of a spec; `staged` is its `_load_staged` result,
     which is truncated at the spec's truncate_epsilon."""
-    budget = int(spec.get("budget", 1 << 20))
+    budget = _int(spec.get("budget", 1 << 20), path + "budget")
     if staged is not None:
         eps = _frac(_req(spec, "truncate_epsilon", path), path + "truncate_epsilon")
         return staged.truncate(eps, budget=budget)
     family = _req(spec, "family", path)
     if family == "anchored":
         return anchored_family(_frac(_req(spec, "eta", path), path + "eta"),
-                               int(_req(spec, "n", path)),
+                               _int(_req(spec, "n", path), path + "n"),
                                size_filter=spec.get("filter"), budget=budget)
     if family == "labeled":
         return labeled_anchored_family(_frac(_req(spec, "eta", path), path + "eta"),
-                                       int(_req(spec, "n", path)), budget=budget)
+                                       _int(_req(spec, "n", path), path + "n"), budget=budget)
     if family == "plateau-data":
         loss = loss_rule_from_json(_req(spec, "loss", path))
         return plateau_data_family(loss, _frac(_req(spec, "eta", path), path + "eta"),
-                                   int(_req(spec, "width", path)), budget=budget)
+                                   _int(_req(spec, "width", path), path + "width"),
+                                   budget=budget)
     raise ConfigError(path + "family", f"unknown family {family!r}")
 
 
@@ -133,6 +144,9 @@ def _class_and_learner(cfg: dict):
     """The finite class and the learner of a learn/sample-complexity config."""
     spec = _req(cfg, "class")
     staged = _load_staged(spec)
+    if staged is not None and staged.task == TASK_REAL:
+        raise ConfigError("class.task", "a real-task staged truncation holds hypotheses, "
+                                        "not data distributions to draw samples from")
     cls = _load_class(spec, staged)
     return cls, _load_learner(_req(cfg, "learner"), cls, staged)
 
@@ -140,14 +154,17 @@ def _class_and_learner(cfg: dict):
 def _load_instance(spec: dict, path: str = "instance."):
     task = spec.get("task", "distribution")
     eta = _frac(_req(spec, "eta", path), path + "eta")
-    budget = int(spec.get("budget", 1 << 20))
+    budget = _int(spec.get("budget", 1 << 20), path + "budget")
     if task == "distribution":
-        return nfl_distribution_instance(eta, int(_req(spec, "n", path)), budget=budget)
+        return nfl_distribution_instance(eta, _int(_req(spec, "n", path), path + "n"),
+                                         budget=budget)
     if task == "classification":
-        return nfl_classification_instance(eta, int(_req(spec, "n", path)), budget=budget)
+        return nfl_classification_instance(eta, _int(_req(spec, "n", path), path + "n"),
+                                           budget=budget)
     if task == "real":
         loss = loss_rule_from_json(_req(spec, "loss", path))
-        return nfl_real_instance(loss, eta, int(_req(spec, "width", path)), budget=budget)
+        return nfl_real_instance(loss, eta, _int(_req(spec, "width", path), path + "width"),
+                                 budget=budget)
     raise ConfigError(path + "task", f"unknown task {task!r}")
 
 
@@ -159,7 +176,8 @@ def _load_learner(spec: dict, cls: FiniteClass, staged=None, path: str = "learne
         if staged is None:
             raise ConfigError(path + "kind", "truncation learner needs a staged class spec")
         eps = _frac(_req(spec, "epsilon", path), path + "epsilon")
-        return TruncationLearner(staged, eps, budget=int(spec.get("budget", 1 << 20)))
+        return TruncationLearner(staged, eps,
+                                 budget=_int(spec.get("budget", 1 << 20), path + "budget"))
     if kind == "erm":
         return ErmLearner.for_class(cls)
     if kind == "union":
@@ -189,12 +207,15 @@ def _table(spec: dict, path: str, base_dir: Path = None) -> FunctionTable:
                 k, v = line.split(",")
                 rows[int(k)] = int(v)
         except (OSError, ValueError) as exc:
-            raise ConfigError(path + "csv", str(exc))
+            raise ConfigError(path + ".csv", str(exc))
         if sorted(rows) != list(range(1, len(rows) + 1)):
-            raise ConfigError(path + "csv", "rows must cover a contiguous prefix 1..K")
+            raise ConfigError(path + ".csv", "rows must cover a contiguous prefix 1..K")
         return FunctionTable.from_values([rows[k] for k in sorted(rows)], rule=rule)
     values = _req(spec, "values", path)
-    return FunctionTable.from_values(values, rule=rule)
+    if not isinstance(values, list):
+        raise ConfigError(path + ".values", f"not a list: {values!r}")
+    return FunctionTable.from_values(
+        [_int(v, f"{path}.values[{i}]") for i, v in enumerate(values)], rule=rule)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +228,7 @@ def _run_construct(cfg, rng):
     if staged is not None and "truncate_epsilon" not in spec:
         # countable handle: report the rules and the first stage sizes, no
         # member materialization beyond what the caller asks for
-        horizon = int(cfg.get("stage_horizon", 6))
+        horizon = _int(cfg.get("stage_horizon", 6), "stage_horizon")
         levels, sizes = {}, {}
         for i in range(1, horizon + 1):
             levels[str(i)] = frac_str(staged.spec.eta_value(i))
@@ -222,7 +243,7 @@ def _run_construct(cfg, rng):
         }
         return report, {}, []
     cls = _load_class(spec, staged)
-    cap = int(cfg.get("max_members", 1 << 12))
+    cap = _int(cfg.get("max_members", 1 << 12), "max_members")
     members = [m.to_json_obj() if isinstance(m, SparseDist) else repr(m)
                for m in cls.members[:cap]]
     report = {
@@ -238,8 +259,8 @@ def _run_construct(cfg, rng):
 def _run_learn(cfg, rng):
     cls, learner = _class_and_learner(cfg)
     target_idx = _index(_req(cfg, "target_index"), len(cls), "target_index")
-    m = int(_req(cfg, "m"))
-    trials = int(cfg.get("trials", 1))
+    m = _int(_req(cfg, "m"), "m")
+    trials = _int(cfg.get("trials", 1), "trials")
     threshold = _frac(cfg.get("threshold", "1/8"), "threshold")
     stats = mc_risk(cls, learner, m, trials, rng, threshold, member_indices=[target_idx])
     report = {
@@ -270,10 +291,10 @@ def _run_sample_complexity(cfg, rng):
         delta = _frac(_req(pt, "delta", f"points[{i}]."), f"points[{i}].delta")
         points.append(estimate_sample_complexity(
             cls, learner, eps, delta, rng.child(i),
-            trials=int(proto.get("trials", 200)),
-            m_min=int(proto.get("m_min", 1)),
-            m_max=int(proto.get("m_max", 1024)),
-            targets_cap=int(proto.get("targets_cap", 64)),
+            trials=_int(proto.get("trials", 200), "protocol.trials"),
+            m_min=_int(proto.get("m_min", 1), "protocol.m_min"),
+            m_max=_int(proto.get("m_max", 1024), "protocol.m_max"),
+            targets_cap=_int(proto.get("targets_cap", 64), "protocol.targets_cap"),
             k=pt.get("k")))
     curve = ComplexityCurve(points)
     report = {
@@ -285,20 +306,20 @@ def _run_sample_complexity(cfg, rng):
     for i, pt in enumerate(requests):
         low = pt.get("assert_m_hat_at_least")
         high = pt.get("assert_m_hat_at_most")
-        if low is not None and points[i].m_hat < int(low):
+        if low is not None and points[i].m_hat < _int(low, f"points[{i}].assert_m_hat_at_least"):
             failures.append(f"points[{i}]: m_hat {points[i].m_hat} < {low}")
-        if high is not None and points[i].m_hat > int(high):
+        if high is not None and points[i].m_hat > _int(high, f"points[{i}].assert_m_hat_at_most"):
             failures.append(f"points[{i}]: m_hat {points[i].m_hat} > {high}")
     return report, {"curve.csv": curve.to_csv()}, failures
 
 
 def _run_nfl_exact(cfg, rng):
     inst = _load_instance(_req(cfg, "instance"))
-    m = int(_req(cfg, "m"))
+    m = _int(_req(cfg, "m"), "m")
     learners = [_load_learner(s, inst.family, path=f"learners[{i}].")
                 for i, s in enumerate(_req(cfg, "learners"))]
     thresholds = [_frac(t, "thresholds") for t in cfg.get("thresholds", [])] or None
-    budget = int(cfg.get("enum_budget", 10_000_000))
+    budget = _int(cfg.get("enum_budget", 10_000_000), "enum_budget")
     report_obj = nfl_exact(inst, learners, m, thresholds=thresholds, budget=budget)
     failures = []
     asserts = cfg.get("assert", {})
@@ -320,8 +341,8 @@ def _run_nfl_exact(cfg, rng):
 
 def _run_nfl_mc(cfg, rng):
     inst = _load_instance(_req(cfg, "instance"))
-    m = int(_req(cfg, "m"))
-    trials = int(_req(cfg, "trials"))
+    m = _int(_req(cfg, "m"), "m")
+    trials = _int(_req(cfg, "trials"), "trials")
     learner = _load_learner(_req(cfg, "learner"), inst.family)
     threshold = _frac(cfg.get("threshold", inst.eta / 8), "threshold")
     indices = cfg.get("member_indices")
@@ -357,11 +378,12 @@ def _run_synthesize(cfg, rng):
     spot = cfg.get("spot_check")
     kwargs = {}
     if spot:
-        kwargs = dict(spot_check_k=int(_req(spot, "k", "spot_check.")),
-                      trials=int(spot.get("trials", 120)),
-                      member_budget=int(spot.get("member_budget", 1024)),
-                      m_max=int(spot.get("m_max", 256)),
-                      targets_cap=int(spot.get("targets_cap", 64)))
+        kwargs = dict(spot_check_k=_int(_req(spot, "k", "spot_check."), "spot_check.k"),
+                      trials=_int(spot.get("trials", 120), "spot_check.trials"),
+                      member_budget=_int(spot.get("member_budget", 1024),
+                                         "spot_check.member_budget"),
+                      m_max=_int(spot.get("m_max", 256), "spot_check.m_max"),
+                      targets_cap=_int(spot.get("targets_cap", 64), "spot_check.targets_cap"))
     rep = synthesize(g, rng=rng, **kwargs)
     lines = ["k,target,lower_bound"]
     for k in range(1, g.horizon + 1):
@@ -371,7 +393,7 @@ def _run_synthesize(cfg, rng):
         failures.append("lower-bound line does not dominate the target on the prefix")
     if spot and spot.get("assert_m_hat_exceeds") is not None:
         m_hat = rep.spot_check["point"]["m_hat"]
-        if m_hat <= int(spot["assert_m_hat_exceeds"]):
+        if m_hat <= _int(spot["assert_m_hat_exceeds"], "spot_check.assert_m_hat_exceeds"):
             failures.append(f"spot check m_hat {m_hat} does not exceed "
                             f"{spot['assert_m_hat_exceeds']}")
     return ({"kind": "synthesize", **rep.to_json_obj()},
@@ -400,7 +422,7 @@ def run_experiment(subcommand: str, cfg: dict, out_dir: Path,
         cfg = {**cfg, "seed": int(seed_override)}
     if "seed" not in cfg:
         raise ConfigError("seed", "missing (no wall-clock default)")
-    seed = int(cfg["seed"])
+    seed = _int(cfg["seed"], "seed")
     rng = RngStream(seed, 0)
 
     work_cfg = {**cfg, "_config_dir": base_dir} if base_dir is not None else cfg

@@ -4,10 +4,10 @@ union aggregation, and the empirical baselines.
 Every learner is a pure, deterministic function of (configuration,
 sample); ties always break toward the lowest index in the candidate
 class's canonical order. The Scheffé engine precomputes the pairwise
-comparison sets once per class; selection itself runs on integer
-numerators over a common denominator (numpy when the numbers fit in
-int64, Python ints otherwise), so the chosen member is the exact argmin
-either way.
+comparison sets once per class from one integer mass matrix; selection
+runs one numpy formula on integer numerators over a common denominator,
+in int64 while the numbers fit and on object arrays of Python ints past
+int64, so the chosen member is the exact argmin either way.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dist import Sample, SparseDist, empirical_dist, event_prob
+from .dist import Sample, SparseDist, atom_key, empirical_dist, event_prob
 from .errors import EmptyClass, EmptySample, MixedTasks, SampleTooSmall
 from .families import (
     ALL_ZERO_REAL,
@@ -57,42 +57,58 @@ def scheffe_sample_size(n_members: int, eps, delta) -> int:
 class ScheffeEngine:
     """Minimum-distance selection over one fixed finite class.
 
-    Builds the deduplicated collection of ordered-pair comparison sets
-    and each member's exact probability of each set, stored as an integer
-    numerator over the common denominator `denom`. select() returns
-    the index minimizing the maximum deviation between member and
-    empirical set probabilities.
+    Members are rows of one integer mass matrix (columns are atoms in
+    canonical order, entries numerators over the common denominator
+    `denom`). The comparison sets are the distinct non-empty rows of
+    `mass[i] > mass[j]` over ordered pairs, kept in first-seen (i, j)
+    order; an atom-by-set incidence matrix turns atom counts into set
+    counts, and `_nums = mass @ incidence` holds each member's exact
+    probability of each set. select() returns the index minimizing the
+    maximum deviation between member and empirical set probabilities.
+
+    The matrices are int64 while denom < INT64_SAFE and exact Python
+    ints (object dtype) past it. select() writes its int64 deviations
+    into one buffer owned by the engine, so an engine must not be shared
+    between threads.
     """
 
     def __init__(self, members: Sequence[SparseDist]):
         if not members:
             raise EmptyClass("minimum-distance selection over an empty class")
         self.members = list(members)
-        sets, seen = [], set()
-        for i, p in enumerate(self.members):
-            for j, q in enumerate(self.members):
-                if i == j:
-                    continue
-                s = yatracos_set(p, q)
-                if s and s not in seen:
-                    seen.add(s)
-                    sets.append(s)
-        self.sets = sets
-
+        atoms = sorted({a for p in self.members for a in p.support()}, key=atom_key)
+        self._column = {a: j for j, a in enumerate(atoms)}
         denom = 1
         for p in self.members:
-            for _, mass in p.items:
-                denom = denom * mass.denominator // math.gcd(denom, mass.denominator)
+            for _, w in p.items:
+                denom = denom * w.denominator // math.gcd(denom, w.denominator)
         self.denom = denom
-        nums = [[int(event_prob(p, s) * denom) for s in sets] for p in self.members]
-        self._use_numpy = denom < INT64_SAFE and bool(sets)
-        self._nums = np.array(nums, dtype=np.int64) if self._use_numpy else nums
+        dtype = np.int64 if denom < INT64_SAFE else object
+        mass = np.zeros((len(self.members), len(atoms)), dtype=dtype)
+        for i, p in enumerate(self.members):
+            for a, w in p.items:
+                mass[i, self._column[a]] = w.numerator * (denom // w.denominator)
 
-    def _set_counts(self, atoms: Sequence) -> list:
-        counts: dict = {}
-        for a in atoms:
-            counts[a] = counts.get(a, 0) + 1
-        return [sum(counts.get(a, 0) for a in s) for s in self.sets]
+        # p(a) > q(a) only inside p's support, so row j of `above` is
+        # yatracos_set(members[i], members[j]).
+        rows: dict = {}  # row bytes, in first-seen order
+        for i in range(len(mass)):
+            above = mass[i] > mass
+            for row in above[above.any(axis=1)]:
+                rows.setdefault(row.tobytes())
+        incidence = np.frombuffer(b"".join(rows), dtype=bool).reshape(len(rows), len(atoms))
+        incidence = incidence.T.astype(np.int64)
+        self.sets = [frozenset(atoms[j] for j in np.flatnonzero(col)) for col in incidence.T]
+        self._incidence = incidence
+        self._nums = mass @ incidence
+        self._dev = np.empty_like(self._nums) if dtype is np.int64 else None
+
+    def _set_counts(self, atoms: tuple) -> np.ndarray:
+        """Sample points inside each comparison set; atoms outside every
+        member's support fall into a spare column and count nowhere."""
+        width = len(self._column)
+        cols = [self._column.get(a, width) for a in atoms]
+        return np.bincount(cols, minlength=width + 1)[:width] @ self._incidence
 
     def select(self, sample: Sample | Sequence) -> int:
         """Index of the member with the smallest maximum deviation."""
@@ -104,14 +120,15 @@ class ScheffeEngine:
         m = len(atoms)
         cnt = self._set_counts(atoms)
         # deviation numerators over common denominator denom*m:
-        #   |prob_num * m - denom * count|
-        if self._use_numpy and self.denom * m < INT64_SAFE:
-            c = np.array(cnt, dtype=np.int64)
-            dev = np.abs(self._nums * m - self.denom * c).max(axis=1)
-            return int(dev.argmin())
-        rows = self._nums.tolist() if self._use_numpy else self._nums
-        devs = [max(abs(v * m - self.denom * c) for v, c in zip(row, cnt)) for row in rows]
-        return devs.index(min(devs))
+        #   |prob_num * m - denom * count|, each at most denom*m
+        if self._dev is not None and self.denom * m < INT64_SAFE:
+            nums, out = self._nums, self._dev
+        else:
+            nums, cnt, out = self._nums.astype(object), cnt.astype(object), None
+        dev = np.multiply(nums, m, out=out)
+        dev -= self.denom * cnt
+        np.abs(dev, out=dev)
+        return int(dev.max(axis=1).argmin())
 
     def empirical_gap(self, target: SparseDist, sample: Sample | Sequence) -> Fraction:
         """max over comparison sets of |target(A) - empirical(A)|."""
@@ -121,7 +138,7 @@ class ScheffeEngine:
         if not self.sets:
             return Fraction(0)
         m = len(atoms)
-        cnt = self._set_counts(atoms)
+        cnt = self._set_counts(atoms).tolist()
         return max(abs(event_prob(target, s) - Fraction(c, m)) for s, c in zip(self.sets, cnt))
 
 

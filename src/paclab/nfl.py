@@ -232,6 +232,16 @@ def swap_member_index(inst: NflInstance, member_index: int, seq: Sequence) -> Op
 # exact oracles
 # ---------------------------------------------------------------------------
 
+def _memo_loss(cache: dict, cls: FiniteClass, out, target_index: int) -> Fraction:
+    """task_loss of an output against member `target_index`, memoised in a
+    cache the caller keeps for one oracle or search call."""
+    key = (target_index, out)
+    err = cache.get(key)
+    if err is None:
+        err = cache[key] = task_loss(cls, out, cls.members[target_index])
+    return err
+
+
 def _check_enum_budget(inst: NflInstance, m: int, budget: int):
     if m < 0:
         raise BadRange(f"sample size m={m} is negative")
@@ -338,12 +348,7 @@ def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
             tail = {a: Fraction(0) for a in thresholds}
             for seq in itertools.product(member.support(), repeat=m):
                 w = sequence_prob(member, seq)
-                out = outs[seq]
-                key = (i, out)
-                err = loss_cache.get(key)
-                if err is None:
-                    err = task_loss(inst.family, out, member)
-                    loss_cache[key] = err
+                err = _memo_loss(loss_cache, inst.family, outs[seq], i)
                 mean += w * err
                 for a in thresholds:
                     if err >= a:
@@ -487,13 +492,14 @@ def mc_risk(cls: FiniteClass, learner: Learner, m: int, trials: int, rng: RngStr
     threshold = Fraction(threshold)
     indices = list(member_indices) if member_indices is not None else list(range(len(cls)))
     stats = []
+    losses: dict = {}
     for i in indices:
         target = cls.members[i]
         total = 0.0
         failures = 0
         for t in range(trials):
             sample = draw(target, m, rng.child(i, t))
-            err = task_loss(cls, learner.run(sample), target)
+            err = _memo_loss(losses, cls, learner.run(sample), i)
             total += float(err)
             if err >= threshold:
                 failures += 1
@@ -556,16 +562,16 @@ def _guarantee(cls: FiniteClass, target: SparseDist, eps: Fraction,
     return agnostic_factor * opt + eps
 
 
-def _level_certifies(cls, learner, targets, m, trials, eps, delta, rng, max_fail):
-    """Run one grid level; (passed, worst_failures, worst_ucb over targets)."""
+def _level_certifies(cls, learner, bars, m, trials, rng, max_fail, losses):
+    """Run one grid level against the guarantee `bars[t_idx]` of each tested
+    target; (passed, worst_failures, worst_ucb over targets)."""
     worst_fail, worst_ucb = 0, 0.0
-    for t_idx in targets:
+    for t_idx, bar in bars.items():
         target = cls.members[t_idx]
-        bar = _guarantee(cls, target, eps, learner.agnostic_factor)
         failures = 0
         for t in range(trials):
             sample = draw(target, m, rng.child(m, t_idx, t))
-            err = task_loss(cls, learner.run(sample), target)
+            err = _memo_loss(losses, cls, learner.run(sample), t_idx)
             if err > bar:
                 failures += 1
                 if failures > max_fail:
@@ -604,13 +610,17 @@ def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
     else:
         gen = rng.child(917).generator()
         targets = sorted(gen.sample(range(len(cls)), targets_cap))
+    # the guarantee of each target and every loss seen hold across levels
+    bars = {t_idx: _guarantee(cls, cls.members[t_idx], eps, learner.agnostic_factor)
+            for t_idx in targets}
+    losses: dict = {}
 
     m = max(1, m_min)
     certified = None
     last_failed = 0
     while m <= m_max:
-        ok, fails, ucb = _level_certifies(cls, learner, targets, m, trials,
-                                          eps, delta, rng, max_fail)
+        ok, fails, ucb = _level_certifies(cls, learner, bars, m, trials, rng,
+                                          max_fail, losses)
         if ok:
             certified = (m, fails, ucb)
             break
@@ -624,8 +634,8 @@ def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
     best = (hi, fails, ucb)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        ok, f2, u2 = _level_certifies(cls, learner, targets, mid, trials,
-                                      eps, delta, rng, max_fail)
+        ok, f2, u2 = _level_certifies(cls, learner, bars, mid, trials, rng,
+                                      max_fail, losses)
         if ok:
             hi, best = mid, (mid, f2, u2)
         else:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from paclab import cli
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCHEMA = CONFIG_DIR.parent / "docs" / "config.schema.json"
+BENCH_WORKLOADS = CONFIG_DIR.parent / "perfbench" / "workloads.py"
 
 # a staged class spec in the verbatim shape: no "family" key
 STAGED_NO_FAMILY = {"task": "distribution", "eta": {"kind": "constant", "c": "1/8"},
@@ -93,6 +95,46 @@ def test_member_index_out_of_range_is_config_error(tmp_path, capsys, path, value
     assert code == cli.EXIT_CONFIG
     assert f"config error: config field '{path}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+NOT_INTEGERS = ["two", None, [], {}]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("kind,table", [("dominate", "f"), ("synthesize", "g")])
+def test_non_integer_table_value_is_config_error(tmp_path, capsys, kind, table, bad):
+    cfg = {"kind": kind, "seed": 1, "f": {"values": [2, 5, 10]}, "g": {"values": [1, 4, 9]}}
+    cfg[table] = {"values": [1, bad, 9]}
+    out = tmp_path / "o"
+    assert run_cli([kind, "--config", write_cfg(tmp_path, cfg), "--out", out]) == cli.EXIT_CONFIG
+    assert f"config error: config field '{table}.values[1]'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_non_integer_seed_is_config_error(tmp_path, capsys, bad):
+    cfg = write_cfg(tmp_path, {"kind": "construct", "seed": bad,
+                               "class": {"family": "anchored", "eta": "1/2", "n": 2}})
+    assert run_cli(["construct", "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+    assert "config error: config field 'seed'" in capsys.readouterr().err
+
+
+# a staged real-task class truncates to plateau hypotheses, which hold no
+# data distribution to draw samples from
+REAL_STAGED = {"family": "staged", "task": "real", "eta": {"kind": "reciprocal", "c": "1/2"},
+               "n": {"kind": "identity"}, "loss": {"kind": "absolute"},
+               "truncate_epsilon": "1"}
+
+
+@pytest.mark.parametrize("sub,extra", [
+    ("learn", {"target_index": 1, "m": 3}),
+    ("sample-complexity", {"epsilon": "1/2", "delta": "1/10"}),
+])
+def test_real_staged_class_is_config_error(tmp_path, capsys, sub, extra):
+    cfg = write_cfg(tmp_path, {"kind": sub, "seed": 1, "class": REAL_STAGED,
+                               "learner": {"kind": "erm"}, **extra})
+    assert run_cli([sub, "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+    assert "config error: config field 'class.task'" in capsys.readouterr().err
 
 
 def test_budget_exit_code(tmp_path):
@@ -224,6 +266,10 @@ def test_configs_match_schema():
     assert len(configs) == 7
     configs.append({"kind": "construct", "seed": 3, "class": STAGED_NO_FAMILY,
                     "stage_horizon": 16})
+    # the benchmark's workload configs, read from its module without importing it
+    bench = runpy.run_path(str(BENCH_WORKLOADS))
+    configs += [w.make_config(bench["DEFAULT_SEED"]) for w in bench["WORKLOADS"].values()]
+    assert len(configs) == 11
     for cfg in configs:
         jsonschema.validate(cfg, schema)
     with pytest.raises(jsonschema.ValidationError):

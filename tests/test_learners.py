@@ -2,6 +2,7 @@
 bound, ERM, union aggregation, baselines, loss evaluators."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,30 @@ SEED = 20260808
 
 def mix_anchor(eta, atoms):
     return pl.mixture([(1 - F(eta), pl.delta(0)), (F(eta), pl.uniform(atoms))])
+
+
+def pairwise_yatracos_sets(members):
+    """Distinct non-empty Yatracos sets over ordered pairs, first seen first."""
+    sets = []
+    for i, p in enumerate(members):
+        for j, q in enumerate(members):
+            s = pl.yatracos_set(p, q)
+            if i != j and s and s not in sets:
+                sets.append(s)
+    return sets
+
+
+def fraction_argmin(members, sets, sample):
+    """Lowest index minimizing max_A |p(A) - empirical(A)|, in Fractions."""
+    devs = [max(abs(pl.event_prob(p, s) - pl.empirical_measure(sample, s)) for s in sets)
+            for p in members]
+    return devs.index(min(devs))
+
+
+# a hand-made class: denominators 3, 7 and 2, and atom 5 outside the
+# other members' supports
+MIXED = [pl.SparseDist({0: F(1, 3), 1: F(2, 3)}), pl.SparseDist({1: F(1, 7), 2: F(6, 7)}),
+         pl.SparseDist({0: F(1, 2), 5: F(1, 2)}), pl.SparseDist({1: F(1, 3), 2: F(2, 3)})]
 
 
 class TestYatracos:
@@ -70,13 +95,9 @@ class TestScheffe:
     def test_numpy_and_fraction_paths_agree(self):
         fam = pl.anchored_family(F(1, 2), 8, size_filter=2)
         engine = pl.ScheffeEngine(fam.members)
-        assert engine._use_numpy
         for t in range(25):
             s = pl.draw(fam[(5 * t) % 28], 6, pl.RngStream(SEED, t))
-            fast = engine.select(s)
-            engine2 = pl.ScheffeEngine(fam.members)
-            engine2._use_numpy = False
-            assert fast == engine2.select(s)
+            assert engine.select(s) == fraction_argmin(fam.members, engine.sets, s)
 
     def test_int64_overflow_path_is_exact_argmin(self):
         # the denominator fits int64 but denom * m does not stay below 2^62
@@ -85,12 +106,41 @@ class TestScheffe:
         q = 2 ** 61 - 1
         fam = [pl.SparseDist({0: F(k, q), 1: 1 - F(k, q)}) for k in (1, 2, q - 1)]
         engine = pl.ScheffeEngine(fam)
-        assert engine._use_numpy and engine.denom * 3 >= 2 ** 62
+        assert engine.denom < 2 ** 62 <= engine.denom * 3
         for m in (3, 5):
             for seq in itertools.product([0, 1], repeat=m):
-                devs = [max(abs(pl.event_prob(p, s) - pl.empirical_measure(seq, s))
-                            for s in engine.sets) for p in fam]
-                assert engine.select(seq) == devs.index(min(devs))
+                assert engine.select(seq) == fraction_argmin(fam, engine.sets, seq)
+
+    def test_denominator_past_int64_is_exact_argmin(self):
+        # masses over 2^64 + 13 cannot be int64 numerators at all
+        q = 2 ** 64 + 13
+        fam = [pl.SparseDist({0: F(k, q), 1: F(q - 2 * k, q), 2: F(k, q)}) for k in (1, 5, q // 3)]
+        engine = pl.ScheffeEngine(fam)
+        assert engine.denom >= 2 ** 62
+        for seq in itertools.product([0, 1, 2], repeat=3):
+            assert engine.select(seq) == fraction_argmin(fam, engine.sets, seq)
+
+    @pytest.mark.parametrize("members", [
+        pl.anchored_family(F(1, 2), 8, size_filter=2).members,
+        pl.labeled_anchored_family(F(1, 2), 2).members,
+        MIXED,
+    ], ids=["anchored", "labeled", "mixed"])
+    def test_sets_are_pairwise_yatracos_sets_in_order(self, members):
+        assert pl.ScheffeEngine(members).sets == pairwise_yatracos_sets(members)
+
+    def test_select_allocates_no_deviation_matrix(self):
+        # fresh members x sets int64 temporaries (524 KB each) would peak near 1 MB
+        fam = pl.nfl_distribution_instance(F(1, 2), 3).family
+        engine = pl.ScheffeEngine(fam.members)
+        samples = [pl.draw(fam[7 * t % len(fam)], 12, pl.RngStream(SEED, t)) for t in range(50)]
+        tracemalloc.start()
+        try:
+            for s in samples:
+                engine.select(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(fam) * len(engine.sets) * 8 / 2
 
     def test_sample_size_formula(self):
         assert pl.scheffe_sample_size(3, 0.4, 0.1) == 280

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import paclab as pl
+from paclab import nfl
 from paclab.errors import (
     BadPrecondition,
     BadRange,
@@ -303,6 +304,21 @@ class TestEstimateSampleComplexity:
                                           trials=120, m_max=2)
         assert exc.value.last_m == 2
         assert exc.value.detail["last_failed"] == 2
+
+    def test_guarantee_computed_once_per_target(self, monkeypatch):
+        fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
+        opt_loss = nfl.opt_loss
+        targets = []
+
+        def counted(cls, target):
+            targets.append(target)
+            return opt_loss(cls, target)
+
+        monkeypatch.setattr(nfl, "opt_loss", counted)
+        pt = pl.estimate_sample_complexity(fam, pl.ScheffeLearner(fam), F(1, 8), F(1, 4),
+                                           pl.RngStream(SEED, 7), trials=40, m_max=256)
+        assert pt.m_hat > 2  # the search tried several grid levels
+        assert len(targets) == pt.targets_tested == len(set(targets)) == len(fam)
 
     def test_curve_csv_columns(self):
         pt = pl.CurvePoint(k=2, eps=F(1, 2), delta=F(1, 7), m_hat=9, trials=120,
