@@ -207,15 +207,15 @@ def _table(spec: dict, path: str, base_dir: Path = None) -> FunctionTable:
                 k, v = line.split(",")
                 rows[int(k)] = int(v)
         except (OSError, ValueError) as exc:
-            raise ConfigError(path + ".csv", str(exc))
+            raise ConfigError(path + "csv", str(exc))
         if sorted(rows) != list(range(1, len(rows) + 1)):
-            raise ConfigError(path + ".csv", "rows must cover a contiguous prefix 1..K")
+            raise ConfigError(path + "csv", "rows must cover a contiguous prefix 1..K")
         return FunctionTable.from_values([rows[k] for k in sorted(rows)], rule=rule)
     values = _req(spec, "values", path)
     if not isinstance(values, list):
-        raise ConfigError(path + ".values", f"not a list: {values!r}")
+        raise ConfigError(path + "values", f"not a list: {values!r}")
     return FunctionTable.from_values(
-        [_int(v, f"{path}.values[{i}]") for i, v in enumerate(values)], rule=rule)
+        [_int(v, f"{path}values[{i}]") for i, v in enumerate(values)], rule=rule)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +362,8 @@ def _run_nfl_mc(cfg, rng):
 
 def _run_dominate(cfg, rng):
     base_dir = cfg.get("_config_dir")
-    f = _table(_req(cfg, "f"), "f", base_dir)
-    g = _table(_req(cfg, "g"), "g", base_dir)
+    f = _table(_req(cfg, "f"), "f.", base_dir)
+    g = _table(_req(cfg, "g"), "g.", base_dir)
     cert = dominates_prefix(f, g)
     report = {"kind": "dominate", "f": f.to_json_obj(), "g": g.to_json_obj(),
               "certificate": cert.to_json_obj()}
@@ -374,7 +374,7 @@ def _run_dominate(cfg, rng):
 
 
 def _run_synthesize(cfg, rng):
-    g = _table(_req(cfg, "g"), "g", cfg.get("_config_dir"))
+    g = _table(_req(cfg, "g"), "g.", cfg.get("_config_dir"))
     spot = cfg.get("spot_check")
     kwargs = {}
     if spot:

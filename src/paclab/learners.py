@@ -124,7 +124,7 @@ class ScheffeEngine:
         if self._dev is not None and self.denom * m < INT64_SAFE:
             nums, out = self._nums, self._dev
         else:
-            nums, cnt, out = self._nums.astype(object), cnt.astype(object), None
+            nums, cnt, out = self._nums.astype(object, copy=False), cnt.astype(object), None
         dev = np.multiply(nums, m, out=out)
         dev -= self.denom * cnt
         np.abs(dev, out=dev)
@@ -148,10 +148,13 @@ class ScheffeEngine:
 
 class Learner:
     """Deterministic map from samples to an output, with a task kind and
-    the agnostic factor its guarantee carries (3 for TV, 1 otherwise)."""
+    the agnostic factor its guarantee carries (3 for TV, 1 otherwise).
+    `finite_outputs` says every output comes from a fixed finite list, so
+    a memo keyed by output stays bounded."""
 
     task: str = TASK_DISTRIBUTION
     agnostic_factor: int = 1
+    finite_outputs: bool = False
     name: str = "learner"
 
     def run(self, sample: Sample | Sequence):
@@ -162,6 +165,7 @@ class ScheffeLearner(Learner):
     """3-agnostic finite-class distribution learner."""
 
     agnostic_factor = 3
+    finite_outputs = True
 
     def __init__(self, cls: FiniteClass):
         if len(cls) == 0:
@@ -184,6 +188,7 @@ class TruncationLearner(Learner):
     """
 
     agnostic_factor = 3
+    finite_outputs = True
 
     def __init__(self, staged: StagedClass, eps, budget: int = 1 << 20):
         if staged.task != TASK_DISTRIBUTION:
@@ -214,6 +219,8 @@ class ErmLearner(Learner):
     On an empty sample every hypothesis has vacuous empirical risk, so
     the tie rule returns the lowest-index hypothesis.
     """
+
+    finite_outputs = True
 
     def __init__(self, hypotheses: Sequence, task: str, real_ctx=None,
                  name: Optional[str] = None):
@@ -281,6 +288,7 @@ class UnionLearner(Learner):
         self.task = learners[0].task
         self.real_ctx = real_ctx
         self.agnostic_factor = 3 if self.task == TASK_DISTRIBUTION else 1
+        self.finite_outputs = all(ln.finite_outputs for ln in self.learners)
         self.name = f"union({len(self.learners)})"
 
     def run(self, sample):
@@ -326,6 +334,8 @@ class EmpiricalBaseline(Learner):
 
 class ConstantLearner(Learner):
     """Ignores the sample; useful as an oracle subject and at m=0."""
+
+    finite_outputs = True
 
     def __init__(self, output, task: str, name: Optional[str] = None):
         self.output = output

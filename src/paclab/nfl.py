@@ -232,9 +232,12 @@ def swap_member_index(inst: NflInstance, member_index: int, seq: Sequence) -> Op
 # exact oracles
 # ---------------------------------------------------------------------------
 
-def _memo_loss(cache: dict, cls: FiniteClass, out, target_index: int) -> Fraction:
+def _memo_loss(cache: Optional[dict], cls: FiniteClass, out, target_index: int) -> Fraction:
     """task_loss of an output against member `target_index`, memoised in a
-    cache the caller keeps for one oracle or search call."""
+    cache the caller keeps for one oracle or search call; no memo when
+    `cache` is None."""
+    if cache is None:
+        return task_loss(cls, out, cls.members[target_index])
     key = (target_index, out)
     err = cache.get(key)
     if err is None:
@@ -492,14 +495,13 @@ def mc_risk(cls: FiniteClass, learner: Learner, m: int, trials: int, rng: RngStr
     threshold = Fraction(threshold)
     indices = list(member_indices) if member_indices is not None else list(range(len(cls)))
     stats = []
-    losses: dict = {}
     for i in indices:
         target = cls.members[i]
         total = 0.0
         failures = 0
         for t in range(trials):
             sample = draw(target, m, rng.child(i, t))
-            err = _memo_loss(losses, cls, learner.run(sample), i)
+            err = task_loss(cls, learner.run(sample), target)
             total += float(err)
             if err >= threshold:
                 failures += 1
@@ -610,10 +612,11 @@ def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
     else:
         gen = rng.child(917).generator()
         targets = sorted(gen.sample(range(len(cls)), targets_cap))
-    # the guarantee of each target and every loss seen hold across levels
+    # the guarantee of each target holds across levels, and so does every
+    # loss seen when the learner's outputs come from a finite list
     bars = {t_idx: _guarantee(cls, cls.members[t_idx], eps, learner.agnostic_factor)
             for t_idx in targets}
-    losses: dict = {}
+    losses = {} if learner.finite_outputs else None
 
     m = max(1, m_min)
     certified = None

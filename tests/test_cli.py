@@ -111,6 +111,18 @@ def test_non_integer_table_value_is_config_error(tmp_path, capsys, kind, table, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec,field", [({}, "values"), ({"values": "1,4,9"}, "values"),
+                                        ({"csv": "absent.csv"}, "csv")], ids=repr)
+@pytest.mark.parametrize("kind,table", [("dominate", "f"), ("synthesize", "g")])
+def test_bad_table_reports_its_field(tmp_path, capsys, kind, table, spec, field):
+    cfg = {"kind": kind, "seed": 1, "f": {"values": [2, 5, 10]}, "g": {"values": [1, 4, 9]}}
+    cfg[table] = spec
+    out = tmp_path / "o"
+    assert run_cli([kind, "--config", write_cfg(tmp_path, cfg), "--out", out]) == cli.EXIT_CONFIG
+    assert f"config error: config field '{table}.{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
 def test_non_integer_seed_is_config_error(tmp_path, capsys, bad):
     cfg = write_cfg(tmp_path, {"kind": "construct", "seed": bad,

@@ -320,6 +320,37 @@ class TestEstimateSampleComplexity:
         assert pt.m_hat > 2  # the search tried several grid levels
         assert len(targets) == pt.targets_tested == len(set(targets)) == len(fam)
 
+    @pytest.mark.parametrize("kind", ["scheffe", "empirical-baseline", "union"])
+    def test_losses_memoised_only_for_finite_outputs(self, monkeypatch, kind):
+        fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
+        learner = {
+            "scheffe": lambda: pl.ScheffeLearner(fam),
+            "empirical-baseline": lambda: pl.EmpiricalBaseline("distribution"),
+            "union": lambda: pl.UnionLearner([pl.ScheffeLearner(fam),
+                                              pl.EmpiricalBaseline("distribution")]),
+        }[kind]()
+        calls = {"run": 0, "loss": 0}
+        run, task_loss = learner.run, nfl.task_loss
+
+        def counted_run(sample):
+            calls["run"] += 1
+            return run(sample)
+
+        def counted_loss(cls, out, target):
+            calls["loss"] += 1
+            return task_loss(cls, out, target)
+
+        monkeypatch.setattr(learner, "run", counted_run)
+        monkeypatch.setattr(nfl, "task_loss", counted_loss)
+        pl.estimate_sample_complexity(fam, learner, F(1, 2), F(1, 4), pl.RngStream(SEED, 9),
+                                      trials=30, m_min=2, m_max=64)
+        if kind == "scheffe":
+            # at most one loss per (target, member) pair
+            assert calls["loss"] <= len(fam) ** 2 < calls["run"]
+        else:
+            # fresh empirical outputs keep no memo: one loss per run
+            assert calls["loss"] == calls["run"]
+
     def test_curve_csv_columns(self):
         pt = pl.CurvePoint(k=2, eps=F(1, 2), delta=F(1, 7), m_hat=9, trials=120,
                            worst_failures=3, worst_ucb=0.07, targets_tested=28)
