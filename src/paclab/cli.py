@@ -31,14 +31,19 @@ from .errors import (
     SearchBoundExceeded,
 )
 from .families import (
+    AffineOfTarget,
+    Constant,
+    EtaTable,
     FiniteClass,
+    IdentityN,
+    NTable,
+    PolyWitness,
+    Reciprocal,
     SequenceSpec,
     StagedClass,
     TASK_REAL,
     anchored_family,
-    eta_rule_from_json,
     labeled_anchored_family,
-    n_rule_from_json,
     plateau_data_family,
 )
 from .learners import (
@@ -49,7 +54,7 @@ from .learners import (
     TruncationLearner,
     UnionLearner,
 )
-from .losses import loss_rule_from_json
+from .losses import AbsoluteLoss, CappedLinearLoss, SquaredLoss
 from .nfl import (
     ComplexityCurve,
     estimate_sample_complexity,
@@ -71,164 +76,218 @@ EXIT_BUDGET = 3
 EXIT_ASSERT = 4
 
 
-def _req(cfg: dict, field: str, path: str = ""):
-    if field not in cfg:
-        raise ConfigError(f"{path}{field}", "missing")
-    return cfg[field]
+_MISSING = object()
 
 
-def _frac(value, path: str) -> Fraction:
+class Reader:
+    """A JSON object of a config and its path. `get` and `list` convert a
+    field with `conv` (`int`, `Fraction`, ..., or `Reader` for a nested
+    object) and raise ConfigError with the field's full path, such as
+    `class.eta.c` or `f.values[1]`. A null field with default None is absent."""
+
+    def __init__(self, obj, path: str = ""):
+        if not isinstance(obj, dict):
+            raise ConfigError(path or "(top level)", f"not an object: {obj!r}")
+        self.obj = obj
+        self.path = path
+
+    def at(self, field: str) -> str:
+        return f"{self.path}.{field}" if self.path else field
+
+    def has(self, field: str) -> bool:
+        return field in self.obj
+
+    def get(self, field: str, conv, default=_MISSING):
+        value = self.obj.get(field, default)
+        if value is _MISSING:
+            raise ConfigError(self.at(field), "missing")
+        if value is None and default is None:
+            return None
+        return _convert(conv, value, self.at(field))
+
+    def list(self, field: str, conv, default=_MISSING):
+        values, path = self.get(field, _json_list, default), self.at(field)
+        return None if values is None else [_convert(conv, v, f"{path}[{i}]")
+                                            for i, v in enumerate(values)]
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return value
+
+
+def _convert(conv, value, path: str):
+    if conv is Reader:
+        return Reader(value, path)
     try:
-        return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ConfigError(path, f"not a rational: {value!r} ({exc})")
+        return conv(value)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(path, f"{value!r}: {exc}") from None
 
 
-def _int(value, path: str) -> int:
-    """An integer field; anything int() rejects (text, null, a list or an
-    object) is a config error naming the field."""
-    try:
-        return int(value)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(path, f"not an integer: {value!r} ({exc})") from None
+def _index(size: int):
+    """Converter for a member index into a class of `size` members."""
+    def conv(value) -> int:
+        i = int(value)
+        if not 0 <= i < size:
+            raise ValueError(f"member index {i} outside 0..{size - 1}")
+        return i
+    return conv
 
 
-def _index(value, size: int, path: str) -> int:
-    """A member index into a class of `size` members."""
-    i = _int(value, path)
-    if not 0 <= i < size:
-        raise ConfigError(path, f"member index {i} outside 0..{size - 1}")
-    return i
+def _rule_tag(value):
+    """A table's closed-form tag, a [kind, order] pair such as ["poly", 2];
+    an empty or null tag is no tag."""
+    if value and not (isinstance(value, list) and len(value) == 2
+                      and isinstance(value[0], str) and isinstance(value[1], (int, float))):
+        raise ValueError("not a [string, number] pair")
+    return tuple(value) if value else None
 
 
-def _load_staged(spec: dict, path: str = "class."):
+def _by_kind(what: str, makers: dict):
+    """The parser of an object whose "kind" field picks its maker."""
+    def parse(r: Reader):
+        kind = r.get("kind", str)
+        if kind not in makers:
+            raise ConfigError(r.at("kind"), f"unknown {what} {kind!r}")
+        return makers[kind](r)
+    return parse
+
+
+eta_rule_from_json = _by_kind("eta rule", {
+    "constant": lambda r: Constant(r.get("c", Fraction)),
+    "reciprocal": lambda r: Reciprocal(r.get("c", Fraction)),
+    "table": lambda r: EtaTable(tuple(r.list("values", Fraction))),
+    "poly-witness": lambda r: PolyWitness(tuple(r.list("f", int)), r.get("k", int)),
+})
+n_rule_from_json = _by_kind("n rule", {
+    "identity": lambda r: IdentityN(),
+    "affine-of-target": lambda r: AffineOfTarget(tuple(r.list("g", int))),
+    "table": lambda r: NTable(tuple(r.list("values", int))),
+})
+loss_rule_from_json = _by_kind("loss rule", {
+    "absolute": lambda r: AbsoluteLoss(),
+    "squared": lambda r: SquaredLoss(),
+    "capped-linear": lambda r: CappedLinearLoss(r.get("cap", Fraction)),
+})
+
+
+def _load_staged(spec: Reader):
     """The staged union a class spec describes, or None if it is not staged.
 
     A spec is staged when its family is "staged", or when it names no
     family but gives "eta" and "n" (the verbatim shape {"task", "eta":
     {rule}, "n": {rule}, ...})."""
-    if not (spec.get("family") == "staged"
-            or ("family" not in spec and "eta" in spec and "n" in spec)):
+    if spec.get("family", str, "staged" if spec.has("eta") and spec.has("n") else None) != "staged":
         return None
-    task = spec.get("task", "distribution")
-    eta = eta_rule_from_json(_req(spec, "eta", path))
-    n = n_rule_from_json(_req(spec, "n", path))
-    loss = loss_rule_from_json(spec["loss"]) if "loss" in spec else None
-    return StagedClass(task, SequenceSpec(eta, n), loss=loss)
+    task = spec.get("task", str, "distribution")
+    eta = eta_rule_from_json(spec.get("eta", Reader))
+    n = n_rule_from_json(spec.get("n", Reader))
+    loss = spec.get("loss", Reader, None)
+    return StagedClass(task, SequenceSpec(eta, n),
+                       loss=None if loss is None else loss_rule_from_json(loss))
 
 
-def _load_class(spec: dict, staged, path: str = "class."):
+def _load_class(spec: Reader, staged):
     """The finite class of a spec; `staged` is its `_load_staged` result,
     which is truncated at the spec's truncate_epsilon."""
-    budget = _int(spec.get("budget", 1 << 20), path + "budget")
+    budget = spec.get("budget", int, 1 << 20)
     if staged is not None:
-        eps = _frac(_req(spec, "truncate_epsilon", path), path + "truncate_epsilon")
-        return staged.truncate(eps, budget=budget)
-    family = _req(spec, "family", path)
+        return staged.truncate(spec.get("truncate_epsilon", Fraction), budget=budget)
+    family = spec.get("family", str)
     if family == "anchored":
-        return anchored_family(_frac(_req(spec, "eta", path), path + "eta"),
-                               _int(_req(spec, "n", path), path + "n"),
-                               size_filter=spec.get("filter"), budget=budget)
+        return anchored_family(spec.get("eta", Fraction), spec.get("n", int),
+                               size_filter=spec.get("filter", int, None), budget=budget)
     if family == "labeled":
-        return labeled_anchored_family(_frac(_req(spec, "eta", path), path + "eta"),
-                                       _int(_req(spec, "n", path), path + "n"), budget=budget)
+        return labeled_anchored_family(spec.get("eta", Fraction), spec.get("n", int),
+                                       budget=budget)
     if family == "plateau-data":
-        loss = loss_rule_from_json(_req(spec, "loss", path))
-        return plateau_data_family(loss, _frac(_req(spec, "eta", path), path + "eta"),
-                                   _int(_req(spec, "width", path), path + "width"),
+        loss = loss_rule_from_json(spec.get("loss", Reader))
+        return plateau_data_family(loss, spec.get("eta", Fraction), spec.get("width", int),
                                    budget=budget)
-    raise ConfigError(path + "family", f"unknown family {family!r}")
+    raise ConfigError(spec.at("family"), f"unknown family {family!r}")
 
 
-def _class_and_learner(cfg: dict):
+def _class_and_learner(cfg: Reader):
     """The finite class and the learner of a learn/sample-complexity config."""
-    spec = _req(cfg, "class")
+    spec = cfg.get("class", Reader)
     staged = _load_staged(spec)
     if staged is not None and staged.task == TASK_REAL:
-        raise ConfigError("class.task", "a real-task staged truncation holds hypotheses, "
-                                        "not data distributions to draw samples from")
+        raise ConfigError(spec.at("task"), "a real-task staged truncation holds hypotheses, "
+                                           "not data distributions to draw samples from")
     cls = _load_class(spec, staged)
-    return cls, _load_learner(_req(cfg, "learner"), cls, staged)
+    return cls, _load_learner(cfg.get("learner", Reader), cls, staged)
 
 
-def _load_instance(spec: dict, path: str = "instance."):
-    task = spec.get("task", "distribution")
-    eta = _frac(_req(spec, "eta", path), path + "eta")
-    budget = _int(spec.get("budget", 1 << 20), path + "budget")
+def _load_instance(spec: Reader):
+    task = spec.get("task", str, "distribution")
+    eta = spec.get("eta", Fraction)
+    budget = spec.get("budget", int, 1 << 20)
     if task == "distribution":
-        return nfl_distribution_instance(eta, _int(_req(spec, "n", path), path + "n"),
-                                         budget=budget)
+        return nfl_distribution_instance(eta, spec.get("n", int), budget=budget)
     if task == "classification":
-        return nfl_classification_instance(eta, _int(_req(spec, "n", path), path + "n"),
-                                           budget=budget)
+        return nfl_classification_instance(eta, spec.get("n", int), budget=budget)
     if task == "real":
-        loss = loss_rule_from_json(_req(spec, "loss", path))
-        return nfl_real_instance(loss, eta, _int(_req(spec, "width", path), path + "width"),
-                                 budget=budget)
-    raise ConfigError(path + "task", f"unknown task {task!r}")
+        loss = loss_rule_from_json(spec.get("loss", Reader))
+        return nfl_real_instance(loss, eta, spec.get("width", int), budget=budget)
+    raise ConfigError(spec.at("task"), f"unknown task {task!r}")
 
 
-def _load_learner(spec: dict, cls: FiniteClass, staged=None, path: str = "learner."):
-    kind = _req(spec, "kind", path)
+def _load_learner(spec: Reader, cls: FiniteClass, staged=None):
+    kind = spec.get("kind", str)
     if kind == "scheffe":
         return ScheffeLearner(cls)
     if kind == "truncation":
         if staged is None:
-            raise ConfigError(path + "kind", "truncation learner needs a staged class spec")
-        eps = _frac(_req(spec, "epsilon", path), path + "epsilon")
-        return TruncationLearner(staged, eps,
-                                 budget=_int(spec.get("budget", 1 << 20), path + "budget"))
+            raise ConfigError(spec.at("kind"), "truncation learner needs a staged class spec")
+        return TruncationLearner(staged, spec.get("epsilon", Fraction),
+                                 budget=spec.get("budget", int, 1 << 20))
     if kind == "erm":
         return ErmLearner.for_class(cls)
     if kind == "union":
-        subs = [_load_learner(s, cls, staged, f"{path}of[{i}].")
-                for i, s in enumerate(_req(spec, "of", path))]
+        subs = [_load_learner(s, cls, staged) for s in spec.list("of", Reader)]
         return UnionLearner(subs, real_ctx=cls.real_ctx)
     if kind == "empirical-baseline":
         return EmpiricalBaseline(cls.task, real_ctx=cls.real_ctx)
     if kind == "constant":
-        idx = _index(_req(spec, "member_index", path), len(cls), path + "member_index")
+        idx = spec.get("member_index", _index(len(cls)))
         return ConstantLearner(cls.members[idx], cls.task, name=f"constant-m{idx}")
-    raise ConfigError(path + "kind", f"unknown learner {kind!r}")
+    raise ConfigError(spec.at("kind"), f"unknown learner {kind!r}")
 
 
-def _table(spec: dict, path: str, base_dir: Path = None) -> FunctionTable:
-    rule = tuple(spec["rule"]) if spec.get("rule") else None
-    if "csv" in spec:
-        csv_path = Path(spec["csv"])
-        if not csv_path.is_absolute() and base_dir is not None:
-            csv_path = base_dir / csv_path
-        try:
-            rows = {}
-            for line in csv_path.read_text().splitlines():
-                line = line.strip()
-                if not line or line.lower().startswith("k,"):
-                    continue
-                k, v = line.split(",")
-                rows[int(k)] = int(v)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(path + "csv", str(exc))
-        if sorted(rows) != list(range(1, len(rows) + 1)):
-            raise ConfigError(path + "csv", "rows must cover a contiguous prefix 1..K")
-        return FunctionTable.from_values([rows[k] for k in sorted(rows)], rule=rule)
-    values = _req(spec, "values", path)
-    if not isinstance(values, list):
-        raise ConfigError(path + "values", f"not a list: {values!r}")
-    return FunctionTable.from_values(
-        [_int(v, f"{path}values[{i}]") for i, v in enumerate(values)], rule=rule)
+def _table(spec: Reader, base_dir: Path) -> FunctionTable:
+    rule = spec.get("rule", _rule_tag, None)
+    if not spec.has("csv"):
+        return FunctionTable.from_values(spec.list("values", int), rule=rule)
+    csv_path = base_dir / spec.get("csv", Path)
+    try:
+        rows = {}
+        for line in csv_path.read_text().splitlines():
+            line = line.strip()
+            if not line or line.lower().startswith("k,"):
+                continue
+            k, v = line.split(",")
+            rows[int(k)] = int(v)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(spec.at("csv"), str(exc))
+    if sorted(rows) != list(range(1, len(rows) + 1)):
+        raise ConfigError(spec.at("csv"), "rows must cover a contiguous prefix 1..K")
+    return FunctionTable.from_values([rows[k] for k in sorted(rows)], rule=rule)
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: each returns (report_obj, extra_files, failed_assertions)
+# subcommand bodies: each reads all its fields before any work, then returns
+# (report_obj, extra_files, failed_assertions)
 # ---------------------------------------------------------------------------
 
-def _run_construct(cfg, rng):
-    spec = _req(cfg, "class")
+def _run_construct(cfg: Reader, rng, base_dir):
+    spec = cfg.get("class", Reader)
     staged = _load_staged(spec)
-    if staged is not None and "truncate_epsilon" not in spec:
+    if staged is not None and not spec.has("truncate_epsilon"):
         # countable handle: report the rules and the first stage sizes, no
         # member materialization beyond what the caller asks for
-        horizon = _int(cfg.get("stage_horizon", 6), "stage_horizon")
+        horizon = cfg.get("stage_horizon", int, 6)
         levels, sizes = {}, {}
         for i in range(1, horizon + 1):
             levels[str(i)] = frac_str(staged.spec.eta_value(i))
@@ -242,8 +301,8 @@ def _run_construct(cfg, rng):
             "stage_sizes": sizes,
         }
         return report, {}, []
+    cap = cfg.get("max_members", int, 1 << 12)
     cls = _load_class(spec, staged)
-    cap = _int(cfg.get("max_members", 1 << 12), "max_members")
     members = [m.to_json_obj() if isinstance(m, SparseDist) else repr(m)
                for m in cls.members[:cap]]
     report = {
@@ -256,12 +315,13 @@ def _run_construct(cfg, rng):
     return report, {}, []
 
 
-def _run_learn(cfg, rng):
+def _run_learn(cfg: Reader, rng, base_dir):
     cls, learner = _class_and_learner(cfg)
-    target_idx = _index(_req(cfg, "target_index"), len(cls), "target_index")
-    m = _int(_req(cfg, "m"), "m")
-    trials = _int(cfg.get("trials", 1), "trials")
-    threshold = _frac(cfg.get("threshold", "1/8"), "threshold")
+    target_idx = cfg.get("target_index", _index(len(cls)))
+    m = cfg.get("m", int)
+    trials = cfg.get("trials", int, 1)
+    threshold = cfg.get("threshold", Fraction, "1/8")
+    max_rate = cfg.get("assert_failure_rate_at_most", Fraction, None)
     stats = mc_risk(cls, learner, m, trials, rng, threshold, member_indices=[target_idx])
     report = {
         "kind": "learn",
@@ -271,84 +331,77 @@ def _run_learn(cfg, rng):
         "stats": [s.to_json_obj() for s in stats],
     }
     failures = []
-    max_rate = cfg.get("assert_failure_rate_at_most")
     if max_rate is not None:
         rate = stats[0].failures / stats[0].trials
-        if rate > float(_frac(max_rate, "assert_failure_rate_at_most")):
-            failures.append(f"failure rate {rate} above {max_rate}")
+        if rate > float(max_rate):
+            failures.append(f"failure rate {rate} above {float(max_rate)}")
     return report, {}, failures
 
 
-def _run_sample_complexity(cfg, rng):
+def _run_sample_complexity(cfg: Reader, rng, base_dir):
     cls, learner = _class_and_learner(cfg)
-    proto = cfg.get("protocol", {})
-    points = []
-    requests = cfg.get("points")
-    if requests is None:
-        requests = [{"epsilon": _req(cfg, "epsilon"), "delta": _req(cfg, "delta")}]
-    for i, pt in enumerate(requests):
-        eps = _frac(_req(pt, "epsilon", f"points[{i}]."), f"points[{i}].epsilon")
-        delta = _frac(_req(pt, "delta", f"points[{i}]."), f"points[{i}].delta")
-        points.append(estimate_sample_complexity(
-            cls, learner, eps, delta, rng.child(i),
-            trials=_int(proto.get("trials", 200), "protocol.trials"),
-            m_min=_int(proto.get("m_min", 1), "protocol.m_min"),
-            m_max=_int(proto.get("m_max", 1024), "protocol.m_max"),
-            targets_cap=_int(proto.get("targets_cap", 64), "protocol.targets_cap"),
-            k=pt.get("k")))
-    curve = ComplexityCurve(points)
+    proto = cfg.get("protocol", Reader, {})
+    protocol = {f: proto.get(f, int, d) for f, d in
+                (("trials", 200), ("m_min", 1), ("m_max", 1024), ("targets_cap", 64))}
+    points = cfg.list("points", Reader, None)
+    if points is None:  # one point, from top-level epsilon and delta
+        asks = [(cfg.get("epsilon", Fraction), cfg.get("delta", Fraction), None, None, None, None)]
+    else:
+        asks = [(pt.get("epsilon", Fraction), pt.get("delta", Fraction),
+                 pt.get("k", int, None), pt.get("assert_m_hat_at_least", int, None),
+                 pt.get("assert_m_hat_at_most", int, None), pt.path) for pt in points]
+    results = [estimate_sample_complexity(cls, learner, eps, delta, rng.child(i), k=k,
+                                          **protocol)
+               for i, (eps, delta, k, *_) in enumerate(asks)]
+    curve = ComplexityCurve(results)
     report = {
         "kind": "sample-complexity",
         "learner": learner.name,
-        "points": [p.to_json_obj() for p in points],
+        "points": [p.to_json_obj() for p in results],
     }
     failures = []
-    for i, pt in enumerate(requests):
-        low = pt.get("assert_m_hat_at_least")
-        high = pt.get("assert_m_hat_at_most")
-        if low is not None and points[i].m_hat < _int(low, f"points[{i}].assert_m_hat_at_least"):
-            failures.append(f"points[{i}]: m_hat {points[i].m_hat} < {low}")
-        if high is not None and points[i].m_hat > _int(high, f"points[{i}].assert_m_hat_at_most"):
-            failures.append(f"points[{i}]: m_hat {points[i].m_hat} > {high}")
+    for (*_, low, high, where), p in zip(asks, results):
+        if low is not None and p.m_hat < low:
+            failures.append(f"{where}: m_hat {p.m_hat} < {low}")
+        if high is not None and p.m_hat > high:
+            failures.append(f"{where}: m_hat {p.m_hat} > {high}")
     return report, {"curve.csv": curve.to_csv()}, failures
 
 
-def _run_nfl_exact(cfg, rng):
-    inst = _load_instance(_req(cfg, "instance"))
-    m = _int(_req(cfg, "m"), "m")
-    learners = [_load_learner(s, inst.family, path=f"learners[{i}].")
-                for i, s in enumerate(_req(cfg, "learners"))]
-    thresholds = [_frac(t, "thresholds") for t in cfg.get("thresholds", [])] or None
-    budget = _int(cfg.get("enum_budget", 10_000_000), "enum_budget")
+def _run_nfl_exact(cfg: Reader, rng, base_dir):
+    inst = _load_instance(cfg.get("instance", Reader))
+    m = cfg.get("m", int)
+    learners = [_load_learner(s, inst.family) for s in cfg.list("learners", Reader)]
+    thresholds = cfg.list("thresholds", Fraction, []) or None
+    budget = cfg.get("enum_budget", int, 10_000_000)
+    asserts = cfg.get("assert", Reader, {})
+    above_bound = asserts.get("learners_above_bound", bool, False)
+    markov_tails = asserts.get("markov_tails", bool, False)
+    bound_eq = asserts.get("bound_equals", Fraction, None)
     report_obj = nfl_exact(inst, learners, m, thresholds=thresholds, budget=budget)
     failures = []
-    asserts = cfg.get("assert", {})
-    if asserts.get("learners_above_bound"):
+    if above_bound:
         for lr in report_obj.learners:
             if lr.class_average < report_obj.symmetrized_bound:
                 failures.append(f"{lr.name}: average {lr.class_average} below bound")
-    if asserts.get("markov_tails"):
+    if markov_tails:
         for lr in report_obj.learners:
             for a in report_obj.thresholds:
                 for mean, tail in zip(lr.per_member_mean, lr.tails[a]):
                     if markov_reverse(mean, a) > tail:
                         failures.append(f"{lr.name}: Markov floor above exact tail at {a}")
-    bound_eq = asserts.get("bound_equals")
-    if bound_eq is not None and report_obj.symmetrized_bound != Fraction(bound_eq):
+    if bound_eq is not None and report_obj.symmetrized_bound != bound_eq:
         failures.append(f"bound {report_obj.symmetrized_bound} != {bound_eq}")
     return {"kind": "nfl-exact", **report_obj.to_json_obj()}, {}, failures
 
 
-def _run_nfl_mc(cfg, rng):
-    inst = _load_instance(_req(cfg, "instance"))
-    m = _int(_req(cfg, "m"), "m")
-    trials = _int(_req(cfg, "trials"), "trials")
-    learner = _load_learner(_req(cfg, "learner"), inst.family)
-    threshold = _frac(cfg.get("threshold", inst.eta / 8), "threshold")
-    indices = cfg.get("member_indices")
-    if indices is not None:
-        indices = [_index(v, len(inst.family), f"member_indices[{j}]")
-                   for j, v in enumerate(indices)]
+def _run_nfl_mc(cfg: Reader, rng, base_dir):
+    inst = _load_instance(cfg.get("instance", Reader))
+    m = cfg.get("m", int)
+    trials = cfg.get("trials", int)
+    learner = _load_learner(cfg.get("learner", Reader), inst.family)
+    threshold = cfg.get("threshold", Fraction, inst.eta / 8)
+    indices = cfg.list("member_indices", _index(len(inst.family)), None)
     stats = mc_risk(inst.family, learner, m, trials, rng, threshold, member_indices=indices)
     report = {
         "kind": "nfl-mc",
@@ -360,30 +413,30 @@ def _run_nfl_mc(cfg, rng):
     return report, {}, []
 
 
-def _run_dominate(cfg, rng):
-    base_dir = cfg.get("_config_dir")
-    f = _table(_req(cfg, "f"), "f.", base_dir)
-    g = _table(_req(cfg, "g"), "g.", base_dir)
+def _run_dominate(cfg: Reader, rng, base_dir):
+    f = _table(cfg.get("f", Reader), base_dir)
+    g = _table(cfg.get("g", Reader), base_dir)
+    assert_dominates = cfg.get("assert_dominates", bool, False)
     cert = dominates_prefix(f, g)
     report = {"kind": "dominate", "f": f.to_json_obj(), "g": g.to_json_obj(),
               "certificate": cert.to_json_obj()}
     failures = []
-    if cfg.get("assert_dominates") and not cert.dominates:
+    if assert_dominates and not cert.dominates:
         failures.append("dominance assertion failed")
     return report, {}, failures
 
 
-def _run_synthesize(cfg, rng):
-    g = _table(_req(cfg, "g"), "g.", cfg.get("_config_dir"))
-    spot = cfg.get("spot_check")
-    kwargs = {}
-    if spot:
-        kwargs = dict(spot_check_k=_int(_req(spot, "k", "spot_check."), "spot_check.k"),
-                      trials=_int(spot.get("trials", 120), "spot_check.trials"),
-                      member_budget=_int(spot.get("member_budget", 1024),
-                                         "spot_check.member_budget"),
-                      m_max=_int(spot.get("m_max", 256), "spot_check.m_max"),
-                      targets_cap=_int(spot.get("targets_cap", 64), "spot_check.targets_cap"))
+def _run_synthesize(cfg: Reader, rng, base_dir):
+    g = _table(cfg.get("g", Reader), base_dir)
+    spot = cfg.get("spot_check", Reader, None)
+    kwargs, exceeds = {}, None
+    if spot is not None:
+        kwargs = dict(spot_check_k=spot.get("k", int),
+                      trials=spot.get("trials", int, 120),
+                      member_budget=spot.get("member_budget", int, 1024),
+                      m_max=spot.get("m_max", int, 256),
+                      targets_cap=spot.get("targets_cap", int, 64))
+        exceeds = spot.get("assert_m_hat_exceeds", int, None)
     rep = synthesize(g, rng=rng, **kwargs)
     lines = ["k,target,lower_bound"]
     for k in range(1, g.horizon + 1):
@@ -391,11 +444,10 @@ def _run_synthesize(cfg, rng):
     failures = []
     if not rep.certificate.dominates:
         failures.append("lower-bound line does not dominate the target on the prefix")
-    if spot and spot.get("assert_m_hat_exceeds") is not None:
+    if exceeds is not None:
         m_hat = rep.spot_check["point"]["m_hat"]
-        if m_hat <= _int(spot["assert_m_hat_exceeds"], "spot_check.assert_m_hat_exceeds"):
-            failures.append(f"spot check m_hat {m_hat} does not exceed "
-                            f"{spot['assert_m_hat_exceeds']}")
+        if m_hat <= exceeds:
+            failures.append(f"spot check m_hat {m_hat} does not exceed {exceeds}")
     return ({"kind": "synthesize", **rep.to_json_obj()},
             {"plotdata.csv": "\n".join(lines) + "\n"}, failures)
 
@@ -411,22 +463,22 @@ _RUNNERS = {
 }
 
 
-def run_experiment(subcommand: str, cfg: dict, out_dir: Path,
-                   seed_override=None, base_dir: Path = None) -> tuple:
+def run_experiment(subcommand: str, cfg, out_dir=None, seed_override=None,
+                   base_dir: Path = Path()) -> tuple:
     """Execute one subcommand; returns (exit_code, manifest dict)."""
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    if cfg.get("kind") != subcommand:
-        raise ConfigError("kind", f"config kind {cfg.get('kind')!r} does not match "
-                                  f"subcommand {subcommand!r}")
+    reader = Reader(cfg)
     if seed_override is not None:
-        cfg = {**cfg, "seed": int(seed_override)}
-    if "seed" not in cfg:
-        raise ConfigError("seed", "missing (no wall-clock default)")
-    seed = _int(cfg["seed"], "seed")
+        reader = Reader({**cfg, "seed": int(seed_override)})
+    kind = reader.get("kind", str, None)
+    if kind != subcommand:
+        raise ConfigError(reader.at("kind"), f"config kind {kind!r} does not match "
+                                             f"subcommand {subcommand!r}")
+    out_dir = Path(out_dir or reader.get("out", Path, None) or ".")
+    seed = reader.get("seed", int)
     rng = RngStream(seed, 0)
 
-    work_cfg = {**cfg, "_config_dir": base_dir} if base_dir is not None else cfg
-    report, extra_files, failures = _RUNNERS[subcommand](work_cfg, rng)
+    report, extra_files, failures = _RUNNERS[subcommand](reader, rng, base_dir)
     report["seed"] = seed
     report["assertion_failures"] = failures
 
@@ -441,7 +493,7 @@ def run_experiment(subcommand: str, cfg: dict, out_dir: Path,
     manifest = {
         "artifact_version": __version__,
         "config_sha256": hashlib.sha256(
-            json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
+            json.dumps(reader.obj, sort_keys=True).encode()).hexdigest(),
         "started": started,
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "files": digests,
@@ -468,13 +520,9 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if not isinstance(cfg, dict):
-        print("config error: top level must be a JSON object", file=sys.stderr)
-        return EXIT_CONFIG
 
-    out_dir = Path(args.out or cfg.get("out") or ".")
     try:
-        code, _ = run_experiment(args.subcommand, cfg, out_dir, seed_override=args.seed,
+        code, _ = run_experiment(args.subcommand, cfg, args.out, seed_override=args.seed,
                                  base_dir=Path(args.config).resolve().parent)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -493,27 +493,3 @@ class StagedClass:
 
     def to_json_obj(self):
         return {"task": self.task, "spec": self.spec.to_json_obj()}
-
-
-def eta_rule_from_json(obj: dict) -> EtaRule:
-    kind = obj.get("kind")
-    if kind == "constant":
-        return Constant(Fraction(obj["c"]))
-    if kind == "reciprocal":
-        return Reciprocal(Fraction(obj["c"]))
-    if kind == "table":
-        return EtaTable(tuple(Fraction(v) for v in obj["values"]))
-    if kind == "poly-witness":
-        return PolyWitness(tuple(int(v) for v in obj["f"]), int(obj["k"]))
-    raise BadEta(f"unknown eta rule kind {kind!r}")
-
-
-def n_rule_from_json(obj: dict) -> NRule:
-    kind = obj.get("kind")
-    if kind == "identity":
-        return IdentityN()
-    if kind == "affine-of-target":
-        return AffineOfTarget(tuple(int(v) for v in obj["g"]))
-    if kind == "table":
-        return NTable(tuple(int(v) for v in obj["values"]))
-    raise BadN(f"unknown n rule kind {kind!r}")

@@ -118,17 +118,6 @@ class CappedLinearLoss(LossRule):
         return {"kind": "capped-linear", "cap": frac_str(Fraction(self.cap))}
 
 
-def loss_rule_from_json(obj: dict) -> LossRule:
-    kind = obj.get("kind")
-    if kind == "absolute":
-        return AbsoluteLoss()
-    if kind == "squared":
-        return SquaredLoss()
-    if kind == "capped-linear":
-        return CappedLinearLoss(Fraction(obj["cap"]))
-    raise BadRange(f"unknown loss rule {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # exact evaluators
 # ---------------------------------------------------------------------------
@@ -197,19 +186,6 @@ def opt_loss(cls: FiniteClass, target: SparseDist) -> Tuple[Fraction, int]:
 
 
 def hypotheses_of_class(cls: FiniteClass) -> list:
-    """Labelers induced by a class of labeled distributions: h(x)=1 exactly
-    where the member puts strictly more mass on label 1 than on label 0.
+    """The Bayes labeler of each member of a class of labeled distributions.
     Duplicates are dropped, keeping the first (lowest-index) occurrence."""
-    seen = set()
-    out = []
-    for member in cls.members:
-        mass: dict = {}
-        for atom, p in member.items:
-            x, y = atom
-            mass[(x, y)] = mass.get((x, y), Fraction(0)) + p
-        ones = tuple(sorted(x for (x, y) in mass
-                            if y == 1 and mass[(x, 1)] > mass.get((x, 0), Fraction(0))))
-        if ones not in seen:
-            seen.add(ones)
-            out.append(BinaryHypothesis(ones))
-    return out
+    return list(dict.fromkeys(bayes_labeler(member) for member in cls.members))

@@ -620,7 +620,7 @@ def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
 
     m = max(1, m_min)
     certified = None
-    last_failed = 0
+    last_failed = m - 1  # the bisection stays at or above m_min
     while m <= m_max:
         ok, fails, ucb = _level_certifies(cls, learner, bars, m, trials, rng,
                                           max_fail, losses)

@@ -1,5 +1,6 @@
 """CLI runner: exit codes, report files, manifests, reproducibility."""
 
+import copy
 import hashlib
 import json
 import runpy
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from paclab import cli
+from paclab import cli, dominance
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCHEMA = CONFIG_DIR.parent / "docs" / "config.schema.json"
@@ -112,7 +113,11 @@ def test_non_integer_table_value_is_config_error(tmp_path, capsys, kind, table, 
 
 
 @pytest.mark.parametrize("spec,field", [({}, "values"), ({"values": "1,4,9"}, "values"),
-                                        ({"csv": "absent.csv"}, "csv")], ids=repr)
+                                        ({"csv": "absent.csv"}, "csv"),
+                                        ({"values": [1, 4, 9], "rule": "two"}, "rule"),
+                                        ({"values": [1, 4, 9], "rule": [None, 2]}, "rule"),
+                                        ({"values": [1, 4, 9], "rule": ["poly", "two"]}, "rule")],
+                         ids=repr)
 @pytest.mark.parametrize("kind,table", [("dominate", "f"), ("synthesize", "g")])
 def test_bad_table_reports_its_field(tmp_path, capsys, kind, table, spec, field):
     cfg = {"kind": kind, "seed": 1, "f": {"values": [2, 5, 10]}, "g": {"values": [1, 4, 9]}}
@@ -121,6 +126,100 @@ def test_bad_table_reports_its_field(tmp_path, capsys, kind, table, spec, field)
     assert run_cli([kind, "--config", write_cfg(tmp_path, cfg), "--out", out]) == cli.EXIT_CONFIG
     assert f"config error: config field '{table}.{field}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name,field", [("nfl_exact_small", "learners"),
+                                        ("nfl_mc_small", "member_indices"),
+                                        ("sample_complexity_tiny", "points")])
+def test_object_for_a_list_is_config_error(tmp_path, capsys, name, field):
+    cfg = {**json.loads((CONFIG_DIR / f"{name}.json").read_text()), field: {}}
+    out = tmp_path / "o"
+    assert run_cli([cfg["kind"], "--config", write_cfg(tmp_path, cfg), "--out", out]) == 2
+    assert f"config error: config field '{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,body,field", [
+    ("synthesize", {"g": {"values": [1, 4, 9]},
+                    "spot_check": {"k": 2, "trials": 40, "targets_cap": 4, "m_max": 64,
+                                   "assert_m_hat_exceeds": "two"}},
+     "spot_check.assert_m_hat_exceeds"),
+    ("sample-complexity", {"class": {"family": "anchored", "eta": "1/2", "n": 1},
+                           "learner": {"kind": "scheffe"},
+                           "points": [{"epsilon": "1/2", "delta": "1/4",
+                                       "assert_m_hat_at_least": "two"}]},
+     "points[0].assert_m_hat_at_least"),
+], ids=["synthesize", "sample-complexity"])
+def test_assertion_value_read_before_search(tmp_path, capsys, monkeypatch, kind, body, field):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran before the config was read")
+
+    monkeypatch.setattr(cli, "estimate_sample_complexity", no_search)
+    monkeypatch.setattr(dominance, "estimate_sample_complexity", no_search)
+    cfg = write_cfg(tmp_path, {"kind": kind, "seed": 1, **body})
+    assert run_cli([kind, "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+    assert f"config error: config field '{field}'" in capsys.readouterr().err
+
+
+def test_union_search_starts_at_m_min(tmp_path):
+    # a union splits its sample in two, so it needs m >= 2; the search must
+    # not bisect below protocol.m_min
+    cfg = write_cfg(tmp_path, {
+        "kind": "sample-complexity", "seed": 8,
+        "class": {"family": "anchored", "eta": "1/3", "n": 4},
+        "learner": {"kind": "union",
+                    "of": [{"kind": "scheffe"}, {"kind": "constant", "member_index": 2}]},
+        "points": [{"epsilon": "1/3", "delta": "1/4"}],
+        "protocol": {"trials": 30, "m_min": 2, "m_max": 128, "targets_cap": 4},
+    })
+    out = tmp_path / "o"
+    assert run_cli(["sample-complexity", "--config", cfg, "--out", out]) == 0
+    assert json.loads((out / "report.json").read_text())["points"][0]["m_hat"] >= 2
+
+
+MALFORMED = ["two", -1, None, [], {}]
+
+
+def mutation_sites(obj, path=()):
+    """Every dict field at any depth, and every scalar list element."""
+    for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        nested = isinstance(value, (dict, list))
+        if isinstance(obj, dict) or not nested:
+            yield path + (key,)
+        if nested:
+            yield from mutation_sites(value, path + (key,))
+
+
+def mutated(cfg, site, value):
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in site[:-1]:
+        node = node[key]
+    node[site[-1]] = value
+    return cfg
+
+
+def test_mutated_shipped_configs_never_raise(tmp_path, capsys):
+    # each site of each shipped config, replaced in turn by each malformed
+    # value and run with the config's own kind, ends in a documented exit code
+    cases, bad = 0, []
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        base = json.loads(path.read_text())
+        for site in mutation_sites(base):
+            for value in MALFORMED:
+                cases += 1
+                cfg = write_cfg(tmp_path, mutated(base, site, value))
+                case = f"{path.stem} {site} = {value!r}"
+                try:
+                    code = run_cli([base["kind"], "--config", cfg, "--out", tmp_path / "o"])
+                except Exception as exc:
+                    bad.append(f"{case}: {type(exc).__name__}: {exc}")
+                    continue
+                if code not in (0, 2, 3, 4):
+                    bad.append(f"{case}: exit {code}")
+    capsys.readouterr()
+    assert cases == 680
+    assert bad == []
 
 
 @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)

@@ -351,6 +351,21 @@ class TestEstimateSampleComplexity:
             # fresh empirical outputs keep no memo: one loss per run
             assert calls["loss"] == calls["run"]
 
+    def test_search_stays_at_or_above_m_min(self, monkeypatch):
+        level_certifies = nfl._level_certifies
+        tried = []
+
+        def recorded(cls, learner, bars, m, *args):
+            tried.append(m)
+            return level_certifies(cls, learner, bars, m, *args)
+
+        monkeypatch.setattr(nfl, "_level_certifies", recorded)
+        fam = pl.anchored_family(F(1, 2), 3)
+        pt = pl.estimate_sample_complexity(fam, pl.ScheffeLearner(fam), F(1, 2), F(1, 4),
+                                           pl.RngStream(3), trials=40, m_min=8)
+        assert tried and min(tried) >= 8
+        assert pt.m_hat >= 8
+
     def test_curve_csv_columns(self):
         pt = pl.CurvePoint(k=2, eps=F(1, 2), delta=F(1, 7), m_hat=9, trials=120,
                            worst_failures=3, worst_ucb=0.07, targets_tested=28)
@@ -448,18 +463,18 @@ class TestMcClassification:
 
 class TestRuleJsonRoundtrip:
     def test_eta_rules(self):
-        from paclab.families import eta_rule_from_json
+        from paclab.cli import Reader, eta_rule_from_json
         rules = [pl.Constant(F(1, 3)), pl.Reciprocal(F(8)),
                  pl.EtaTable((F(1, 2), F(1, 4))), pl.PolyWitness((1, 4, 9, 16), 3)]
         for rule in rules:
-            back = eta_rule_from_json(rule.to_json_obj())
+            back = eta_rule_from_json(Reader(rule.to_json_obj(), "eta"))
             assert back == rule
 
     def test_n_rules(self):
-        from paclab.families import n_rule_from_json
+        from paclab.cli import Reader, n_rule_from_json
         rules = [pl.IdentityN(), pl.AffineOfTarget((1, 4, 9)), pl.NTable((2, 4, 8))]
         for rule in rules:
-            assert n_rule_from_json(rule.to_json_obj()) == rule
+            assert n_rule_from_json(Reader(rule.to_json_obj(), "n")) == rule
 
 
 class TestClassificationChainTightness:
