@@ -81,7 +81,7 @@ _MISSING = object()
 
 class Reader:
     """A JSON object of a config and its path. `get` and `list` convert a
-    field with `conv` (`int`, `Fraction`, ..., or `Reader` for a nested
+    field with `conv` (`_int`, `Fraction`, ..., or `Reader` for a nested
     object) and raise ConfigError with the field's full path, such as
     `class.eta.c` or `f.values[1]`. A null field with default None is absent."""
 
@@ -117,10 +117,26 @@ def _json_list(value) -> list:
     return value
 
 
+def _int(value) -> int:
+    """A JSON integer (2.0 counts), not a string or a fraction."""
+    if not isinstance(value, (int, float)) or value % 1:
+        raise TypeError("not an integer")
+    return int(value)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("not true or false")
+    return value
+
+
 def _convert(conv, value, path: str):
+    """`conv(value)`; a JSON boolean converts only to a flag (`_bool`)."""
     if conv is Reader:
         return Reader(value, path)
     try:
+        if isinstance(value, bool) and conv is not _bool:
+            raise TypeError("true and false fit only flag fields")
         return conv(value)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(path, f"{value!r}: {exc}") from None
@@ -129,7 +145,7 @@ def _convert(conv, value, path: str):
 def _index(size: int):
     """Converter for a member index into a class of `size` members."""
     def conv(value) -> int:
-        i = int(value)
+        i = _int(value)
         if not 0 <= i < size:
             raise ValueError(f"member index {i} outside 0..{size - 1}")
         return i
@@ -139,8 +155,8 @@ def _index(size: int):
 def _rule_tag(value):
     """A table's closed-form tag, a [kind, order] pair such as ["poly", 2];
     an empty or null tag is no tag."""
-    if value and not (isinstance(value, list) and len(value) == 2
-                      and isinstance(value[0], str) and isinstance(value[1], (int, float))):
+    if value and not (isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)
+                      and isinstance(value[1], (int, float)) and not isinstance(value[1], bool)):
         raise ValueError("not a [string, number] pair")
     return tuple(value) if value else None
 
@@ -159,12 +175,12 @@ eta_rule_from_json = _by_kind("eta rule", {
     "constant": lambda r: Constant(r.get("c", Fraction)),
     "reciprocal": lambda r: Reciprocal(r.get("c", Fraction)),
     "table": lambda r: EtaTable(tuple(r.list("values", Fraction))),
-    "poly-witness": lambda r: PolyWitness(tuple(r.list("f", int)), r.get("k", int)),
+    "poly-witness": lambda r: PolyWitness(tuple(r.list("f", _int)), r.get("k", _int)),
 })
 n_rule_from_json = _by_kind("n rule", {
     "identity": lambda r: IdentityN(),
-    "affine-of-target": lambda r: AffineOfTarget(tuple(r.list("g", int))),
-    "table": lambda r: NTable(tuple(r.list("values", int))),
+    "affine-of-target": lambda r: AffineOfTarget(tuple(r.list("g", _int))),
+    "table": lambda r: NTable(tuple(r.list("values", _int))),
 })
 loss_rule_from_json = _by_kind("loss rule", {
     "absolute": lambda r: AbsoluteLoss(),
@@ -192,19 +208,19 @@ def _load_staged(spec: Reader):
 def _load_class(spec: Reader, staged):
     """The finite class of a spec; `staged` is its `_load_staged` result,
     which is truncated at the spec's truncate_epsilon."""
-    budget = spec.get("budget", int, 1 << 20)
+    budget = spec.get("budget", _int, 1 << 20)
     if staged is not None:
         return staged.truncate(spec.get("truncate_epsilon", Fraction), budget=budget)
     family = spec.get("family", str)
     if family == "anchored":
-        return anchored_family(spec.get("eta", Fraction), spec.get("n", int),
-                               size_filter=spec.get("filter", int, None), budget=budget)
+        return anchored_family(spec.get("eta", Fraction), spec.get("n", _int),
+                               size_filter=spec.get("filter", _int, None), budget=budget)
     if family == "labeled":
-        return labeled_anchored_family(spec.get("eta", Fraction), spec.get("n", int),
+        return labeled_anchored_family(spec.get("eta", Fraction), spec.get("n", _int),
                                        budget=budget)
     if family == "plateau-data":
         loss = loss_rule_from_json(spec.get("loss", Reader))
-        return plateau_data_family(loss, spec.get("eta", Fraction), spec.get("width", int),
+        return plateau_data_family(loss, spec.get("eta", Fraction), spec.get("width", _int),
                                    budget=budget)
     raise ConfigError(spec.at("family"), f"unknown family {family!r}")
 
@@ -223,14 +239,14 @@ def _class_and_learner(cfg: Reader):
 def _load_instance(spec: Reader):
     task = spec.get("task", str, "distribution")
     eta = spec.get("eta", Fraction)
-    budget = spec.get("budget", int, 1 << 20)
+    budget = spec.get("budget", _int, 1 << 20)
     if task == "distribution":
-        return nfl_distribution_instance(eta, spec.get("n", int), budget=budget)
+        return nfl_distribution_instance(eta, spec.get("n", _int), budget=budget)
     if task == "classification":
-        return nfl_classification_instance(eta, spec.get("n", int), budget=budget)
+        return nfl_classification_instance(eta, spec.get("n", _int), budget=budget)
     if task == "real":
         loss = loss_rule_from_json(spec.get("loss", Reader))
-        return nfl_real_instance(loss, eta, spec.get("width", int), budget=budget)
+        return nfl_real_instance(loss, eta, spec.get("width", _int), budget=budget)
     raise ConfigError(spec.at("task"), f"unknown task {task!r}")
 
 
@@ -242,7 +258,7 @@ def _load_learner(spec: Reader, cls: FiniteClass, staged=None):
         if staged is None:
             raise ConfigError(spec.at("kind"), "truncation learner needs a staged class spec")
         return TruncationLearner(staged, spec.get("epsilon", Fraction),
-                                 budget=spec.get("budget", int, 1 << 20))
+                                 budget=spec.get("budget", _int, 1 << 20))
     if kind == "erm":
         return ErmLearner.for_class(cls)
     if kind == "union":
@@ -259,7 +275,7 @@ def _load_learner(spec: Reader, cls: FiniteClass, staged=None):
 def _table(spec: Reader, base_dir: Path) -> FunctionTable:
     rule = spec.get("rule", _rule_tag, None)
     if not spec.has("csv"):
-        return FunctionTable.from_values(spec.list("values", int), rule=rule)
+        return FunctionTable.from_values(spec.list("values", _int), rule=rule)
     csv_path = base_dir / spec.get("csv", Path)
     try:
         rows = {}
@@ -287,7 +303,7 @@ def _run_construct(cfg: Reader, rng, base_dir):
     if staged is not None and not spec.has("truncate_epsilon"):
         # countable handle: report the rules and the first stage sizes, no
         # member materialization beyond what the caller asks for
-        horizon = cfg.get("stage_horizon", int, 6)
+        horizon = cfg.get("stage_horizon", _int, 6)
         levels, sizes = {}, {}
         for i in range(1, horizon + 1):
             levels[str(i)] = frac_str(staged.spec.eta_value(i))
@@ -301,7 +317,7 @@ def _run_construct(cfg: Reader, rng, base_dir):
             "stage_sizes": sizes,
         }
         return report, {}, []
-    cap = cfg.get("max_members", int, 1 << 12)
+    cap = cfg.get("max_members", _int, 1 << 12)
     cls = _load_class(spec, staged)
     members = [m.to_json_obj() if isinstance(m, SparseDist) else repr(m)
                for m in cls.members[:cap]]
@@ -318,8 +334,8 @@ def _run_construct(cfg: Reader, rng, base_dir):
 def _run_learn(cfg: Reader, rng, base_dir):
     cls, learner = _class_and_learner(cfg)
     target_idx = cfg.get("target_index", _index(len(cls)))
-    m = cfg.get("m", int)
-    trials = cfg.get("trials", int, 1)
+    m = cfg.get("m", _int)
+    trials = cfg.get("trials", _int, 1)
     threshold = cfg.get("threshold", Fraction, "1/8")
     max_rate = cfg.get("assert_failure_rate_at_most", Fraction, None)
     stats = mc_risk(cls, learner, m, trials, rng, threshold, member_indices=[target_idx])
@@ -345,11 +361,12 @@ def _run_sample_complexity(cfg: Reader, rng, base_dir):
                 (("trials", 200), ("m_min", 1), ("m_max", 1024), ("targets_cap", 64))}
     points = cfg.list("points", Reader, None)
     if points is None:  # one point, from top-level epsilon and delta
-        asks = [(cfg.get("epsilon", Fraction), cfg.get("delta", Fraction), None, None, None, None)]
+        asks = [(cfg.get("epsilon", Fraction), cfg.get("delta", Fraction),
+                 None, None, None, None)]
     else:
         asks = [(pt.get("epsilon", Fraction), pt.get("delta", Fraction),
-                 pt.get("k", int, None), pt.get("assert_m_hat_at_least", int, None),
-                 pt.get("assert_m_hat_at_most", int, None), pt.path) for pt in points]
+                 pt.get("k", _int, None), pt.get("assert_m_hat_at_least", _int, None),
+                 pt.get("assert_m_hat_at_most", _int, None), pt.path) for pt in points]
     results = [estimate_sample_complexity(cls, learner, eps, delta, rng.child(i), k=k,
                                           **protocol)
                for i, (eps, delta, k, *_) in enumerate(asks)]
@@ -370,13 +387,13 @@ def _run_sample_complexity(cfg: Reader, rng, base_dir):
 
 def _run_nfl_exact(cfg: Reader, rng, base_dir):
     inst = _load_instance(cfg.get("instance", Reader))
-    m = cfg.get("m", int)
+    m = cfg.get("m", _int)
     learners = [_load_learner(s, inst.family) for s in cfg.list("learners", Reader)]
     thresholds = cfg.list("thresholds", Fraction, []) or None
-    budget = cfg.get("enum_budget", int, 10_000_000)
+    budget = cfg.get("enum_budget", _int, 10_000_000)
     asserts = cfg.get("assert", Reader, {})
-    above_bound = asserts.get("learners_above_bound", bool, False)
-    markov_tails = asserts.get("markov_tails", bool, False)
+    above_bound = asserts.get("learners_above_bound", _bool, False)
+    markov_tails = asserts.get("markov_tails", _bool, False)
     bound_eq = asserts.get("bound_equals", Fraction, None)
     report_obj = nfl_exact(inst, learners, m, thresholds=thresholds, budget=budget)
     failures = []
@@ -397,8 +414,8 @@ def _run_nfl_exact(cfg: Reader, rng, base_dir):
 
 def _run_nfl_mc(cfg: Reader, rng, base_dir):
     inst = _load_instance(cfg.get("instance", Reader))
-    m = cfg.get("m", int)
-    trials = cfg.get("trials", int)
+    m = cfg.get("m", _int)
+    trials = cfg.get("trials", _int)
     learner = _load_learner(cfg.get("learner", Reader), inst.family)
     threshold = cfg.get("threshold", Fraction, inst.eta / 8)
     indices = cfg.list("member_indices", _index(len(inst.family)), None)
@@ -416,7 +433,7 @@ def _run_nfl_mc(cfg: Reader, rng, base_dir):
 def _run_dominate(cfg: Reader, rng, base_dir):
     f = _table(cfg.get("f", Reader), base_dir)
     g = _table(cfg.get("g", Reader), base_dir)
-    assert_dominates = cfg.get("assert_dominates", bool, False)
+    assert_dominates = cfg.get("assert_dominates", _bool, False)
     cert = dominates_prefix(f, g)
     report = {"kind": "dominate", "f": f.to_json_obj(), "g": g.to_json_obj(),
               "certificate": cert.to_json_obj()}
@@ -431,12 +448,12 @@ def _run_synthesize(cfg: Reader, rng, base_dir):
     spot = cfg.get("spot_check", Reader, None)
     kwargs, exceeds = {}, None
     if spot is not None:
-        kwargs = dict(spot_check_k=spot.get("k", int),
-                      trials=spot.get("trials", int, 120),
-                      member_budget=spot.get("member_budget", int, 1024),
-                      m_max=spot.get("m_max", int, 256),
-                      targets_cap=spot.get("targets_cap", int, 64))
-        exceeds = spot.get("assert_m_hat_exceeds", int, None)
+        kwargs = dict(spot_check_k=spot.get("k", _int),
+                      trials=spot.get("trials", _int, 120),
+                      member_budget=spot.get("member_budget", _int, 1024),
+                      m_max=spot.get("m_max", _int, 256),
+                      targets_cap=spot.get("targets_cap", _int, 64))
+        exceeds = spot.get("assert_m_hat_exceeds", _int, None)
     rep = synthesize(g, rng=rng, **kwargs)
     lines = ["k,target,lower_bound"]
     for k in range(1, g.horizon + 1):
@@ -474,8 +491,9 @@ def run_experiment(subcommand: str, cfg, out_dir=None, seed_override=None,
     if kind != subcommand:
         raise ConfigError(reader.at("kind"), f"config kind {kind!r} does not match "
                                              f"subcommand {subcommand!r}")
-    out_dir = Path(out_dir or reader.get("out", Path, None) or ".")
-    seed = reader.get("seed", int)
+    out_field = reader.get("out", Path, None)  # read even when --out overrides it
+    out_dir = Path(out_dir or out_field or ".")
+    seed = reader.get("seed", _int)
     rng = RngStream(seed, 0)
 
     report, extra_files, failures = _RUNNERS[subcommand](reader, rng, base_dir)

@@ -188,8 +188,8 @@ def _spot_check(g: FunctionTable, k: int, rng: RngStream, trials: int,
     """
     from .learners import ScheffeLearner
 
+    width = 8 * (g.at(k) + 1)  # k outside the table raises before 8/k
     eta = min(Fraction(1), Fraction(8, k))
-    width = 8 * (g.at(k) + 1)
     n_spot = 1
     while (4 * (n_spot + 1) <= width
            and math.comb(4 * (n_spot + 1), n_spot + 1) <= member_budget):

@@ -87,7 +87,7 @@ class EnumerationBudgetExceeded(PaclabError):
 
 
 class EmptyEstimate(PaclabError):
-    """Monte Carlo estimate requested with zero trials."""
+    """Monte Carlo estimate requested with no trials or no targets."""
 
 
 class SearchBoundExceeded(PaclabError):

@@ -150,11 +150,13 @@ class Learner:
     """Deterministic map from samples to an output, with a task kind and
     the agnostic factor its guarantee carries (3 for TV, 1 otherwise).
     `finite_outputs` says every output comes from a fixed finite list, so
-    a memo keyed by output stays bounded."""
+    a memo keyed by output stays bounded. `min_sample` is the smallest
+    sample size `run` accepts."""
 
     task: str = TASK_DISTRIBUTION
     agnostic_factor: int = 1
     finite_outputs: bool = False
+    min_sample: int = 1
     name: str = "learner"
 
     def run(self, sample: Sample | Sequence):
@@ -289,6 +291,9 @@ class UnionLearner(Learner):
         self.real_ctx = real_ctx
         self.agnostic_factor = 3 if self.task == TASK_DISTRIBUTION else 1
         self.finite_outputs = all(ln.finite_outputs for ln in self.learners)
+        # both halves non-empty, and the first half of ceil(m/2) points
+        # large enough for every constituent
+        self.min_sample = max(2, 2 * max(ln.min_sample for ln in self.learners) - 1)
         self.name = f"union({len(self.learners)})"
 
     def run(self, sample):

@@ -411,21 +411,25 @@ def _binom_cdf(x: int, n: int, p: float) -> float:
     return min(total, 1.0)
 
 
+def _bisect(lo: float, hi: float, below) -> tuple:
+    """[lo, hi] halved 60 times toward the point where `below` turns false."""
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def clopper_pearson_upper(failures: int, trials: int, alpha: float = 0.05) -> float:
     """Upper endpoint of the two-sided (1-alpha) interval for a proportion."""
     if trials <= 0:
         raise EmptyEstimate("no trials")
     if failures >= trials:
         return 1.0
-    target = alpha / 2
-    lo, hi = failures / trials, 1.0
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if _binom_cdf(failures, trials, mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _bisect(failures / trials, 1.0,
+                   lambda p: _binom_cdf(failures, trials, p) > alpha / 2)[1]
 
 
 def clopper_pearson_lower(failures: int, trials: int, alpha: float = 0.05) -> float:
@@ -433,15 +437,8 @@ def clopper_pearson_lower(failures: int, trials: int, alpha: float = 0.05) -> fl
         raise EmptyEstimate("no trials")
     if failures <= 0:
         return 0.0
-    target = alpha / 2
-    lo, hi = 0.0, failures / trials
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if 1.0 - _binom_cdf(failures - 1, trials, mid) > target:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    return _bisect(0.0, failures / trials,
+                   lambda p: 1.0 - _binom_cdf(failures - 1, trials, p) <= alpha / 2)[0]
 
 
 def max_certifiable_failures(trials: int, delta: float, alpha: float = 0.05) -> int:
@@ -483,6 +480,16 @@ class McMemberStat:
         }
 
 
+def _trial_losses(cls: FiniteClass, learner: Learner, m: int, trials: int,
+                  rng: RngStream, prefix: tuple, i: int, losses: Optional[dict]):
+    """Loss against member i of the learner's output on each trial's m-point
+    sample, trial t drawn from substream (*prefix, i, t); `losses` as in _memo_loss."""
+    target = cls.members[i]
+    for t in range(trials):
+        sample = draw(target, m, rng.child(*prefix, i, t))
+        yield _memo_loss(losses, cls, learner.run(sample), i)
+
+
 def mc_risk(cls: FiniteClass, learner: Learner, m: int, trials: int, rng: RngStream,
             threshold, member_indices: Optional[Sequence[int]] = None) -> List[McMemberStat]:
     """Monte Carlo stand-in for the exact oracle beyond the enumeration
@@ -494,14 +501,11 @@ def mc_risk(cls: FiniteClass, learner: Learner, m: int, trials: int, rng: RngStr
         raise EmptyEstimate("mc_risk needs at least one trial")
     threshold = Fraction(threshold)
     indices = list(member_indices) if member_indices is not None else list(range(len(cls)))
+    losses = {} if learner.finite_outputs else None
     stats = []
     for i in indices:
-        target = cls.members[i]
-        total = 0.0
-        failures = 0
-        for t in range(trials):
-            sample = draw(target, m, rng.child(i, t))
-            err = task_loss(cls, learner.run(sample), target)
+        total, failures = 0.0, 0
+        for err in _trial_losses(cls, learner, m, trials, rng, (), i, losses):
             total += float(err)
             if err >= threshold:
                 failures += 1
@@ -564,24 +568,20 @@ def _guarantee(cls: FiniteClass, target: SparseDist, eps: Fraction,
     return agnostic_factor * opt + eps
 
 
-def _level_certifies(cls, learner, bars, m, trials, rng, max_fail, losses):
-    """Run one grid level against the guarantee `bars[t_idx]` of each tested
-    target; (passed, worst_failures, worst_ucb over targets)."""
-    worst_fail, worst_ucb = 0, 0.0
-    for t_idx, bar in bars.items():
-        target = cls.members[t_idx]
+def _level_failures(cls, learner, bars, m, trials, rng, max_fail, losses) -> Optional[int]:
+    """Run one grid level against the guarantee `bars[i]` of each tested
+    target i; the worst failure count over targets, or None as soon as a
+    target fails more than `max_fail` times and so cannot certify."""
+    worst = 0
+    for i, bar in bars.items():
         failures = 0
-        for t in range(trials):
-            sample = draw(target, m, rng.child(m, t_idx, t))
-            err = _memo_loss(losses, cls, learner.run(sample), t_idx)
+        for err in _trial_losses(cls, learner, m, trials, rng, (m,), i, losses):
             if err > bar:
                 failures += 1
                 if failures > max_fail:
-                    # cannot certify even if every remaining trial succeeds
-                    return False, failures, clopper_pearson_upper(failures, trials)
-        worst_fail = max(worst_fail, failures)
-        worst_ucb = max(worst_ucb, clopper_pearson_upper(failures, trials))
-    return True, worst_fail, worst_ucb
+                    return None
+        worst = max(worst, failures)
+    return worst
 
 
 def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
@@ -589,19 +589,22 @@ def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
                                m_min: int = 1, m_max: int = 1024,
                                targets_cap: int = 64,
                                k: Optional[int] = None) -> CurvePoint:
-    """Smallest m on a doubling-then-bisection grid at which, for every
-    tested target, the 95% Clopper-Pearson upper bound on
-    Pr[error > guarantee(eps)] is <= delta.
+    """Smallest m on a doubling-then-bisection grid, from max(m_min, the
+    learner's smallest usable sample), at which every tested target fails
+    (error > guarantee(eps)) at most max_certifiable_failures(trials, delta)
+    times, so its 95% Clopper-Pearson upper bound on the failure rate is <= delta.
 
     Guarantee: 3*opt + eps for TV, excess eps over the best labeler for
     classification, opt + eps for the pointwise-loss task. Tests every
     member as a target when the class has at most `targets_cap` members,
-    else a seeded subset of that size; the result is the max over tested
-    targets.
+    else a seeded subset of that size; the result is the worst tested target.
     """
     eps, delta = Fraction(eps), Fraction(delta)
     if len(cls) == 0:
         raise EmptyClass("no targets")
+    if trials < 1 or targets_cap < 1:
+        raise EmptyEstimate(f"the search needs trials >= 1 and targets_cap >= 1, "
+                            f"not {trials} and {targets_cap}")
     max_fail = max_certifiable_failures(trials, float(delta))
     if max_fail < 0:
         raise SearchBoundExceeded(
@@ -614,35 +617,30 @@ def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
         targets = sorted(gen.sample(range(len(cls)), targets_cap))
     # the guarantee of each target holds across levels, and so does every
     # loss seen when the learner's outputs come from a finite list
-    bars = {t_idx: _guarantee(cls, cls.members[t_idx], eps, learner.agnostic_factor)
-            for t_idx in targets}
+    bars = {i: _guarantee(cls, cls.members[i], eps, learner.agnostic_factor)
+            for i in targets}
     losses = {} if learner.finite_outputs else None
 
-    m = max(1, m_min)
-    certified = None
-    last_failed = m - 1  # the bisection stays at or above m_min
-    while m <= m_max:
-        ok, fails, ucb = _level_certifies(cls, learner, bars, m, trials, rng,
-                                          max_fail, losses)
-        if ok:
-            certified = (m, fails, ucb)
-            break
-        last_failed = m
-        m *= 2
-    if certified is None:
+    def failures_at(m):
+        return _level_failures(cls, learner, bars, m, trials, rng, max_fail, losses)
+
+    # lo: the last level that failed, or the one just below the first level
+    lo = max(m_min, learner.min_sample) - 1
+    hi, worst = lo + 1, None
+    while hi <= m_max and (worst := failures_at(hi)) is None:
+        lo, hi = hi, 2 * hi
+    if worst is None:
         raise SearchBoundExceeded(
             f"no m <= {m_max} certified at eps={eps}, delta={delta}", m_max,
-            detail={"last_failed": last_failed})
-    lo, (hi, fails, ucb) = last_failed, certified
-    best = (hi, fails, ucb)
+            detail={"last_failed": lo})
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        ok, f2, u2 = _level_certifies(cls, learner, bars, mid, trials, rng,
-                                      max_fail, losses)
-        if ok:
-            hi, best = mid, (mid, f2, u2)
-        else:
+        fails = failures_at(mid)
+        if fails is None:
             lo = mid
-    return CurvePoint(k=k, eps=eps, delta=delta, m_hat=best[0], trials=trials,
-                      worst_failures=best[1], worst_ucb=best[2],
+        else:
+            hi, worst = mid, fails
+    return CurvePoint(k=k, eps=eps, delta=delta, m_hat=hi, trials=trials,
+                      worst_failures=worst,
+                      worst_ucb=clopper_pearson_upper(worst, trials),
                       targets_tested=len(targets))

@@ -98,7 +98,7 @@ def test_member_index_out_of_range_is_config_error(tmp_path, capsys, path, value
     assert not out.exists()
 
 
-NOT_INTEGERS = ["two", None, [], {}]
+NOT_INTEGERS = ["two", None, [], {}, True, 1.5, "3"]
 
 
 @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
@@ -116,7 +116,8 @@ def test_non_integer_table_value_is_config_error(tmp_path, capsys, kind, table, 
                                         ({"csv": "absent.csv"}, "csv"),
                                         ({"values": [1, 4, 9], "rule": "two"}, "rule"),
                                         ({"values": [1, 4, 9], "rule": [None, 2]}, "rule"),
-                                        ({"values": [1, 4, 9], "rule": ["poly", "two"]}, "rule")],
+                                        ({"values": [1, 4, 9], "rule": ["poly", "two"]}, "rule"),
+                                        ({"values": [1, 4, 9], "rule": ["poly", True]}, "rule")],
                          ids=repr)
 @pytest.mark.parametrize("kind,table", [("dominate", "f"), ("synthesize", "g")])
 def test_bad_table_reports_its_field(tmp_path, capsys, kind, table, spec, field):
@@ -177,7 +178,57 @@ def test_union_search_starts_at_m_min(tmp_path):
     assert json.loads((out / "report.json").read_text())["points"][0]["m_hat"] >= 2
 
 
-MALFORMED = ["two", -1, None, [], {}]
+def test_union_search_without_m_min(tmp_path):
+    # the search starts at the union's smallest usable sample, 2 points
+    cfg = write_cfg(tmp_path, {
+        "kind": "sample-complexity", "seed": 6,
+        "class": {"family": "anchored", "eta": "1/2", "n": 2},
+        "learner": {"kind": "union",
+                    "of": [{"kind": "scheffe"}, {"kind": "constant", "member_index": 2}]},
+        "epsilon": "1/2", "delta": "1/4",
+        "protocol": {"trials": 30, "m_max": 128, "targets_cap": 4},
+    })
+    out = tmp_path / "o"
+    assert run_cli(["sample-complexity", "--config", cfg, "--out", out]) == 0
+    assert json.loads((out / "report.json").read_text())["points"][0]["m_hat"] >= 2
+
+
+@pytest.mark.parametrize("kind,field,body", [
+    ("sample-complexity", "protocol", {"trials": 0}),
+    ("sample-complexity", "protocol", {"targets_cap": 0}),
+    ("sample-complexity", "protocol", {"targets_cap": -1}),
+    ("synthesize", "spot_check", {"k": 0}),
+    ("synthesize", "spot_check", {"k": 2, "targets_cap": -1}),
+    ("nfl-exact", "assert", {"markov_tails": "no"}),
+    ("nfl-mc", "instance", {"task": "distribution", "eta": True, "n": 2}),
+], ids=repr)
+def test_bad_scalar_is_config_error(tmp_path, kind, field, body):
+    cfg = {"sample-complexity": {"class": {"family": "anchored", "eta": "1/2", "n": 1},
+                                 "learner": {"kind": "constant", "member_index": 0},
+                                 "epsilon": "1/100", "delta": "1/4"},
+           "synthesize": {"g": {"values": [1, 4, 9]}},
+           "nfl-exact": {"instance": INSTANCE, "m": 0, "learners": []},
+           "nfl-mc": {"instance": INSTANCE, "m": 2, "trials": 3,
+                      "learner": {"kind": "scheffe"}}}[kind]
+    cfg = write_cfg(tmp_path, {"kind": kind, "seed": 1, **cfg, field: body})
+    assert run_cli([kind, "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+
+
+MALFORMED = ["two", -1, 0, 1.5, True, None, [], {}]
+
+# fields the shipped configs leave unset, each added to a copy of one
+# config: (config, JSON path, value); a table's csv names F_CSV
+F_CSV = "k,value\n" + "".join(f"{k},{k * k}\n" for k in range(1, 21))
+UNSET_FIELDS = [
+    ("construct_small", ("class", "filter"), 1),
+    ("construct_small", ("out",), "unused"),
+    ("nfl_exact_small", ("thresholds",), ["1/16", "1/8"]),
+    ("dominate_squares", ("f",), {"csv": "f.csv"}),
+    ("sample_complexity_tiny", ("protocol", "targets_cap"), 2),
+    ("sample_complexity_tiny", ("protocol", "m_min"), 2),
+    ("synthesize_squares", ("spot_check",), {"k": 1, "trials": 30, "targets_cap": 2,
+                                             "m_max": 64}),
+]
 
 
 def mutation_sites(obj, path=()):
@@ -199,27 +250,50 @@ def mutated(cfg, site, value):
     return cfg
 
 
-def test_mutated_shipped_configs_never_raise(tmp_path, capsys):
-    # each site of each shipped config, replaced in turn by each malformed
-    # value and run with the config's own kind, ends in a documented exit code
-    cases, bad = 0, []
-    for path in sorted(CONFIG_DIR.glob("*.json")):
-        base = json.loads(path.read_text())
+def mutation_cases():
+    """(name, config, site) for each site of each shipped config, then for
+    each unset field added to its config and each site inside that field."""
+    shipped = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))}
+    for name, base in shipped.items():
         for site in mutation_sites(base):
-            for value in MALFORMED:
-                cases += 1
-                cfg = write_cfg(tmp_path, mutated(base, site, value))
-                case = f"{path.stem} {site} = {value!r}"
-                try:
-                    code = run_cli([base["kind"], "--config", cfg, "--out", tmp_path / "o"])
-                except Exception as exc:
-                    bad.append(f"{case}: {type(exc).__name__}: {exc}")
-                    continue
-                if code not in (0, 2, 3, 4):
-                    bad.append(f"{case}: exit {code}")
+            yield name, base, site
+    for name, field, value in UNSET_FIELDS:
+        base = mutated(shipped[name], field, value)
+        yield name, base, field
+        if isinstance(value, (dict, list)):
+            for site in mutation_sites(value, field):
+                yield name, base, site
+
+
+def test_mutated_shipped_configs_never_raise(tmp_path, capsys):
+    # each site, replaced in turn by each malformed value and run with the
+    # config's own kind, ends in a documented exit code
+    (tmp_path / "f.csv").write_text(F_CSV)
+    cases, bad = 0, []
+    for name, base, site in mutation_cases():
+        for value in MALFORMED:
+            cases += 1
+            cfg = write_cfg(tmp_path, mutated(base, site, value))
+            case = f"{name} {site} = {value!r}"
+            try:
+                code = run_cli([base["kind"], "--config", cfg, "--out", tmp_path / "o"])
+            except Exception as exc:
+                bad.append(f"{case}: {type(exc).__name__}: {exc}")
+                continue
+            if code not in (0, 2, 3, 4):
+                bad.append(f"{case}: exit {code}")
     capsys.readouterr()
-    assert cases == 680
+    assert cases == 1200
     assert bad == []
+
+
+@pytest.mark.parametrize("name,field,value", UNSET_FIELDS, ids=lambda v: str(v))
+def test_unset_fields_run_clean(tmp_path, name, field, value):
+    # the sweep's added fields are valid as added
+    (tmp_path / "f.csv").write_text(F_CSV)
+    cfg = mutated(json.loads((CONFIG_DIR / f"{name}.json").read_text()), field, value)
+    assert run_cli([cfg["kind"], "--config", write_cfg(tmp_path, cfg),
+                    "--out", tmp_path / "o"]) == 0
 
 
 @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)

@@ -223,8 +223,14 @@ class TestClopperPearson:
         assert pl.clopper_pearson_lower(50, 50) > 0.9
 
     def test_monotone_in_failures(self):
-        uppers = [pl.clopper_pearson_upper(x, 100) for x in range(0, 20)]
-        assert all(a < b for a, b in zip(uppers, uppers[1:]))
+        # strictly, so the largest upper bound over targets is the bound at
+        # the largest failure count, which is all the search computes; every
+        # count up to 24 trials, and beyond that the counts below 20, which
+        # hold every certifiable count for delta <= 1/7 at 129 trials
+        for trials in range(1, 130):
+            top = trials if trials <= 24 else 19
+            uppers = [pl.clopper_pearson_upper(x, trials) for x in range(top + 1)]
+            assert all(a < b for a, b in zip(uppers, uppers[1:])), trials
 
     def test_interval_contains_mle(self):
         for x in (0, 3, 17, 99):
@@ -279,6 +285,28 @@ class TestMcRisk:
                        member_indices=[5])
         assert a[0].mean_error == b[0].mean_error
         assert a[0].failures == b[0].failures
+
+    @pytest.mark.parametrize("kind", ["scheffe", "empirical-baseline"])
+    def test_losses_memoised_only_for_finite_outputs(self, monkeypatch, kind):
+        fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
+        learner = (pl.ScheffeLearner(fam) if kind == "scheffe"
+                   else pl.EmpiricalBaseline("distribution"))
+        pairs = []
+        task_loss = nfl.task_loss
+
+        def counted_loss(cls, out, target):
+            pairs.append((target, out))
+            return task_loss(cls, out, target)
+
+        monkeypatch.setattr(nfl, "task_loss", counted_loss)
+        trials = 40
+        pl.mc_risk(fam, learner, 3, trials, pl.RngStream(SEED, 8), F(1, 8))
+        if kind == "scheffe":
+            # at most one loss per (member, output) pair
+            assert len(pairs) == len(set(pairs)) < len(fam) * trials
+        else:
+            # fresh empirical outputs keep no memo: one loss per trial
+            assert len(pairs) == len(fam) * trials
 
 
 class TestEstimateSampleComplexity:
@@ -351,20 +379,56 @@ class TestEstimateSampleComplexity:
             # fresh empirical outputs keep no memo: one loss per run
             assert calls["loss"] == calls["run"]
 
-    def test_search_stays_at_or_above_m_min(self, monkeypatch):
-        level_certifies = nfl._level_certifies
+    @staticmethod
+    def levels_tried(monkeypatch):
+        """Record every sample size the search runs a grid level at."""
+        level_failures = nfl._level_failures
         tried = []
 
         def recorded(cls, learner, bars, m, *args):
             tried.append(m)
-            return level_certifies(cls, learner, bars, m, *args)
+            return level_failures(cls, learner, bars, m, *args)
 
-        monkeypatch.setattr(nfl, "_level_certifies", recorded)
+        monkeypatch.setattr(nfl, "_level_failures", recorded)
+        return tried
+
+    def test_search_stays_at_or_above_m_min(self, monkeypatch):
+        tried = self.levels_tried(monkeypatch)
         fam = pl.anchored_family(F(1, 2), 3)
         pt = pl.estimate_sample_complexity(fam, pl.ScheffeLearner(fam), F(1, 2), F(1, 4),
                                            pl.RngStream(3), trials=40, m_min=8)
         assert tried and min(tried) >= 8
         assert pt.m_hat >= 8
+
+    @pytest.mark.parametrize("nested,smallest", [(False, 2), (True, 3)])
+    def test_search_starts_at_the_learners_smallest_sample(self, monkeypatch, nested, smallest):
+        # a union splits its sample in two; a union of unions needs 2 points
+        # in its first half, so 3 in all
+        fam = pl.anchored_family(F(1, 2), 2)
+        union = pl.UnionLearner([pl.ScheffeLearner(fam),
+                                 pl.ConstantLearner(fam[2], "distribution")])
+        learner = pl.UnionLearner([union, pl.ScheffeLearner(fam)]) if nested else union
+        assert learner.min_sample == smallest
+        tried = self.levels_tried(monkeypatch)
+        pt = pl.estimate_sample_complexity(fam, learner, F(1, 2), F(1, 4), pl.RngStream(6),
+                                           trials=30, m_max=128, targets_cap=4)
+        assert min(tried) == smallest <= pt.m_hat
+
+    @pytest.mark.parametrize("protocol", [{"trials": 0}, {"trials": -1},
+                                          {"targets_cap": 0}, {"targets_cap": -1}], ids=repr)
+    def test_search_needs_trials_and_targets(self, protocol):
+        fam = pl.anchored_family(F(1, 2), 2)
+        with pytest.raises(EmptyEstimate):
+            pl.estimate_sample_complexity(fam, pl.ScheffeLearner(fam), F(1, 2), F(1, 4),
+                                          pl.RngStream(1), **protocol)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_worst_ucb_is_the_bound_at_the_worst_count(self, seed):
+        fam = pl.anchored_family(F(1, 2), 6, size_filter=2)
+        pt = pl.estimate_sample_complexity(fam, pl.ScheffeLearner(fam), F(1, 8), F(1, 4),
+                                           pl.RngStream(seed), trials=60, targets_cap=6)
+        assert pt.worst_ucb == pl.clopper_pearson_upper(pt.worst_failures, 60)
+        assert pt.worst_failures <= max_certifiable_failures(60, 1 / 4)
 
     def test_curve_csv_columns(self):
         pt = pl.CurvePoint(k=2, eps=F(1, 2), delta=F(1, 7), m_hat=9, trials=120,
