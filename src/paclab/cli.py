@@ -357,7 +357,7 @@ def _run_learn(cfg: Reader, rng, base_dir):
 def _run_sample_complexity(cfg: Reader, rng, base_dir):
     cls, learner = _class_and_learner(cfg)
     proto = cfg.get("protocol", Reader, {})
-    protocol = {f: proto.get(f, int, d) for f, d in
+    protocol = {f: proto.get(f, _int, d) for f, d in
                 (("trials", 200), ("m_min", 1), ("m_max", 1024), ("targets_cap", 64))}
     points = cfg.list("points", Reader, None)
     if points is None:  # one point, from top-level epsilon and delta

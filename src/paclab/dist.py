@@ -3,10 +3,12 @@
 Atoms are either naturals (plain int) or labeled pairs (natural, bit)
 for labeled tasks; both kinds flow through the same mass-function,
 total-variation and sampling code. All probabilities are
-fractions.Fraction and every constructor checks exact normalization,
-because the downstream oracles rely on exact equality of sample
-likelihoods. Floats appear only inside the sampler's cumulative table,
-never in a reported probability.
+fractions.Fraction and every public constructor checks exact
+normalization, because the downstream oracles rely on exact equality of
+sample likelihoods; the family constructors, which compute their masses
+exactly, build through the unchecked `SparseDist._trusted`. Floats
+appear only inside the sampler's cumulative table, never in a reported
+probability.
 """
 
 from __future__ import annotations
@@ -74,7 +76,19 @@ class SparseDist:
         total = sum(acc.values(), ZERO)
         if total != 1:
             raise BadDistribution(f"mass sums to {total}, not 1")
-        items = tuple(sorted(acc.items(), key=lambda kv: atom_key(kv[0])))
+        self._fill(tuple(sorted(acc.items(), key=lambda kv: atom_key(kv[0]))), tag)
+
+    @classmethod
+    def _trusted(cls, items: tuple, tag: Optional[str] = None) -> "SparseDist":
+        """A dist over `items` as they are: (atom, mass) pairs with valid
+        atoms in canonical order, positive Fraction masses summing to
+        exactly 1. Family constructors compute such items exactly and skip
+        the checks; every other caller goes through the checked constructor."""
+        self = object.__new__(cls)
+        self._fill(items, tag)
+        return self
+
+    def _fill(self, items: tuple, tag: Optional[str]):
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "_pmf", dict(items))

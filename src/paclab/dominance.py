@@ -26,7 +26,7 @@ from .families import (
     TASK_DISTRIBUTION,
     anchored_family,
 )
-from .nfl import estimate_sample_complexity, markov_reverse
+from .nfl import check_search_protocol, estimate_sample_complexity, markov_reverse
 from .rng import RngStream
 
 
@@ -194,10 +194,12 @@ def _spot_check(g: FunctionTable, k: int, rng: RngStream, trials: int,
     while (4 * (n_spot + 1) <= width
            and math.comb(4 * (n_spot + 1), n_spot + 1) <= member_budget):
         n_spot += 1
-    family = anchored_family(eta, 4 * n_spot, size_filter=n_spot)
-    learner = ScheffeLearner(family)
     eps = eta / 8
     delta = markov_reverse(eta / 4, eta / 8)
+    # a protocol that cannot run is rejected before the engine is built
+    check_search_protocol(eps, delta, trials, targets_cap, 1, m_max, ScheffeLearner)
+    family = anchored_family(eta, 4 * n_spot, size_filter=n_spot)
+    learner = ScheffeLearner(family)
     point = estimate_sample_complexity(
         family, learner, eps, delta, rng.child(k), trials=trials,
         m_max=m_max, targets_cap=targets_cap, k=k)

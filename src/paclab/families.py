@@ -6,6 +6,12 @@ spread uniformly over a subset of a finite window. Families are indexed
 by subset bitmasks so that members have a canonical order: ascending
 bitmask value, which every tie-breaking rule downstream refers to.
 
+Families are exponentially large, so none is built up front: member i
+and label i are computed from the rank i on first access, in that same
+canonical order, and a run pays only for the members it reads. Member
+distributions go through the unchecked `SparseDist._trusted`, with every
+mass (1 - eta, eta/|A|, ...) computed exactly once per family.
+
 A staged union strings countably many such families along a pair of
 rules (eta per stage, window width per stage) and supports truncation
 to a finite prefix once the eta rule is certified to settle below a
@@ -14,12 +20,16 @@ target level.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from .dist import SparseDist, delta, frac_str, mixture, uniform
+from .dist import SparseDist, delta, frac_str
 from .errors import (
     BadEta,
     BadN,
@@ -291,8 +301,43 @@ class RealTaskContext:
         return self.level_value if b else Fraction(0)
 
 
+class _Ranked(Sequence):
+    """Read-only sequence of `size` items; item i is `item_at(i)`, built on
+    first access and kept, so reading it again returns the same object.
+    A slice builds only the items it holds."""
+
+    def __init__(self, size: int, item_at: Callable[[int], object]):
+        self._size = size
+        self._item_at = item_at
+        self._built: dict = {}
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._size))]
+        k = operator.index(i)
+        if k < 0:
+            k += self._size
+        if not 0 <= k < self._size:
+            raise IndexError(f"index {i} outside 0..{self._size - 1}")
+        item = self._built.get(k)
+        if item is None:
+            item = self._built[k] = self._item_at(k)
+        return item
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._size))
+
+
 class FiniteClass:
-    """Finite indexed family with a fixed canonical member order."""
+    """Finite indexed family with a fixed canonical member order.
+
+    `members` and `labels` may be any sequences. The family constructors
+    pass rank-indexed views that build member i and label i on first
+    access; consumers that need every member (the Scheffé engine, opt_loss,
+    the exact oracles) iterate and so build them all."""
 
     def __init__(self, task: str, members: Sequence[Member], labels: Optional[Sequence[str]] = None,
                  real_ctx: Optional[RealTaskContext] = None, tag: Optional[str] = None,
@@ -300,8 +345,8 @@ class FiniteClass:
         if task not in TASKS:
             raise BadN(f"unknown task {task!r}")
         self.task = task
-        self.members = list(members)
-        self.labels = list(labels) if labels is not None else [f"m{i}" for i in range(len(members))]
+        self.members = members
+        self.labels = labels if labels is not None else _Ranked(len(members), lambda i: f"m{i}")
         self.real_ctx = real_ctx
         self.tag = tag
         # for data-distribution handles: the hypothesis class losses are
@@ -318,19 +363,43 @@ class FiniteClass:
         return self.members.index(member)
 
 
-def _subset_bitmasks(n: int, size_filter: Optional[int]):
-    """Non-empty subset bitmasks of {1..n}, all or only those of one size."""
-    if size_filter is not None:
-        masks = []
-        for mask in range(1 << n):
-            if mask.bit_count() == size_filter:
-                masks.append(mask)
-        return masks
-    return list(range(1, 1 << n))
+def _concat(head, parts: list) -> _Ranked:
+    """`head`, then the items of each sequence in `parts`, by rank."""
+    # rank of each part's first item; the last entry is the total size
+    starts = list(itertools.accumulate(map(len, parts), initial=1))
+
+    def item(k):
+        if k == 0:
+            return head
+        p = bisect.bisect_right(starts, k) - 1
+        return parts[p][k - starts[p]]
+
+    return _Ranked(starts[-1], item)
+
+
+def _masks_of_size(n: int, r: int) -> list:
+    """Bitmasks of the r-element subsets of {1..n}, ascending."""
+    return sorted(sum(1 << b for b in c) for c in itertools.combinations(range(n), r))
 
 
 def _mask_to_set(mask: int):
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _set_labels(count: int, mask_of: Callable[[int], int] = int) -> _Ranked:
+    """Labels "A=[...]" of the subsets with bitmask mask_of(i)."""
+    return _Ranked(count, lambda i: f"A={_mask_to_set(mask_of(i))}")
+
+
+def _anchor(eta: Fraction, atom) -> tuple:
+    """The anchor item (atom, 1 - eta); none at eta = 1, as zero mass is
+    never stored."""
+    return ((atom, 1 - eta),) if eta < 1 else ()
+
+
+def _labeled_items(mask: int, width: int, share: Fraction) -> tuple:
+    """Items ((x, bit x-1 of mask), share) for x = 1..width, in canonical order."""
+    return tuple(((x, mask >> (x - 1) & 1), share) for x in range(1, width + 1))
 
 
 def anchored_family(eta, n: int, size_filter: Optional[int] = None,
@@ -351,13 +420,22 @@ def anchored_family(eta, n: int, size_filter: Optional[int] = None,
     count = math.comb(n, size_filter) if size_filter is not None else (1 << n) - 1
     if count > budget:
         raise ClassTooLarge(f"{count} members exceed budget {budget}")
-    members, labels = [], []
-    for mask in _subset_bitmasks(n, size_filter):
-        a = _mask_to_set(mask)
-        members.append(mixture([(1 - eta, delta(0)), (eta, uniform(a))],
-                               tag=f"anchor(eta={eta},A={a})"))
-        labels.append(f"A={a}")
-    return FiniteClass(TASK_DISTRIBUTION, members, labels, tag=f"anchored(eta={eta},n={n},r={size_filter})")
+    # member i's subset bitmask: i + 1, or the i-th one of the filtered size
+    if size_filter is None:
+        mask_of = lambda i: i + 1
+    else:
+        mask_of = _masks_of_size(n, size_filter).__getitem__
+    anchor = _anchor(eta, 0)
+    shares = [None] + [eta / k for k in range(1, n + 1)]  # eta/|A|
+
+    def member(i):
+        a = _mask_to_set(mask_of(i))
+        share = shares[len(a)]
+        return SparseDist._trusted(anchor + tuple((x, share) for x in a),
+                                   tag=f"anchor(eta={eta},A={a})")
+
+    return FiniteClass(TASK_DISTRIBUTION, _Ranked(count, member), _set_labels(count, mask_of),
+                       tag=f"anchored(eta={eta},n={n},r={size_filter})")
 
 
 def labeled_anchored_family(eta, n: int, budget: int = DEFAULT_MEMBER_BUDGET) -> FiniteClass:
@@ -370,18 +448,19 @@ def labeled_anchored_family(eta, n: int, budget: int = DEFAULT_MEMBER_BUDGET) ->
     if n < 1:
         raise BadN(f"n={n} < 1")
     width = 2 * n
-    if (1 << width) > budget:
+    count = 1 << width
+    if count > budget:
         raise ClassTooLarge(f"2^{width} members exceed budget {budget}")
-    per_atom = eta / width
-    members, labels = [], []
-    for mask in range(1 << width):
-        pmf = {(0, 0): 1 - eta}
-        for x in range(1, width + 1):
-            b = mask >> (x - 1) & 1
-            pmf[(x, b)] = pmf.get((x, b), Fraction(0)) + per_atom
-        members.append(SparseDist(pmf, tag=f"labels(eta={eta},mask={mask})"))
-        labels.append(f"ones={_mask_to_set(mask)}")
-    return FiniteClass(TASK_CLASSIFICATION, members, labels, tag=f"labeled(eta={eta},n={n})")
+    anchor = _anchor(eta, (0, 0))
+    share = eta / width
+
+    def member(mask):
+        return SparseDist._trusted(anchor + _labeled_items(mask, width, share),
+                                   tag=f"labels(eta={eta},mask={mask})")
+
+    labels = _Ranked(count, lambda mask: f"ones={_mask_to_set(mask)}")
+    return FiniteClass(TASK_CLASSIFICATION, _Ranked(count, member), labels,
+                       tag=f"labeled(eta={eta},n={n})")
 
 
 def plateau_family(loss, eta, n: int, budget: int = DEFAULT_MEMBER_BUDGET) -> FiniteClass:
@@ -392,16 +471,18 @@ def plateau_family(loss, eta, n: int, budget: int = DEFAULT_MEMBER_BUDGET) -> Fi
         raise EtaAboveGmax(f"eta={eta} above attainable loss {loss.g_max}")
     if n < 1:
         raise BadN(f"n={n} < 1")
-    if (1 << n) > budget:
+    count = 1 << n
+    if count > budget:
         raise ClassTooLarge(f"2^{n} members exceed budget {budget}")
     height = loss.g_inverse(eta)
-    members, labels = [], []
-    for mask in range(1 << n):
-        a = _mask_to_set(mask)
-        members.append(RealHypothesis(tuple((x, height) for x in a)) if a else ALL_ZERO_REAL)
-        labels.append(f"A={a}")
+
+    def member(mask):
+        if not mask:
+            return ALL_ZERO_REAL
+        return RealHypothesis(tuple((x, height) for x in _mask_to_set(mask)))
+
     ctx = RealTaskContext(loss, height)
-    return FiniteClass(TASK_REAL, members, labels, real_ctx=ctx,
+    return FiniteClass(TASK_REAL, _Ranked(count, member), _set_labels(count), real_ctx=ctx,
                        tag=f"plateau(eta={eta},n={n})")
 
 
@@ -410,15 +491,15 @@ def plateau_data_family(loss, eta, n: int, budget: int = DEFAULT_MEMBER_BUDGET) 
     {1..n}, labels from the plateau hypothesis of each subset A; bit 1
     encodes y = g_inverse(eta). Used by the lower-bound harness."""
     hyps = plateau_family(loss, eta, n, budget=budget)
-    members, labels = [], []
     w = Fraction(1, n)
-    for h, lab in zip(hyps.members, hyps.labels):
-        ones = {x for x, _ in h.values}
-        pmf = {(x, 1 if x in ones else 0): w for x in range(1, n + 1)}
-        members.append(SparseDist(pmf, tag=f"plateau-data({lab})"))
-        labels.append(lab)
-    return FiniteClass(TASK_REAL, members, labels, real_ctx=hyps.real_ctx,
-                       tag=f"plateau-data(eta={eta},n={n})", benchmark=hyps)
+
+    def member(mask):
+        return SparseDist._trusted(_labeled_items(mask, n, w),
+                                   tag=f"plateau-data({hyps.labels[mask]})")
+
+    return FiniteClass(TASK_REAL, _Ranked(len(hyps), member), hyps.labels,
+                       real_ctx=hyps.real_ctx, tag=f"plateau-data(eta={eta},n={n})",
+                       benchmark=hyps)
 
 
 class StagedClass:
@@ -460,7 +541,8 @@ class StagedClass:
             fam = labeled_anchored_family(eta, n, budget=budget)
         else:
             fam = plateau_family(self.loss, eta, n, budget=budget)
-        fam.labels = [f"stage{i}/{lab}" for lab in fam.labels]
+        labels = fam.labels
+        fam.labels = _Ranked(len(labels), lambda j: f"stage{i}/{labels[j]}")
         return fam
 
     def base_member(self) -> Member:
@@ -480,15 +562,10 @@ class StagedClass:
         total = 1 + sum(self.stage_size(i) for i in range(1, cutoff + 1))
         if total > budget:
             raise ClassTooLarge(f"truncation at stage {cutoff} has {total} members, budget {budget}")
-        members = [self.base_member()]
-        labels = ["base"]
-        ctx = None
-        for i in range(1, cutoff + 1):
-            fam = self.stage(i, budget=budget)
-            members.extend(fam.members)
-            labels.extend(fam.labels)
-            ctx = ctx or fam.real_ctx
-        return FiniteClass(self.task, members, labels, real_ctx=ctx,
+        stages = [self.stage(i, budget=budget) for i in range(1, cutoff + 1)]
+        return FiniteClass(self.task, _concat(self.base_member(), [f.members for f in stages]),
+                           _concat("base", [f.labels for f in stages]),
+                           real_ctx=stages[0].real_ctx,
                            tag=f"truncate(eps={eps},stages=1..{cutoff})")
 
     def to_json_obj(self):

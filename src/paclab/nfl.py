@@ -584,6 +584,29 @@ def _level_failures(cls, learner, bars, m, trials, rng, max_fail, losses) -> Opt
     return worst
 
 
+def _no_level_certified(eps, delta, m_max: int, last_failed: int) -> SearchBoundExceeded:
+    return SearchBoundExceeded(
+        f"no m <= {m_max} certified at eps={eps}, delta={delta}", m_max,
+        detail={"last_failed": last_failed})
+
+
+def check_search_protocol(eps, delta, trials: int, targets_cap: int, m_min: int,
+                          m_max: int, learner) -> int:
+    """The checks of `estimate_sample_complexity` that need no class:
+    at least one trial and one target (else EmptyEstimate), and a first
+    level max(m_min, learner.min_sample) within m_max (else
+    SearchBoundExceeded, as when no level certifies). Returns that first
+    level. `learner` may be a learner class, so a caller that builds a
+    costly learner can run the checks first."""
+    if trials < 1 or targets_cap < 1:
+        raise EmptyEstimate(f"the search needs trials >= 1 and targets_cap >= 1, "
+                            f"not {trials} and {targets_cap}")
+    m_start = max(m_min, learner.min_sample)
+    if m_start > m_max:
+        raise _no_level_certified(eps, delta, m_max, m_start - 1)
+    return m_start
+
+
 def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
                                rng: RngStream, trials: int = 200,
                                m_min: int = 1, m_max: int = 1024,
@@ -602,9 +625,7 @@ def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
     eps, delta = Fraction(eps), Fraction(delta)
     if len(cls) == 0:
         raise EmptyClass("no targets")
-    if trials < 1 or targets_cap < 1:
-        raise EmptyEstimate(f"the search needs trials >= 1 and targets_cap >= 1, "
-                            f"not {trials} and {targets_cap}")
+    m_start = check_search_protocol(eps, delta, trials, targets_cap, m_min, m_max, learner)
     max_fail = max_certifiable_failures(trials, float(delta))
     if max_fail < 0:
         raise SearchBoundExceeded(
@@ -625,14 +646,12 @@ def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
         return _level_failures(cls, learner, bars, m, trials, rng, max_fail, losses)
 
     # lo: the last level that failed, or the one just below the first level
-    lo = max(m_min, learner.min_sample) - 1
+    lo = m_start - 1
     hi, worst = lo + 1, None
     while hi <= m_max and (worst := failures_at(hi)) is None:
         lo, hi = hi, 2 * hi
     if worst is None:
-        raise SearchBoundExceeded(
-            f"no m <= {m_max} certified at eps={eps}, delta={delta}", m_max,
-            detail={"last_failed": lo})
+        raise _no_level_certified(eps, delta, m_max, lo)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         fails = failures_at(mid)

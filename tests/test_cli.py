@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from paclab import cli, dominance
+from paclab import cli, dominance, learners
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCHEMA = CONFIG_DIR.parent / "docs" / "config.schema.json"
@@ -302,6 +302,32 @@ def test_non_integer_seed_is_config_error(tmp_path, capsys, bad):
                                "class": {"family": "anchored", "eta": "1/2", "n": 2}})
     assert run_cli(["construct", "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
     assert "config error: config field 'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("field", ["trials", "m_min", "m_max", "targets_cap"])
+def test_non_integer_protocol_field_is_config_error(tmp_path, capsys, field, bad):
+    cfg = write_cfg(tmp_path, {"kind": "sample-complexity", "seed": 1,
+                               "class": {"family": "anchored", "eta": "1/2", "n": 1},
+                               "learner": {"kind": "scheffe"},
+                               "epsilon": "1/2", "delta": "1/4",
+                               "protocol": {"trials": 30, field: bad}})
+    assert run_cli(["sample-complexity", "--config", cfg, "--out", tmp_path / "o"]) \
+        == cli.EXIT_CONFIG
+    assert f"config error: config field 'protocol.{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spot,code", [({"trials": -1}, cli.EXIT_CONFIG),
+                                       ({"targets_cap": 0}, cli.EXIT_CONFIG),
+                                       ({"m_max": 0}, cli.EXIT_BUDGET)], ids=repr)
+def test_bad_spot_check_protocol_builds_no_engine(tmp_path, monkeypatch, spot, code):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the Scheffé engine was built for a protocol that cannot run")
+
+    monkeypatch.setattr(learners.ScheffeEngine, "__init__", no_engine)
+    cfg = write_cfg(tmp_path, {"kind": "synthesize", "seed": 1, "g": {"values": [1, 4, 9]},
+                               "spot_check": {"k": 2, **spot}})
+    assert run_cli(["synthesize", "--config", cfg, "--out", tmp_path / "o"]) == code
 
 
 # a staged real-task class truncates to plateau hypotheses, which hold no

@@ -18,7 +18,7 @@ class TestAnchoredFamily:
     def test_three_members(self):
         fam = pl.anchored_family(F(1, 2), 2)
         assert len(fam) == 3
-        assert fam.labels == ["A=[1]", "A=[2]", "A=[1, 2]"]
+        assert list(fam.labels) == ["A=[1]", "A=[2]", "A=[1, 2]"]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_size_formula(self, n):
@@ -84,7 +84,7 @@ class TestLabeledFamily:
 class TestPlateauFamilies:
     def test_absolute_identity_inverse(self):
         fam = pl.plateau_family(pl.AbsoluteLoss(), F(1, 2), 1)
-        assert fam.labels == ["A=[]", "A=[1]"]
+        assert list(fam.labels) == ["A=[]", "A=[1]"]
         assert fam[1].values == ((1, F(1, 2)),)
 
     def test_squared_exact_root(self):
@@ -265,3 +265,158 @@ class TestTruncationApproximationOtherTasks:
                 gap = abs(pl.real_risk(ctx, h, target)
                           - pl.real_risk(ctx, h0, target))
                 assert gap <= level <= eps / 4
+
+
+# ---------------------------------------------------------------------------
+# members built by rank through the trusted constructor, against the public
+# constructors building every member up front
+# ---------------------------------------------------------------------------
+
+def window_of(mask):
+    return [x + 1 for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+def reference_anchored(eta, n, r=None):
+    masks = [mask for mask in range(1, 1 << n) if r is None or mask.bit_count() == r]
+    members = [pl.mixture([(1 - eta, pl.delta(0)), (eta, pl.uniform(window_of(mask)))],
+                          tag=f"anchor(eta={eta},A={window_of(mask)})") for mask in masks]
+    return members, [f"A={window_of(mask)}" for mask in masks]
+
+
+def reference_labeled(eta, n):
+    width = 2 * n
+    members = []
+    for mask in range(1 << width):
+        pmf = {(0, 0): 1 - eta}
+        pmf.update({(x, mask >> (x - 1) & 1): eta / width for x in range(1, width + 1)})
+        members.append(pl.SparseDist(pmf, tag=f"labels(eta={eta},mask={mask})"))
+    return members, [f"ones={window_of(mask)}" for mask in range(1 << width)]
+
+
+def reference_plateau(loss, eta, n):
+    height = loss.g_inverse(eta)
+    members = [pl.RealHypothesis(tuple((x, height) for x in window_of(mask)))
+               for mask in range(1 << n)]
+    return members, [f"A={window_of(mask)}" for mask in range(1 << n)]
+
+
+def reference_plateau_data(loss, eta, n):
+    _, labels = reference_plateau(loss, eta, n)
+    members = [pl.SparseDist({(x, 1 if x in window_of(mask) else 0): F(1, n)
+                              for x in range(1, n + 1)}, tag=f"plateau-data({labels[mask]})")
+               for mask in range(1 << n)]
+    return members, labels
+
+
+def reference_truncation(su, eps):
+    build = {"distribution": lambda eta, n: reference_anchored(eta, n),
+             "classification": reference_labeled,
+             "real": lambda eta, n: reference_plateau(su.loss, eta, n)}[su.task]
+    members, labels = [su.base_member()], ["base"]
+    for i in range(1, su.spec.settling_index(F(eps) / 4) + 1):
+        stage_members, stage_labels = build(*su.stage_params(i))
+        members += stage_members
+        labels += [f"stage{i}/{lab}" for lab in stage_labels]
+    return members, labels
+
+
+LOSS = pl.AbsoluteLoss()
+STAGES = pl.SequenceSpec(pl.Reciprocal(F(1, 2)), pl.IdentityN())
+FAMILIES = {
+    "anchored": (lambda: pl.anchored_family(F(1, 3), 4),
+                 lambda: reference_anchored(F(1, 3), 4)),
+    "anchored-filtered": (lambda: pl.anchored_family(F(2, 7), 6, size_filter=3),
+                          lambda: reference_anchored(F(2, 7), 6, 3)),
+    "anchored-eta-1": (lambda: pl.anchored_family(F(1), 3),
+                       lambda: reference_anchored(F(1), 3)),
+    "labeled": (lambda: pl.labeled_anchored_family(F(1, 2), 2),
+                lambda: reference_labeled(F(1, 2), 2)),
+    "labeled-eta-1": (lambda: pl.labeled_anchored_family(F(1), 1),
+                      lambda: reference_labeled(F(1), 1)),
+    "plateau": (lambda: pl.plateau_family(LOSS, F(1, 3), 3),
+                lambda: reference_plateau(LOSS, F(1, 3), 3)),
+    "plateau-data": (lambda: pl.plateau_data_family(LOSS, F(1, 3), 3),
+                     lambda: reference_plateau_data(LOSS, F(1, 3), 3)),
+}
+for _task in ("distribution", "classification", "real"):
+    _su = pl.StagedClass(_task, STAGES, loss=LOSS if _task == "real" else None)
+    FAMILIES[f"truncation-{_task}"] = (lambda su=_su: su.truncate(F(1, 2)),
+                                       lambda su=_su: reference_truncation(su, F(1, 2)))
+
+
+class TestRankedMembers:
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_members_match_public_constructors(self, name):
+        build, reference = FAMILIES[name]
+        fam = build()
+        members, labels = reference()
+        assert len(fam) == len(members) == len(labels)
+        assert list(fam.labels) == labels
+        for got, want in zip(fam.members, members):
+            assert got == want and type(got) is type(want)
+            assert hash(got) == hash(want)
+            if isinstance(want, pl.SparseDist):
+                assert got.items == want.items and got.tag == want.tag
+                assert all(type(p) is F for _, p in got.items)
+
+    def test_eta_one_has_no_anchor_atom(self):
+        assert all(0 not in m.support() for m in pl.anchored_family(F(1), 3).members)
+
+    def test_repeated_access_returns_one_object(self):
+        fam = pl.anchored_family(F(1, 2), 5)
+        assert fam[7] is fam[7] is fam.members[7] is fam.members[-24]
+        assert fam.labels[3] is fam.labels[3]
+        tr = pl.StagedClass("distribution", STAGES).truncate(F(1, 2))
+        assert tr[20] is tr[20] is tr.members[20]
+
+    def test_index_bounds_and_length(self):
+        fam = pl.anchored_family(F(1, 2), 4)
+        assert len(fam) == len(fam.members) == len(fam.labels) == 15
+        assert fam[-1] == fam[14] and fam.labels[-1] == "A=[1, 2, 3, 4]"
+        for i in (15, -16):
+            with pytest.raises(IndexError):
+                fam[i]
+            with pytest.raises(IndexError):
+                fam.labels[i]
+        assert fam.members[13:20] == [fam[13], fam[14]]
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        built = []
+        trusted = pl.SparseDist._trusted
+
+        def counted(cls, items, tag=None):
+            built.append(tag)
+            return trusted(items, tag)
+
+        monkeypatch.setattr(pl.SparseDist, "_trusted", classmethod(counted))
+        return built
+
+    def test_slice_builds_only_the_slice(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        stage16 = pl.StagedClass("distribution", STAGES).stage(16)
+        assert len(stage16) == 2 ** 16 - 1 and built == []
+        head = stage16.members[:8]
+        assert len(built) == 8
+        assert stage16.members[:8] == head and len(built) == 8
+
+    def test_over_budget_builds_nothing(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        with pytest.raises(ClassTooLarge):
+            pl.anchored_family(F(1, 2), 30, budget=1000)
+        with pytest.raises(ClassTooLarge):
+            pl.labeled_anchored_family(F(1, 2), 6, budget=1000)
+        with pytest.raises(ClassTooLarge):
+            pl.StagedClass("distribution", STAGES).truncate(F(1, 8), budget=1000)
+        assert built == []
+
+    def test_index_of_is_the_first_index(self):
+        # stage 1 A=[1] and stage 2 A=[1] coincide at clamped level 1
+        tr = pl.StagedClass("distribution", pl.SequenceSpec(pl.Reciprocal(F(8)),
+                                                             pl.IdentityN())).truncate(8)
+        members = list(tr.members)
+        assert len(set(members)) < len(members)
+        for member in members:
+            assert tr.index_of(member) == members.index(member)
+        with pytest.raises(ValueError):
+            tr.index_of(pl.delta(99))

@@ -414,6 +414,15 @@ class TestEstimateSampleComplexity:
                                            trials=30, m_max=128, targets_cap=4)
         assert min(tried) == smallest <= pt.m_hat
 
+    def test_first_level_above_m_max_runs_nothing(self, monkeypatch):
+        tried = self.levels_tried(monkeypatch)
+        fam = pl.anchored_family(F(1, 2), 2)
+        with pytest.raises(SearchBoundExceeded) as exc:
+            pl.estimate_sample_complexity(fam, pl.ScheffeLearner(fam), F(1, 2), F(1, 4),
+                                          pl.RngStream(1), trials=30, m_min=5, m_max=4)
+        assert (exc.value.last_m, exc.value.detail["last_failed"]) == (4, 4)
+        assert tried == []
+
     @pytest.mark.parametrize("protocol", [{"trials": 0}, {"trials": -1},
                                           {"targets_cap": 0}, {"targets_cap": -1}], ids=repr)
     def test_search_needs_trials_and_targets(self, protocol):
