@@ -5,6 +5,7 @@ diagonalization, at desk scale."""
 __version__ = "0.1.0"
 
 from .dist import (
+    MassTable,
     Sample,
     SparseDist,
     delta,
@@ -66,6 +67,7 @@ from .nfl import (
     NflInstance,
     clopper_pearson_lower,
     clopper_pearson_upper,
+    closed_form_floor,
     estimate_sample_complexity,
     markov_reverse,
     mc_risk,

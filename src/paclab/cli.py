@@ -50,6 +50,7 @@ from .learners import (
     ConstantLearner,
     EmpiricalBaseline,
     ErmLearner,
+    Learner,
     ScheffeLearner,
     TruncationLearner,
     UnionLearner,
@@ -57,6 +58,7 @@ from .learners import (
 from .losses import AbsoluteLoss, CappedLinearLoss, SquaredLoss
 from .nfl import (
     ComplexityCurve,
+    check_search_protocol,
     estimate_sample_complexity,
     markov_reverse,
     mc_risk,
@@ -355,7 +357,6 @@ def _run_learn(cfg: Reader, rng, base_dir):
 
 
 def _run_sample_complexity(cfg: Reader, rng, base_dir):
-    cls, learner = _class_and_learner(cfg)
     proto = cfg.get("protocol", Reader, {})
     protocol = {f: proto.get(f, _int, d) for f, d in
                 (("trials", 200), ("m_min", 1), ("m_max", 1024), ("targets_cap", 64))}
@@ -367,6 +368,10 @@ def _run_sample_complexity(cfg: Reader, rng, base_dir):
         asks = [(pt.get("epsilon", Fraction), pt.get("delta", Fraction),
                  pt.get("k", _int, None), pt.get("assert_m_hat_at_least", _int, None),
                  pt.get("assert_m_hat_at_most", _int, None), pt.path) for pt in points]
+    # a protocol that cannot run is rejected before the class and learner are built
+    for eps, delta, *_ in asks:
+        check_search_protocol(eps, delta, learner=Learner, **protocol)
+    cls, learner = _class_and_learner(cfg)
     results = [estimate_sample_complexity(cls, learner, eps, delta, rng.child(i), k=k,
                                           **protocol)
                for i, (eps, delta, k, *_) in enumerate(asks)]

@@ -9,13 +9,20 @@ sample likelihoods; the family constructors, which compute their masses
 exactly, build through the unchecked `SparseDist._trusted`. Floats
 appear only inside the sampler's cumulative table, never in a reported
 probability.
+
+`MassTable` holds the masses of a list of distributions as one integer
+matrix over a common denominator; the Scheffé engine, `opt_loss` and the
+exact oracle all read their members' masses from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import BadDistribution, BadWeights, EmptySample, EmptySupport
 from .rng import RngStream
@@ -25,6 +32,7 @@ Prob = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+INT64_SAFE = 1 << 62  # integer matrices are int64 while every entry stays below this
 
 
 def frac_str(x: Fraction) -> str:
@@ -202,6 +210,52 @@ def tv(p: SparseDist, q: SparseDist) -> Fraction:
     atoms = set(p.support()) | set(q.support())
     l1 = sum((abs(p.prob(a) - q.prob(a)) for a in atoms), ZERO)
     return l1 / 2
+
+
+class MassTable:
+    """The masses of a list of distributions as one integer matrix.
+
+    Columns are the atoms of every member's support in canonical order
+    (`atoms`, with `column` mapping an atom to its column); `mass[i, j]`
+    is member i's mass at atoms[j] as a numerator over `denom`, the least
+    common denominator of every mass. The matrix is int64 while
+    denom < INT64_SAFE and exact Python ints (object dtype) past it.
+    """
+
+    def __init__(self, members: Sequence[SparseDist]):
+        self.members = list(members)
+        if not all(isinstance(p, SparseDist) for p in self.members):
+            raise BadDistribution("a mass table holds distributions only")
+        self.atoms = sorted({a for p in self.members for a in p.support()}, key=atom_key)
+        self.column = {a: j for j, a in enumerate(self.atoms)}
+        self.denom = math.lcm(*{w.denominator for p in self.members for _, w in p.items})
+        dtype = np.int64 if self.denom < INT64_SAFE else object
+        self.mass = np.zeros((len(self.members), len(self.atoms)), dtype=dtype)
+        for i, p in enumerate(self.members):
+            for a, w in p.items:
+                self.mass[i, self.column[a]] = w.numerator * (self.denom // w.denominator)
+
+    def __len__(self):
+        return len(self.members)
+
+    def l1(self, q: SparseDist) -> tuple:
+        """(nums, scale) with tv(members[i], q) == Fraction(int(nums[i]), scale):
+        nums holds every member's L1 distance to q as a numerator over
+        scale / 2. Atoms of q outside the columns count in full. nums is
+        int64 while scale < INT64_SAFE, exact Python ints past it."""
+        half = math.lcm(self.denom, *(w.denominator for _, w in q.items))
+        dtype = np.int64 if 2 * half < INT64_SAFE else object
+        row = np.zeros(len(self.atoms), dtype=dtype)
+        outside = 0
+        for a, w in q.items:
+            num = w.numerator * (half // w.denominator)
+            j = self.column.get(a)
+            if j is None:
+                outside += num
+            else:
+                row[j] = num
+        diff = self.mass.astype(dtype, copy=False) * (half // self.denom) - row
+        return np.abs(diff, out=diff).sum(axis=1) + outside, 2 * half
 
 
 def tv_brute_force(p: SparseDist, q: SparseDist) -> Fraction:

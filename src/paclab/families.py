@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
-from .dist import SparseDist, delta, frac_str
+from .dist import MassTable, SparseDist, delta, frac_str
 from .errors import (
     BadEta,
     BadN,
@@ -337,7 +337,8 @@ class FiniteClass:
     `members` and `labels` may be any sequences. The family constructors
     pass rank-indexed views that build member i and label i on first
     access; consumers that need every member (the Scheffé engine, opt_loss,
-    the exact oracles) iterate and so build them all."""
+    the exact oracles) build them all, and a class of distributions keeps
+    their masses in one `mass_table`."""
 
     def __init__(self, task: str, members: Sequence[Member], labels: Optional[Sequence[str]] = None,
                  real_ctx: Optional[RealTaskContext] = None, tag: Optional[str] = None,
@@ -352,6 +353,7 @@ class FiniteClass:
         # for data-distribution handles: the hypothesis class losses are
         # benchmarked against (defaults to the handle itself)
         self.benchmark = benchmark
+        self._mass_table: Optional[MassTable] = None
 
     def __len__(self):
         return len(self.members)
@@ -361,6 +363,13 @@ class FiniteClass:
 
     def index_of(self, member: Member) -> int:
         return self.members.index(member)
+
+    def mass_table(self) -> MassTable:
+        """The members' MassTable, built on the first call and kept; only a
+        class of distributions has one."""
+        if self._mass_table is None:
+            self._mass_table = MassTable(self.members)
+        return self._mass_table
 
 
 def _concat(head, parts: list) -> _Ranked:

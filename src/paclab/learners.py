@@ -7,7 +7,8 @@ class's canonical order. The Scheffé engine precomputes the pairwise
 comparison sets once per class from one integer mass matrix; selection
 runs one numpy formula on integer numerators over a common denominator,
 in int64 while the numbers fit and on object arrays of Python ints past
-int64, so the chosen member is the exact argmin either way.
+int64, so the chosen member is the exact argmin either way. An engine
+remembers its recent selections by the sample's atom counts.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dist import Sample, SparseDist, atom_key, empirical_dist, event_prob
+from .dist import INT64_SAFE, MassTable, Sample, SparseDist, empirical_dist, event_prob
 from .errors import EmptyClass, EmptySample, MixedTasks, SampleTooSmall
 from .families import (
     ALL_ZERO_REAL,
@@ -32,7 +33,7 @@ from .families import (
 )
 from .losses import hypotheses_of_class
 
-INT64_SAFE = 1 << 62
+SELECT_MEMO_SIZE = 4096  # most selections an engine remembers
 
 
 def yatracos_set(p: SparseDist, q: SparseDist) -> frozenset:
@@ -57,37 +58,32 @@ def scheffe_sample_size(n_members: int, eps, delta) -> int:
 class ScheffeEngine:
     """Minimum-distance selection over one fixed finite class.
 
-    Members are rows of one integer mass matrix (columns are atoms in
-    canonical order, entries numerators over the common denominator
-    `denom`). The comparison sets are the distinct non-empty rows of
-    `mass[i] > mass[j]` over ordered pairs, kept in first-seen (i, j)
-    order; an atom-by-set incidence matrix turns atom counts into set
-    counts, and `_nums = mass @ incidence` holds each member's exact
+    Members are the rows of a MassTable's integer mass matrix (columns
+    are atoms in canonical order, entries numerators over the common
+    denominator `denom`). The comparison sets are the distinct non-empty
+    rows of `mass[i] > mass[j]` over ordered pairs, kept in first-seen
+    (i, j) order; an atom-by-set incidence matrix turns atom counts into
+    set counts, and `_nums = mass @ incidence` holds each member's exact
     probability of each set. select() returns the index minimizing the
     maximum deviation between member and empirical set probabilities.
 
-    The matrices are int64 while denom < INT64_SAFE and exact Python
-    ints (object dtype) past it. select() writes its int64 deviations
-    into one buffer owned by the engine, so an engine must not be shared
-    between threads.
+    The choice depends on the sample only through its atom counts, so
+    select() memoises it by the bytes of the count vector, in a dict
+    cleared once it holds SELECT_MEMO_SIZE entries. The matrices are
+    int64 while denom < INT64_SAFE and exact Python ints (object dtype)
+    past it. select() writes its int64 deviations into one buffer owned
+    by the engine, so an engine must not be shared between threads.
     """
 
-    def __init__(self, members: Sequence[SparseDist]):
-        if not members:
+    def __init__(self, members: MassTable | Sequence[SparseDist]):
+        """`members`: a MassTable, or the distributions to build one from."""
+        if not len(members):
             raise EmptyClass("minimum-distance selection over an empty class")
-        self.members = list(members)
-        atoms = sorted({a for p in self.members for a in p.support()}, key=atom_key)
-        self._column = {a: j for j, a in enumerate(atoms)}
-        denom = 1
-        for p in self.members:
-            for _, w in p.items:
-                denom = denom * w.denominator // math.gcd(denom, w.denominator)
-        self.denom = denom
-        dtype = np.int64 if denom < INT64_SAFE else object
-        mass = np.zeros((len(self.members), len(atoms)), dtype=dtype)
-        for i, p in enumerate(self.members):
-            for a, w in p.items:
-                mass[i, self._column[a]] = w.numerator * (denom // w.denominator)
+        table = members if isinstance(members, MassTable) else MassTable(members)
+        self.members = table.members
+        self.denom = table.denom
+        self._column = table.column
+        atoms, mass = table.atoms, table.mass
 
         # p(a) > q(a) only inside p's support, so row j of `above` is
         # yatracos_set(members[i], members[j]).
@@ -101,14 +97,14 @@ class ScheffeEngine:
         self.sets = [frozenset(atoms[j] for j in np.flatnonzero(col)) for col in incidence.T]
         self._incidence = incidence
         self._nums = mass @ incidence
-        self._dev = np.empty_like(self._nums) if dtype is np.int64 else None
+        self._dev = np.empty_like(self._nums) if mass.dtype == np.int64 else None
+        self._memo: dict = {}  # atom-count bytes -> selected index
 
-    def _set_counts(self, atoms: tuple) -> np.ndarray:
-        """Sample points inside each comparison set; atoms outside every
-        member's support fall into a spare column and count nowhere."""
+    def _atom_counts(self, atoms: tuple) -> np.ndarray:
+        """Sample points at each column's atom, then one last entry for the
+        atoms outside every member's support, so the entries sum to m."""
         width = len(self._column)
-        cols = [self._column.get(a, width) for a in atoms]
-        return np.bincount(cols, minlength=width + 1)[:width] @ self._incidence
+        return np.bincount([self._column.get(a, width) for a in atoms], minlength=width + 1)
 
     def select(self, sample: Sample | Sequence) -> int:
         """Index of the member with the smallest maximum deviation."""
@@ -117,8 +113,17 @@ class ScheffeEngine:
             raise EmptySample("minimum-distance selection needs a sample")
         if not self.sets:
             return 0
-        m = len(atoms)
-        cnt = self._set_counts(atoms)
+        counts = self._atom_counts(atoms)
+        key = counts.tobytes()
+        best = self._memo.get(key)
+        if best is None:
+            if len(self._memo) >= SELECT_MEMO_SIZE:
+                self._memo.clear()
+            best = self._memo[key] = self._argmin(counts[:-1] @ self._incidence, len(atoms))
+        return best
+
+    def _argmin(self, cnt: np.ndarray, m: int) -> int:
+        """The selection for set counts `cnt` of an m-point sample."""
         # deviation numerators over common denominator denom*m:
         #   |prob_num * m - denom * count|, each at most denom*m
         if self._dev is not None and self.denom * m < INT64_SAFE:
@@ -138,7 +143,7 @@ class ScheffeEngine:
         if not self.sets:
             return Fraction(0)
         m = len(atoms)
-        cnt = self._set_counts(atoms).tolist()
+        cnt = (self._atom_counts(atoms)[:-1] @ self._incidence).tolist()
         return max(abs(event_prob(target, s) - Fraction(c, m)) for s, c in zip(self.sets, cnt))
 
 
@@ -173,7 +178,7 @@ class ScheffeLearner(Learner):
         if len(cls) == 0:
             raise EmptyClass("empty candidate class")
         self.cls = cls
-        self.engine = ScheffeEngine(cls.members)
+        self.engine = ScheffeEngine(cls.mass_table())
         self.task = TASK_DISTRIBUTION
         self.name = f"scheffe({cls.tag or len(cls)})"
 
@@ -198,7 +203,7 @@ class TruncationLearner(Learner):
         self.staged = staged
         self.eps = Fraction(eps)
         self.truncated = staged.truncate(self.eps, budget=budget)  # may raise NonVanishing/ClassTooLarge
-        self.engine = ScheffeEngine(self.truncated.members)
+        self.engine = ScheffeEngine(self.truncated.mass_table())
         self.task = TASK_DISTRIBUTION
         self.name = f"truncation(eps={self.eps})"
 

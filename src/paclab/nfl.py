@@ -18,6 +18,16 @@ still hold; the partner merely lies outside the family. The reported
 bound keeps a factor 1/2 of the chain value, which at every shipped
 instance leaves it below the fully within-family certified floor
 (asserted exactly in the tests).
+
+That symmetrized floor has a closed form, eta/4 * (1 - q)^m with q the
+mass a member puts on each window point, and `nfl_exact` reports it
+(`closed_form_floor`) on every instance whose members all have that
+shape; on any other it enumerates. The enumeration
+`symmetrized_lower_bound` stays as the reference oracle the tests check
+the closed form against. The exact oracle
+weighs sequences with integers read from the family's shared mass table
+(`FiniteClass.mass_table`): each member's likelihood numerators over the
+table's denominator^m, summed per distinct learner output.
 """
 
 from __future__ import annotations
@@ -163,7 +173,12 @@ def swap_labeling_index(width: int, seq: Sequence, index: int) -> int:
 
 @dataclass(frozen=True)
 class NflInstance:
-    """A family prepared for the lower-bound machinery."""
+    """A family prepared for the lower-bound machinery.
+
+    The nfl_*_instance constructors build every member with the same mass
+    on each of its window points, which `closed_form_floor` needs; an
+    instance built by hand may lack that shape, and then `nfl_exact`
+    enumerates its floor instead."""
 
     task: str
     eta: Fraction
@@ -234,7 +249,7 @@ def swap_member_index(inst: NflInstance, member_index: int, seq: Sequence) -> Op
 
 def _memo_loss(cache: Optional[dict], cls: FiniteClass, out, target_index: int) -> Fraction:
     """task_loss of an output against member `target_index`, memoised in a
-    cache the caller keeps for one oracle or search call; no memo when
+    cache the caller keeps for one search or Monte Carlo call; no memo when
     `cache` is None."""
     if cache is None:
         return task_loss(cls, out, cls.members[target_index])
@@ -324,54 +339,154 @@ class ExactOracleReport:
         }
 
 
+def _window_point_mass(inst: NflInstance) -> Optional[Fraction]:
+    """q, if every member of a non-empty family puts mass exactly q on
+    each point of its window, and None otherwise. q is eta/set_size for a
+    distribution instance, whose members must each have exactly set_size
+    atoms other than the anchor, all in 1..window; eta/window for
+    classification and 1/window for the real task, as the marginal of
+    every x in 1..window. The three nfl_*_instance constructors build
+    this shape; a hand-built NflInstance need not have it."""
+    dist_task = inst.task == TASK_DISTRIBUTION
+    if len(inst.family) == 0 or inst.window < 1 or (dist_task and not inst.set_size):
+        return None
+    if dist_task:
+        q = inst.eta / inst.set_size
+    elif inst.task == TASK_CLASSIFICATION:
+        q = inst.eta / inst.window
+    else:
+        q = Fraction(1, inst.window)
+    window = range(1, inst.window + 1)
+    for member in inst.family.members:
+        if not isinstance(member, SparseDist):
+            return None
+        if dist_task:
+            points = [(a, w) for a, w in member.items if a != 0]
+            if len(points) != inst.set_size or any(
+                    not isinstance(a, int) or a not in window or w != q for a, w in points):
+                return None
+            continue
+        marginal = dict.fromkeys(window, Fraction(0))
+        for a, w in member.items:
+            if not isinstance(a, tuple):
+                return None
+            if a[0] in marginal:
+                marginal[a[0]] += w
+        if any(w != q for w in marginal.values()):
+            return None
+    return q
+
+
+def closed_form_floor(inst: NflInstance, m: int) -> Fraction:
+    """The symmetrized floor in closed form: eta/4 * (1 - q)^m.
+
+    q is the mass a member puts on each point of its window: eta/n for a
+    distribution instance (n = set_size), eta/window for classification,
+    1/window for the real task. A member's pair distance is eta times the
+    fraction of those points its sample missed, and each one is missed
+    with probability (1 - q)^m. So on every instance of that shape (the
+    three nfl_*_instance constructors build it) this equals
+    `symmetrized_lower_bound`, the enumeration kept as the reference
+    oracle, at a cost free of m. Any other instance raises BadPrecondition.
+    """
+    if m < 0:
+        raise BadRange(f"sample size m={m} is negative")
+    q = _window_point_mass(inst)
+    if q is None:
+        raise BadPrecondition("the closed-form floor needs every member to put the same "
+                              "mass on each of its window points")
+    return inst.eta / 4 * (1 - q) ** m
+
+
+def _sequence_weights(member: SparseDist, denom: int, m: int) -> list:
+    """(sequence, weight) over the member's length-m support sequences: the
+    weight is the product of the sequence's mass numerators over `denom`,
+    so the sequence's likelihood is weight / denom^m."""
+    items = [(a, w.numerator * (denom // w.denominator)) for a, w in member.items]
+    seqs = [((), 1)]
+    for _ in range(m):
+        seqs = [(seq + (a,), weight * num) for seq, weight in seqs for a, num in items]
+    return seqs
+
+
 def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
               thresholds: Optional[Sequence] = None,
               budget: int = DEFAULT_ENUM_BUDGET) -> ExactOracleReport:
     """Exact per-member risk of each learner by full enumeration of all
-    length-m sequences with exact likelihood weights.
+    length-m sequences with exact likelihood weights. The reported floor
+    is `closed_form_floor` on an instance of the constructors' shape and
+    the enumerated `symmetrized_lower_bound` on any other.
 
     Learner outputs are computed once per sequence and shared across
-    members; summation runs in sequence-index order, so the exact
-    rational totals are reproducible however the work is partitioned.
+    members. Each member's sequence weights are integers over the family's
+    common denominator^m (its mass table's), summed per distinct output.
+    Each (member, output) loss is a numerator over a denominator: the mean
+    sums weight * numerator per denominator and takes one Fraction step
+    per distinct denominator, and each tail is an integer sum. A
+    distribution output's TV to every member is one L1 row of the mass
+    table; the other tasks call task_loss once per (member, output).
     """
     _check_enum_budget(inst, m, budget)
     eta = inst.eta
     if thresholds is None:
         thresholds = [eta / 8]
     thresholds = [Fraction(a) for a in thresholds]
+    levels = [(a.numerator, a.denominator) for a in thresholds]
     alphabet = instance_alphabet(inst)
+    family = inst.family
+    denom = family.mass_table().denom
+    total = denom ** m
     reports = []
     for learner in learners:
-        outs = {seq: learner.run(Sample(seq))
-                for seq in itertools.product(alphabet, repeat=m)}
-        loss_cache: dict = {}
-        means, tail_lists = [], {a: [] for a in thresholds}
-        for i, member in enumerate(inst.family.members):
-            mean = Fraction(0)
-            tail = {a: Fraction(0) for a in thresholds}
-            for seq in itertools.product(member.support(), repeat=m):
-                w = sequence_prob(member, seq)
-                err = _memo_loss(loss_cache, inst.family, outs[seq], i)
-                mean += w * err
-                for a in thresholds:
-                    if err >= a:
-                        tail[a] += w
-            means.append(mean)
-            for a in thresholds:
-                tail_lists[a].append(tail[a])
-        size = len(inst.family)
+        distinct: dict = {}  # output -> id; equal outputs share one id
+        ids = {seq: distinct.setdefault(learner.run(Sample(seq)), len(distinct))
+               for seq in itertools.product(alphabet, repeat=m)}
+        outputs = list(distinct)
+        rows: list = [None] * len(outputs)  # distribution: (L1 row, scale) by output id
+
+        def loss(k: int, i: int) -> tuple:
+            """(numerator, denominator) of output k's loss against member i."""
+            if inst.task != TASK_DISTRIBUTION:
+                err = task_loss(family, outputs[k], family.members[i])
+                return err.numerator, err.denominator
+            if rows[k] is None:
+                rows[k] = family.mass_table().l1(outputs[k])
+            nums, scale = rows[k]
+            return int(nums[i]), scale
+
+        means, tails = [], [[] for _ in thresholds]
+        for i, member in enumerate(family.members):
+            weights: dict = {}  # output id -> summed sequence weight
+            for seq, w in _sequence_weights(member, denom, m):
+                k = ids[seq]
+                weights[k] = weights.get(k, 0) + w
+            sums: dict = {}  # loss denominator -> sum of weight * loss numerator
+            tail = [0] * len(thresholds)
+            for k, w in weights.items():
+                num, den = loss(k, i)
+                sums[den] = sums.get(den, 0) + w * num
+                for t, (a_num, a_den) in enumerate(levels):
+                    if num * a_den >= a_num * den:
+                        tail[t] += w
+            means.append(sum((Fraction(v, d) for d, v in sums.items()), Fraction(0)) / total)
+            for t, w in enumerate(tail):
+                tails[t].append(Fraction(w, total))
         reports.append(LearnerReport(
             name=learner.name,
             per_member_mean=means,
-            class_average=sum(means, Fraction(0)) / size,
+            class_average=sum(means, Fraction(0)) / len(family),
             class_max=max(means),
-            tails=tail_lists,
+            tails=dict(zip(thresholds, tails)),
         ))
-    bound = symmetrized_lower_bound(inst, m, budget=budget)
+    try:
+        bound = closed_form_floor(inst, m)
+    except BadPrecondition:
+        bound = symmetrized_lower_bound(inst, m, budget=budget)
     return ExactOracleReport(
         task=inst.task, eta=eta, window=inst.window, set_size=inst.set_size,
-        m=m, family_size=len(inst.family),
-        symmetrized_bound=bound, thresholds=thresholds, learners=reports,
+        m=m, family_size=len(family),
+        symmetrized_bound=bound, thresholds=thresholds,
+        learners=reports,
         reference_lines={
             "eta_over_4": eta / 4,
             "eta_over_8": eta / 8,

@@ -330,6 +330,24 @@ def test_bad_spot_check_protocol_builds_no_engine(tmp_path, monkeypatch, spot, c
     assert run_cli(["synthesize", "--config", cfg, "--out", tmp_path / "o"]) == code
 
 
+@pytest.mark.parametrize("protocol,code", [({"trials": 0}, cli.EXIT_CONFIG),
+                                           ({"targets_cap": 0}, cli.EXIT_CONFIG),
+                                           ({"m_min": 5, "m_max": 4}, cli.EXIT_BUDGET)],
+                         ids=repr)
+def test_bad_search_protocol_builds_no_class(tmp_path, monkeypatch, protocol, code):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class or engine was built for a protocol that cannot run")
+
+    monkeypatch.setattr(learners.ScheffeEngine, "__init__", refuse)
+    monkeypatch.setattr(cli, "anchored_family", refuse)
+    cfg = write_cfg(tmp_path, {"kind": "sample-complexity", "seed": 1,
+                               "class": {"family": "anchored", "eta": "1/2", "n": 10},
+                               "learner": {"kind": "scheffe"},
+                               "points": [{"epsilon": "1/8", "delta": "1/4"}],
+                               "protocol": protocol})
+    assert run_cli(["sample-complexity", "--config", cfg, "--out", tmp_path / "o"]) == code
+
+
 # a staged real-task class truncates to plateau hypotheses, which hold no
 # data distribution to draw samples from
 REAL_STAGED = {"family": "staged", "task": "real", "eta": {"kind": "reciprocal", "c": "1/2"},

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import paclab as pl
+from paclab import learners
 from paclab.errors import EmptyClass, EmptySample, MixedTasks, SampleTooSmall
 from paclab.losses import hypotheses_of_class
 
@@ -111,6 +112,19 @@ class TestScheffe:
             for seq in itertools.product([0, 1], repeat=m):
                 assert engine.select(seq) == fraction_argmin(fam, engine.sets, seq)
 
+    @pytest.mark.parametrize("q", [7, 2 ** 40 + 15, 2 ** 60 + 3, 2 ** 61 - 1],
+                             ids=["small", "int64", "object-from-m4", "object-from-m2"])
+    def test_every_dtype_is_exact_argmin(self, q):
+        # denom * m picks int64 or Python ints; as m grows from 1 to 6, the
+        # last two cross from int64 to Python ints
+        fam = [pl.SparseDist({0: F(k, q), 1: F(q - 2 * k, q), 2: F(k, q)})
+               for k in (1, 2, q // 3, q // 2 - 1)]
+        engine = pl.ScheffeEngine(fam)
+        assert engine.denom == q
+        for m in range(1, 7):
+            for seq in itertools.combinations_with_replacement([0, 1, 2], m):
+                assert engine.select(seq) == fraction_argmin(fam, engine.sets, seq)
+
     def test_denominator_past_int64_is_exact_argmin(self):
         # masses over 2^64 + 13 cannot be int64 numerators at all
         q = 2 ** 64 + 13
@@ -141,6 +155,48 @@ class TestScheffe:
         finally:
             tracemalloc.stop()
         assert peak < len(fam) * len(engine.sets) * 8 / 2
+
+    def test_memoised_selection_equals_fresh_selection(self):
+        # a seeded sweep with repeated multisets, reorderings and atoms
+        # outside every support (which count toward m but no set)
+        fam = pl.anchored_family(F(1, 2), 8, size_filter=2)
+        engine, fresh = pl.ScheffeEngine(fam.members), pl.ScheffeEngine(fam.members)
+        samples = []
+        for t in range(300):
+            s = pl.draw(fam[(3 * t) % len(fam)], 1 + t % 6, pl.RngStream(SEED, t)).atoms
+            samples += [s, s[::-1], s + (40,) * (t % 3)]
+        for s in samples:
+            fresh._memo.clear()
+            assert engine.select(s) == fresh.select(s)
+        assert len(engine._memo) < len(samples) / 2  # repeats were answered from the memo
+
+    def test_memo_key_counts_atoms_outside_every_support(self):
+        # equal counts inside the supports, but m differs, and so does the choice
+        engine = pl.ScheffeEngine([pl.delta(0), pl.uniform([0, 1])])
+        assert engine.select([0]) == 0
+        assert engine.select([0, 99, 99, 99]) == 1
+
+    def test_memo_stays_bounded(self):
+        # all 6,435 multisets of 7 atoms over the 9 atoms of the class
+        fam = pl.anchored_family(F(1, 2), 8, size_filter=2)
+        engine, fresh = pl.ScheffeEngine(fam.members), pl.ScheffeEngine(fam.members)
+        sizes = []
+        for t, s in enumerate(itertools.combinations_with_replacement(range(9), 7)):
+            chosen = engine.select(s)
+            sizes.append(len(engine._memo))
+            if t % 97 == 0:
+                fresh._memo.clear()
+                assert chosen == fresh.select(s)
+        assert max(sizes) == learners.SELECT_MEMO_SIZE
+        assert sizes[-1] == 6435 - learners.SELECT_MEMO_SIZE  # cleared once when full
+
+    def test_denominator_past_int64_is_exact_argmin_through_the_memo(self):
+        q = 2 ** 64 + 13
+        fam = [pl.SparseDist({0: F(k, q), 1: F(q - 2 * k, q), 2: F(k, q)}) for k in (1, 5, q // 3)]
+        engine = pl.ScheffeEngine(pl.MassTable(fam))
+        for _ in range(2):  # the second pass is answered from the memo
+            for seq in itertools.product([0, 1, 2, 7], repeat=3):
+                assert engine.select(seq) == fraction_argmin(fam, engine.sets, seq)
 
     def test_sample_size_formula(self):
         assert pl.scheffe_sample_size(3, 0.4, 0.1) == 280
@@ -312,6 +368,23 @@ class TestBaselinesAndLosses:
         fam = pl.anchored_family(F(1, 2), 2)
         val, idx = pl.opt_loss(fam, fam[1])
         assert val == 0 and idx == 1
+
+    @pytest.mark.parametrize("members", [
+        pl.anchored_family(F(1, 2), 3).members,
+        MIXED,
+        [pl.uniform([1]), pl.uniform([2]), pl.uniform([1]), pl.uniform([2])],  # ties
+        [pl.SparseDist({0: F(k, 2 ** 64 + 13), 1: 1 - F(k, 2 ** 64 + 13)})     # object path
+         for k in (3, 1, 2 ** 63, 1)],
+    ], ids=["anchored", "mixed", "ties", "past-int64"])
+    def test_table_opt_loss_is_brute_force_min_and_first_witness(self, members):
+        cls = pl.FiniteClass("distribution", members)
+        targets = [*members, pl.delta(0), pl.delta(42), pl.uniform([0, 1, 9]),
+                   pl.SparseDist({1: F(1, 3), 2: F(1, 3), 77: F(1, 3)}),
+                   pl.SparseDist({(1, 0): F(1, 2), 0: F(1, 2)})]
+        for target in targets:
+            losses = [pl.task_loss(cls, p, target) for p in members]
+            best = min(losses)
+            assert pl.opt_loss(cls, target) == (best, losses.index(best))
 
     def test_hypotheses_of_class_strict_inequality(self):
         fam = pl.labeled_anchored_family(F(1, 2), 2)

@@ -154,6 +154,168 @@ class TestSymmetrizedBound:
         assert pl.symmetrized_lower_bound(inst, 2) <= chain
 
 
+def make_instance(task, eta, n):
+    if task == "distribution":
+        return pl.nfl_distribution_instance(eta, n)
+    if task == "classification":
+        return pl.nfl_classification_instance(eta, n)
+    return pl.nfl_real_instance(pl.AbsoluteLoss(), eta, n)
+
+
+HUGE = 2 ** 64 + 13  # no int64 numerator over this denominator
+
+
+def huge_denominator_instance():
+    members = [pl.SparseDist({0: F(k, HUGE), 1: F(HUGE - 2 * k, HUGE), 2: F(k, HUGE)})
+               for k in (1, 5, HUGE // 3)]
+    fam = pl.FiniteClass("distribution", members)
+    return pl.NflInstance("distribution", F(1, 2), 2, 1, fam)
+
+
+def tilted(member):
+    """The member with half the mass of its first window atom moved to its
+    last one, so it no longer puts the same mass on each window point."""
+    items = dict(member.items)
+    window = sorted((a for a in items if a not in (0, (0, 0))), key=pl.dist.atom_key)
+    half = items[window[0]] / 2
+    items[window[0]] -= half
+    items[window[-1]] += half
+    return pl.SparseDist(items)
+
+
+def off_shape_instances():
+    """Hand-built instances the closed form does not cover."""
+    yield pytest.param(huge_denominator_instance(), id="huge-denominator")
+    for task in ("distribution", "classification", "real"):
+        built = make_instance(task, F(1, 2), 2)
+        members = [tilted(built.family[0])] + list(built.family.members)[1:]
+        fam = pl.FiniteClass(task, members, real_ctx=built.family.real_ctx)
+        yield pytest.param(pl.NflInstance(task, built.eta, built.window, built.set_size, fam),
+                           id=f"tilted-{task}")
+    built = make_instance("distribution", F(1, 2), 2)
+    yield pytest.param(pl.NflInstance("distribution", built.eta, built.window, 1, built.family),
+                       id="wrong-set-size")
+
+
+class TestClosedFormFloor:
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("eta", [F(1, 2), F(1, 3), F(1)], ids=str)
+    @pytest.mark.parametrize("task", ["distribution", "classification", "real"])
+    def test_equals_enumeration(self, task, eta, n, m):
+        inst = make_instance(task, eta, n)
+        assert pl.closed_form_floor(inst, m) == pl.symmetrized_lower_bound(inst, m)
+
+    @pytest.mark.parametrize("task,n,m,value", [
+        ("distribution", 2, 0, F(1, 8)),
+        ("distribution", 2, 2, F(9, 128)),
+        ("classification", 2, 2, F(49, 512)),
+        ("distribution", 3, 3, F(125, 1728)),
+    ])
+    def test_pinned_values(self, task, n, m, value):
+        assert pl.closed_form_floor(make_instance(task, F(1, 2), n), m) == value
+
+    def test_negative_m(self):
+        with pytest.raises(BadRange):
+            pl.closed_form_floor(make_instance("distribution", F(1, 2), 1), -1)
+
+    def test_exact_oracle_reports_it_without_enumerating(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("the floor was enumerated")
+
+        monkeypatch.setattr(nfl, "symmetrized_lower_bound", no_enumeration)
+        monkeypatch.setattr(nfl, "sequence_prob", no_enumeration)
+        inst = make_instance("distribution", F(1, 2), 2)
+        report = pl.nfl_exact(inst, [pl.EmpiricalBaseline("distribution")], 2)
+        assert report.symmetrized_bound == F(9, 128)
+
+    @pytest.mark.parametrize("inst", list(off_shape_instances()))
+    def test_hand_built_instance_of_another_shape_is_enumerated(self, inst):
+        with pytest.raises(BadPrecondition):
+            pl.closed_form_floor(inst, 2)
+        report = pl.nfl_exact(inst, [pl.EmpiricalBaseline(inst.task, real_ctx=inst.family.real_ctx)], 2)
+        assert report.symmetrized_bound == pl.symmetrized_lower_bound(inst, 2)
+
+    @pytest.mark.parametrize("task", ["distribution", "classification", "real"])
+    def test_hand_built_instance_of_the_same_shape_keeps_the_closed_form(self, task):
+        built = make_instance(task, F(1, 2), 2)
+        fam = pl.FiniteClass(task, list(built.family.members), real_ctx=built.family.real_ctx)
+        inst = pl.NflInstance(task, built.eta, built.window, built.set_size, fam)
+        assert pl.closed_form_floor(inst, 2) == pl.symmetrized_lower_bound(inst, 2) \
+            == pl.closed_form_floor(built, 2)
+
+
+
+THRESHOLDS = [F(1, 16), F(1, 8), F(1, 4)]
+
+
+def reference_exact(inst, learner, m, thresholds):
+    """The exact oracle as a plain loop: Fraction likelihoods from
+    sequence_prob and one task_loss per (member, sequence)."""
+    outs = {seq: learner.run(pl.Sample(seq))
+            for seq in itertools.product(instance_alphabet(inst), repeat=m)}
+    means, tails = [], {a: [] for a in thresholds}
+    for member in inst.family.members:
+        mean, tail = F(0), dict.fromkeys(thresholds, F(0))
+        for seq in itertools.product(member.support(), repeat=m):
+            w = pl.sequence_prob(member, seq)
+            err = pl.task_loss(inst.family, outs[seq], member)
+            mean += w * err
+            for a in thresholds:
+                if err >= a:
+                    tail[a] += w
+        means.append(mean)
+        for a in thresholds:
+            tails[a].append(tail[a])
+    return means, tails
+
+
+def oracle_cases():
+    dist = make_instance("distribution", F(1, 2), 2)
+    fam = dist.family
+    yield pytest.param(dist, 3, [
+        pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution"),
+        pl.ConstantLearner(fam[3], "distribution"),
+        # the union selects on the second half, so its output depends on order
+        pl.UnionLearner([pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution")])],
+        id="distribution")
+    for task, inst in (("classification", make_instance("classification", F(1, 2), 2)),
+                       ("real", make_instance("real", F(1, 2), 3))):
+        fam = inst.family
+        yield pytest.param(inst, 2, [
+            pl.ErmLearner.for_class(fam), pl.EmpiricalBaseline(task, real_ctx=fam.real_ctx),
+            pl.ConstantLearner(pl.ErmLearner.for_class(fam).hypotheses[1], task),
+            pl.UnionLearner([pl.ErmLearner.for_class(fam),
+                             pl.EmpiricalBaseline(task, real_ctx=fam.real_ctx)],
+                            real_ctx=fam.real_ctx)], id=task)
+    inst = huge_denominator_instance()
+    yield pytest.param(inst, 2, [
+        pl.ScheffeLearner(inst.family), pl.EmpiricalBaseline("distribution"),
+        pl.ConstantLearner(inst.family[2], "distribution")], id="past-int64")
+
+
+class TestExactOracleAgainstReference:
+    @pytest.mark.parametrize("inst,m,learners", list(oracle_cases()))
+    def test_means_and_tails(self, inst, m, learners):
+        report = pl.nfl_exact(inst, learners, m, thresholds=THRESHOLDS)
+        for learner, lr in zip(learners, report.learners):
+            means, tails = reference_exact(inst, learner, m, THRESHOLDS)
+            assert lr.per_member_mean == means, learner.name
+            assert lr.tails == tails, learner.name
+            assert all(type(v) is F for v in means)
+
+    def test_repeated_threshold_counts_once(self):
+        inst = make_instance("distribution", F(1, 2), 2)
+        learner = pl.EmpiricalBaseline("distribution")
+        once = pl.nfl_exact(inst, [learner], 1, thresholds=[F(1, 8)]).learners[0].tails
+        twice = pl.nfl_exact(inst, [learner], 1, thresholds=[F(1, 8), F(1, 8)]).learners[0].tails
+        assert twice == once and len(once[F(1, 8)]) == len(inst.family)
+
+    def test_past_int64_case_runs_on_the_object_path(self):
+        table = huge_denominator_instance().family.mass_table()
+        assert table.mass.dtype == object and table.l1(table.members[0])[0].dtype == object
+
+
 class TestExactOracle:
     def test_constant_learner_closed_form(self):
         inst = pl.nfl_distribution_instance(F(1, 2), 2)
