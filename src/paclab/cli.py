@@ -126,6 +126,14 @@ def _int(value) -> int:
     return int(value)
 
 
+def _trial_count(value) -> int:
+    """A JSON integer of at least 1."""
+    n = _int(value)
+    if n < 1:
+        raise ValueError("a Monte Carlo run needs at least one trial")
+    return n
+
+
 def _bool(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError("not true or false")
@@ -334,10 +342,11 @@ def _run_construct(cfg: Reader, rng, base_dir):
 
 
 def _run_learn(cfg: Reader, rng, base_dir):
+    # trials first: a run that cannot happen builds no class or learner
+    trials = cfg.get("trials", _trial_count, 1)
     cls, learner = _class_and_learner(cfg)
     target_idx = cfg.get("target_index", _index(len(cls)))
     m = cfg.get("m", _int)
-    trials = cfg.get("trials", _int, 1)
     threshold = cfg.get("threshold", Fraction, "1/8")
     max_rate = cfg.get("assert_failure_rate_at_most", Fraction, None)
     stats = mc_risk(cls, learner, m, trials, rng, threshold, member_indices=[target_idx])
@@ -418,9 +427,9 @@ def _run_nfl_exact(cfg: Reader, rng, base_dir):
 
 
 def _run_nfl_mc(cfg: Reader, rng, base_dir):
+    trials = cfg.get("trials", _trial_count)  # before the instance, as in _run_learn
     inst = _load_instance(cfg.get("instance", Reader))
     m = cfg.get("m", _int)
-    trials = cfg.get("trials", _int)
     learner = _load_learner(cfg.get("learner", Reader), inst.family)
     threshold = cfg.get("threshold", Fraction, inst.eta / 8)
     indices = cfg.list("member_indices", _index(len(inst.family)), None)

@@ -9,12 +9,20 @@ runs one numpy formula on integer numerators over a common denominator,
 in int64 while the numbers fit and on object arrays of Python ints past
 int64, so the chosen member is the exact argmin either way. An engine
 remembers its recent selections by the sample's atom counts.
+
+On an int64 engine, selection first bounds every member's deviation
+from below on the engine's smallest comparison sets (the probe sets: the
+singletons, on the anchored families), takes one full deviation row at
+the member of least bound, and evaluates in full only the members whose
+bound does not exceed that row's maximum. No member outside them can
+attain the minimum, so the answer is still the exact lowest-index argmin.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -66,13 +74,28 @@ class ScheffeEngine:
     set counts, and `_nums = mass @ incidence` holds each member's exact
     probability of each set. select() returns the index minimizing the
     maximum deviation between member and empirical set probabilities.
+    `sets` lists the comparison sets as frozensets of atoms, built on
+    first read.
+
+    Bound and verify, on an int64 engine: the probe sets are the
+    comparison sets of fewest atoms, and `_probe` holds their columns of
+    `_nums`, one row per set. A member's deviation on the probe sets,
+    LB, is at most its full deviation, since the probe sets are
+    comparison sets. Let i0 be the first member of least LB and UB
+    its full deviation, so the minimum deviation is at most UB. A member
+    attaining the minimum has LB <= UB, so the candidates {i : LB_i <= UB},
+    in index order, hold every minimizer, and the first candidate of least
+    full deviation is the lowest-index argmin. A lone candidate is i0
+    itself. Up to half the members, the candidates' rows are gathered
+    into the deviation buffer; past half, the whole matrix is evaluated.
 
     The choice depends on the sample only through its atom counts, so
     select() memoises it by the bytes of the count vector, in a dict
     cleared once it holds SELECT_MEMO_SIZE entries. The matrices are
     int64 while denom < INT64_SAFE and exact Python ints (object dtype)
-    past it. select() writes its int64 deviations into one buffer owned
-    by the engine, so an engine must not be shared between threads.
+    past it, where selection makes one full pass. select() writes its
+    int64 deviations into one buffer owned by the engine, so an engine
+    must not be shared between threads.
     """
 
     def __init__(self, members: MassTable | Sequence[SparseDist]):
@@ -83,7 +106,8 @@ class ScheffeEngine:
         self.members = table.members
         self.denom = table.denom
         self._column = table.column
-        atoms, mass = table.atoms, table.mass
+        self._atoms = atoms = table.atoms
+        mass = table.mass
 
         # p(a) > q(a) only inside p's support, so row j of `above` is
         # yatracos_set(members[i], members[j]).
@@ -94,11 +118,23 @@ class ScheffeEngine:
                 rows.setdefault(row.tobytes())
         incidence = np.frombuffer(b"".join(rows), dtype=bool).reshape(len(rows), len(atoms))
         incidence = incidence.T.astype(np.int64)
-        self.sets = [frozenset(atoms[j] for j in np.flatnonzero(col)) for col in incidence.T]
         self._incidence = incidence
         self._nums = mass @ incidence
-        self._dev = np.empty_like(self._nums) if mass.dtype == np.int64 else None
+        # the deviation buffer and the probe block, on an int64 engine with
+        # sets (select() needs neither on an engine without sets)
+        self._dev = None
+        if mass.dtype == np.int64 and incidence.shape[1]:
+            self._dev = np.empty_like(self._nums)
+            sizes = incidence.sum(axis=0)
+            self._probe_sets = np.flatnonzero(sizes == sizes.min())
+            self._probe = self._nums[:, self._probe_sets].T.copy()
         self._memo: dict = {}  # atom-count bytes -> selected index
+
+    @cached_property
+    def sets(self) -> list:
+        """The comparison sets as frozensets of atoms, in column order."""
+        return [frozenset(self._atoms[j] for j in np.flatnonzero(col))
+                for col in self._incidence.T]
 
     def _atom_counts(self, atoms: tuple) -> np.ndarray:
         """Sample points at each column's atom, then one last entry for the
@@ -111,7 +147,7 @@ class ScheffeEngine:
         atoms = tuple(sample)
         if not atoms:
             raise EmptySample("minimum-distance selection needs a sample")
-        if not self.sets:
+        if not self._incidence.shape[1]:
             return 0
         counts = self._atom_counts(atoms)
         key = counts.tobytes()
@@ -126,25 +162,43 @@ class ScheffeEngine:
         """The selection for set counts `cnt` of an m-point sample."""
         # deviation numerators over common denominator denom*m:
         #   |prob_num * m - denom * count|, each at most denom*m
-        if self._dev is not None and self.denom * m < INT64_SAFE:
-            nums, out = self._nums, self._dev
-        else:
-            nums, cnt, out = self._nums.astype(object, copy=False), cnt.astype(object), None
-        dev = np.multiply(nums, m, out=out)
-        dev -= self.denom * cnt
-        np.abs(dev, out=dev)
-        return int(dev.max(axis=1).argmin())
+        if self._dev is None or self.denom * m >= INT64_SAFE:
+            dev = self._nums.astype(object, copy=False) * m
+            return _first_least_max_row(dev, self.denom * cnt.astype(object))
+        scaled = self.denom * cnt
+        lower = np.abs(self._probe * m - scaled[self._probe_sets, None]).max(axis=0)
+        first = int(lower.argmin())
+        upper = np.abs(self._nums[first] * m - scaled).max()
+        candidates = np.flatnonzero(lower <= upper)
+        if len(candidates) == 1:
+            return first
+        if 2 * len(candidates) <= len(lower):
+            # the indices are in range, and mode='clip' writes straight into
+            # `out` (mode='raise' would fill a temporary first)
+            dev = np.take(self._nums, candidates, axis=0, out=self._dev[:len(candidates)],
+                          mode="clip")
+            dev *= m
+            return int(candidates[_first_least_max_row(dev, scaled)])
+        return _first_least_max_row(np.multiply(self._nums, m, out=self._dev), scaled)
 
     def empirical_gap(self, target: SparseDist, sample: Sample | Sequence) -> Fraction:
         """max over comparison sets of |target(A) - empirical(A)|."""
         atoms = tuple(sample)
         if not atoms:
             raise EmptySample("empirical gap needs a sample")
-        if not self.sets:
+        if not self._incidence.shape[1]:
             return Fraction(0)
         m = len(atoms)
         cnt = (self._atom_counts(atoms)[:-1] @ self._incidence).tolist()
         return max(abs(event_prob(target, s) - Fraction(c, m)) for s, c in zip(self.sets, cnt))
+
+
+def _first_least_max_row(dev: np.ndarray, scaled: np.ndarray) -> int:
+    """Lowest index of the row of |dev - scaled| whose maximum is least;
+    overwrites `dev`."""
+    dev -= scaled
+    np.abs(dev, out=dev)
+    return int(dev.max(axis=1).argmin())
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +209,15 @@ class Learner:
     """Deterministic map from samples to an output, with a task kind and
     the agnostic factor its guarantee carries (3 for TV, 1 otherwise).
     `finite_outputs` says every output comes from a fixed finite list, so
-    a memo keyed by output stays bounded. `min_sample` is the smallest
-    sample size `run` accepts."""
+    a memo keyed by output stays bounded. `exchangeable` says the output
+    depends only on the sample's multiset of points, not on their order,
+    so reordering a sample returns an equal output. `min_sample` is the
+    smallest sample size `run` accepts."""
 
     task: str = TASK_DISTRIBUTION
     agnostic_factor: int = 1
     finite_outputs: bool = False
+    exchangeable: bool = False
     min_sample: int = 1
     name: str = "learner"
 
@@ -173,6 +230,7 @@ class ScheffeLearner(Learner):
 
     agnostic_factor = 3
     finite_outputs = True
+    exchangeable = True
 
     def __init__(self, cls: FiniteClass):
         if len(cls) == 0:
@@ -196,6 +254,7 @@ class TruncationLearner(Learner):
 
     agnostic_factor = 3
     finite_outputs = True
+    exchangeable = True
 
     def __init__(self, staged: StagedClass, eps, budget: int = 1 << 20):
         if staged.task != TASK_DISTRIBUTION:
@@ -228,6 +287,7 @@ class ErmLearner(Learner):
     """
 
     finite_outputs = True
+    exchangeable = True
 
     def __init__(self, hypotheses: Sequence, task: str, real_ctx=None,
                  name: Optional[str] = None):
@@ -319,6 +379,8 @@ class EmpiricalBaseline(Learner):
     task, plurality labeler for the hypothesis tasks (unseen points and
     exact label ties go to 0)."""
 
+    exchangeable = True
+
     def __init__(self, task: str, real_ctx=None):
         self.task = task
         self.real_ctx = real_ctx
@@ -346,6 +408,7 @@ class ConstantLearner(Learner):
     """Ignores the sample; useful as an oracle subject and at m=0."""
 
     finite_outputs = True
+    exchangeable = True
 
     def __init__(self, output, task: str, name: Optional[str] = None):
         self.output = output

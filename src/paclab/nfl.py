@@ -417,7 +417,8 @@ def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
     is `closed_form_floor` on an instance of the constructors' shape and
     the enumerated `symmetrized_lower_bound` on any other.
 
-    Learner outputs are computed once per sequence and shared across
+    Each learner runs once per sample multiset when it is `exchangeable`
+    and once per sequence otherwise, and its outputs are shared across
     members. Each member's sequence weights are integers over the family's
     common denominator^m (its mass table's), summed per distinct output.
     Each (member, output) loss is a numerator over a denominator: the mean
@@ -439,8 +440,13 @@ def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
     reports = []
     for learner in learners:
         distinct: dict = {}  # output -> id; equal outputs share one id
-        ids = {seq: distinct.setdefault(learner.run(Sample(seq)), len(distinct))
-               for seq in itertools.product(alphabet, repeat=m)}
+        runs: dict = {}  # run key -> output id
+        ids = {}  # sequence -> output id
+        for seq in itertools.product(alphabet, repeat=m):
+            key = tuple(sorted(seq)) if learner.exchangeable else seq
+            if key not in runs:
+                runs[key] = distinct.setdefault(learner.run(Sample(seq)), len(distinct))
+            ids[seq] = runs[key]
         outputs = list(distinct)
         rows: list = [None] * len(outputs)  # distribution: (L1 row, scale) by output id
 

@@ -348,6 +348,23 @@ def test_bad_search_protocol_builds_no_class(tmp_path, monkeypatch, protocol, co
     assert run_cli(["sample-complexity", "--config", cfg, "--out", tmp_path / "o"]) == code
 
 
+@pytest.mark.parametrize("sub,body", [
+    ("learn", {"class": {"family": "anchored", "eta": "1/2", "n": 10},
+               "learner": {"kind": "scheffe"}, "target_index": 0, "m": 4}),
+    ("nfl-mc", {"instance": INSTANCE, "m": 2, "learner": {"kind": "scheffe"}}),
+])
+def test_no_trials_builds_no_class(tmp_path, monkeypatch, capsys, sub, body):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class, instance or engine was built for a run of no trials")
+
+    monkeypatch.setattr(learners.ScheffeEngine, "__init__", refuse)
+    monkeypatch.setattr(cli, "anchored_family", refuse)
+    monkeypatch.setattr(cli, "nfl_distribution_instance", refuse)
+    cfg = write_cfg(tmp_path, {"kind": sub, "seed": 1, **body, "trials": 0})
+    assert run_cli([sub, "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+    assert "config error: config field 'trials'" in capsys.readouterr().err
+
+
 # a staged real-task class truncates to plateau hypotheses, which hold no
 # data distribution to draw samples from
 REAL_STAGED = {"family": "staged", "task": "real", "eta": {"kind": "reciprocal", "c": "1/2"},

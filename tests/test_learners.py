@@ -32,7 +32,8 @@ def pairwise_yatracos_sets(members):
 
 def fraction_argmin(members, sets, sample):
     """Lowest index minimizing max_A |p(A) - empirical(A)|, in Fractions."""
-    devs = [max(abs(pl.event_prob(p, s) - pl.empirical_measure(sample, s)) for s in sets)
+    empirical = [pl.empirical_measure(sample, s) for s in sets]
+    devs = [max(abs(pl.event_prob(p, s) - e) for s, e in zip(sets, empirical))
             for p in members]
     return devs.index(min(devs))
 
@@ -218,6 +219,78 @@ class TestScheffe:
                     opt = min(pl.tv(q, target) for q in fam.members)
                     gap = engine.empirical_gap(target, seq)
                     assert pl.tv(fam.members[chosen], target) <= 3 * opt + 4 * gap
+
+
+def counted_engine(members, monkeypatch):
+    """An engine, and a list that gets the row count of each full deviation
+    pass select() makes."""
+    engine = pl.ScheffeEngine(members)
+    passes = []
+    full_pass = learners._first_least_max_row
+
+    def counted(dev, scaled):
+        passes.append(len(dev))
+        return full_pass(dev, scaled)
+
+    monkeypatch.setattr(learners, "_first_least_max_row", counted)
+    return engine, passes
+
+
+# 28 members x 36 comparison sets; the 8 singletons are the probe sets
+PAIRS = pl.anchored_family(F(1, 2), 8, size_filter=2).members
+
+
+def block_members():
+    """Anchored members uniform on two of five blocks {2b-1, 2b}: every
+    comparison set is a union of blocks, so the probe sets hold two atoms."""
+    blocks = [(2 * b - 1, 2 * b) for b in range(1, 6)]
+    return [mix_anchor(F(1, 2), [*blocks[i], *blocks[j]])
+            for i, j in itertools.combinations(range(5), 2)]
+
+
+class TestBoundAndVerify:
+    """select() bounds every member on the probe sets, then evaluates in
+    full only the members the bound cannot rule out; each path returns the
+    lowest-index argmin."""
+
+    def test_large_sample_leaves_one_candidate(self, monkeypatch):
+        engine, passes = counted_engine(PAIRS, monkeypatch)
+        assert {engine.sets[k] for k in engine._probe_sets} == {frozenset({a}) for a in range(1, 9)}
+        for t in range(8):
+            s = pl.draw(PAIRS[5 * t % len(PAIRS)], 48, pl.RngStream(SEED, t))
+            assert engine.select(s) == fraction_argmin(PAIRS, engine.sets, s)
+        assert passes == []  # the bound left the first member of least bound alone
+
+    def test_small_samples_tie_and_pass_the_whole_matrix(self, monkeypatch):
+        engine, passes = counted_engine(PAIRS, monkeypatch)
+        for m in (1, 2):
+            for s in itertools.combinations_with_replacement(range(9), m):
+                assert engine.select(s) == fraction_argmin(PAIRS, engine.sets, s)
+        assert len(PAIRS) in passes
+
+    def test_few_candidates_gather_their_rows(self, monkeypatch):
+        engine, passes = counted_engine(PAIRS, monkeypatch)
+        for t in range(8):
+            s = pl.draw(PAIRS[5 * t % len(PAIRS)], 3, pl.RngStream(SEED, t))
+            assert engine.select(s) == fraction_argmin(PAIRS, engine.sets, s)
+        assert any(1 < rows <= len(PAIRS) // 2 for rows in passes)
+
+    def test_probe_sets_of_two_atoms(self, monkeypatch):
+        members = block_members()
+        engine, passes = counted_engine(members, monkeypatch)
+        assert {len(engine.sets[k]) for k in engine._probe_sets} == {2}
+        samples = [s for m in (1, 2) for s in itertools.combinations_with_replacement(range(11), m)]
+        samples += [pl.draw(members[t], 24, pl.RngStream(SEED, t)) for t in range(10)]
+        for s in samples:
+            assert engine.select(s) == fraction_argmin(members, engine.sets, s)
+        # every path ran: a lone candidate, a few gathered rows, the whole matrix
+        assert len(passes) < len(samples)
+        assert len(members) in passes and any(1 < rows <= len(members) // 2 for rows in passes)
+
+    def test_one_member_class(self, monkeypatch):
+        engine, passes = counted_engine([pl.uniform([1, 2])], monkeypatch)
+        assert engine.select([1]) == engine.select([7, 7]) == 0
+        assert engine.sets == [] and passes == []
 
 
 class TestTruncationLearner:

@@ -15,6 +15,7 @@ from paclab.errors import (
     EnumerationBudgetExceeded,
     SearchBoundExceeded,
 )
+from paclab.learners import Learner
 from paclab.nfl import (
     instance_alphabet,
     max_certifiable_failures,
@@ -314,6 +315,73 @@ class TestExactOracleAgainstReference:
     def test_past_int64_case_runs_on_the_object_path(self):
         table = huge_denominator_instance().family.mass_table()
         assert table.mass.dtype == object and table.l1(table.members[0])[0].dtype == object
+
+
+def exchangeable_learners(inst):
+    """One learner of each kind that declares `exchangeable`, for the
+    instance's task; the truncation learner brings its own staged class."""
+    fam, task = inst.family, inst.task
+    if task == "distribution":
+        staged = pl.StagedClass("distribution", pl.SequenceSpec(pl.Reciprocal(F(8)), pl.IdentityN()))
+        made = [pl.ScheffeLearner(fam), pl.TruncationLearner(staged, 8)]
+    else:
+        made = [pl.ErmLearner.for_class(fam)]
+    return made + [pl.EmpiricalBaseline(task, real_ctx=fam.real_ctx),
+                   pl.ConstantLearner(fam[1], task)]
+
+
+def learner_kinds(cls=Learner):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from learner_kinds(sub)
+
+
+TASKS = ["distribution", "classification", "real"]
+
+
+class TestExchangeableLearners:
+    def test_every_declared_kind_is_checked(self):
+        declared = {kind for kind in learner_kinds() if kind.exchangeable}
+        checked = {type(ln) for task in TASKS
+                   for ln in exchangeable_learners(make_instance(task, F(1, 2), 2))}
+        assert declared == checked
+        assert not Learner.exchangeable and not pl.UnionLearner.exchangeable
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_every_order_gives_an_equal_output(self, task):
+        inst = make_instance(task, F(1, 2), 2)
+        for learner in exchangeable_learners(inst):
+            for t in range(3):
+                sample = pl.draw(inst.family[5 * t % len(inst.family)], 5, pl.RngStream(SEED, t))
+                outputs = {learner.run(pl.Sample(seq)) for seq in itertools.permutations(sample)}
+                assert len(outputs) == 1, (learner.name, sample.atoms)
+
+    def test_a_union_depends_on_order(self):
+        # so the permutation check can see an order-dependent learner
+        inst = make_instance("distribution", F(1, 2), 2)
+        union = pl.UnionLearner([pl.ScheffeLearner(inst.family), pl.EmpiricalBaseline("distribution")])
+        sample = pl.draw(inst.family[3], 5, pl.RngStream(SEED, 0))
+        assert len({union.run(pl.Sample(seq)) for seq in itertools.permutations(sample)}) > 1
+
+    def test_exact_oracle_runs_once_per_multiset(self):
+        # 13 alphabet points, m = 3: 2,197 sequences, 455 multisets
+        inst = make_instance("distribution", F(1, 2), 3)
+        fam = inst.family
+        learners = [pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution"),
+                    pl.ConstantLearner(fam[0], "distribution"),
+                    pl.UnionLearner([pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution")])]
+        runs = []
+        for learner in learners:
+            count = [0]
+            runs.append(count)
+
+            def counted(sample, run=learner.run, count=count):
+                count[0] += 1
+                return run(sample)
+
+            learner.run = counted
+        pl.nfl_exact(inst, learners, 3)
+        assert [count[0] for count in runs] == [455, 455, 455, 2197]
 
 
 class TestExactOracle:
