@@ -134,6 +134,14 @@ def _trial_count(value) -> int:
     return n
 
 
+def _sample_size(value) -> int:
+    """A JSON integer of at least 0."""
+    m = _int(value)
+    if m < 0:
+        raise ValueError("a sample size cannot be negative")
+    return m
+
+
 def _bool(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError("not true or false")
@@ -342,11 +350,11 @@ def _run_construct(cfg: Reader, rng, base_dir):
 
 
 def _run_learn(cfg: Reader, rng, base_dir):
-    # trials first: a run that cannot happen builds no class or learner
+    # trials and m first: a run that cannot happen builds no class or learner
     trials = cfg.get("trials", _trial_count, 1)
+    m = cfg.get("m", _sample_size)
     cls, learner = _class_and_learner(cfg)
     target_idx = cfg.get("target_index", _index(len(cls)))
-    m = cfg.get("m", _int)
     threshold = cfg.get("threshold", Fraction, "1/8")
     max_rate = cfg.get("assert_failure_rate_at_most", Fraction, None)
     stats = mc_risk(cls, learner, m, trials, rng, threshold, member_indices=[target_idx])
@@ -400,8 +408,8 @@ def _run_sample_complexity(cfg: Reader, rng, base_dir):
 
 
 def _run_nfl_exact(cfg: Reader, rng, base_dir):
+    m = cfg.get("m", _sample_size)  # before the instance, as in _run_learn
     inst = _load_instance(cfg.get("instance", Reader))
-    m = cfg.get("m", _int)
     learners = [_load_learner(s, inst.family) for s in cfg.list("learners", Reader)]
     thresholds = cfg.list("thresholds", Fraction, []) or None
     budget = cfg.get("enum_budget", _int, 10_000_000)
@@ -428,8 +436,8 @@ def _run_nfl_exact(cfg: Reader, rng, base_dir):
 
 def _run_nfl_mc(cfg: Reader, rng, base_dir):
     trials = cfg.get("trials", _trial_count)  # before the instance, as in _run_learn
+    m = cfg.get("m", _sample_size)
     inst = _load_instance(cfg.get("instance", Reader))
-    m = cfg.get("m", _int)
     learner = _load_learner(cfg.get("learner", Reader), inst.family)
     threshold = cfg.get("threshold", Fraction, inst.eta / 8)
     indices = cfg.list("member_indices", _index(len(inst.family)), None)

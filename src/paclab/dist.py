@@ -18,6 +18,7 @@ exact oracle all read their members' masses from it.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -296,18 +297,27 @@ def draw(p: SparseDist, m: int, rng: RngStream) -> Sample:
     Pure in (p, m, rng): the same stream always yields the same sample,
     bit for bit.
     """
+    drawn, = draws(p, m, [rng.seed])
+    return Sample(drawn, source_tag=p.tag, master_seed=rng.master_seed,
+                  stream_index=rng.stream_index)
+
+
+def draws(p: SparseDist, m: int, seeds: Iterable[int]):
+    """The atoms of one m-point sample per generator seed, lazily and in
+    order: the one sampling rule behind `draw`. One generator is reseeded
+    for each seed, so draws(p, m, rng.child_seeds(*prefix, count=n)) yields
+    the atoms of draw(p, m, rng.child(*prefix, t)) for t < n."""
     if m < 0:
         raise BadDistribution("sample size must be >= 0")
     atoms, cum = _cumulative(p)
-    if m == 0:
-        drawn = ()
-    elif len(atoms) == 1:
-        drawn = (atoms[0],) * m
-    else:
-        gen = rng.generator()
-        drawn = tuple(gen.choices(atoms, cum_weights=cum, k=m))
-    return Sample(drawn, source_tag=p.tag, master_seed=rng.master_seed,
-                  stream_index=rng.stream_index)
+    if m == 0 or len(atoms) == 1:
+        for _ in seeds:
+            yield (atoms[0],) * m
+        return
+    gen = random.Random()
+    for seed in seeds:
+        gen.seed(seed)
+        yield tuple(gen.choices(atoms, cum_weights=cum, k=m))
 
 
 def empirical_measure(s: Sample | Sequence[Atom], event: Iterable[Atom]) -> Fraction:

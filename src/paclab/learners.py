@@ -106,18 +106,21 @@ class ScheffeEngine:
         self.members = table.members
         self.denom = table.denom
         self._column = table.column
-        self._atoms = atoms = table.atoms
+        self._atoms = table.atoms
         mass = table.mass
 
-        # p(a) > q(a) only inside p's support, so row j of `above` is
-        # yatracos_set(members[i], members[j]).
-        rows: dict = {}  # row bytes, in first-seen order
-        for i in range(len(mass)):
-            above = mass[i] > mass
-            for row in above[above.any(axis=1)]:
-                rows.setdefault(row.tobytes())
-        incidence = np.frombuffer(b"".join(rows), dtype=bool).reshape(len(rows), len(atoms))
-        incidence = incidence.T.astype(np.int64)
+        # p(a) > q(a) only inside p's support, so row j of `row > mass` is
+        # yatracos_set(p, members[j]). Each member's rows become bytes in one
+        # call, and dict.fromkeys keeps the distinct ones in first-seen
+        # (i, j) order. The bytes drop trailing zero (False) bytes, so the
+        # empty set is b"".
+        width = mass.shape[1]
+        rows: dict = {}  # row bytes, in first-seen (i, j) order
+        for row in mass:
+            rows.update(dict.fromkeys((row > mass).view(f"S{width}").ravel().tolist()))
+        rows.pop(b"", None)
+        incidence = np.frombuffer(b"".join(row.ljust(width, b"\0") for row in rows), dtype=bool)
+        incidence = incidence.reshape(len(rows), width).T.astype(np.int64)
         self._incidence = incidence
         self._nums = mass @ incidence
         # the deviation buffer and the probe block, on an int64 engine with

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .dist import Sample, SparseDist, delta, draw, frac_str, mixture, sequence_prob, uniform
+from .dist import Sample, SparseDist, delta, draws, frac_str, mixture, sequence_prob, uniform
 from .errors import (
     BadPrecondition,
     BadRange,
@@ -604,10 +604,14 @@ class McMemberStat:
 def _trial_losses(cls: FiniteClass, learner: Learner, m: int, trials: int,
                   rng: RngStream, prefix: tuple, i: int, losses: Optional[dict]):
     """Loss against member i of the learner's output on each trial's m-point
-    sample, trial t drawn from substream (*prefix, i, t); `losses` as in _memo_loss."""
-    target = cls.members[i]
-    for t in range(trials):
-        sample = draw(target, m, rng.child(*prefix, i, t))
+    sample, lazily and in trial order; `losses` as in _memo_loss.
+
+    The trials against member i run as one block, and trial t draws the
+    sample draw(member i, m, rng.child(*prefix, i, t)) would: the block
+    takes every trial's seed from one pass (`RngStream.child_seeds`) and
+    draws with one reseeded generator (`dist.draws`)."""
+    seeds = rng.child_seeds(*prefix, i, count=trials)
+    for sample in draws(cls.members[i], m, seeds):
         yield _memo_loss(losses, cls, learner.run(sample), i)
 
 
@@ -616,8 +620,8 @@ def mc_risk(cls: FiniteClass, learner: Learner, m: int, trials: int, rng: RngStr
     """Monte Carlo stand-in for the exact oracle beyond the enumeration
     budget: per-member empirical mean error and failure frequency (error
     >= threshold) with two-sided 95% Clopper-Pearson intervals. Trial t
-    of member i uses substream (i, t), so results do not depend on
-    scheduling."""
+    of member i draws from substream (i, t), so results do not depend on
+    scheduling; the trials of one member run as one block (`_trial_losses`)."""
     if trials <= 0:
         raise EmptyEstimate("mc_risk needs at least one trial")
     threshold = Fraction(threshold)

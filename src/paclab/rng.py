@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 
 _MASK64 = (1 << 64) - 1
+_MIX_START = 0x243F6A8885A308D3
 
 
 def _splitmix64(x: int) -> int:
@@ -22,25 +23,44 @@ def _splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
-def mix(*parts: int) -> int:
-    """Collapse integers into one 64-bit value, order-sensitively."""
-    acc = 0x243F6A8885A308D3
+def _fold(acc: int, *parts: int) -> int:
     for p in parts:
         acc = _splitmix64(acc ^ (p & _MASK64))
     return acc
 
 
+def mix(*parts: int) -> int:
+    """Collapse integers into one 64-bit value, order-sensitively."""
+    return _fold(_MIX_START, *parts)
+
+
 @dataclass(frozen=True)
 class RngStream:
-    """A named position in the global randomness plan."""
+    """A named position in the global randomness plan, whose generator is
+    seeded with `seed`. Monte Carlo trial t against member i draws from
+    substream child(*prefix, i, t); a block of trials takes all their
+    seeds from one pass (`child_seeds`)."""
 
     master_seed: int
     stream_index: int = 0
 
+    @property
+    def seed(self) -> int:
+        """The seed of this stream's generator."""
+        return mix(self.master_seed, self.stream_index)
+
     def generator(self) -> random.Random:
         """Fresh PRNG for this stream; calling twice gives identical draws."""
-        return random.Random(mix(self.master_seed, self.stream_index))
+        return random.Random(self.seed)
 
     def child(self, *indices: int) -> "RngStream":
         """Substream addressed by extra indices (level, target, trial, ...)."""
         return RngStream(self.master_seed, mix(self.stream_index, *indices))
+
+    def child_seeds(self, *prefix: int, count: int) -> list:
+        """[self.child(*prefix, t).seed for t in range(count)], with no
+        stream built: mix folds its parts left to right, so the master seed
+        and the shared (stream index, *prefix) are each folded once."""
+        master = mix(self.master_seed)
+        index = mix(self.stream_index, *prefix)
+        return [_fold(master, _fold(index, t)) for t in range(count)]

@@ -365,6 +365,39 @@ def test_no_trials_builds_no_class(tmp_path, monkeypatch, capsys, sub, body):
     assert "config error: config field 'trials'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub,body", [
+    ("learn", {"class": {"family": "anchored", "eta": "1/2", "n": 10},
+               "learner": {"kind": "scheffe"}, "target_index": 0, "trials": 5}),
+    ("nfl-mc", {"instance": INSTANCE, "learner": {"kind": "scheffe"}, "trials": 5}),
+    ("nfl-exact", {"instance": INSTANCE, "learners": [{"kind": "scheffe"}]}),
+])
+def test_negative_m_builds_no_class(tmp_path, monkeypatch, capsys, sub, body):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class, instance or engine was built for a negative sample size")
+
+    monkeypatch.setattr(learners.ScheffeEngine, "__init__", refuse)
+    monkeypatch.setattr(cli, "anchored_family", refuse)
+    monkeypatch.setattr(cli, "nfl_distribution_instance", refuse)
+    cfg = write_cfg(tmp_path, {"kind": sub, "seed": 1, **body, "m": -1})
+    assert run_cli([sub, "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+    assert "config error: config field 'm'" in capsys.readouterr().err
+
+
+def test_benchmark_workloads_write_their_pinned_files(tmp_path):
+    # the benchmark's workload configs at its default seed, read from its
+    # module without importing it, must write the bytes it pins
+    bench = runpy.run_path(str(BENCH_WORKLOADS))
+    for name, workload in bench["WORKLOADS"].items():
+        cfg = write_cfg(tmp_path, workload.make_config(bench["DEFAULT_SEED"]), f"{name}.json")
+        out = tmp_path / name
+        assert run_cli([workload.subcommand, "--config", cfg, "--out", out]) == 0, name
+        pinned = bench["PINNED"][name]
+        assert {p.name for p in out.iterdir()} - {"manifest.json"} == set(pinned), name
+        for filename, digest in pinned.items():
+            assert hashlib.sha256((out / filename).read_bytes()).hexdigest() == digest, \
+                (name, filename)
+
+
 # a staged real-task class truncates to plateau hypotheses, which hold no
 # data distribution to draw samples from
 REAL_STAGED = {"family": "staged", "task": "real", "eta": {"kind": "reciprocal", "c": "1/2"},

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paclab as pl
+from paclab.dist import draws
 from paclab.errors import BadDistribution, BadWeights, EmptySample, EmptySupport
+from paclab.rng import mix
 
 SEED = 20260808
 
@@ -118,6 +120,38 @@ class TestDraw:
     def test_provenance(self):
         s = pl.draw(pl.uniform([1], tag="u1"), 3, pl.RngStream(SEED, 9))
         assert (s.source_tag, s.master_seed, s.stream_index) == ("u1", SEED, 9)
+
+
+class TestDrawBlocks:
+    """A block of trials: every seed from one pass, every sample from one
+    reseeded generator, each equal to its own substream's."""
+
+    @pytest.mark.parametrize("master", [0, SEED, -3, 2 ** 64, 2 ** 64 + 5, -(2 ** 70)])
+    @pytest.mark.parametrize("prefix", [(), (7,), (2 ** 70, -1), (-5, 3, 2 ** 64 + 1)], ids=repr)
+    def test_child_seeds_are_the_substream_seeds(self, master, prefix):
+        for index in (0, 9, 2 ** 65):
+            r = pl.RngStream(master, index)
+            expected = [mix(master, r.child(*prefix, t).stream_index) for t in range(6)]
+            assert r.child_seeds(*prefix, count=6) == expected
+            assert r.seed == mix(master, index)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 17])
+    @pytest.mark.parametrize("p", [
+        pl.delta(3),
+        pl.uniform([1, 2, 3]),
+        mix_anchor(F(1, 2), [4, 5, 6, 7]),
+        pl.SparseDist({(0, 0): F(1, 4), (0, 1): F(1, 4), (2, 1): F(1, 2)}),
+    ], ids=["one-atom", "uniform", "anchored", "labeled"])
+    def test_block_samples_are_the_substream_draws(self, m, p):
+        r = pl.RngStream(SEED, 4)
+        block = list(draws(p, m, r.child_seeds(8, 2, count=12)))
+        assert block == [pl.draw(p, m, r.child(8, 2, t)).atoms for t in range(12)]
+
+    def test_negative_size_is_rejected(self):
+        with pytest.raises(BadDistribution):
+            list(draws(pl.uniform([1, 2]), -1, [1, 2]))
+        with pytest.raises(BadDistribution):
+            pl.draw(pl.uniform([1, 2]), -1, pl.RngStream(SEED, 0))
 
 
 class TestEmpirical:

@@ -9,6 +9,7 @@ import pytest
 import paclab as pl
 from paclab import nfl
 from paclab.errors import (
+    BadDistribution,
     BadPrecondition,
     BadRange,
     EmptyEstimate,
@@ -537,6 +538,52 @@ class TestMcRisk:
         else:
             # fresh empirical outputs keep no memo: one loss per trial
             assert len(pairs) == len(fam) * trials
+
+    def test_negative_m_is_rejected(self):
+        inst = pl.nfl_distribution_instance(F(1, 2), 2)
+        with pytest.raises(BadDistribution):
+            pl.mc_risk(inst.family, pl.ScheffeLearner(inst.family), -1, 5,
+                       pl.RngStream(SEED, 0), F(1, 16))
+
+
+def counted_runs(learner):
+    """Wrap the learner's run method; returns the list of samples it sees."""
+    seen, run = [], learner.run
+
+    def counted(sample):
+        seen.append(tuple(sample))
+        return run(sample)
+
+    learner.run = counted
+    return seen
+
+
+class TestTrialBlocks:
+    @pytest.mark.parametrize("kind", ["scheffe", "union"])
+    @pytest.mark.parametrize("m", [2, 9])
+    def test_block_runs_each_trial_on_its_substream_sample(self, kind, m):
+        fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
+        learner = pl.ScheffeLearner(fam)
+        if kind == "union":
+            learner = pl.UnionLearner([learner, pl.EmpiricalBaseline("distribution")])
+        rng, prefix, i, trials = pl.RngStream(SEED, 5), (m,), 3, 25
+        reference = [pl.draw(fam[i], m, rng.child(*prefix, i, t)).atoms for t in range(trials)]
+        expected = [pl.task_loss(fam, learner.run(s), fam[i]) for s in reference]
+        seen = counted_runs(learner)
+        losses = list(nfl._trial_losses(fam, learner, m, trials, rng, prefix, i, {}))
+        assert losses == expected
+        assert seen == reference  # one run per trial, in trial order
+
+    def test_failing_level_stops_at_max_fail_plus_one(self):
+        fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
+        # a constant far from target 0 fails every trial against a zero bar
+        learner = pl.ConstantLearner(fam[5], "distribution")
+        seen = counted_runs(learner)
+        max_fail = 3
+        worst = nfl._level_failures(fam, learner, {0: F(0)}, 4, 40, pl.RngStream(SEED, 6),
+                                    max_fail, {})
+        assert worst is None
+        assert len(seen) == max_fail + 1
 
 
 class TestEstimateSampleComplexity:
