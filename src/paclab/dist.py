@@ -330,7 +330,10 @@ def empirical_measure(s: Sample | Sequence[Atom], event: Iterable[Atom]) -> Frac
 
 
 def empirical_dist(s: Sample | Sequence[Atom], tag: Optional[str] = None) -> SparseDist:
-    """Empirical distribution of a non-empty sample."""
+    """Empirical distribution of a non-empty sample.
+
+    Its masses c/m sum to exactly 1 by construction, so once each distinct
+    atom is checked the dist is built unchecked, in canonical order."""
     atoms = tuple(s)
     if not atoms:
         raise EmptySample("empirical distribution of an empty sample")
@@ -338,7 +341,10 @@ def empirical_dist(s: Sample | Sequence[Atom], tag: Optional[str] = None) -> Spa
     counts: dict = {}
     for a in atoms:
         counts[a] = counts.get(a, 0) + 1
-    return SparseDist({a: Fraction(c, m) for a, c in counts.items()}, tag=tag)
+    for a in counts:
+        check_atom(a)
+    return SparseDist._trusted(tuple((a, Fraction(counts[a], m))
+                                     for a in sorted(counts, key=atom_key)), tag)
 
 
 def sequence_prob(p: SparseDist, seq: Sequence[Atom]) -> Fraction:

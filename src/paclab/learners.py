@@ -6,11 +6,12 @@ sample); ties always break toward the lowest index in the candidate
 class's canonical order. The Scheffé engine precomputes the pairwise
 comparison sets once per class from one integer mass matrix; selection
 runs one numpy formula on integer numerators over a common denominator,
-in int64 while the numbers fit and on object arrays of Python ints past
-int64, so the chosen member is the exact argmin either way. An engine
-remembers its recent selections by the sample's atom counts.
+in the narrowest of int16, int32 and int64 that holds every deviation
+and on object arrays of Python ints past int64, so the chosen member is
+the exact argmin either way. An engine remembers its recent selections
+by the sample's atom counts.
 
-On an int64 engine, selection first bounds every member's deviation
+On an integer engine, selection first bounds every member's deviation
 from below on the engine's smallest comparison sets (the probe sets: the
 singletons, on the anchored families), takes one full deviation row at
 the member of least bound, and evaluates in full only the members whose
@@ -77,7 +78,7 @@ class ScheffeEngine:
     `sets` lists the comparison sets as frozensets of atoms, built on
     first read.
 
-    Bound and verify, on an int64 engine: the probe sets are the
+    Bound and verify, on an integer engine: the probe sets are the
     comparison sets of fewest atoms, and `_probe` holds their columns of
     `_nums`, one row per set. A member's deviation on the probe sets,
     LB, is at most its full deviation, since the probe sets are
@@ -91,11 +92,18 @@ class ScheffeEngine:
 
     The choice depends on the sample only through its atom counts, so
     select() memoises it by the bytes of the count vector, in a dict
-    cleared once it holds SELECT_MEMO_SIZE entries. The matrices are
-    int64 while denom < INT64_SAFE and exact Python ints (object dtype)
-    past it, where selection makes one full pass. select() writes its
-    int64 deviations into one buffer owned by the engine, so an engine
-    must not be shared between threads.
+    cleared once it holds SELECT_MEMO_SIZE entries.
+
+    Widths: every entry of `_nums` is at most denom, and every deviation
+    numerator |nums * m - denom * count| of an m-point sample is at most
+    denom * m. While denom < INT64_SAFE the engine is an integer engine:
+    `_nums` and `_probe` are held in the narrowest of int16, int32 and
+    int64 that holds denom, and each select computes in the narrowest
+    that holds denom * m, so no step can overflow. Past that (denom or
+    denom * m >= INT64_SAFE) selection makes one full pass on exact
+    Python ints (object dtype). select() writes its deviations into one
+    buffer owned by the engine, widened only when a call needs a wider
+    dtype, so an engine must not be shared between threads.
     """
 
     def __init__(self, members: MassTable | Sequence[SparseDist]):
@@ -122,12 +130,14 @@ class ScheffeEngine:
         incidence = np.frombuffer(b"".join(row.ljust(width, b"\0") for row in rows), dtype=bool)
         incidence = incidence.reshape(len(rows), width).T.astype(np.int64)
         self._incidence = incidence
-        self._nums = mass @ incidence
-        # the deviation buffer and the probe block, on an int64 engine with
-        # sets (select() needs neither on an engine without sets)
-        self._dev = None
-        if mass.dtype == np.int64 and incidence.shape[1]:
-            self._dev = np.empty_like(self._nums)
+        dtype = _int_dtype(self.denom)  # None exactly when `mass` holds Python ints
+        self._nums = mass @ incidence if dtype is None else (mass @ incidence).astype(dtype)
+        # the probe block and the (lazily sized) deviation buffer, on an
+        # integer engine with sets (select() needs neither on an engine
+        # without sets)
+        self._probe = None
+        if dtype is not None and incidence.shape[1]:
+            self._dev = np.empty(0, dtype=np.int8)
             sizes = incidence.sum(axis=0)
             self._probe_sets = np.flatnonzero(sizes == sizes.min())
             self._probe = self._nums[:, self._probe_sets].T.copy()
@@ -164,25 +174,37 @@ class ScheffeEngine:
     def _argmin(self, cnt: np.ndarray, m: int) -> int:
         """The selection for set counts `cnt` of an m-point sample."""
         # deviation numerators over common denominator denom*m:
-        #   |prob_num * m - denom * count|, each at most denom*m
-        if self._dev is None or self.denom * m >= INT64_SAFE:
+        #   |prob_num * m - denom * count|, each at most denom*m. Every
+        #   multiply names its dtype: under NEP 50 a narrow array times a
+        #   Python int stays narrow.
+        dtype = _int_dtype(self.denom * m)
+        if self._probe is None or dtype is None:
             dev = self._nums.astype(object, copy=False) * m
             return _first_least_max_row(dev, self.denom * cnt.astype(object))
-        scaled = self.denom * cnt
-        lower = np.abs(self._probe * m - scaled[self._probe_sets, None]).max(axis=0)
+        scaled = np.multiply(cnt, self.denom, dtype=dtype)
+        lower = np.multiply(self._probe, m, dtype=dtype)
+        lower -= scaled[self._probe_sets, None]
+        lower = np.abs(lower, out=lower).max(axis=0)
         first = int(lower.argmin())
-        upper = np.abs(self._nums[first] * m - scaled).max()
+        upper = np.abs(np.multiply(self._nums[first], m, dtype=dtype) - scaled).max()
         candidates = np.flatnonzero(lower <= upper)
         if len(candidates) == 1:
             return first
         if 2 * len(candidates) <= len(lower):
-            # the indices are in range, and mode='clip' writes straight into
-            # `out` (mode='raise' would fill a temporary first)
-            dev = np.take(self._nums, candidates, axis=0, out=self._dev[:len(candidates)],
-                          mode="clip")
-            dev *= m
+            dev = np.multiply(self._nums[candidates], m, dtype=dtype,
+                              out=self._buffer(len(candidates), dtype))
             return int(candidates[_first_least_max_row(dev, scaled)])
-        return _first_least_max_row(np.multiply(self._nums, m, out=self._dev), scaled)
+        dev = np.multiply(self._nums, m, dtype=dtype, out=self._buffer(len(self._nums), dtype))
+        return _first_least_max_row(dev, scaled)
+
+    def _buffer(self, rows: int, dtype: np.dtype) -> np.ndarray:
+        """The first `rows` rows of the deviation buffer, as `dtype`. The
+        buffer is reallocated only for a dtype wider than its own; a
+        narrower one views its bytes."""
+        if self._dev.itemsize < dtype.itemsize:
+            self._dev = np.empty(self._nums.size, dtype=dtype)
+        width = self._nums.shape[1]
+        return self._dev.view(dtype)[:rows * width].reshape(rows, width)
 
     def empirical_gap(self, target: SparseDist, sample: Sample | Sequence) -> Fraction:
         """max over comparison sets of |target(A) - empirical(A)|."""
@@ -194,6 +216,21 @@ class ScheffeEngine:
         m = len(atoms)
         cnt = (self._atom_counts(atoms)[:-1] @ self._incidence).tolist()
         return max(abs(event_prob(target, s) - Fraction(c, m)) for s, c in zip(self.sets, cnt))
+
+
+# (largest bound, dtype), narrowest first; int64 stops below INT64_SAFE
+_INT_WIDTHS = ((np.iinfo(np.int16).max, np.dtype(np.int16)),
+               (np.iinfo(np.int32).max, np.dtype(np.int32)),
+               (INT64_SAFE - 1, np.dtype(np.int64)))
+
+
+def _int_dtype(bound: int) -> Optional[np.dtype]:
+    """The narrowest of int16, int32 and int64 that holds every integer of
+    absolute value at most `bound`; None once bound >= INT64_SAFE."""
+    for top, dtype in _INT_WIDTHS:
+        if bound <= top:
+            return dtype
+    return None
 
 
 def _first_least_max_row(dev: np.ndarray, scaled: np.ndarray) -> int:
@@ -370,11 +407,11 @@ class UnionLearner(Learner):
             raise SampleTooSmall("need at least 2 points to split")
         cut = (len(atoms) + 1) // 2
         first, second = atoms[:cut], atoms[cut:]
-        candidates = [ln.run(Sample(first)) for ln in self.learners]
+        candidates = [ln.run(first) for ln in self.learners]
         if self.task == TASK_DISTRIBUTION:
             return candidates[ScheffeEngine(candidates).select(second)]
         selector = ErmLearner(candidates, self.task, real_ctx=self.real_ctx)
-        return selector.run(Sample(second))
+        return selector.run(second)
 
 
 class EmpiricalBaseline(Learner):

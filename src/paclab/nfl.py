@@ -24,10 +24,16 @@ mass a member puts on each window point, and `nfl_exact` reports it
 (`closed_form_floor`) on every instance whose members all have that
 shape; on any other it enumerates. The enumeration
 `symmetrized_lower_bound` stays as the reference oracle the tests check
-the closed form against. The exact oracle
-weighs sequences with integers read from the family's shared mass table
-(`FiniteClass.mass_table`): each member's likelihood numerators over the
-table's denominator^m, summed per distinct learner output.
+the closed form against; it walks sequences, independently of the exact
+oracle's enumeration.
+
+The exact oracle enumerates each member's samples over that member's own
+support. A learner whose output ignores the order of the points
+(`Learner.exchangeable`) sees one sorted sample per multiset, weighted by
+its multinomial coefficient; any other learner sees every sequence. The
+weights are integers over the denominator^m of the family's shared mass
+table (`FiniteClass.mass_table`), summed per distinct learner output, and
+the enumeration budget charges exactly the samples enumerated.
 """
 
 from __future__ import annotations
@@ -35,11 +41,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .dist import Sample, SparseDist, delta, draws, frac_str, mixture, sequence_prob, uniform
+from .dist import SparseDist, delta, draws, frac_str, mixture, sequence_prob, uniform
 from .errors import (
     BadPrecondition,
     BadRange,
@@ -260,17 +267,22 @@ def _memo_loss(cache: Optional[dict], cls: FiniteClass, out, target_index: int) 
     return err
 
 
-def _check_enum_budget(inst: NflInstance, m: int, budget: int):
+def _check_enum_budget(inst: NflInstance, m: int, budget: int, exchangeable: bool):
+    """Charge members x (samples per member) against the budget: the
+    C(s+m-1, m) multisets of the largest support s when `exchangeable`,
+    its s^m sequences otherwise."""
     if m < 0:
         raise BadRange(f"sample size m={m} is negative")
     size = len(inst.family)
     support = max(len(p.support()) for p in inst.family.members)
-    alphabet = len(instance_alphabet(inst))
-    weight = max(size * support ** m, alphabet ** m)
-    if weight > budget:
+    if exchangeable:
+        kind, per_member = "multisets", math.comb(support + m - 1, m)
+    else:
+        kind, per_member = "sequences", support ** m
+    if size * per_member > budget:
         raise EnumerationBudgetExceeded(
-            f"{size} members x {support}^{m} sequences (alphabet {alphabet}^{m}) "
-            f"= {weight} weighted pairs > budget {budget}")
+            f"{size} members x {per_member} {kind} of {m} points over {support} atoms "
+            f"= {size * per_member} weighted samples > budget {budget}")
 
 
 def symmetrized_lower_bound(inst: NflInstance, m: int,
@@ -281,7 +293,7 @@ def symmetrized_lower_bound(inst: NflInstance, m: int,
     by exact sample likelihood, half the member-to-partner distance:
     (1/(4T)) * sum over members i, sequences S of P_i^m(S) * dist(i, S).
     """
-    _check_enum_budget(inst, m, budget)
+    _check_enum_budget(inst, m, budget, exchangeable=False)
     total = Fraction(0)
     for i, member in enumerate(inst.family.members):
         for seq in itertools.product(member.support(), repeat=m):
@@ -398,73 +410,103 @@ def closed_form_floor(inst: NflInstance, m: int) -> Fraction:
     return inst.eta / 4 * (1 - q) ** m
 
 
-def _sequence_weights(member: SparseDist, denom: int, m: int) -> list:
-    """(sequence, weight) over the member's length-m support sequences: the
-    weight is the product of the sequence's mass numerators over `denom`,
-    so the sequence's likelihood is weight / denom^m."""
-    items = [(a, w.numerator * (denom // w.denominator)) for a, w in member.items]
-    seqs = [((), 1)]
-    for _ in range(m):
-        seqs = [(seq + (a,), weight * num) for seq, weight in seqs for a, num in items]
-    return seqs
+def _multinomials(size: int, m: int) -> list:
+    """m!/prod(c!) for each multiset of m of `size` points, with c its count
+    vector, in combinations_with_replacement order."""
+    top = math.factorial(m)
+    return [top // math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(bag))
+            for bag in itertools.combinations_with_replacement(range(size), m)]
+
+
+def _member_samples(members: Sequence[SparseDist], denom: int, m: int, exchangeable: bool):
+    """For each member in turn, an iterator of (sample, weight) over its
+    length-m samples on its own support. The sample's probability under the
+    member is weight / denom^m, so a member's weights sum to denom^m.
+
+    Exchangeable: one sample per multiset, as the sorted tuple that
+    combinations_with_replacement gives over the canonical atom order,
+    weighted by its multinomial coefficient times prod(num^c), with c its
+    count vector and num the member's mass numerators over `denom`.
+    Otherwise one sample per sequence, weighted by the product of its
+    numerators. Members with equal numerators share one weight list."""
+    def spread(points, k):
+        if exchangeable:
+            return itertools.combinations_with_replacement(points, k)
+        return itertools.product(points, repeat=k)
+
+    weights: dict = {}  # numerators -> weights, in sample order
+    for member in members:
+        nums = tuple(w.numerator * (denom // w.denominator) for _, w in member.items)
+        if nums not in weights:
+            products = map(math.prod, spread(nums, m))
+            weights[nums] = (list(map(operator.mul, _multinomials(len(nums), m), products))
+                             if exchangeable else list(products))
+        yield zip(spread(member.support(), m), weights[nums])
 
 
 def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
               thresholds: Optional[Sequence] = None,
               budget: int = DEFAULT_ENUM_BUDGET) -> ExactOracleReport:
-    """Exact per-member risk of each learner by full enumeration of all
-    length-m sequences with exact likelihood weights. The reported floor
-    is `closed_form_floor` on an instance of the constructors' shape and
-    the enumerated `symmetrized_lower_bound` on any other.
+    """Exact per-member risk of each learner by full enumeration of every
+    member's length-m samples with exact likelihood weights. The reported
+    floor is `closed_form_floor` on an instance of the constructors' shape
+    and the enumerated `symmetrized_lower_bound` on any other; either way
+    it and the budget are settled before any learner runs.
 
-    Each learner runs once per sample multiset when it is `exchangeable`
-    and once per sequence otherwise, and its outputs are shared across
-    members. Each member's sequence weights are integers over the family's
-    common denominator^m (its mass table's), summed per distinct output.
-    Each (member, output) loss is a numerator over a denominator: the mean
-    sums weight * numerator per denominator and takes one Fraction step
-    per distinct denominator, and each tail is an integer sum. A
-    distribution output's TV to every member is one L1 row of the mass
-    table; the other tasks call task_loss once per (member, output).
+    Each member's samples come from `_member_samples` over its own
+    support: one sorted sample per multiset, weighted by its multinomial
+    coefficient, when the learner is `exchangeable`, and one per sequence
+    otherwise. The weights are integers over the family's common
+    denominator^m (its mass table's). A learner runs once per distinct
+    sample, through one run memo shared across members, and the weights
+    are summed per distinct output. Each (member, output) loss is a
+    numerator over a denominator: the mean sums weight * numerator per
+    denominator and takes one Fraction step per distinct denominator, and
+    each tail is an integer sum. A distribution output's TV to every
+    member is one L1 row of the mass table; the other tasks call
+    task_loss once per (member, output).
     """
-    _check_enum_budget(inst, m, budget)
+    _check_enum_budget(inst, m, budget, all(ln.exchangeable for ln in learners))
+    try:
+        bound = closed_form_floor(inst, m)
+    except BadPrecondition:
+        bound = symmetrized_lower_bound(inst, m, budget=budget)
     eta = inst.eta
     if thresholds is None:
         thresholds = [eta / 8]
     thresholds = [Fraction(a) for a in thresholds]
     levels = [(a.numerator, a.denominator) for a in thresholds]
-    alphabet = instance_alphabet(inst)
     family = inst.family
     denom = family.mass_table().denom
     total = denom ** m
     reports = []
     for learner in learners:
-        distinct: dict = {}  # output -> id; equal outputs share one id
-        runs: dict = {}  # run key -> output id
-        ids = {}  # sequence -> output id
-        for seq in itertools.product(alphabet, repeat=m):
-            key = tuple(sorted(seq)) if learner.exchangeable else seq
-            if key not in runs:
-                runs[key] = distinct.setdefault(learner.run(Sample(seq)), len(distinct))
-            ids[seq] = runs[key]
-        outputs = list(distinct)
-        rows: list = [None] * len(outputs)  # distribution: (L1 row, scale) by output id
+        ids: dict = {}  # output -> id; equal outputs share one id
+        outputs: list = []  # id -> output
+        runs: dict = {}  # sample -> output id, shared across members
+        rows: dict = {}  # distribution: output id -> (L1 row, scale)
 
         def loss(k: int, i: int) -> tuple:
             """(numerator, denominator) of output k's loss against member i."""
             if inst.task != TASK_DISTRIBUTION:
                 err = task_loss(family, outputs[k], family.members[i])
                 return err.numerator, err.denominator
-            if rows[k] is None:
+            if k not in rows:
                 rows[k] = family.mass_table().l1(outputs[k])
             nums, scale = rows[k]
             return int(nums[i]), scale
 
         means, tails = [], [[] for _ in thresholds]
-        for i, member in enumerate(family.members):
-            weights: dict = {}  # output id -> summed sequence weight
-            for seq, w in _sequence_weights(member, denom, m):
-                k = ids[seq]
+        enumerated = _member_samples(family.members, denom, m, learner.exchangeable)
+        for i, samples in enumerate(enumerated):
+            weights: dict = {}  # output id -> summed sample weight
+            for sample, w in samples:
+                k = runs.get(sample)
+                if k is None:
+                    out = learner.run(sample)
+                    k = runs[sample] = ids.setdefault(out, len(outputs))
+                    if k == len(outputs):
+                        outputs.append(out)
                 weights[k] = weights.get(k, 0) + w
             sums: dict = {}  # loss denominator -> sum of weight * loss numerator
             tail = [0] * len(thresholds)
@@ -484,10 +526,6 @@ def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
             class_max=max(means),
             tails=dict(zip(thresholds, tails)),
         ))
-    try:
-        bound = closed_form_floor(inst, m)
-    except BadPrecondition:
-        bound = symmetrized_lower_bound(inst, m, budget=budget)
     return ExactOracleReport(
         task=inst.task, eta=eta, window=inst.window, set_size=inst.set_size,
         m=m, family_size=len(family),

@@ -426,6 +426,30 @@ def test_budget_exit_code(tmp_path):
     assert run_cli(["nfl-exact", "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_BUDGET
 
 
+EXCHANGEABLE = [{"kind": "scheffe"}, {"kind": "empirical-baseline"},
+                {"kind": "constant", "member_index": 0}]
+UNION = {"kind": "union", "of": [{"kind": "scheffe"}, {"kind": "empirical-baseline"}]}
+
+
+@pytest.mark.parametrize("budget,learners,code", [
+    # 28 members x C(7, 5) = 588 multisets of 3 support atoms fit, where the
+    # 9-point alphabet's 9^5 = 59,049 sequences would not
+    (10_000, EXCHANGEABLE, cli.EXIT_OK),
+    (588, EXCHANGEABLE, cli.EXIT_OK),
+    (587, EXCHANGEABLE, cli.EXIT_BUDGET),
+    # a union is charged its 28 x 3^5 = 6,804 sequences
+    (10_000, EXCHANGEABLE + [UNION], cli.EXIT_OK),
+    (6_803, EXCHANGEABLE + [UNION], cli.EXIT_BUDGET),
+], ids=["multisets", "multisets-at-budget", "multisets-over", "sequences", "sequences-over"])
+def test_budget_charges_the_enumerated_samples(tmp_path, budget, learners, code):
+    cfg = write_cfg(tmp_path, {
+        "kind": "nfl-exact", "seed": 1,
+        "instance": {"task": "distribution", "eta": "1/2", "n": 2},
+        "m": 5, "enum_budget": budget, "learners": learners,
+    })
+    assert run_cli(["nfl-exact", "--config", cfg, "--out", tmp_path / "o"]) == code
+
+
 def test_failed_assertion_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, {
         "kind": "nfl-exact", "seed": 1,

@@ -177,6 +177,16 @@ class TestEmpirical:
         with pytest.raises(BadDistribution):
             pl.empirical_dist(bad)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(0, 12), min_size=1, max_size=20),
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 1)), min_size=1, max_size=20)))
+    def test_empirical_dist_equals_the_checked_constructor(self, sample):
+        counts = Counter(sample)
+        checked = pl.SparseDist({a: F(c, len(sample)) for a, c in counts.items()}, tag="e")
+        built = pl.empirical_dist(sample, tag="e")
+        assert built.items == checked.items and built.tag == "e"
+
 
 # denominators 3, 7 and 2; atom 5 only in the last member
 TABLE_MEMBERS = [pl.SparseDist({0: F(1, 3), 1: F(2, 3)}), pl.SparseDist({1: F(1, 7), 2: F(6, 7)}),

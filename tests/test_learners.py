@@ -126,6 +126,27 @@ class TestScheffe:
             for seq in itertools.combinations_with_replacement([0, 1, 2], m):
                 assert engine.select(seq) == fraction_argmin(fam, engine.sets, seq)
 
+    @pytest.mark.parametrize("bits", [15, 31])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_width_boundaries_match_the_object_path(self, bits, m, monkeypatch):
+        # denom * m just below 2^bits computes in int16 (bits 15) or int32
+        # (bits 31), just above in the next width. The last member has no
+        # mass at atom 0, so a sample of 0s reaches the bound denom * m itself.
+        for q, width in (((2 ** bits - 1) // m, (bits + 1) // 8),
+                         ((2 ** bits - 1) // m + 1, (bits + 1) // 4)):
+            fam = [pl.SparseDist({0: F(k, q), 1: F(q - 2 * k, q), 2: F(k, q)})
+                   for k in (1, 2, q // 3, q // 2 - 1)]
+            fam.append(pl.SparseDist({1: 1 - F(1, q), 2: F(1, q)}))
+            samples = list(itertools.combinations_with_replacement([0, 1, 2], m))
+            engine = pl.ScheffeEngine(fam)
+            assert engine.denom == q and learners._int_dtype(q * m).itemsize == width
+            chosen = [engine.select(s) for s in samples]
+            with monkeypatch.context() as patched:
+                patched.setattr(learners, "_int_dtype", lambda bound: None)
+                on_objects = pl.ScheffeEngine(fam)
+                assert chosen == [on_objects.select(s) for s in samples]
+            assert chosen == [fraction_argmin(fam, engine.sets, s) for s in samples]
+
     def test_denominator_past_int64_is_exact_argmin(self):
         # masses over 2^64 + 13 cannot be int64 numerators at all
         q = 2 ** 64 + 13

@@ -2,6 +2,7 @@
 oracles, Markov conversion, Monte Carlo cross-checks, complexity search."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -383,6 +384,79 @@ class TestExchangeableLearners:
             learner.run = counted
         pl.nfl_exact(inst, learners, 3)
         assert [count[0] for count in runs] == [455, 455, 455, 2197]
+
+
+def enumerated_instances():
+    for task in TASKS:
+        yield pytest.param(make_instance(task, F(1, 2), 2), id=task)
+    yield from off_shape_instances()
+
+
+def counted_learner(learner):
+    """The learner, and a list that gets one entry per run."""
+    runs = []
+
+    def counted(sample, run=learner.run):
+        runs.append(sample)
+        return run(sample)
+
+    learner.run = counted
+    return learner, runs
+
+
+class TestMemberSamples:
+    """nfl_exact's enumeration: each member's multisets or sequences over
+    its own support, with integer weights over denom^m."""
+
+    @pytest.mark.parametrize("m", range(6))
+    @pytest.mark.parametrize("inst", list(enumerated_instances()))
+    def test_weights_sum_to_denominator_power(self, inst, m):
+        members, denom = inst.family.members, inst.family.mass_table().denom
+        for exchangeable in (True, False):
+            enumerated = nfl._member_samples(members, denom, m, exchangeable)
+            for member, samples in zip(members, enumerated, strict=True):
+                samples = list(samples)
+                s = len(member.support())
+                assert sum(w for _, w in samples) == denom ** m
+                assert len(samples) == (math.comb(s + m - 1, m) if exchangeable else s ** m)
+                assert len({sample for sample, _ in samples}) == len(samples)
+
+    @pytest.mark.parametrize("inst", list(enumerated_instances()))
+    def test_multiset_weight_is_its_sequences_likelihood(self, inst):
+        # each multiset is the sorted tuple of its sequences, and its weight
+        # their summed likelihood; each sequence weight is its likelihood
+        m = 4
+        members, denom = inst.family.members, inst.family.mass_table().denom
+        multisets = nfl._member_samples(members, denom, m, True)
+        sequences = nfl._member_samples(members, denom, m, False)
+        for member, bags, seqs in zip(members, multisets, sequences, strict=True):
+            summed: dict = {}
+            for seq, w in seqs:
+                assert F(w, denom ** m) == pl.sequence_prob(member, seq)
+                key = tuple(sorted(seq, key=pl.dist.atom_key))
+                summed[key] = summed.get(key, 0) + w
+            assert dict(bags) == summed
+
+    @pytest.mark.parametrize("shape,union,enough", [
+        ("closed-form", False, 588), ("closed-form", True, 6_804), ("tilted", False, 6_804)],
+        ids=["multisets", "sequences", "enumerated-floor"])
+    def test_over_budget_runs_no_learner(self, shape, union, enough):
+        # 28 members of 3 atoms at m = 5: 588 multisets, 6,804 sequences; a
+        # union is charged the sequences, and so is an enumerated floor
+        inst = make_instance("distribution", F(1, 2), 2)
+        if shape == "tilted":
+            members = [tilted(inst.family[0])] + list(inst.family.members)[1:]
+            inst = pl.NflInstance("distribution", inst.eta, inst.window, inst.set_size,
+                                  pl.FiniteClass("distribution", members))
+        made = [pl.ScheffeLearner(inst.family), pl.EmpiricalBaseline("distribution")]
+        if union:
+            made.append(pl.UnionLearner(made[:]))
+        counted = [counted_learner(learner) for learner in made]
+        with pytest.raises(EnumerationBudgetExceeded):
+            pl.nfl_exact(inst, [learner for learner, _ in counted], 5, budget=enough - 1)
+        assert all(runs == [] for _, runs in counted)
+        pl.nfl_exact(inst, [learner for learner, _ in counted], 5, budget=enough)
+        assert all(runs for _, runs in counted)
 
 
 class TestExactOracle:
