@@ -33,6 +33,7 @@ from .errors import (
 from .families import (
     AffineOfTarget,
     Constant,
+    DEFAULT_MEMBER_BUDGET,
     EtaTable,
     FiniteClass,
     IdentityN,
@@ -58,6 +59,7 @@ from .learners import (
 from .losses import AbsoluteLoss, CappedLinearLoss, SquaredLoss
 from .nfl import (
     ComplexityCurve,
+    DEFAULT_ENUM_BUDGET,
     check_search_protocol,
     estimate_sample_complexity,
     markov_reverse,
@@ -226,7 +228,7 @@ def _load_staged(spec: Reader):
 def _load_class(spec: Reader, staged):
     """The finite class of a spec; `staged` is its `_load_staged` result,
     which is truncated at the spec's truncate_epsilon."""
-    budget = spec.get("budget", _int, 1 << 20)
+    budget = spec.get("budget", _int, DEFAULT_MEMBER_BUDGET)
     if staged is not None:
         return staged.truncate(spec.get("truncate_epsilon", Fraction), budget=budget)
     family = spec.get("family", str)
@@ -257,7 +259,7 @@ def _class_and_learner(cfg: Reader):
 def _load_instance(spec: Reader):
     task = spec.get("task", str, "distribution")
     eta = spec.get("eta", Fraction)
-    budget = spec.get("budget", _int, 1 << 20)
+    budget = spec.get("budget", _int, DEFAULT_MEMBER_BUDGET)
     if task == "distribution":
         return nfl_distribution_instance(eta, spec.get("n", _int), budget=budget)
     if task == "classification":
@@ -276,7 +278,7 @@ def _load_learner(spec: Reader, cls: FiniteClass, staged=None):
         if staged is None:
             raise ConfigError(spec.at("kind"), "truncation learner needs a staged class spec")
         return TruncationLearner(staged, spec.get("epsilon", Fraction),
-                                 budget=spec.get("budget", _int, 1 << 20))
+                                 budget=spec.get("budget", _int, DEFAULT_MEMBER_BUDGET))
     if kind == "erm":
         return ErmLearner.for_class(cls)
     if kind == "union":
@@ -301,8 +303,10 @@ def _table(spec: Reader, base_dir: Path) -> FunctionTable:
             line = line.strip()
             if not line or line.lower().startswith("k,"):
                 continue
-            k, v = line.split(",")
-            rows[int(k)] = int(v)
+            k, v = map(int, line.split(","))
+            if k in rows:
+                raise ValueError(f"k = {k} appears in more than one row")
+            rows[k] = v
     except (OSError, ValueError) as exc:
         raise ConfigError(spec.at("csv"), str(exc))
     if sorted(rows) != list(range(1, len(rows) + 1)):
@@ -412,7 +416,7 @@ def _run_nfl_exact(cfg: Reader, rng, base_dir):
     inst = _load_instance(cfg.get("instance", Reader))
     learners = [_load_learner(s, inst.family) for s in cfg.list("learners", Reader)]
     thresholds = cfg.list("thresholds", Fraction, []) or None
-    budget = cfg.get("enum_budget", _int, 10_000_000)
+    budget = cfg.get("enum_budget", _int, DEFAULT_ENUM_BUDGET)
     asserts = cfg.get("assert", Reader, {})
     above_bound = asserts.get("learners_above_bound", _bool, False)
     markov_tails = asserts.get("markov_tails", _bool, False)

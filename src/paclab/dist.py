@@ -8,7 +8,8 @@ normalization, because the downstream oracles rely on exact equality of
 sample likelihoods; the family constructors, which compute their masses
 exactly, build through the unchecked `SparseDist._trusted`. Floats
 appear only inside the sampler's cumulative table, never in a reported
-probability.
+probability. A sample is a plain tuple of atoms: `draw` returns one, and
+`draws` yields one per generator seed.
 
 `MassTable` holds the masses of a list of distributions as one integer
 matrix over a common denominator; the Scheffé engine, `opt_loss` and the
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -133,30 +133,6 @@ class SparseDist:
             "atoms": [[enc_atom(a), frac_str(p)] for a, p in self.items],
             "tag": self.tag,
         }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "SparseDist":
-        pairs = []
-        for enc, s in obj["atoms"]:
-            a = tuple(enc) if isinstance(enc, list) else enc
-            pairs.append((a, Fraction(s)))
-        return SparseDist(pairs, tag=obj.get("tag"))
-
-
-@dataclass(frozen=True)
-class Sample:
-    """Ordered draw record; provenance is set whenever `draw` produced it."""
-
-    atoms: tuple
-    source_tag: Optional[str] = None
-    master_seed: Optional[int] = None
-    stream_index: Optional[int] = None
-
-    def __len__(self):
-        return len(self.atoms)
-
-    def __iter__(self):
-        return iter(self.atoms)
 
 
 def delta(a: Atom, tag: Optional[str] = None) -> SparseDist:
@@ -291,15 +267,15 @@ def _cumulative(p: SparseDist):
     return cache
 
 
-def draw(p: SparseDist, m: int, rng: RngStream) -> Sample:
-    """m i.i.d. atoms by inverse CDF over the canonical atom order.
+def draw(p: SparseDist, m: int, rng: RngStream) -> tuple:
+    """A sample: the tuple of m i.i.d. atoms drawn by inverse CDF over the
+    canonical atom order.
 
     Pure in (p, m, rng): the same stream always yields the same sample,
     bit for bit.
     """
     drawn, = draws(p, m, [rng.seed])
-    return Sample(drawn, source_tag=p.tag, master_seed=rng.master_seed,
-                  stream_index=rng.stream_index)
+    return drawn
 
 
 def draws(p: SparseDist, m: int, seeds: Iterable[int]):
@@ -320,7 +296,7 @@ def draws(p: SparseDist, m: int, seeds: Iterable[int]):
         yield tuple(gen.choices(atoms, cum_weights=cum, k=m))
 
 
-def empirical_measure(s: Sample | Sequence[Atom], event: Iterable[Atom]) -> Fraction:
+def empirical_measure(s: Sequence[Atom], event: Iterable[Atom]) -> Fraction:
     """Fraction of sample entries lying in the event, exact."""
     atoms = tuple(s)
     if not atoms:
@@ -329,7 +305,7 @@ def empirical_measure(s: Sample | Sequence[Atom], event: Iterable[Atom]) -> Frac
     return Fraction(sum(1 for a in atoms if a in ev), len(atoms))
 
 
-def empirical_dist(s: Sample | Sequence[Atom], tag: Optional[str] = None) -> SparseDist:
+def empirical_dist(s: Sequence[Atom], tag: Optional[str] = None) -> SparseDist:
     """Empirical distribution of a non-empty sample.
 
     Its masses c/m sum to exactly 1 by construction, so once each distinct

@@ -32,12 +32,14 @@ from .rng import RngStream
 
 @dataclass(frozen=True)
 class FunctionTable:
-    """Natural-valued function tabulated on the contiguous prefix 1..K."""
+    """Natural-valued function tabulated on the contiguous prefix 1..K, K >= 1."""
 
     values: tuple  # values[i-1] = value at i
     rule: Optional[tuple] = None  # ("poly", degree) | ("exp", base) | None
 
     def __post_init__(self):
+        if not self.values:
+            raise EmptyList("a function table needs at least one value")
         if any(int(v) < 0 for v in self.values):
             raise BadN("table values must be naturals")
 

@@ -2,14 +2,14 @@
 union aggregation, and the empirical baselines.
 
 Every learner is a pure, deterministic function of (configuration,
-sample); ties always break toward the lowest index in the candidate
-class's canonical order. The Scheffé engine precomputes the pairwise
-comparison sets once per class from one integer mass matrix; selection
-runs one numpy formula on integer numerators over a common denominator,
-in the narrowest of int16, int32 and int64 that holds every deviation
-and on object arrays of Python ints past int64, so the chosen member is
-the exact argmin either way. An engine remembers its recent selections
-by the sample's atom counts.
+sample), where a sample is a tuple of atoms; ties always break toward
+the lowest index in the candidate class's canonical order. The Scheffé
+engine precomputes the pairwise comparison sets once per class from one
+integer mass matrix; selection runs one numpy formula on integer
+numerators over a common denominator, in the narrowest of int16, int32
+and int64 that holds every deviation and on object arrays of Python
+ints past int64, so the chosen member is the exact argmin either way.
+An engine remembers its recent selections by the sample's atom counts.
 
 On an integer engine, selection first bounds every member's deviation
 from below on the engine's smallest comparison sets (the probe sets: the
@@ -28,11 +28,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dist import INT64_SAFE, MassTable, Sample, SparseDist, empirical_dist, event_prob
+from .dist import INT64_SAFE, MassTable, SparseDist, empirical_dist
 from .errors import EmptyClass, EmptySample, MixedTasks, SampleTooSmall
 from .families import (
     ALL_ZERO_REAL,
     BinaryHypothesis,
+    DEFAULT_MEMBER_BUDGET,
     FiniteClass,
     RealHypothesis,
     StagedClass,
@@ -40,7 +41,7 @@ from .families import (
     TASK_DISTRIBUTION,
     TASK_REAL,
 )
-from .losses import hypotheses_of_class
+from .losses import bayes_labeler, hypotheses_of_class, real_risk, zero_one_risk
 
 SELECT_MEMO_SIZE = 4096  # most selections an engine remembers
 
@@ -155,7 +156,7 @@ class ScheffeEngine:
         width = len(self._column)
         return np.bincount([self._column.get(a, width) for a in atoms], minlength=width + 1)
 
-    def select(self, sample: Sample | Sequence) -> int:
+    def select(self, sample: Sequence) -> int:
         """Index of the member with the smallest maximum deviation."""
         atoms = tuple(sample)
         if not atoms:
@@ -206,17 +207,6 @@ class ScheffeEngine:
         width = self._nums.shape[1]
         return self._dev.view(dtype)[:rows * width].reshape(rows, width)
 
-    def empirical_gap(self, target: SparseDist, sample: Sample | Sequence) -> Fraction:
-        """max over comparison sets of |target(A) - empirical(A)|."""
-        atoms = tuple(sample)
-        if not atoms:
-            raise EmptySample("empirical gap needs a sample")
-        if not self._incidence.shape[1]:
-            return Fraction(0)
-        m = len(atoms)
-        cnt = (self._atom_counts(atoms)[:-1] @ self._incidence).tolist()
-        return max(abs(event_prob(target, s) - Fraction(c, m)) for s, c in zip(self.sets, cnt))
-
 
 # (largest bound, dtype), narrowest first; int64 stops below INT64_SAFE
 _INT_WIDTHS = ((np.iinfo(np.int16).max, np.dtype(np.int16)),
@@ -261,7 +251,7 @@ class Learner:
     min_sample: int = 1
     name: str = "learner"
 
-    def run(self, sample: Sample | Sequence):
+    def run(self, sample: Sequence):
         raise NotImplementedError
 
 
@@ -277,33 +267,26 @@ class ScheffeLearner(Learner):
             raise EmptyClass("empty candidate class")
         self.cls = cls
         self.engine = ScheffeEngine(cls.mass_table())
-        self.task = TASK_DISTRIBUTION
         self.name = f"scheffe({cls.tag or len(cls)})"
 
     def run(self, sample):
         return self.cls.members[self.engine.select(sample)]
 
 
-class TruncationLearner(Learner):
+class TruncationLearner(ScheffeLearner):
     """Learns a staged union by reducing to its finite truncation.
 
     The truncation at accuracy eps keeps the base member and all stages
     up to the settling index of eps/4; minimum-distance selection then
-    runs on that finite class.
+    runs on that finite class, `cls`.
     """
 
-    agnostic_factor = 3
-    finite_outputs = True
-    exchangeable = True
-
-    def __init__(self, staged: StagedClass, eps, budget: int = 1 << 20):
+    def __init__(self, staged: StagedClass, eps, budget: int = DEFAULT_MEMBER_BUDGET):
         if staged.task != TASK_DISTRIBUTION:
             raise MixedTasks("truncation learner is a distribution learner")
         self.staged = staged
         self.eps = Fraction(eps)
-        self.truncated = staged.truncate(self.eps, budget=budget)  # may raise NonVanishing/ClassTooLarge
-        self.engine = ScheffeEngine(self.truncated.mass_table())
-        self.task = TASK_DISTRIBUTION
+        super().__init__(staged.truncate(self.eps, budget=budget))  # may raise NonVanishing/ClassTooLarge
         self.name = f"truncation(eps={self.eps})"
 
     def advertised_sample_size(self, delta) -> int:
@@ -315,15 +298,14 @@ class TruncationLearner(Learner):
         return math.ceil(128 * (math.log(3 * (idx * nmax) ** 2) + math.log(1 / float(delta)))
                          / eps ** 2)
 
-    def run(self, sample):
-        return self.truncated.members[self.engine.select(sample)]
-
 
 class ErmLearner(Learner):
     """Empirical risk minimization over a finite hypothesis list.
 
-    On an empty sample every hypothesis has vacuous empirical risk, so
-    the tie rule returns the lowest-index hypothesis.
+    A hypothesis's empirical risk is its exact risk (`zero_one_risk` or
+    `real_risk`) on the sample's empirical distribution. On an empty
+    sample every hypothesis has vacuous empirical risk, so the tie rule
+    returns the lowest-index hypothesis.
     """
 
     finite_outputs = True
@@ -353,27 +335,17 @@ class ErmLearner(Learner):
             return ErmLearner(list(source.members), TASK_REAL, real_ctx=cls.real_ctx)
         raise MixedTasks("distribution classes take the minimum-distance learner")
 
-    def empirical_risk(self, h, atoms) -> Fraction:
-        if not atoms:
-            return Fraction(0)
-        m = len(atoms)
+    def _risk(self, h, p: SparseDist) -> Fraction:
         if self.task == TASK_CLASSIFICATION:
-            bad = sum(1 for (x, y) in atoms if h(x) != y)
-            return Fraction(bad, m)
-        ctx = self.real_ctx
-        total = Fraction(0)
-        for (x, b) in atoms:
-            total += ctx.loss.g(abs(h(x) - ctx.y_of_bit(b)))
-        return total / m
+            return zero_one_risk(h, p)
+        return real_risk(self.real_ctx, h, p)
 
     def run(self, sample):
         atoms = tuple(sample)
-        best, best_h = None, self.hypotheses[0]
-        for h in self.hypotheses:
-            risk = self.empirical_risk(h, atoms)
-            if best is None or risk < best:
-                best, best_h = risk, h
-        return best_h
+        if not atoms:
+            return self.hypotheses[0]
+        p = empirical_dist(atoms)
+        return min(self.hypotheses, key=lambda h: self._risk(h, p))  # first of least risk
 
 
 class UnionLearner(Learner):
@@ -416,8 +388,9 @@ class UnionLearner(Learner):
 
 class EmpiricalBaseline(Learner):
     """The NFL test subject: empirical distribution for the distribution
-    task, plurality labeler for the hypothesis tasks (unseen points and
-    exact label ties go to 0)."""
+    task, plurality labeler for the hypothesis tasks: the Bayes labeler of
+    the empirical distribution, so unseen points and exact label ties go
+    to 0."""
 
     exchangeable = True
 
@@ -430,18 +403,14 @@ class EmpiricalBaseline(Learner):
         atoms = tuple(sample)
         if self.task == TASK_DISTRIBUTION:
             return empirical_dist(atoms)
-        counts: dict = {}
-        for (x, y) in atoms:
-            key = (x, y)
-            counts[key] = counts.get(key, 0) + 1
-        xs = sorted({x for (x, _) in counts})
-        ones = [x for x in xs if counts.get((x, 1), 0) > counts.get((x, 0), 0)]
+        labeler = bayes_labeler(empirical_dist(atoms)) if atoms else BinaryHypothesis(())
         if self.task == TASK_CLASSIFICATION:
-            return BinaryHypothesis.from_set(ones)
+            return labeler
         if self.real_ctx is None:
             raise MixedTasks("real baseline needs a task context")
-        height = self.real_ctx.level_value
-        return RealHypothesis(tuple((x, height) for x in ones)) if ones else ALL_ZERO_REAL
+        if not labeler.ones:
+            return ALL_ZERO_REAL
+        return RealHypothesis(tuple((x, self.real_ctx.level_value) for x in labeler.ones))
 
 
 class ConstantLearner(Learner):

@@ -48,9 +48,14 @@ class LossRule:
     def g(self, t: Fraction) -> Fraction:
         raise NotImplementedError
 
-    def g_inverse(self, y: Fraction) -> Fraction:
-        """Least t >= 0 with g(t) = y, possibly rounded down dyadically."""
-        raise NotImplementedError
+    def g_inverse(self, y) -> Fraction:
+        """Least t >= 0 with g(t) = y, for a level y in [0, g_max]: y itself,
+        for the rules that are the identity there. A rule that is not
+        overrides this, range-checking through it first."""
+        y = Fraction(y)
+        if not 0 <= y <= self.g_max:
+            raise EtaAboveGmax(f"level {y} outside [0, {self.g_max}]")
+        return y
 
     def to_json_obj(self):
         return {"kind": self.name}
@@ -66,12 +71,6 @@ class AbsoluteLoss(LossRule):
     def g(self, t: Fraction) -> Fraction:
         return abs(Fraction(t))
 
-    def g_inverse(self, y) -> Fraction:
-        y = Fraction(y)
-        if not 0 <= y <= self.g_max:
-            raise EtaAboveGmax(f"level {y} outside [0, {self.g_max}]")
-        return y
-
 
 class SquaredLoss(LossRule):
     name = "squared"
@@ -86,9 +85,7 @@ class SquaredLoss(LossRule):
 
     def g_inverse(self, y) -> Fraction:
         # floor(sqrt(y) * 2^B) / 2^B, so g(value) <= y exactly.
-        y = Fraction(y)
-        if not 0 <= y <= self.g_max:
-            raise EtaAboveGmax(f"level {y} outside [0, {self.g_max}]")
+        y = super().g_inverse(y)
         scale = 1 << DYADIC_BITS
         num = y.numerator * scale * scale
         root = math.isqrt(num // y.denominator)
@@ -109,12 +106,6 @@ class CappedLinearLoss(LossRule):
 
     def g(self, t: Fraction) -> Fraction:
         return min(abs(Fraction(t)), Fraction(self.cap))
-
-    def g_inverse(self, y) -> Fraction:
-        y = Fraction(y)
-        if not 0 <= y <= self.g_max:
-            raise EtaAboveGmax(f"level {y} outside [0, {self.g_max}]")
-        return y
 
     def to_json_obj(self):
         return {"kind": "capped-linear", "cap": frac_str(Fraction(self.cap))}

@@ -56,6 +56,7 @@ from .errors import (
     SearchBoundExceeded,
 )
 from .families import (
+    DEFAULT_MEMBER_BUDGET,
     FiniteClass,
     TASK_CLASSIFICATION,
     TASK_DISTRIBUTION,
@@ -194,21 +195,22 @@ class NflInstance:
     family: FiniteClass
 
 
-def nfl_distribution_instance(eta, n: int, budget: int = 1 << 20) -> NflInstance:
+def nfl_distribution_instance(eta, n: int, budget: int = DEFAULT_MEMBER_BUDGET) -> NflInstance:
     """Anchored members with |A| = n inside a window of 4n points."""
     eta = Fraction(eta)
     fam = anchored_family(eta, 4 * n, size_filter=n, budget=budget)
     return NflInstance(TASK_DISTRIBUTION, eta, 4 * n, n, fam)
 
 
-def nfl_classification_instance(eta, n: int, budget: int = 1 << 20) -> NflInstance:
+def nfl_classification_instance(eta, n: int, budget: int = DEFAULT_MEMBER_BUDGET) -> NflInstance:
     """All labelings of a 2n-point window under an anchored marginal."""
     eta = Fraction(eta)
     fam = labeled_anchored_family(eta, n, budget=budget)
     return NflInstance(TASK_CLASSIFICATION, eta, 2 * n, None, fam)
 
 
-def nfl_real_instance(loss: LossRule, eta, width: int, budget: int = 1 << 20) -> NflInstance:
+def nfl_real_instance(loss: LossRule, eta, width: int,
+                      budget: int = DEFAULT_MEMBER_BUDGET) -> NflInstance:
     """Realizable plateau-data family over a uniform window of `width` points."""
     eta = Fraction(eta)
     fam = plateau_data_family(loss, eta, width, budget=budget)

@@ -172,7 +172,7 @@ def test_criterion_07_truncation_learner():
     eps = F(8)
     learner = pl.TruncationLearner(staged, eps)
     assert staged.spec.settling_index(eps / 4) == 4
-    assert len(learner.truncated) == 27
+    assert len(learner.cls) == 27
 
     # exact eps/4-approximation: every excluded stage sits within eps/4 of
     # the base member, in closed form (distance == clamped level), with a
@@ -190,8 +190,8 @@ def test_criterion_07_truncation_learner():
     m = learner.advertised_sample_size(0.1)
     assert m == 18
     target_idx = 26  # stage 4, widest support in the truncation
-    target = learner.truncated[target_idx]
-    opt, _ = pl.opt_loss(learner.truncated, target)
+    target = learner.cls[target_idx]
+    opt, _ = pl.opt_loss(learner.cls, target)
     successes = 0
     tv_seen = []
     for trial in range(200):

@@ -594,6 +594,31 @@ def test_dominate_reads_csv_tables(tmp_path):
     assert report["certificate"]["witness"] == 1
 
 
+@pytest.mark.parametrize("form", ["inline", "csv"])
+@pytest.mark.parametrize("kind", ["dominate", "synthesize"])
+def test_empty_table_is_config_error(tmp_path, capsys, kind, form):
+    # an empty prefix certifies nothing, so it must not pass as dominance
+    (tmp_path / "t.csv").write_text("k,value\n")
+    table = {"values": []} if form == "inline" else {"csv": "t.csv"}
+    cfg = {"kind": kind, "seed": 1, "f": table, "g": table, "assert_dominates": True}
+    out = tmp_path / "o"
+    assert run_cli([kind, "--config", write_cfg(tmp_path, cfg), "--out", out]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: EmptyList") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_csv_table_with_a_repeated_k_is_config_error(tmp_path, capsys):
+    (tmp_path / "f.csv").write_text("1,5\n1,6\n2,7\n")
+    cfg = {"kind": "dominate", "seed": 4, "f": {"csv": "f.csv"}, "g": {"values": [1, 4]}}
+    out = tmp_path / "o"
+    assert run_cli(["dominate", "--config", write_cfg(tmp_path, cfg), "--out", out]) \
+        == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config field 'f.csv'") and "k = 1 " in err
+    assert not out.exists()
+
+
 def test_union_learner_config(tmp_path):
     cfg = write_cfg(tmp_path, {
         "kind": "learn", "seed": 5,

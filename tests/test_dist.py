@@ -1,5 +1,6 @@
 """Core distribution type: constructors, TV, sampling, empirical measures."""
 
+import json
 from collections import Counter
 from fractions import Fraction as F
 
@@ -62,7 +63,8 @@ class TestConstructors:
         d = pl.SparseDist({(0, 0): F(1, 3), (2, 1): F(2, 3)}, tag="x")
         obj = d.to_json_obj()
         assert obj["atoms"][0] == [[0, 0], "1/3"]
-        assert pl.SparseDist.from_json_obj(obj) == d
+        assert json.loads(json.dumps(obj)) == {"atoms": [[[0, 0], "1/3"], [[2, 1], "2/3"]],
+                                               "tag": "x"}
 
 
 class TestTv:
@@ -98,28 +100,24 @@ class TestEventProb:
 class TestDraw:
     def test_point_mass(self):
         s = pl.draw(pl.delta(0), 5, pl.RngStream(SEED, 0))
-        assert s.atoms == (0,) * 5
+        assert s == (0,) * 5
 
     def test_determinism(self):
         r = pl.RngStream(SEED, 3)
         a = pl.draw(pl.uniform([1, 2, 3]), 100, r)
         b = pl.draw(pl.uniform([1, 2, 3]), 100, r)
-        assert a.atoms == b.atoms
+        assert a == b
 
     def test_streams_differ(self):
         a = pl.draw(pl.uniform([1, 2, 3]), 100, pl.RngStream(SEED, 0))
         b = pl.draw(pl.uniform([1, 2, 3]), 100, pl.RngStream(SEED, 1))
-        assert a.atoms != b.atoms
+        assert a != b
 
     def test_shipped_seed_frequencies(self):
         s = pl.draw(pl.uniform([1, 2, 3, 4]), 40000, pl.RngStream(SEED, 0))
-        freqs = Counter(s.atoms)
+        freqs = Counter(s)
         for a in (1, 2, 3, 4):
             assert 0.24 <= freqs[a] / 40000 <= 0.26
-
-    def test_provenance(self):
-        s = pl.draw(pl.uniform([1], tag="u1"), 3, pl.RngStream(SEED, 9))
-        assert (s.source_tag, s.master_seed, s.stream_index) == ("u1", SEED, 9)
 
 
 class TestDrawBlocks:
@@ -145,7 +143,7 @@ class TestDrawBlocks:
     def test_block_samples_are_the_substream_draws(self, m, p):
         r = pl.RngStream(SEED, 4)
         block = list(draws(p, m, r.child_seeds(8, 2, count=12)))
-        assert block == [pl.draw(p, m, r.child(8, 2, t)).atoms for t in range(12)]
+        assert block == [pl.draw(p, m, r.child(8, 2, t)) for t in range(12)]
 
     def test_negative_size_is_rejected(self):
         with pytest.raises(BadDistribution):
@@ -296,9 +294,9 @@ def test_tv_matches_event_oracle(p, q):
 @given(small_dists(), st.integers(0, 30))
 def test_sequence_prob_consistent(p, m):
     s = pl.draw(p, m, pl.RngStream(SEED, 42))
-    lik = pl.sequence_prob(p, s.atoms)
+    lik = pl.sequence_prob(p, s)
     assert lik > 0
     expected = F(1)
-    for a in s.atoms:
+    for a in s:
         expected *= p.prob(a)
     assert lik == expected

@@ -3,9 +3,11 @@ bound, ERM, union aggregation, baselines, loss evaluators."""
 
 import itertools
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import paclab as pl
 from paclab import learners
@@ -36,6 +38,12 @@ def fraction_argmin(members, sets, sample):
     devs = [max(abs(pl.event_prob(p, s) - e) for s, e in zip(sets, empirical))
             for p in members]
     return devs.index(min(devs))
+
+
+def empirical_gap(engine, target, sample):
+    """max over the engine's comparison sets of |target(A) - empirical(A)|."""
+    return max((abs(pl.event_prob(target, s) - pl.empirical_measure(sample, s))
+                for s in engine.sets), default=F(0))
 
 
 # a hand-made class: denominators 3, 7 and 2, and atom 5 outside the
@@ -185,7 +193,7 @@ class TestScheffe:
         engine, fresh = pl.ScheffeEngine(fam.members), pl.ScheffeEngine(fam.members)
         samples = []
         for t in range(300):
-            s = pl.draw(fam[(3 * t) % len(fam)], 1 + t % 6, pl.RngStream(SEED, t)).atoms
+            s = pl.draw(fam[(3 * t) % len(fam)], 1 + t % 6, pl.RngStream(SEED, t))
             samples += [s, s[::-1], s + (40,) * (t % 3)]
         for s in samples:
             fresh._memo.clear()
@@ -238,7 +246,7 @@ class TestScheffe:
                 chosen = engine.select(seq)
                 for target in targets:
                     opt = min(pl.tv(q, target) for q in fam.members)
-                    gap = engine.empirical_gap(target, seq)
+                    gap = empirical_gap(engine, target, seq)
                     assert pl.tv(fam.members[chosen], target) <= 3 * opt + 4 * gap
 
 
@@ -321,11 +329,11 @@ class TestTruncationLearner:
 
     def test_truncates_and_learns(self):
         learner = pl.TruncationLearner(self.staged(), 8)
-        assert len(learner.truncated) == 27
+        assert len(learner.cls) == 27
         assert learner.advertised_sample_size(0.1) == 18
-        target = learner.truncated[26]
+        target = learner.cls[26]
         s = pl.draw(target, 18, pl.RngStream(SEED, 5))
-        assert learner.run(s) in learner.truncated.members
+        assert learner.run(s) in learner.cls.members
 
     def test_nonvanishing(self):
         staged = pl.StagedClass("distribution",
@@ -339,9 +347,9 @@ class TestTruncationLearner:
         staged = pl.StagedClass("distribution",
                                 pl.SequenceSpec(pl.Reciprocal(F(1, 2)), pl.IdentityN()))
         learner = pl.TruncationLearner(staged, F(1, 2))
-        assert len(learner.truncated) == 27
+        assert len(learner.cls) == 27
         m = learner.advertised_sample_size(0.2)
-        target = learner.truncated[26]  # stage 4, A=[1,2,3,4], level 1/8
+        target = learner.cls[26]  # stage 4, A=[1,2,3,4], level 1/8
         ok = 0
         trials = 30
         for t in range(trials):
@@ -355,35 +363,95 @@ class TestErm:
     def test_zero_error_hypothesis_wins(self):
         fam = pl.labeled_anchored_family(F(1, 2), 2)
         erm = pl.ErmLearner.for_class(fam)
-        sample = pl.Sample(((1, 1), (2, 1), (3, 0), (4, 0)))
+        sample = ((1, 1), (2, 1), (3, 0), (4, 0))
         h = erm.run(sample)
-        assert erm.empirical_risk(h, sample.atoms) == 0
+        assert counting_risk(erm, h, sample) == 0
         assert h.ones == (1, 2)
 
     def test_tie_breaks_to_lowest_index(self):
         hyps = [pl.BinaryHypothesis.from_set([1]), pl.BinaryHypothesis.from_set([2])]
         erm = pl.ErmLearner(hyps, "classification")
         # both have empirical risk 1/2 on this sample
-        out = erm.run(pl.Sample(((1, 1), (2, 1))))
+        out = erm.run(((1, 1), (2, 1)))
         assert out is hyps[0]
 
     def test_empty_sample_returns_first(self):
         hyps = [pl.BinaryHypothesis.from_set([2]), pl.BinaryHypothesis.from_set([1])]
         erm = pl.ErmLearner(hyps, "classification")
-        assert erm.run(pl.Sample(())) is hyps[0]
+        assert erm.run(()) is hyps[0]
 
     def test_absolute_loss_example(self):
         fam = pl.plateau_family(pl.AbsoluteLoss(), F(1, 2), 1)
         erm = pl.ErmLearner.for_class(fam)
-        out = erm.run(pl.Sample(((1, 1), (1, 1))))  # y = 1/2 twice
+        out = erm.run(((1, 1), (1, 1)))  # y = 1/2 twice
         assert out.values == ((1, F(1, 2)),)
 
     def test_erm_is_global_minimizer(self):
         fam = pl.labeled_anchored_family(F(1, 2), 2)
         erm = pl.ErmLearner.for_class(fam)
-        sample = pl.Sample(((1, 0), (1, 1), (2, 1), (4, 0), (3, 1)))
-        best = min(erm.empirical_risk(h, sample.atoms) for h in erm.hypotheses)
-        assert erm.empirical_risk(erm.run(sample), sample.atoms) == best
+        sample = ((1, 0), (1, 1), (2, 1), (4, 0), (3, 1))
+        best = min(counting_risk(erm, h, sample) for h in erm.hypotheses)
+        assert counting_risk(erm, erm.run(sample), sample) == best
+
+
+def counting_risk(erm, h, sample):
+    """The reference empirical risk for ERM: counted over the sample's
+    points, 0 on an empty sample."""
+    if not sample:
+        return F(0)
+    if erm.task == "classification":
+        return F(sum(1 for (x, y) in sample if h(x) != y), len(sample))
+    ctx = erm.real_ctx
+    return sum((ctx.loss.g(abs(h(x) - ctx.y_of_bit(b))) for (x, b) in sample), F(0)) / len(sample)
+
+
+def counting_erm(erm, sample):
+    """The first hypothesis of least counting_risk."""
+    best, best_h = None, erm.hypotheses[0]
+    for h in erm.hypotheses:
+        risk = counting_risk(erm, h, sample)
+        if best is None or risk < best:
+            best, best_h = risk, h
+    return best_h
+
+
+def counting_baseline(task, real_ctx, sample):
+    """The plurality labeler by counting (x, y) labels; unseen points and
+    exact label ties go to 0."""
+    counts = Counter(sample)
+    ones = sorted({x for (x, _) in counts if counts[(x, 1)] > counts[(x, 0)]})
+    if task == "classification":
+        return pl.BinaryHypothesis.from_set(ones)
+    return pl.RealHypothesis(tuple((x, real_ctx.level_value) for x in ones))
+
+
+LOSSES = [pl.AbsoluteLoss(), pl.SquaredLoss(), pl.CappedLinearLoss(F(1, 2))]
+POINTS = st.tuples(st.integers(0, 4), st.integers(0, 1))
+TIED = [(1, 0), (1, 1), (2, 1), (2, 1), (2, 0), (3, 0)]  # x = 1 ties, x = 2 is a 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(task=st.sampled_from(["classification", "real"]), loss=st.sampled_from(LOSSES),
+       sample=st.lists(POINTS, max_size=9),
+       ones=st.lists(st.frozensets(st.integers(0, 4)), min_size=1, max_size=5),
+       levels=st.lists(st.sampled_from([F(0), F(1, 4), F(1, 2), F(1)]), min_size=5, max_size=5))
+@example(task="classification", loss=LOSSES[0], sample=[], ones=[{1}, {2}], levels=[F(0)] * 5)
+@example(task="real", loss=LOSSES[1], sample=[], ones=[{1}], levels=[F(1, 2)] * 5)
+@example(task="classification", loss=LOSSES[0], sample=TIED, ones=[{1}, {2}, {1, 2}, set()],
+         levels=[F(0)] * 5)
+@example(task="real", loss=LOSSES[2], sample=TIED, ones=[{1, 2}, {2}, {1}], levels=[F(1, 2)] * 5)
+def test_erm_and_baseline_equal_counting_references(task, loss, sample, ones, levels):
+    # the hypothesis-task learners score and label through the losses
+    # module; counting (x, y) labels must give the same choice and ties
+    ctx = pl.plateau_data_family(loss, F(1, 2), 3).real_ctx
+    if task == "classification":
+        hyps = [pl.BinaryHypothesis.from_set(s) for s in ones]
+    else:
+        hyps = [pl.RealHypothesis(tuple((x, levels[x]) for x in sorted(s))) for s in ones]
+    erm = pl.ErmLearner(hyps, task, real_ctx=ctx)
+    assert erm.run(sample) is counting_erm(erm, sample)
+    assert pl.EmpiricalBaseline(task, real_ctx=ctx).run(sample) == counting_baseline(task, ctx,
+                                                                                    sample)
 
 
 class TestUnion:
@@ -392,7 +460,7 @@ class TestUnion:
         inner = pl.ScheffeLearner(fam)
         union = pl.UnionLearner([inner])
         s = pl.draw(fam[2], 9, pl.RngStream(SEED, 8))
-        assert union.run(s) == inner.run(pl.Sample(s.atoms[:5]))
+        assert union.run(s) == inner.run(s[:5])
 
     def test_duplicate_learners_match_single(self):
         fam = pl.anchored_family(F(1, 2), 2)
@@ -409,7 +477,7 @@ class TestUnion:
     def test_sample_too_small(self):
         fam = pl.anchored_family(F(1, 2), 2)
         with pytest.raises(SampleTooSmall):
-            pl.UnionLearner([pl.ScheffeLearner(fam)]).run(pl.Sample((0,)))
+            pl.UnionLearner([pl.ScheffeLearner(fam)]).run((0,))
 
     def test_selection_respects_deviation_bound(self):
         # selected candidate's true loss <= 3*best candidate + 4*selection gap
@@ -421,23 +489,23 @@ class TestUnion:
         target = fam[6]
         for t in range(10):
             s = pl.draw(target, 10, pl.RngStream(SEED, 300 + t))
-            cut = (len(s.atoms) + 1) // 2
-            cands = [ln.run(pl.Sample(s.atoms[:cut])) for ln in learners]
+            cut = (len(s) + 1) // 2
+            cands = [ln.run(s[:cut]) for ln in learners]
             engine = pl.ScheffeEngine(cands)
             chosen = union.run(s)
             best = min(pl.tv(c, target) for c in cands)
-            gap = engine.empirical_gap(target, s.atoms[cut:])
+            gap = empirical_gap(engine, target, s[cut:])
             assert pl.tv(chosen, target) <= 3 * best + 4 * gap
 
 
 class TestBaselinesAndLosses:
     def test_distribution_baseline(self):
-        out = pl.EmpiricalBaseline("distribution").run(pl.Sample((1, 1, 2)))
+        out = pl.EmpiricalBaseline("distribution").run((1, 1, 2))
         assert dict(out.items) == {1: F(2, 3), 2: F(1, 3)}
 
     def test_plurality_labeler(self):
         base = pl.EmpiricalBaseline("classification")
-        out = base.run(pl.Sample(((1, 1), (1, 1), (1, 0), (2, 0))))
+        out = base.run(((1, 1), (1, 1), (1, 0), (2, 0)))
         assert out.ones == (1,)
 
     def test_bayes_ties_to_zero(self):

@@ -255,7 +255,7 @@ THRESHOLDS = [F(1, 16), F(1, 8), F(1, 4)]
 def reference_exact(inst, learner, m, thresholds):
     """The exact oracle as a plain loop: Fraction likelihoods from
     sequence_prob and one task_loss per (member, sequence)."""
-    outs = {seq: learner.run(pl.Sample(seq))
+    outs = {seq: learner.run(seq)
             for seq in itertools.product(instance_alphabet(inst), repeat=m)}
     means, tails = [], {a: [] for a in thresholds}
     for member in inst.family.members:
@@ -355,15 +355,15 @@ class TestExchangeableLearners:
         for learner in exchangeable_learners(inst):
             for t in range(3):
                 sample = pl.draw(inst.family[5 * t % len(inst.family)], 5, pl.RngStream(SEED, t))
-                outputs = {learner.run(pl.Sample(seq)) for seq in itertools.permutations(sample)}
-                assert len(outputs) == 1, (learner.name, sample.atoms)
+                outputs = {learner.run(seq) for seq in itertools.permutations(sample)}
+                assert len(outputs) == 1, (learner.name, sample)
 
     def test_a_union_depends_on_order(self):
         # so the permutation check can see an order-dependent learner
         inst = make_instance("distribution", F(1, 2), 2)
         union = pl.UnionLearner([pl.ScheffeLearner(inst.family), pl.EmpiricalBaseline("distribution")])
         sample = pl.draw(inst.family[3], 5, pl.RngStream(SEED, 0))
-        assert len({union.run(pl.Sample(seq)) for seq in itertools.permutations(sample)}) > 1
+        assert len({union.run(seq) for seq in itertools.permutations(sample)}) > 1
 
     def test_exact_oracle_runs_once_per_multiset(self):
         # 13 alphabet points, m = 3: 2,197 sequences, 455 multisets
@@ -641,7 +641,7 @@ class TestTrialBlocks:
         if kind == "union":
             learner = pl.UnionLearner([learner, pl.EmpiricalBaseline("distribution")])
         rng, prefix, i, trials = pl.RngStream(SEED, 5), (m,), 3, 25
-        reference = [pl.draw(fam[i], m, rng.child(*prefix, i, t)).atoms for t in range(trials)]
+        reference = [pl.draw(fam[i], m, rng.child(*prefix, i, t)) for t in range(trials)]
         expected = [pl.task_loss(fam, learner.run(s), fam[i]) for s in reference]
         seen = counted_runs(learner)
         losses = list(nfl._trial_losses(fam, learner, m, trials, rng, prefix, i, {}))
