@@ -17,14 +17,22 @@ singletons, on the anchored families), takes one full deviation row at
 the member of least bound, and evaluates in full only the members whose
 bound does not exceed that row's maximum. No member outside them can
 attain the minimum, so the answer is still the exact lowest-index argmin.
+
+A learner takes a block of samples through `Learner.run_block`, which is
+`run` on each sample unless the learner has a faster way. The Scheffé
+learner selects SELECT_CHUNK samples at a time (`ScheffeEngine.select_block`):
+one atom-count matrix, one memo pass, and one batched bound over the
+chunk's distinct misses, so only the samples the bound leaves several
+candidates are verified one at a time. A single select() is a block of one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +52,7 @@ from .families import (
 from .losses import bayes_labeler, hypotheses_of_class, real_risk, zero_one_risk
 
 SELECT_MEMO_SIZE = 4096  # most selections an engine remembers
+SELECT_CHUNK = 32  # samples ScheffeLearner.run_block selects at a time
 
 
 def yatracos_set(p: SparseDist, q: SparseDist) -> frozenset:
@@ -91,20 +100,32 @@ class ScheffeEngine:
     itself. Up to half the members, the candidates' rows are gathered
     into the deviation buffer; past half, the whole matrix is evaluated.
 
-    The choice depends on the sample only through its atom counts, so
-    select() memoises it by the bytes of the count vector, in a dict
-    cleared once it holds SELECT_MEMO_SIZE entries.
+    Blocks: select_block() answers a list of samples, and select() is a
+    block of one. A block's atom counts are one matrix (one bincount).
+    The choice depends on a sample only through its atom counts, so it is
+    memoised by the bytes of the sample's count row, held in the
+    narrowest unsigned dtype that holds the block's largest m (13 bytes
+    for a uint8 row over 12 atoms; rows of different dtypes differ in
+    length, so their keys never collide), in a dict cleared once it holds
+    SELECT_MEMO_SIZE entries.
+    A block reads its hits before it stores anything, so a clear inside
+    the block loses none of them. The block's distinct misses are bounded
+    together, `_bound_rows` at a time: at most sets / probe sets rows, so
+    the rows x probe sets x members bound fits the deviation buffer
+    (24 rows on a 220 x 298 engine with 12 probe sets). Only the rows
+    that keep several candidates are verified one at a time.
 
     Widths: every entry of `_nums` is at most denom, and every deviation
     numerator |nums * m - denom * count| of an m-point sample is at most
     denom * m. While denom < INT64_SAFE the engine is an integer engine:
     `_nums` and `_probe` are held in the narrowest of int16, int32 and
     int64 that holds denom, and each select computes in the narrowest
-    that holds denom * m, so no step can overflow. Past that (denom or
-    denom * m >= INT64_SAFE) selection makes one full pass on exact
-    Python ints (object dtype). select() writes its deviations into one
-    buffer owned by the engine, widened only when a call needs a wider
-    dtype, so an engine must not be shared between threads.
+    that holds denom * m of the block's largest m, so no step can
+    overflow. Past that (denom or denom * m >= INT64_SAFE) selection makes
+    one full pass per sample on exact Python ints (object dtype). The
+    bound and the deviations go into one buffer owned by the engine,
+    widened only when a call needs a wider dtype, so an engine must not
+    be shared between threads.
     """
 
     def __init__(self, members: MassTable | Sequence[SparseDist]):
@@ -142,6 +163,7 @@ class ScheffeEngine:
             sizes = incidence.sum(axis=0)
             self._probe_sets = np.flatnonzero(sizes == sizes.min())
             self._probe = self._nums[:, self._probe_sets].T.copy()
+            self._bound_rows = incidence.shape[1] // len(self._probe_sets)
         self._memo: dict = {}  # atom-count bytes -> selected index
 
     @cached_property
@@ -150,62 +172,94 @@ class ScheffeEngine:
         return [frozenset(self._atoms[j] for j in np.flatnonzero(col))
                 for col in self._incidence.T]
 
-    def _atom_counts(self, atoms: tuple) -> np.ndarray:
-        """Sample points at each column's atom, then one last entry for the
-        atoms outside every member's support, so the entries sum to m."""
-        width = len(self._column)
-        return np.bincount([self._column.get(a, width) for a in atoms], minlength=width + 1)
-
     def select(self, sample: Sequence) -> int:
         """Index of the member with the smallest maximum deviation."""
-        atoms = tuple(sample)
-        if not atoms:
-            raise EmptySample("minimum-distance selection needs a sample")
-        if not self._incidence.shape[1]:
-            return 0
-        counts = self._atom_counts(atoms)
-        key = counts.tobytes()
-        best = self._memo.get(key)
-        if best is None:
-            if len(self._memo) >= SELECT_MEMO_SIZE:
-                self._memo.clear()
-            best = self._memo[key] = self._argmin(counts[:-1] @ self._incidence, len(atoms))
-        return best
+        return self.select_block([sample])[0]
 
-    def _argmin(self, cnt: np.ndarray, m: int) -> int:
-        """The selection for set counts `cnt` of an m-point sample."""
+    def select_block(self, samples: Sequence) -> list:
+        """select() of each sample, in order. The block's atom counts are one
+        matrix, one row per sample and one last column for the atoms outside
+        every member's support, so a row sums to its m. Each row is looked
+        up in the memo by its bytes, and the distinct misses are selected
+        together (`_argmins`)."""
+        lengths = [len(s) for s in samples]
+        if not all(lengths):
+            raise EmptySample("minimum-distance selection needs a sample")
+        if not self._incidence.shape[1] or not lengths:
+            return [0] * len(lengths)
+        stride = len(self._column) + 1
+        get, outside = self._column.get, stride - 1
+        index = [base + get(a, outside)
+                 for base, sample in zip(range(0, stride * len(lengths), stride), samples)
+                 for a in sample]
+        counts = np.bincount(index, minlength=stride * len(lengths)).reshape(-1, stride)
+        dtype = _count_dtype(max(lengths))
+        keys = counts.astype(dtype).view(f"V{stride * dtype.itemsize}").ravel().tolist()
+        memo = self._memo
+        chosen = [memo.get(key) for key in keys]  # read before any clear below
+        misses = {key: r for r, (key, best) in enumerate(zip(keys, chosen)) if best is None}
+        if not misses:
+            return chosen
+        rows = list(misses.values())
+        found = dict(zip(misses, self._argmins(counts[rows], [lengths[r] for r in rows])))
+        for key, best in found.items():
+            if len(memo) >= SELECT_MEMO_SIZE:
+                memo.clear()
+            memo[key] = best
+        return [found[key] if best is None else best for key, best in zip(keys, chosen)]
+
+    def _argmins(self, counts: np.ndarray, ms: list) -> list:
+        """The selection for each row of atom counts, as select_block builds
+        them, of an ms[r]-point sample."""
         # deviation numerators over common denominator denom*m:
         #   |prob_num * m - denom * count|, each at most denom*m. Every
         #   multiply names its dtype: under NEP 50 a narrow array times a
         #   Python int stays narrow.
-        dtype = _int_dtype(self.denom * m)
+        dtype = _int_dtype(self.denom * max(ms))
         if self._probe is None or dtype is None:
-            dev = self._nums.astype(object, copy=False) * m
-            return _first_least_max_row(dev, self.denom * cnt.astype(object))
-        scaled = np.multiply(cnt, self.denom, dtype=dtype)
-        lower = np.multiply(self._probe, m, dtype=dtype)
-        lower -= scaled[self._probe_sets, None]
-        lower = np.abs(lower, out=lower).max(axis=0)
-        first = int(lower.argmin())
-        upper = np.abs(np.multiply(self._nums[first], m, dtype=dtype) - scaled).max()
-        candidates = np.flatnonzero(lower <= upper)
-        if len(candidates) == 1:
-            return first
-        if 2 * len(candidates) <= len(lower):
-            dev = np.multiply(self._nums[candidates], m, dtype=dtype,
-                              out=self._buffer(len(candidates), dtype))
-            return int(candidates[_first_least_max_row(dev, scaled)])
-        dev = np.multiply(self._nums, m, dtype=dtype, out=self._buffer(len(self._nums), dtype))
-        return _first_least_max_row(dev, scaled)
+            nums = self._nums.astype(object, copy=False)
+            cnt = (counts[:, :-1] @ self._incidence).astype(object)
+            return [_first_least_max_row(nums * m, self.denom * row) for m, row in zip(ms, cnt)]
+        step = self._bound_rows
+        return [best for lo in range(0, len(ms), step)
+                for best in self._bound_and_verify(counts[lo:lo + step], ms[lo:lo + step], dtype)]
 
-    def _buffer(self, rows: int, dtype: np.dtype) -> np.ndarray:
-        """The first `rows` rows of the deviation buffer, as `dtype`. The
-        buffer is reallocated only for a dtype wider than its own; a
-        narrower one views its bytes."""
+    def _bound_and_verify(self, counts: np.ndarray, ms: list, dtype: np.dtype) -> list:
+        """_argmins on at most `_bound_rows` rows, computing in `dtype`: the
+        rows x probe sets x members bound then fits the deviation buffer."""
+        nums = self._nums
+        scaled = np.multiply(counts[:, :-1] @ self._incidence, self.denom, dtype=dtype)
+        ms = np.array(ms, dtype=dtype)
+        lower = np.multiply(self._probe, ms[:, None, None], dtype=dtype,
+                            out=self._buffer((len(ms), *self._probe.shape), dtype))
+        lower -= scaled[:, self._probe_sets, None]
+        lower = np.abs(lower, out=lower).max(axis=1)
+        first = lower.argmin(axis=1)
+        upper = np.multiply(nums[first], ms[:, None], dtype=dtype)
+        upper -= scaled
+        alive = lower <= np.abs(upper, out=upper).max(axis=1, keepdims=True)
+        chosen = first.tolist()  # right wherever first is the lone candidate
+        for r, alive_count in enumerate(alive.sum(axis=1).tolist()):
+            if alive_count == 1:
+                continue
+            candidates = np.flatnonzero(alive[r])
+            if 2 * len(candidates) <= len(nums):
+                dev = np.multiply(nums[candidates], ms[r], dtype=dtype,
+                                  out=self._buffer((len(candidates), nums.shape[1]), dtype))
+                chosen[r] = int(candidates[_first_least_max_row(dev, scaled[r])])
+            else:
+                dev = np.multiply(nums, ms[r], dtype=dtype, out=self._buffer(nums.shape, dtype))
+                chosen[r] = _first_least_max_row(dev, scaled[r])
+        return chosen
+
+    def _buffer(self, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        """The deviation buffer's first bytes as a `shape` array of `dtype`;
+        numpy refuses a shape larger than the buffer. The buffer is
+        reallocated only for a dtype wider than its own; a narrower one
+        views its bytes."""
         if self._dev.itemsize < dtype.itemsize:
             self._dev = np.empty(self._nums.size, dtype=dtype)
-        width = self._nums.shape[1]
-        return self._dev.view(dtype)[:rows * width].reshape(rows, width)
+        return np.ndarray(shape, dtype, self._dev)
 
 
 # (largest bound, dtype), narrowest first; int64 stops below INT64_SAFE
@@ -221,6 +275,18 @@ def _int_dtype(bound: int) -> Optional[np.dtype]:
         if bound <= top:
             return dtype
     return None
+
+
+# (largest count, dtype), narrowest first
+_COUNT_WIDTHS = tuple((np.iinfo(t).max, np.dtype(t))
+                      for t in (np.uint8, np.uint16, np.uint32, np.uint64))
+
+
+def _count_dtype(m: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every atom count of an m-point sample."""
+    for top, dtype in _COUNT_WIDTHS:
+        if m <= top:
+            return dtype
 
 
 def _first_least_max_row(dev: np.ndarray, scaled: np.ndarray) -> int:
@@ -254,6 +320,10 @@ class Learner:
     def run(self, sample: Sequence):
         raise NotImplementedError
 
+    def run_block(self, samples: Iterable):
+        """run() on each sample, lazily and in order."""
+        return map(self.run, samples)
+
 
 class ScheffeLearner(Learner):
     """3-agnostic finite-class distribution learner."""
@@ -271,6 +341,14 @@ class ScheffeLearner(Learner):
 
     def run(self, sample):
         return self.cls.members[self.engine.select(sample)]
+
+    def run_block(self, samples: Iterable):
+        """run() on each sample, lazily and in order, selecting SELECT_CHUNK
+        samples per engine.select_block call."""
+        members, samples = self.cls.members, iter(samples)
+        while chunk := list(itertools.islice(samples, SELECT_CHUNK)):
+            for index in self.engine.select_block(chunk):
+                yield members[index]
 
 
 class TruncationLearner(ScheffeLearner):

@@ -73,6 +73,8 @@ DEFAULT_ENUM_BUDGET = 10_000_000
 # Slice matchings kept, one per (window, fixed set, size): all 299 slices
 # of an n=3 distribution instance fit, so exhaustive sweeps do not thrash.
 MATCHING_CACHE_SIZE = 1024
+# log-factorial tables kept, one per trial count n the binomial CDF is asked about
+LOG_FACTORIAL_TABLES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +433,22 @@ def _member_samples(members: Sequence[SparseDist], denom: int, m: int, exchangea
     count vector and num the member's mass numerators over `denom`.
     Otherwise one sample per sequence, weighted by the product of its
     numerators. Members with equal numerators share one weight list."""
-    def spread(points, k):
-        if exchangeable:
-            return itertools.combinations_with_replacement(points, k)
-        return itertools.product(points, repeat=k)
-
     weights: dict = {}  # numerators -> weights, in sample order
     for member in members:
         nums = tuple(w.numerator * (denom // w.denominator) for _, w in member.items)
         if nums not in weights:
-            products = map(math.prod, spread(nums, m))
+            products = map(math.prod, _spread(nums, m, exchangeable))
             weights[nums] = (list(map(operator.mul, _multinomials(len(nums), m), products))
                              if exchangeable else list(products))
-        yield zip(spread(member.support(), m), weights[nums])
+        yield zip(_spread(member.support(), m, exchangeable), weights[nums])
+
+
+def _spread(points, m: int, exchangeable: bool):
+    """The length-m samples over `points` that `_member_samples` weighs: the
+    sorted multisets when `exchangeable`, every sequence otherwise."""
+    if exchangeable:
+        return itertools.combinations_with_replacement(points, m)
+    return itertools.product(points, repeat=m)
 
 
 def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
@@ -459,14 +464,15 @@ def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
     support: one sorted sample per multiset, weighted by its multinomial
     coefficient, when the learner is `exchangeable`, and one per sequence
     otherwise. The weights are integers over the family's common
-    denominator^m (its mass table's). A learner runs once per distinct
-    sample, through one run memo shared across members, and the weights
-    are summed per distinct output. Each (member, output) loss is a
-    numerator over a denominator: the mean sums weight * numerator per
-    denominator and takes one Fraction step per distinct denominator, and
-    each tail is an integer sum. A distribution output's TV to every
-    member is one L1 row of the mass table; the other tasks call
-    task_loss once per (member, output).
+    denominator^m (its mass table's). A first pass collects the distinct
+    samples of every member, and the learner runs on them as one block
+    (`Learner.run_block`); the weights are then summed per distinct
+    output. Each (member, output) loss is a numerator over a denominator:
+    the mean sums weight * numerator per denominator and takes one
+    Fraction step per distinct denominator, and each tail is an integer
+    sum. A distribution output's TV to every
+    member is one L1 row of the mass table, read as Python ints; the
+    other tasks call task_loss once per (member, output).
     """
     _check_enum_budget(inst, m, budget, all(ln.exchangeable for ln in learners))
     try:
@@ -483,10 +489,13 @@ def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
     total = denom ** m
     reports = []
     for learner in learners:
+        ex = learner.exchangeable
+        samples = list(dict.fromkeys(s for p in family.members for s in _spread(p.support(), m, ex)))
         ids: dict = {}  # output -> id; equal outputs share one id
-        outputs: list = []  # id -> output
-        runs: dict = {}  # sample -> output id, shared across members
-        rows: dict = {}  # distribution: output id -> (L1 row, scale)
+        runs = {sample: ids.setdefault(out, len(ids))  # sample -> output id
+                for sample, out in zip(samples, learner.run_block(samples))}
+        outputs = list(ids)  # id -> output
+        rows: dict = {}  # distribution: output id -> (L1 row as Python ints, scale)
 
         def loss(k: int, i: int) -> tuple:
             """(numerator, denominator) of output k's loss against member i."""
@@ -494,21 +503,16 @@ def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
                 err = task_loss(family, outputs[k], family.members[i])
                 return err.numerator, err.denominator
             if k not in rows:
-                rows[k] = family.mass_table().l1(outputs[k])
+                nums, scale = family.mass_table().l1(outputs[k])
+                rows[k] = nums.tolist(), scale
             nums, scale = rows[k]
-            return int(nums[i]), scale
+            return nums[i], scale
 
         means, tails = [], [[] for _ in thresholds]
-        enumerated = _member_samples(family.members, denom, m, learner.exchangeable)
-        for i, samples in enumerate(enumerated):
+        for i, samples in enumerate(_member_samples(family.members, denom, m, ex)):
             weights: dict = {}  # output id -> summed sample weight
             for sample, w in samples:
-                k = runs.get(sample)
-                if k is None:
-                    out = learner.run(sample)
-                    k = runs[sample] = ids.setdefault(out, len(outputs))
-                    if k == len(outputs):
-                        outputs.append(out)
+                k = runs[sample]
                 weights[k] = weights.get(k, 0) + w
             sums: dict = {}  # loss denominator -> sum of weight * loss numerator
             tail = [0] * len(thresholds)
@@ -557,6 +561,12 @@ def markov_reverse(mean, a) -> Fraction:
 # Clopper-Pearson intervals
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=LOG_FACTORIAL_TABLES)
+def _log_factorials(n: int) -> tuple:
+    """lgamma(j + 1), that is log(j!), for j = 0..n."""
+    return tuple(math.lgamma(j + 1) for j in range(n + 1))
+
+
 def _binom_cdf(x: int, n: int, p: float) -> float:
     """P[X <= x] for X ~ Binom(n, p), via log-space terms."""
     if p <= 0.0:
@@ -564,10 +574,10 @@ def _binom_cdf(x: int, n: int, p: float) -> float:
     if p >= 1.0:
         return 1.0 if x >= n else 0.0
     lp, lq = math.log(p), math.log1p(-p)
+    lf = _log_factorials(n)
     total = 0.0
     for k in range(0, x + 1):
-        lt = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-              + k * lp + (n - k) * lq)
+        lt = lf[n] - lf[k] - lf[n - k] + k * lp + (n - k) * lq
         total += math.exp(lt)
     return min(total, 1.0)
 
@@ -649,10 +659,13 @@ def _trial_losses(cls: FiniteClass, learner: Learner, m: int, trials: int,
     The trials against member i run as one block, and trial t draws the
     sample draw(member i, m, rng.child(*prefix, i, t)) would: the block
     takes every trial's seed from one pass (`RngStream.child_seeds`) and
-    draws with one reseeded generator (`dist.draws`)."""
+    draws with one reseeded generator (`dist.draws`). The learner takes the
+    samples as one block (`Learner.run_block`); a Scheffé learner draws and
+    selects SELECT_CHUNK samples at a time, so a caller that stops early
+    has drawn at most SELECT_CHUNK - 1 samples past the last loss it read."""
     seeds = rng.child_seeds(*prefix, i, count=trials)
-    for sample in draws(cls.members[i], m, seeds):
-        yield _memo_loss(losses, cls, learner.run(sample), i)
+    for out in learner.run_block(draws(cls.members[i], m, seeds)):
+        yield _memo_loss(losses, cls, out, i)
 
 
 def mc_risk(cls: FiniteClass, learner: Learner, m: int, trials: int, rng: RngStream,

@@ -322,6 +322,123 @@ class TestBoundAndVerify:
         assert engine.sets == [] and passes == []
 
 
+# one engine per arithmetic width: with m <= 6, denom * m stays within int16,
+# int32 or int64, crosses from int64 to Python ints at m = 3, or the
+# denominator is past int64 from the start
+WIDTH_DENOMS = {"int16": 31, "int32": 2 ** 20 + 7, "int64": 2 ** 40 + 15,
+                "int64-to-object": 2 ** 61 - 1, "object": 2 ** 64 + 13}
+
+
+def width_members(q):
+    """Four members over atoms 0-2 with masses over q, and one without atom 0."""
+    return ([pl.SparseDist({0: F(k, q), 1: F(q - 2 * k, q), 2: F(k, q)})
+             for k in (1, 2, q // 3, q // 2 - 1)]
+            + [pl.SparseDist({1: 1 - F(1, q), 2: F(1, q)})])
+
+
+class TestSelectBlock:
+    """select_block() answers a block of samples as select() answers each."""
+
+    @pytest.mark.parametrize("width", WIDTH_DENOMS)
+    def test_widths(self, width):
+        engine = pl.ScheffeEngine(width_members(WIDTH_DENOMS[width]))
+        dtypes = [learners._int_dtype(engine.denom * m) for m in range(1, 7)]
+        names = ["object" if dtype is None else dtype.name for dtype in dtypes]
+        if width == "int64-to-object":
+            assert names == ["int64"] * 2 + ["object"] * 4
+        else:
+            assert names == [width] * 6
+
+    @settings(max_examples=80, deadline=None)
+    @given(width=st.sampled_from(list(WIDTH_DENOMS)),
+           block=st.lists(st.lists(st.sampled_from([0, 1, 2, 7]), min_size=1, max_size=6),
+                          min_size=1, max_size=40))
+    @example(width="int16", block=[[0]])  # k = 1
+    @example(width="object", block=[[7, 7]])  # k = 1, atoms outside every support
+    @example(width="int32", block=[[0, 1], [1, 0], [0, 1], [2], [0, 1]])  # duplicates
+    def test_block_equals_select_and_the_fraction_argmin(self, width, block):
+        members = width_members(WIDTH_DENOMS[width])
+        engine, fresh = pl.ScheffeEngine(members), pl.ScheffeEngine(members)
+        samples = [tuple(s) for s in block]
+        samples += samples[::3]  # repeats within the block, after their first answer
+        chosen = engine.select_block(samples)
+        assert chosen == [fresh.select(s) for s in samples]
+        assert chosen == [fraction_argmin(members, engine.sets, s) for s in samples]
+        assert engine.select_block(samples) == chosen  # now every row is a memo hit
+
+    def test_memo_keys_hold_counts_past_255(self):
+        # 256 copies of one atom would wrap to a zero row in a uint8 key
+        engine = pl.ScheffeEngine([pl.delta(0), pl.delta(1), pl.uniform([0, 1])])
+        assert engine.select_block([(0,) * 256, (1,) * 256]) == [0, 1]
+        # counts (1, 2, 0) as uint8 and (513, 0, 0) as uint16 share their
+        # nonzero bytes, 01 02; the keys differ in length
+        assert engine.select((0, 1, 1)) == 2
+        assert engine.select((0,) * 513) == 0
+
+    def test_mixed_sample_sizes_and_bound_passes(self):
+        # blocks of up to 40 samples of 1-48 points on the 28 x 36 engine:
+        # several bound passes of _bound_rows rows each
+        engine = pl.ScheffeEngine(PAIRS)
+        assert engine._bound_rows < 40
+        samples = [pl.draw(PAIRS[t % len(PAIRS)], 1 + 47 * (t % 2) + t % 5, pl.RngStream(SEED, t))
+                   for t in range(40)]
+        samples += [s + (40,) for s in samples[:5]]
+        assert engine.select_block(samples) == [fraction_argmin(PAIRS, engine.sets, s)
+                                                for s in samples]
+
+    def test_engine_without_comparison_sets(self):
+        engine = pl.ScheffeEngine([pl.uniform([1, 2]), pl.uniform([1, 2])])
+        assert engine.sets == []
+        assert engine.select_block([(1,), (7, 7), (2, 1, 9)]) == [0, 0, 0]
+        assert engine.select_block([]) == []
+        with pytest.raises(EmptySample):
+            engine.select_block([(1,), ()])
+
+    def test_empty_sample_raises(self):
+        engine = pl.ScheffeEngine(PAIRS)
+        with pytest.raises(EmptySample):
+            engine.select([])
+        with pytest.raises(EmptySample):
+            engine.select_block([(1, 2), ()])
+        assert engine.select_block([]) == []
+
+    def test_block_straddling_the_memo_clear(self):
+        engine, fresh = pl.ScheffeEngine(PAIRS), pl.ScheffeEngine(PAIRS)
+        bags = list(itertools.combinations_with_replacement(range(9), 7))
+        size = learners.SELECT_MEMO_SIZE
+        for lo in range(0, size - 2, 32):
+            engine.select_block(bags[lo:min(lo + 32, size - 2)])
+        assert len(engine._memo) == size - 2
+        # hits, then five misses (the third clears the memo), then hits
+        # whose entries the clear dropped
+        block = bags[:3] + bags[size - 2:size + 3] + bags[:3]
+        assert engine.select_block(block) == [fresh.select(s) for s in block]
+        assert len(engine._memo) == 3
+
+    def test_learner_run_block_equals_run(self):
+        fam = pl.anchored_family(F(1, 2), 8, size_filter=2)
+        learner = pl.ScheffeLearner(fam)
+        samples = [pl.draw(fam[t % len(fam)], 5, pl.RngStream(SEED, t)) for t in range(70)]
+        block = learner.run_block(iter(samples))
+        assert next(block) == learner.run(samples[0])  # lazily, a chunk at a time
+        assert [learner.run(samples[0]), *block] == [learner.run(s) for s in samples]
+
+    def test_select_block_allocates_no_deviation_matrix(self):
+        # blocks of 32 fresh 12-point samples on the 220 x 298 engine
+        fam = pl.nfl_distribution_instance(F(1, 2), 3).family
+        engine = pl.ScheffeEngine(fam.members)
+        samples = [pl.draw(fam[7 * t % len(fam)], 12, pl.RngStream(SEED, t)) for t in range(96)]
+        engine.select(samples[0])  # the deviation buffer is the engine's, not a temporary
+        tracemalloc.start()
+        try:
+            for lo in range(0, len(samples), 32):
+                engine.select_block(samples[lo:lo + 32])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < engine._dev.nbytes
+
+
 class TestTruncationLearner:
     def staged(self):
         return pl.StagedClass("distribution",

@@ -17,7 +17,7 @@ from paclab.errors import (
     EnumerationBudgetExceeded,
     SearchBoundExceeded,
 )
-from paclab.learners import Learner
+from paclab.learners import SELECT_CHUNK, Learner
 from paclab.nfl import (
     instance_alphabet,
     max_certifiable_failures,
@@ -372,18 +372,11 @@ class TestExchangeableLearners:
         learners = [pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution"),
                     pl.ConstantLearner(fam[0], "distribution"),
                     pl.UnionLearner([pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution")])]
-        runs = []
-        for learner in learners:
-            count = [0]
-            runs.append(count)
-
-            def counted(sample, run=learner.run, count=count):
-                count[0] += 1
-                return run(sample)
-
-            learner.run = counted
+        read = [counted_block(learner)[0] for learner in learners]
         pl.nfl_exact(inst, learners, 3)
-        assert [count[0] for count in runs] == [455, 455, 455, 2197]
+        # every learner is handed each distinct sample once
+        assert [len(samples) for samples in read] == [455, 455, 455, 2197]
+        assert all(len(set(samples)) == len(samples) for samples in read)
 
 
 def enumerated_instances():
@@ -392,16 +385,24 @@ def enumerated_instances():
     yield from off_shape_instances()
 
 
-def counted_learner(learner):
-    """The learner, and a list that gets one entry per run."""
-    runs = []
+def counted_block(learner):
+    """Wrap the learner's run_block; returns the samples it reads and the
+    outputs it yields, each in order. A Scheffé block reads a chunk of
+    samples ahead of the outputs it has yielded."""
+    read, yielded, run_block = [], [], learner.run_block
 
-    def counted(sample, run=learner.run):
-        runs.append(sample)
-        return run(sample)
+    def reading(samples):
+        for sample in samples:
+            read.append(tuple(sample))
+            yield sample
 
-    learner.run = counted
-    return learner, runs
+    def counted(samples):
+        for out in run_block(reading(samples)):
+            yielded.append(out)
+            yield out
+
+    learner.run_block = counted
+    return read, yielded
 
 
 class TestMemberSamples:
@@ -451,12 +452,12 @@ class TestMemberSamples:
         made = [pl.ScheffeLearner(inst.family), pl.EmpiricalBaseline("distribution")]
         if union:
             made.append(pl.UnionLearner(made[:]))
-        counted = [counted_learner(learner) for learner in made]
+        read = [counted_block(learner)[0] for learner in made]
         with pytest.raises(EnumerationBudgetExceeded):
-            pl.nfl_exact(inst, [learner for learner, _ in counted], 5, budget=enough - 1)
-        assert all(runs == [] for _, runs in counted)
-        pl.nfl_exact(inst, [learner for learner, _ in counted], 5, budget=enough)
-        assert all(runs for _, runs in counted)
+            pl.nfl_exact(inst, made, 5, budget=enough - 1)
+        assert all(samples == [] for samples in read)
+        pl.nfl_exact(inst, made, 5, budget=enough)
+        assert all(read)
 
 
 class TestExactOracle:
@@ -542,6 +543,22 @@ class TestClopperPearson:
             lo = pl.clopper_pearson_lower(x, 120)
             hi = pl.clopper_pearson_upper(x, 120)
             assert lo <= x / 120 <= hi
+
+    def test_binom_cdf_equals_the_lgamma_formula(self):
+        # the log-factorial tables feed the same floats in the same order
+        def reference(x, n, p):
+            lp, lq = math.log(p), math.log1p(-p)
+            total = 0.0
+            for k in range(x + 1):
+                total += math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                                  + k * lp + (n - k) * lq)
+            return min(total, 1.0)
+
+        for n in range(301):
+            for x in sorted({0, n // 7, n // 2, n}):
+                for p in (1e-4, 0.03, 0.3, 0.5, 0.97):
+                    assert nfl._binom_cdf(x, n, p) == reference(x, n, p), (x, n, p)
+        assert nfl._log_factorials.cache_info().currsize <= nfl.LOG_FACTORIAL_TABLES
 
     def test_max_certifiable(self):
         mc = max_certifiable_failures(200, 1 / 15)
@@ -637,16 +654,22 @@ class TestTrialBlocks:
     @pytest.mark.parametrize("m", [2, 9])
     def test_block_runs_each_trial_on_its_substream_sample(self, kind, m):
         fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
-        learner = pl.ScheffeLearner(fam)
-        if kind == "union":
-            learner = pl.UnionLearner([learner, pl.EmpiricalBaseline("distribution")])
+
+        def make():
+            learner = pl.ScheffeLearner(fam)
+            if kind == "union":
+                learner = pl.UnionLearner([learner, pl.EmpiricalBaseline("distribution")])
+            return learner
+
         rng, prefix, i, trials = pl.RngStream(SEED, 5), (m,), 3, 25
         reference = [pl.draw(fam[i], m, rng.child(*prefix, i, t)) for t in range(trials)]
-        expected = [pl.task_loss(fam, learner.run(s), fam[i]) for s in reference]
-        seen = counted_runs(learner)
+        ref, learner = make(), make()  # learner's block selects every sample itself
+        expected = [ref.run(s) for s in reference]
+        read, yielded = counted_block(learner)
         losses = list(nfl._trial_losses(fam, learner, m, trials, rng, prefix, i, {}))
-        assert losses == expected
-        assert seen == reference  # one run per trial, in trial order
+        assert losses == [pl.task_loss(fam, out, fam[i]) for out in expected]
+        # one block of every trial's sample, one output per trial, in trial order
+        assert read == reference and yielded == expected
 
     def test_failing_level_stops_at_max_fail_plus_one(self):
         fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
@@ -658,6 +681,26 @@ class TestTrialBlocks:
                                     max_fail, {})
         assert worst is None
         assert len(seen) == max_fail + 1
+
+    def test_failing_scheffe_level_draws_at_most_one_chunk_past_the_stop(self):
+        fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
+        # Scheffé over every member but target 0 never returns it, so every
+        # trial fails against a zero bar
+        learner = pl.ScheffeLearner(pl.FiniteClass("distribution", list(fam.members)[1:]))
+        rows, select_block = [], learner.engine.select_block
+
+        def counted(chunk):
+            rows.append(len(chunk))
+            return select_block(chunk)
+
+        learner.engine.select_block = counted
+        max_fail = 3
+        worst = nfl._level_failures(fam, learner, {0: F(0)}, 4, 100, pl.RngStream(SEED, 6),
+                                    max_fail, {})
+        assert worst is None
+        # the trial that failed max_fail + 1 times ended the first chunk's selections
+        assert rows == [SELECT_CHUNK]
+        assert sum(rows) <= max_fail + 1 + SELECT_CHUNK - 1
 
 
 class TestEstimateSampleComplexity:
@@ -708,27 +751,22 @@ class TestEstimateSampleComplexity:
             "union": lambda: pl.UnionLearner([pl.ScheffeLearner(fam),
                                               pl.EmpiricalBaseline("distribution")]),
         }[kind]()
-        calls = {"run": 0, "loss": 0}
-        run, task_loss = learner.run, nfl.task_loss
-
-        def counted_run(sample):
-            calls["run"] += 1
-            return run(sample)
+        losses, task_loss = [], nfl.task_loss
 
         def counted_loss(cls, out, target):
-            calls["loss"] += 1
+            losses.append((target, out))
             return task_loss(cls, out, target)
 
-        monkeypatch.setattr(learner, "run", counted_run)
+        _, outputs = counted_block(learner)
         monkeypatch.setattr(nfl, "task_loss", counted_loss)
         pl.estimate_sample_complexity(fam, learner, F(1, 2), F(1, 4), pl.RngStream(SEED, 9),
                                       trials=30, m_min=2, m_max=64)
         if kind == "scheffe":
             # at most one loss per (target, member) pair
-            assert calls["loss"] <= len(fam) ** 2 < calls["run"]
+            assert len(losses) == len(set(losses)) <= len(fam) ** 2 < len(outputs)
         else:
-            # fresh empirical outputs keep no memo: one loss per run
-            assert calls["loss"] == calls["run"]
+            # fresh empirical outputs keep no memo: one loss per output
+            assert len(losses) == len(outputs)
 
     @staticmethod
     def levels_tried(monkeypatch):
