@@ -9,7 +9,7 @@ sample likelihoods; the family constructors, which compute their masses
 exactly, build through the unchecked `SparseDist._trusted`. Floats
 appear only inside the sampler's cumulative table, never in a reported
 probability. A sample is a plain tuple of atoms: `draw` returns one, and
-`draws` yields one per generator seed.
+`draws` yields one per generator seed, as random.Random(seed).choices would.
 
 `MassTable` holds the masses of a list of distributions as one integer
 matrix over a common denominator; the Scheffé engine, `opt_loss` and the
@@ -18,8 +18,9 @@ exact oracle all read their members' masses from it.
 
 from __future__ import annotations
 
+import _random
+import itertools
 import math
-import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -34,6 +35,8 @@ Prob = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 INT64_SAFE = 1 << 62  # integer matrices are int64 while every entry stays below this
+SELECT_CHUNK = 32  # samples drawn, and Scheffé-selected, at a time
+DRAW_POINTS = 1 << 14  # most sample points one pass of draws holds: 128 KB a float array
 
 
 def frac_str(x: Fraction) -> str:
@@ -253,16 +256,14 @@ def tv_brute_force(p: SparseDist, q: SparseDist) -> Fraction:
 
 
 def _cumulative(p: SparseDist):
-    # Float cumulative table in canonical atom order, cached per dist.
+    # (atoms, cum): the atoms in canonical order as an object array and the
+    # float cumulative masses, the last set to exactly 1.0; cached per dist.
     cache = p._cum_cache
     if cache is None:
-        atoms = [a for a, _ in p.items]
-        cum, running = [], 0.0
-        for _, mass in p.items:
-            running += float(mass)
-            cum.append(running)
+        atoms = np.fromiter((a for a, _ in p.items), dtype=object, count=len(p.items))
+        cum = list(itertools.accumulate(float(mass) for _, mass in p.items))
         cum[-1] = 1.0
-        cache = (atoms, cum)
+        cache = (atoms, np.array(cum))
         object.__setattr__(p, "_cum_cache", cache)
     return cache
 
@@ -280,9 +281,16 @@ def draw(p: SparseDist, m: int, rng: RngStream) -> tuple:
 
 def draws(p: SparseDist, m: int, seeds: Iterable[int]):
     """The atoms of one m-point sample per generator seed, lazily and in
-    order: the one sampling rule behind `draw`. One generator is reseeded
-    for each seed, so draws(p, m, rng.child_seeds(*prefix, count=n)) yields
-    the atoms of draw(p, m, rng.child(*prefix, t)) for t < n."""
+    order: the one sampling rule behind `draw`. Each sample is bit for bit
+    random.Random(seed).choices over the canonical atoms and their float
+    cumulative masses, so draws(p, m, rng.child_seeds(*prefix, count=n))
+    yields the atoms of draw(p, m, rng.child(*prefix, t)) for t < n.
+
+    Seeds are read SELECT_CHUNK at a time (fewer past DRAW_POINTS points),
+    so a caller that stops early has read at most SELECT_CHUNK - 1 past its
+    last sample. One getrandbits call gives a seed's 2m MT19937 words; a
+    word pair (a, b) is random()'s double ((a >> 5) * 2**26 + (b >> 6)) *
+    2**-53, and a right searchsorted over cum[:-1] is choices' bisect."""
     if m < 0:
         raise BadDistribution("sample size must be >= 0")
     atoms, cum = _cumulative(p)
@@ -290,10 +298,21 @@ def draws(p: SparseDist, m: int, seeds: Iterable[int]):
         for _ in seeds:
             yield (atoms[0],) * m
         return
-    gen = random.Random()
-    for seed in seeds:
-        gen.seed(seed)
-        yield tuple(gen.choices(atoms, cum_weights=cum, k=m))
+    gen = _random.Random()  # random.Random.seed calls this seed for an int
+    reseed, bits = gen.seed, gen.getrandbits
+    per_pass = max(1, min(SELECT_CHUNK, DRAW_POINTS // m))
+    seeds = iter(seeds)
+    while chunk := list(itertools.islice(seeds, per_pass)):
+        words = []
+        for seed in chunk:
+            reseed(seed)
+            words.append(bits(64 * m).to_bytes(8 * m, "little"))
+        w = np.frombuffer(b"".join(words), dtype="<u4")
+        u = (w[0::2] >> 5) * 67108864.0
+        u += w[1::2] >> 6
+        u *= cum[-1] * 2.0 ** -53  # choices scales random() by cum[-1]
+        picks = atoms[np.searchsorted(cum[:-1], u, side="right")]
+        yield from map(tuple, picks.reshape(len(chunk), m).tolist())
 
 
 def empirical_measure(s: Sequence[Atom], event: Iterable[Atom]) -> Fraction:

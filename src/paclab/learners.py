@@ -24,6 +24,7 @@ learner selects SELECT_CHUNK samples at a time (`ScheffeEngine.select_block`):
 one atom-count matrix, one memo pass, and one batched bound over the
 chunk's distinct misses, so only the samples the bound leaves several
 candidates are verified one at a time. A single select() is a block of one.
+The union learner hands each constituent's run_block a chunk's first halves.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dist import INT64_SAFE, MassTable, SparseDist, empirical_dist
+from .dist import INT64_SAFE, SELECT_CHUNK, MassTable, SparseDist, empirical_dist
 from .errors import EmptyClass, EmptySample, MixedTasks, SampleTooSmall
 from .families import (
     ALL_ZERO_REAL,
@@ -52,7 +53,6 @@ from .families import (
 from .losses import bayes_labeler, hypotheses_of_class, real_risk, zero_one_risk
 
 SELECT_MEMO_SIZE = 4096  # most selections an engine remembers
-SELECT_CHUNK = 32  # samples ScheffeLearner.run_block selects at a time
 
 
 def yatracos_set(p: SparseDist, q: SparseDist) -> frozenset:
@@ -452,16 +452,23 @@ class UnionLearner(Learner):
         self.name = f"union({len(self.learners)})"
 
     def run(self, sample):
-        atoms = tuple(sample)
-        if len(atoms) < 2:
-            raise SampleTooSmall("need at least 2 points to split")
-        cut = (len(atoms) + 1) // 2
-        first, second = atoms[:cut], atoms[cut:]
-        candidates = [ln.run(first) for ln in self.learners]
-        if self.task == TASK_DISTRIBUTION:
-            return candidates[ScheffeEngine(candidates).select(second)]
-        selector = ErmLearner(candidates, self.task, real_ctx=self.real_ctx)
-        return selector.run(second)
+        return next(self.run_block([sample]))
+
+    def run_block(self, samples: Iterable):
+        """run() on each sample, lazily and in order, SELECT_CHUNK samples at
+        a time: each constituent takes the chunk's first halves as one block."""
+        samples = iter(samples)
+        while chunk := [tuple(s) for s in itertools.islice(samples, SELECT_CHUNK)]:
+            if min(map(len, chunk)) < 2:
+                raise SampleTooSmall("need at least 2 points to split")
+            cuts = [(len(atoms) + 1) // 2 for atoms in chunk]
+            firsts = [atoms[:cut] for atoms, cut in zip(chunk, cuts)]
+            outputs = zip(*(ln.run_block(firsts) for ln in self.learners))
+            for atoms, cut, candidates in zip(chunk, cuts, outputs):
+                if self.task == TASK_DISTRIBUTION:
+                    yield candidates[ScheffeEngine(candidates).select(atoms[cut:])]
+                else:
+                    yield ErmLearner(candidates, self.task, real_ctx=self.real_ctx).run(atoms[cut:])
 
 
 class EmpiricalBaseline(Learner):

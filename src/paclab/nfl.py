@@ -258,19 +258,6 @@ def swap_member_index(inst: NflInstance, member_index: int, seq: Sequence) -> Op
 # exact oracles
 # ---------------------------------------------------------------------------
 
-def _memo_loss(cache: Optional[dict], cls: FiniteClass, out, target_index: int) -> Fraction:
-    """task_loss of an output against member `target_index`, memoised in a
-    cache the caller keeps for one search or Monte Carlo call; no memo when
-    `cache` is None."""
-    if cache is None:
-        return task_loss(cls, out, cls.members[target_index])
-    key = (target_index, out)
-    err = cache.get(key)
-    if err is None:
-        err = cache[key] = task_loss(cls, out, cls.members[target_index])
-    return err
-
-
 def _check_enum_budget(inst: NflInstance, m: int, budget: int, exchangeable: bool):
     """Charge members x (samples per member) against the budget: the
     C(s+m-1, m) multisets of the largest support s when `exchangeable`,
@@ -651,21 +638,30 @@ class McMemberStat:
         }
 
 
-def _trial_losses(cls: FiniteClass, learner: Learner, m: int, trials: int,
-                  rng: RngStream, prefix: tuple, i: int, losses: Optional[dict]):
-    """Loss against member i of the learner's output on each trial's m-point
-    sample, lazily and in trial order; `losses` as in _memo_loss.
+def _trial_outcomes(cls: FiniteClass, learner: Learner, m: int, trials: int, rng: RngStream,
+                    prefix: tuple, i: int, judge, memo: Optional[dict]):
+    """judge(task loss against member i of the learner's output) for each
+    trial's m-point sample, lazily and in trial order. `memo`, which the
+    caller keeps for one search or Monte Carlo call, holds that value per
+    (i, output); None, for outputs from no finite list, keeps no memo.
 
     The trials against member i run as one block, and trial t draws the
     sample draw(member i, m, rng.child(*prefix, i, t)) would: the block
-    takes every trial's seed from one pass (`RngStream.child_seeds`) and
-    draws with one reseeded generator (`dist.draws`). The learner takes the
-    samples as one block (`Learner.run_block`); a Scheffé learner draws and
-    selects SELECT_CHUNK samples at a time, so a caller that stops early
-    has drawn at most SELECT_CHUNK - 1 samples past the last loss it read."""
+    takes every trial's seed from one pass (`RngStream.child_seeds`), and
+    `dist.draws` builds SELECT_CHUNK samples at a time from the generator's
+    raw words. The learner takes the samples as one block
+    (`Learner.run_block`), so a caller that stops early has drawn at most
+    SELECT_CHUNK - 1 samples past the last value it read."""
+    target = cls.members[i]
     seeds = rng.child_seeds(*prefix, i, count=trials)
-    for out in learner.run_block(draws(cls.members[i], m, seeds)):
-        yield _memo_loss(losses, cls, out, i)
+    for out in learner.run_block(draws(target, m, seeds)):
+        if memo is None:
+            yield judge(task_loss(cls, out, target))
+            continue
+        value = memo.get((i, out))
+        if value is None:
+            value = memo[i, out] = judge(task_loss(cls, out, target))
+        yield value
 
 
 def mc_risk(cls: FiniteClass, learner: Learner, m: int, trials: int, rng: RngStream,
@@ -674,7 +670,7 @@ def mc_risk(cls: FiniteClass, learner: Learner, m: int, trials: int, rng: RngStr
     budget: per-member empirical mean error and failure frequency (error
     >= threshold) with two-sided 95% Clopper-Pearson intervals. Trial t
     of member i draws from substream (i, t), so results do not depend on
-    scheduling; the trials of one member run as one block (`_trial_losses`)."""
+    scheduling; the trials of one member run as one block (`_trial_outcomes`)."""
     if trials <= 0:
         raise EmptyEstimate("mc_risk needs at least one trial")
     threshold = Fraction(threshold)
@@ -683,7 +679,7 @@ def mc_risk(cls: FiniteClass, learner: Learner, m: int, trials: int, rng: RngStr
     stats = []
     for i in indices:
         total, failures = 0.0, 0
-        for err in _trial_losses(cls, learner, m, trials, rng, (), i, losses):
+        for err in _trial_outcomes(cls, learner, m, trials, rng, (), i, lambda err: err, losses):
             total += float(err)
             if err >= threshold:
                 failures += 1
@@ -746,15 +742,17 @@ def _guarantee(cls: FiniteClass, target: SparseDist, eps: Fraction,
     return agnostic_factor * opt + eps
 
 
-def _level_failures(cls, learner, bars, m, trials, rng, max_fail, losses) -> Optional[int]:
+def _level_failures(cls, learner, bars, m, trials, rng, max_fail, verdicts) -> Optional[int]:
     """Run one grid level against the guarantee `bars[i]` of each tested
     target i; the worst failure count over targets, or None as soon as a
-    target fails more than `max_fail` times and so cannot certify."""
+    target fails more than `max_fail` times and so cannot certify.
+    `verdicts` is the search's memo of whether an output fails a target."""
     worst = 0
     for i, bar in bars.items():
         failures = 0
-        for err in _trial_losses(cls, learner, m, trials, rng, (m,), i, losses):
-            if err > bar:
+        for failed in _trial_outcomes(cls, learner, m, trials, rng, (m,), i,
+                                      bar.__lt__, verdicts):  # err > bar
+            if failed:
                 failures += 1
                 if failures > max_fail:
                     return None
@@ -815,13 +813,13 @@ def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
         gen = rng.child(917).generator()
         targets = sorted(gen.sample(range(len(cls)), targets_cap))
     # the guarantee of each target holds across levels, and so does every
-    # loss seen when the learner's outputs come from a finite list
+    # verdict seen when the learner's outputs come from a finite list
     bars = {i: _guarantee(cls, cls.members[i], eps, learner.agnostic_factor)
             for i in targets}
-    losses = {} if learner.finite_outputs else None
+    verdicts = {} if learner.finite_outputs else None
 
     def failures_at(m):
-        return _level_failures(cls, learner, bars, m, trials, rng, max_fail, losses)
+        return _level_failures(cls, learner, bars, m, trials, rng, max_fail, verdicts)
 
     # lo: the last level that failed, or the one just below the first level
     lo = m_start - 1

@@ -23,15 +23,12 @@ def _splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
-def _fold(acc: int, *parts: int) -> int:
+def mix(*parts: int) -> int:
+    """Collapse integers into one 64-bit value, order-sensitively."""
+    acc = _MIX_START
     for p in parts:
         acc = _splitmix64(acc ^ (p & _MASK64))
     return acc
-
-
-def mix(*parts: int) -> int:
-    """Collapse integers into one 64-bit value, order-sensitively."""
-    return _fold(_MIX_START, *parts)
 
 
 @dataclass(frozen=True)
@@ -63,4 +60,4 @@ class RngStream:
         and the shared (stream index, *prefix) are each folded once."""
         master = mix(self.master_seed)
         index = mix(self.stream_index, *prefix)
-        return [_fold(master, _fold(index, t)) for t in range(count)]
+        return [_splitmix64(master ^ _splitmix64(index ^ t)) for t in range(count)]

@@ -383,6 +383,96 @@ def test_negative_m_builds_no_class(tmp_path, monkeypatch, capsys, sub, body):
     assert "config error: config field 'm'" in capsys.readouterr().err
 
 
+# sha256 of every file but manifest.json that each shipped config writes, as
+# shipped (seed None) and with --seed 2, and that each benchmark workload
+# config writes at seed 2 (the benchmark pins its default seed itself). These
+# bytes are the lab's reproducibility contract: a change that moves one
+# argues it as a behaviour change.
+PINNED_RUNS = {
+    ("construct_small", None): {
+        "report.json": "a15795b2776187d4a9b3a26730c1c345dbd8eed008b6d1a040be18b83936ebcc",
+    },
+    ("construct_small", 2): {
+        "report.json": "2826e08eba2b972d51e8cf3f3395644ac63fb594acc8da46066fd2f95769e4e8",
+    },
+    ("dominate_squares", None): {
+        "report.json": "c2d0afcbe57f9edd301cc7941e40f85d4e2ac51c728c7ee954ccebe81f7dc2c0",
+    },
+    ("dominate_squares", 2): {
+        "report.json": "53c9371663a57d6151d6934da7e51ec9fb7de61916b5cfeccbfd92ed7c3955b8",
+    },
+    ("learn_truncation", None): {
+        "report.json": "7f1c8ccb399a4dd48b99ec433657a2dc41b8feda851cfaf611a3e51b356d6e81",
+    },
+    ("learn_truncation", 2): {
+        "report.json": "013e2d6d449600c32edbd4033d8fd66c4328b210f6c1ab95e6f777f266829828",
+    },
+    ("nfl_exact_small", None): {
+        "report.json": "89cd50be1fda06ba046144961d7dda5a83d27419786043dc8f11773f9e4f8274",
+    },
+    ("nfl_exact_small", 2): {
+        "report.json": "8f741a3ea19bcaae3afe043febf40186c86a363859962315073043391c6d3c4b",
+    },
+    ("nfl_mc_small", None): {
+        "report.json": "c05ee7927902790325efc5324defff75a33f4cd94f993f8ee78646bc36c04823",
+    },
+    ("nfl_mc_small", 2): {
+        "report.json": "bc523c30e09ca63d72e2dfbec8384db6f8e9eecbb2a22aca6977e87acc580572",
+    },
+    ("sample_complexity_tiny", None): {
+        "curve.csv": "e5c0706b3ea178ac4355f9ef164bd4d6efe98c516daaac5187f82f9bf2d5f91d",
+        "report.json": "79b3e5acbf9ccf6afb1c331a322c83b4228e9e084d145b776284b3fddb190b15",
+    },
+    ("sample_complexity_tiny", 2): {
+        "curve.csv": "e5c0706b3ea178ac4355f9ef164bd4d6efe98c516daaac5187f82f9bf2d5f91d",
+        "report.json": "e917a56158ca1f008efe846d70a125efa840f017e50f065b20566a44c897600a",
+    },
+    ("synthesize_squares", None): {
+        "plotdata.csv": "11668dc8d2de96f565a06ac78f80241cab323eadc28ab5997f5852f828d7c3a7",
+        "report.json": "c810fbb1523a400820cc6612fc37f414421e1c117d0d8249ce60925d2039b286",
+    },
+    ("synthesize_squares", 2): {
+        "plotdata.csv": "11668dc8d2de96f565a06ac78f80241cab323eadc28ab5997f5852f828d7c3a7",
+        "report.json": "016d95571c193f2e5ad2227ecd27718a109e621787bce5792e90cf5594b95c19",
+    },
+    ("search", 2): {
+        "plotdata.csv": "11668dc8d2de96f565a06ac78f80241cab323eadc28ab5997f5852f828d7c3a7",
+        "report.json": "8577d90b25c73bf2b13fd2d5ff1f2cbc81a95386df28656d51c92dd5266d7183",
+    },
+    ("exact", 2): {
+        "report.json": "56d6300c15ab8949f92781c595e9663d52c5a8fa8a1c60c07598148135c53182",
+    },
+    ("build", 2): {
+        "report.json": "dc8b101701250dfbf649e7ed36cb3013799b3ea411ea0cc8b72e452b74638933",
+    },
+}
+
+
+def test_every_shipped_config_is_pinned():
+    bench = runpy.run_path(str(BENCH_WORKLOADS))
+    shipped = {name for name, _ in PINNED_RUNS} - set(bench["WORKLOADS"])
+    assert shipped == {p.stem for p in CONFIG_DIR.glob("*.json")}
+    assert set(PINNED_RUNS) == ({(name, seed) for name in shipped for seed in (None, 2)}
+                                | {(name, 2) for name in bench["WORKLOADS"]})
+
+
+@pytest.mark.parametrize("name,seed", list(PINNED_RUNS))
+def test_runs_write_their_pinned_files(tmp_path, name, seed):
+    bench = runpy.run_path(str(BENCH_WORKLOADS))
+    if name in bench["WORKLOADS"]:
+        workload = bench["WORKLOADS"][name]
+        sub, cfg, extra = workload.subcommand, write_cfg(tmp_path, workload.make_config(seed)), []
+    else:
+        cfg = CONFIG_DIR / f"{name}.json"
+        sub = json.loads(cfg.read_text())["kind"]
+        extra = [] if seed is None else ["--seed", seed]
+    out = tmp_path / "out"
+    assert run_cli([sub, "--config", cfg, "--out", out, *extra]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.name != "manifest.json"}
+    assert written == PINNED_RUNS[name, seed]
+
+
 def test_benchmark_workloads_write_their_pinned_files(tmp_path):
     # the benchmark's workload configs at its default seed, read from its
     # module without importing it, must write the bytes it pins

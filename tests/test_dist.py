@@ -1,6 +1,11 @@
 """Core distribution type: constructors, TV, sampling, empirical measures."""
 
+import itertools
 import json
+import math
+import platform
+import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -9,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paclab as pl
-from paclab.dist import draws
+from paclab.dist import DRAW_POINTS, SELECT_CHUNK, draws
 from paclab.errors import BadDistribution, BadWeights, EmptySample, EmptySupport
 from paclab.rng import mix
 
@@ -145,11 +150,104 @@ class TestDrawBlocks:
         block = list(draws(p, m, r.child_seeds(8, 2, count=12)))
         assert block == [pl.draw(p, m, r.child(8, 2, t)) for t in range(12)]
 
+    @pytest.mark.parametrize("p", [pl.delta(3), pl.uniform([1, 2, 3])], ids=["one-atom", "uniform"])
+    @pytest.mark.parametrize("m", [0, 5, DRAW_POINTS // 16])
+    @pytest.mark.parametrize("k", [1, SELECT_CHUNK - 1, SELECT_CHUNK, SELECT_CHUNK + 1, 100])
+    def test_reading_k_samples_reads_at_most_one_chunk_of_seeds_more(self, p, m, k):
+        read = []
+
+        def seeds():
+            for t in itertools.count():
+                read.append(t)
+                yield t
+
+        assert len(list(itertools.islice(draws(p, m, seeds()), k))) == k
+        assert k <= len(read) <= k + SELECT_CHUNK - 1
+
     def test_negative_size_is_rejected(self):
         with pytest.raises(BadDistribution):
             list(draws(pl.uniform([1, 2]), -1, [1, 2]))
         with pytest.raises(BadDistribution):
             pl.draw(pl.uniform([1, 2]), -1, pl.RngStream(SEED, 0))
+
+
+def reference_choices(p, m, seed):
+    """The sample random.Random(seed).choices draws over p's canonical atoms,
+    with cumulative weights summed here in float, the last exactly 1.0."""
+    atoms, cum, running = [], [], 0.0
+    for a, mass in p.items:
+        running += float(mass)
+        atoms.append(a)
+        cum.append(running)
+    cum[-1] = 1.0
+    return tuple(random.Random(seed).choices(atoms, cum_weights=cum, k=m))
+
+
+@st.composite
+def sampling_dists(draw):
+    """One, two or many atoms with arbitrary positive masses, unlabeled or
+    labeled (tuple atoms)."""
+    n = draw(st.sampled_from([1, 2, 3, 60]) | st.integers(1, 60))
+    weights = draw(st.lists(st.integers(1, 10 ** 6), min_size=n, max_size=n))
+    labeled = draw(st.booleans())
+    atoms = [(j // 2, j % 2) if labeled else 3 * j for j in range(n)]
+    total = sum(weights)
+    return pl.SparseDist({a: F(w, total) for a, w in zip(atoms, weights)})
+
+
+SEEDS = st.integers(0, 2 ** 32 - 1) | st.integers(0, 2 ** 64 - 1)
+
+
+class TestDrawsAgainstChoices:
+    """dist.draws builds samples from raw generator words; the reference is
+    random.Random.choices, one seed at a time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=sampling_dists(), m=st.sampled_from([0, 1, 2, 31, 32, 33, 300]),
+           size=st.sampled_from([1, SELECT_CHUNK - 1, SELECT_CHUNK, SELECT_CHUNK + 1,
+                                 2 * SELECT_CHUNK + 3]),
+           data=st.data())
+    def test_draws_are_the_choices_of_each_seed(self, p, m, size, data):
+        seeds = data.draw(st.lists(SEEDS, min_size=size, max_size=size))
+        got = list(draws(p, m, seeds))
+        expected = [reference_choices(p, m, seed) for seed in seeds]
+        assert got == expected
+        # the atoms themselves come back: tuples as tuples, ints as ints
+        assert [list(map(type, s)) for s in got] == [list(map(type, s)) for s in expected]
+
+    @pytest.mark.parametrize("seed", [1, SEED, 2 ** 64 - 1])
+    def test_points_on_and_just_below_a_cumulative_mass(self, seed):
+        # choices puts random() == cum[0] on atom 1 and random() just below
+        # it on atom 0: only the exact double and a right bisect agree
+        x = random.Random(seed).random()
+        for edge, first in ((x, 1), (math.nextafter(x, 1), 0)):
+            p = pl.SparseDist({0: F(edge), 1: 1 - F(edge)})
+            assert reference_choices(p, 3, seed)[0] == first
+            assert next(draws(p, 3, [seed])) == reference_choices(p, 3, seed)
+
+    def test_large_samples_are_drawn_in_smaller_passes(self):
+        p = mix_anchor(F(1, 3), range(1, 30))
+        m = DRAW_POINTS // 8 + 1  # seven samples a pass
+        seeds, read = [SEED + t for t in range(9)], []
+
+        def reading():
+            for seed in seeds:
+                read.append(seed)
+                yield seed
+
+        block = draws(p, m, reading())
+        first = next(block)
+        assert len(read) * m <= DRAW_POINTS
+        assert [first, *block] == [reference_choices(p, m, seed) for seed in seeds]
+
+    @pytest.mark.parametrize("seed", [0, 1, SEED, 2 ** 32 - 1, 2 ** 64 - 1])
+    def test_one_getrandbits_64_holds_the_words_of_one_random(self, seed):
+        words = random.Random(seed).getrandbits(64)
+        a, b = words & 0xFFFFFFFF, words >> 32
+        assert ((a >> 5) * 67108864.0 + (b >> 6)) * 2.0 ** -53 == random.Random(seed).random(), (
+            f"on {sys.implementation.name} {platform.python_version()}, getrandbits(64) "
+            "does not hold the two MT19937 words of one random(), least significant "
+            "first; dist.draws relies on that layout")
 
 
 class TestEmpirical:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import paclab as pl
 from paclab import learners
+from paclab.dist import SELECT_CHUNK
 from paclab.errors import EmptyClass, EmptySample, MixedTasks, SampleTooSmall
 from paclab.losses import hypotheses_of_class
 
@@ -584,6 +585,40 @@ class TestUnion:
         inner = pl.ScheffeLearner(fam)
         s = pl.draw(fam[1], 12, pl.RngStream(SEED, 9))
         assert pl.UnionLearner([inner] * 3).run(s) == pl.UnionLearner([inner]).run(s)
+
+    @pytest.mark.parametrize("task", ["distribution", "classification"])
+    def test_run_block_selects_among_first_half_outputs_on_second_halves(self, task):
+        if task == "distribution":
+            fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
+            ref, inner = pl.ScheffeLearner(fam), pl.ScheffeLearner(fam)
+        else:
+            fam = pl.labeled_anchored_family(F(1, 2), 2)
+            ref, inner = pl.ErmLearner.for_class(fam), pl.ErmLearner.for_class(fam)
+        baseline = pl.EmpiricalBaseline(task)
+        samples = [pl.draw(fam[t % len(fam)], 4 + t % 5, pl.RngStream(SEED, 700 + t))
+                   for t in range(70)]
+        expected = []
+        for s in samples:
+            cut = (len(s) + 1) // 2
+            candidates = [ref.run(s[:cut]), baseline.run(s[:cut])]
+            if task == "distribution":
+                expected.append(candidates[pl.ScheffeEngine(candidates).select(s[cut:])])
+            else:
+                expected.append(pl.ErmLearner(candidates, task).run(s[cut:]))
+        rows = []
+        if task == "distribution":
+            select_block = inner.engine.select_block
+
+            def counted(chunk):
+                rows.append(len(chunk))
+                return select_block(chunk)
+
+            inner.engine.select_block = counted
+        union = pl.UnionLearner([inner, baseline])
+        assert list(union.run_block(iter(samples))) == expected
+        if task == "distribution":
+            # the Scheffé constituent selects the first halves a chunk at a time
+            assert rows == [SELECT_CHUNK, SELECT_CHUNK, len(samples) - 2 * SELECT_CHUNK]
 
     def test_mixed_tasks_rejected(self):
         fam = pl.anchored_family(F(1, 2), 2)

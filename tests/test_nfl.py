@@ -17,7 +17,8 @@ from paclab.errors import (
     EnumerationBudgetExceeded,
     SearchBoundExceeded,
 )
-from paclab.learners import SELECT_CHUNK, Learner
+from paclab.dist import SELECT_CHUNK
+from paclab.learners import Learner
 from paclab.nfl import (
     instance_alphabet,
     max_certifiable_failures,
@@ -666,7 +667,8 @@ class TestTrialBlocks:
         ref, learner = make(), make()  # learner's block selects every sample itself
         expected = [ref.run(s) for s in reference]
         read, yielded = counted_block(learner)
-        losses = list(nfl._trial_losses(fam, learner, m, trials, rng, prefix, i, {}))
+        losses = list(nfl._trial_outcomes(fam, learner, m, trials, rng, prefix, i,
+                                           lambda err: err, {}))
         assert losses == [pl.task_loss(fam, out, fam[i]) for out in expected]
         # one block of every trial's sample, one output per trial, in trial order
         assert read == reference and yielded == expected
@@ -681,6 +683,15 @@ class TestTrialBlocks:
                                     max_fail, {})
         assert worst is None
         assert len(seen) == max_fail + 1
+
+    @pytest.mark.parametrize("memo", [True, False], ids=["memo", "no-memo"])
+    def test_a_loss_equal_to_the_guarantee_is_no_failure(self, memo):
+        fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
+        learner = pl.ConstantLearner(fam[5], "distribution")
+        err, rng = pl.task_loss(fam, fam[5], fam[0]), pl.RngStream(SEED, 6)
+        for bar, worst in ((err, 0), (err - F(1, 10 ** 9), None)):
+            verdicts = {} if memo else None  # one memo per search, whose bars are fixed
+            assert nfl._level_failures(fam, learner, {0: bar}, 4, 10, rng, 3, verdicts) == worst
 
     def test_failing_scheffe_level_draws_at_most_one_chunk_past_the_stop(self):
         fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
