@@ -10,6 +10,8 @@ exactly, build through the unchecked `SparseDist._trusted`. Floats
 appear only inside the sampler's cumulative table, never in a reported
 probability. A sample is a plain tuple of atoms: `draw` returns one, and
 `draws` yields one per generator seed, as random.Random(seed).choices would.
+Both read the one sampling rule, `draw_rows`, which gives a chunk of samples
+as rows of positions in the canonical atoms, for callers that only count.
 
 `MassTable` holds the masses of a list of distributions as one integer
 matrix over a common denominator; the Scheffé engine, `opt_loss` and the
@@ -280,11 +282,19 @@ def draw(p: SparseDist, m: int, rng: RngStream) -> tuple:
 
 
 def draws(p: SparseDist, m: int, seeds: Iterable[int]):
-    """The atoms of one m-point sample per generator seed, lazily and in
-    order: the one sampling rule behind `draw`. Each sample is bit for bit
-    random.Random(seed).choices over the canonical atoms and their float
-    cumulative masses, so draws(p, m, rng.child_seeds(*prefix, count=n))
-    yields the atoms of draw(p, m, rng.child(*prefix, t)) for t < n.
+    """One m-point sample per generator seed, lazily and in order: the atoms
+    at `draw_rows`' positions, so draws(p, m, rng.child_seeds(*prefix,
+    count=n)) yields draw(p, m, rng.child(*prefix, t)) for t < n."""
+    atoms, _ = _cumulative(p)
+    for rows in draw_rows(p, m, seeds):
+        yield from map(tuple, atoms[rows].tolist())
+
+
+def draw_rows(p: SparseDist, m: int, seeds: Iterable[int]):
+    """The one sampling rule: per chunk of seeds, lazily, the integer (seeds,
+    m) matrix whose row r holds the positions in p's canonical atoms of the
+    points random.Random(seed).choices draws over them and their float
+    cumulative masses for the chunk's r-th seed (zeros at m = 0 or one atom).
 
     Seeds are read SELECT_CHUNK at a time (fewer past DRAW_POINTS points),
     so a caller that stops early has read at most SELECT_CHUNK - 1 past its
@@ -293,14 +303,10 @@ def draws(p: SparseDist, m: int, seeds: Iterable[int]):
     2**-53, and a right searchsorted over cum[:-1] is choices' bisect."""
     if m < 0:
         raise BadDistribution("sample size must be >= 0")
-    atoms, cum = _cumulative(p)
-    if m == 0 or len(atoms) == 1:
-        for _ in seeds:
-            yield (atoms[0],) * m
-        return
+    _, cum = _cumulative(p)
     gen = _random.Random()  # random.Random.seed calls this seed for an int
     reseed, bits = gen.seed, gen.getrandbits
-    per_pass = max(1, min(SELECT_CHUNK, DRAW_POINTS // m))
+    per_pass = max(1, min(SELECT_CHUNK, DRAW_POINTS // max(m, 1)))
     seeds = iter(seeds)
     while chunk := list(itertools.islice(seeds, per_pass)):
         words = []
@@ -311,8 +317,7 @@ def draws(p: SparseDist, m: int, seeds: Iterable[int]):
         u = (w[0::2] >> 5) * 67108864.0
         u += w[1::2] >> 6
         u *= cum[-1] * 2.0 ** -53  # choices scales random() by cum[-1]
-        picks = atoms[np.searchsorted(cum[:-1], u, side="right")]
-        yield from map(tuple, picks.reshape(len(chunk), m).tolist())
+        yield np.searchsorted(cum[:-1], u, side="right").reshape(len(chunk), m)
 
 
 def empirical_measure(s: Sequence[Atom], event: Iterable[Atom]) -> Fraction:

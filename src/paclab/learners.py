@@ -19,12 +19,14 @@ bound does not exceed that row's maximum. No member outside them can
 attain the minimum, so the answer is still the exact lowest-index argmin.
 
 A learner takes a block of samples through `Learner.run_block`, which is
-`run` on each sample unless the learner has a faster way. The Scheffé
-learner selects SELECT_CHUNK samples at a time (`ScheffeEngine.select_block`):
+`run` on each sample unless the learner has a faster way, and Monte Carlo
+trials through `Learner.run_draws`, which is run_block on the drawn tuples
+(`dist.draws`). The Scheffé learner selects SELECT_CHUNK samples at a time:
 one atom-count matrix, one memo pass, and one batched bound over the
 chunk's distinct misses, so only the samples the bound leaves several
-candidates are verified one at a time. A single select() is a block of one.
-The union learner hands each constituent's run_block a chunk's first halves.
+candidates are verified one at a time; its trials count the drawn atom
+positions (`dist.draw_rows`, `ScheffeEngine.select_rows`) and build no
+tuples. The union learner hands each constituent's run_block a chunk's first halves.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dist import INT64_SAFE, SELECT_CHUNK, MassTable, SparseDist, empirical_dist
+from .dist import INT64_SAFE, SELECT_CHUNK, MassTable, SparseDist, draw_rows, draws, empirical_dist
 from .errors import EmptyClass, EmptySample, MixedTasks, SampleTooSmall
 from .families import (
     ALL_ZERO_REAL,
@@ -100,8 +102,9 @@ class ScheffeEngine:
     itself. Up to half the members, the candidates' rows are gathered
     into the deviation buffer; past half, the whole matrix is evaluated.
 
-    Blocks: select_block() answers a list of samples, and select() is a
-    block of one. A block's atom counts are one matrix (one bincount).
+    Blocks: select_block() answers a list of samples, select() is a block
+    of one, and select_rows() answers a chunk of samples given as rows of
+    atom positions. A block's atom counts are one matrix (one bincount).
     The choice depends on a sample only through its atom counts, so it is
     memoised by the bytes of the sample's count row, held in the
     narrowest unsigned dtype that holds the block's largest m (13 bytes
@@ -177,21 +180,38 @@ class ScheffeEngine:
         return self.select_block([sample])[0]
 
     def select_block(self, samples: Sequence) -> list:
-        """select() of each sample, in order. The block's atom counts are one
-        matrix, one row per sample and one last column for the atoms outside
-        every member's support, so a row sums to its m. Each row is looked
-        up in the memo by its bytes, and the distinct misses are selected
-        together (`_argmins`)."""
-        lengths = [len(s) for s in samples]
+        """select() of each sample, in order (`_select_counts`)."""
+        stride = len(self._column) + 1
+        get, outside = self._column.get, stride - 1
+        index = [base + get(a, outside)
+                 for base, sample in zip(range(0, stride * len(samples), stride), samples)
+                 for a in sample]
+        return self._select_counts(index, [len(s) for s in samples])
+
+    def columns(self, p: SparseDist) -> np.ndarray:
+        """The engine column of each of p's atoms in canonical order, or the
+        outside column for an atom outside every member's support."""
+        get, outside = self._column.get, len(self._column)
+        return np.array([get(a, outside) for a in p.support()], dtype=np.intp)
+
+    def select_rows(self, cols: np.ndarray, rows: np.ndarray) -> list:
+        """select_block() of the samples at atom positions `rows` (a row per
+        sample, as `dist.draw_rows` gives them) of a dist p with columns(p) == cols."""
+        stride = len(self._column) + 1
+        index = cols[rows]
+        index += np.arange(0, stride * len(rows), stride)[:, None]
+        return self._select_counts(index.ravel(), [rows.shape[1]] * len(rows))
+
+    def _select_counts(self, index, lengths: list) -> list:
+        """The selection for each sample, of lengths[r] points, whose atom counts
+        are the bincount of `index`: a row per sample, its last column the atoms
+        outside every member's support. Each row is looked up in the memo by
+        its bytes, and the distinct misses are selected together (`_argmins`)."""
         if not all(lengths):
             raise EmptySample("minimum-distance selection needs a sample")
         if not self._incidence.shape[1] or not lengths:
             return [0] * len(lengths)
         stride = len(self._column) + 1
-        get, outside = self._column.get, stride - 1
-        index = [base + get(a, outside)
-                 for base, sample in zip(range(0, stride * len(lengths), stride), samples)
-                 for a in sample]
         counts = np.bincount(index, minlength=stride * len(lengths)).reshape(-1, stride)
         dtype = _count_dtype(max(lengths))
         keys = counts.astype(dtype).view(f"V{stride * dtype.itemsize}").ravel().tolist()
@@ -209,8 +229,8 @@ class ScheffeEngine:
         return [found[key] if best is None else best for key, best in zip(keys, chosen)]
 
     def _argmins(self, counts: np.ndarray, ms: list) -> list:
-        """The selection for each row of atom counts, as select_block builds
-        them, of an ms[r]-point sample."""
+        """The selection for each row of atom counts, as _select_counts
+        builds them, of an ms[r]-point sample."""
         # deviation numerators over common denominator denom*m:
         #   |prob_num * m - denom * count|, each at most denom*m. Every
         #   multiply names its dtype: under NEP 50 a narrow array times a
@@ -324,6 +344,11 @@ class Learner:
         """run() on each sample, lazily and in order."""
         return map(self.run, samples)
 
+    def run_draws(self, target: SparseDist, m: int, seeds: Iterable[int]):
+        """run_block() on the m-point samples drawn from target, one per
+        generator seed (`dist.draws`), lazily and in order."""
+        return self.run_block(draws(target, m, seeds))
+
 
 class ScheffeLearner(Learner):
     """3-agnostic finite-class distribution learner."""
@@ -349,6 +374,16 @@ class ScheffeLearner(Learner):
         while chunk := list(itertools.islice(samples, SELECT_CHUNK)):
             for index in self.engine.select_block(chunk):
                 yield members[index]
+
+    def run_draws(self, target: SparseDist, m: int, seeds: Iterable[int]):
+        """run_block(draws(target, m, seeds)), selecting each chunk straight
+        from its rows of atom positions (`engine.select_rows`); a chunk's
+        distinct indices are each looked up in the class once."""
+        members, cols = self.cls.members, self.engine.columns(target)
+        for rows in draw_rows(target, m, seeds):
+            chosen = self.engine.select_rows(cols, rows)
+            found = {index: members[index] for index in set(chosen)}
+            yield from map(found.__getitem__, chosen)
 
 
 class TruncationLearner(ScheffeLearner):

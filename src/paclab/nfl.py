@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .dist import SparseDist, delta, draws, frac_str, mixture, sequence_prob, uniform
+from .dist import SparseDist, delta, frac_str, mixture, sequence_prob, uniform
 from .errors import (
     BadPrecondition,
     BadRange,
@@ -648,13 +648,13 @@ def _trial_outcomes(cls: FiniteClass, learner: Learner, m: int, trials: int, rng
     The trials against member i run as one block, and trial t draws the
     sample draw(member i, m, rng.child(*prefix, i, t)) would: the block
     takes every trial's seed from one pass (`RngStream.child_seeds`), and
-    `dist.draws` builds SELECT_CHUNK samples at a time from the generator's
-    raw words. The learner takes the samples as one block
-    (`Learner.run_block`), so a caller that stops early has drawn at most
-    SELECT_CHUNK - 1 samples past the last value it read."""
+    the learner draws SELECT_CHUNK samples at a time (`Learner.run_draws`):
+    the Scheffé learner selects straight from the drawn atom positions, any
+    other takes the drawn tuples as one block (`Learner.run_block`). A caller
+    that stops early has drawn at most SELECT_CHUNK - 1 past its last value."""
     target = cls.members[i]
     seeds = rng.child_seeds(*prefix, i, count=trials)
-    for out in learner.run_block(draws(target, m, seeds)):
+    for out in learner.run_draws(target, m, seeds):
         if memo is None:
             yield judge(task_loss(cls, out, target))
             continue

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paclab as pl
-from paclab.dist import DRAW_POINTS, SELECT_CHUNK, draws
+from paclab.dist import DRAW_POINTS, SELECT_CHUNK, draw_rows, draws
 from paclab.errors import BadDistribution, BadWeights, EmptySample, EmptySupport
 from paclab.rng import mix
 
@@ -138,6 +138,16 @@ class TestDrawBlocks:
             assert r.child_seeds(*prefix, count=6) == expected
             assert r.seed == mix(master, index)
 
+    @pytest.mark.parametrize("master", [0, -1, 2 ** 64 - 1, 2 ** 70])
+    @pytest.mark.parametrize("count", [0, 1, 120])
+    def test_child_seeds_are_the_children_seeds(self, master, count):
+        # one uint64 pass gives the Python ints child() gives, one at a time
+        for prefix in [(), (3,), (2 ** 64 - 1, -7)]:
+            r = pl.RngStream(master, 11)
+            seeds = r.child_seeds(*prefix, count=count)
+            assert seeds == [r.child(*prefix, t).seed for t in range(count)]
+            assert all(type(seed) is int for seed in seeds)
+
     @pytest.mark.parametrize("m", [0, 1, 2, 17])
     @pytest.mark.parametrize("p", [
         pl.delta(3),
@@ -214,6 +224,12 @@ class TestDrawsAgainstChoices:
         assert got == expected
         # the atoms themselves come back: tuples as tuples, ints as ints
         assert [list(map(type, s)) for s in got] == [list(map(type, s)) for s in expected]
+        # draw_rows gives the same samples as positions in the canonical atoms,
+        # a chunk of at most SELECT_CHUNK rows at a time
+        atoms = p.support()
+        chunks = list(draw_rows(p, m, seeds))
+        assert all(rows.shape[1] == m and 0 < len(rows) <= SELECT_CHUNK for rows in chunks)
+        assert [tuple(atoms[j] for j in row) for rows in chunks for row in rows.tolist()] == expected
 
     @pytest.mark.parametrize("seed", [1, SEED, 2 ** 64 - 1])
     def test_points_on_and_just_below_a_cumulative_mass(self, seed):
@@ -239,6 +255,11 @@ class TestDrawsAgainstChoices:
         first = next(block)
         assert len(read) * m <= DRAW_POINTS
         assert [first, *block] == [reference_choices(p, m, seed) for seed in seeds]
+        # the rows come in the same short passes
+        atoms = p.support()
+        assert [len(rows) for rows in draw_rows(p, m, seeds)] == [7, 2]
+        assert [tuple(atoms[j] for j in row) for rows in draw_rows(p, m, seeds)
+                for row in rows.tolist()] == [reference_choices(p, m, seed) for seed in seeds]
 
     @pytest.mark.parametrize("seed", [0, 1, SEED, 2 ** 32 - 1, 2 ** 64 - 1])
     def test_one_getrandbits_64_holds_the_words_of_one_random(self, seed):

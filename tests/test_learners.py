@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import paclab as pl
 from paclab import learners
-from paclab.dist import SELECT_CHUNK
+from paclab.dist import SELECT_CHUNK, draw_rows, draws
 from paclab.errors import EmptyClass, EmptySample, MixedTasks, SampleTooSmall
 from paclab.losses import hypotheses_of_class
 
@@ -438,6 +438,68 @@ class TestSelectBlock:
         finally:
             tracemalloc.stop()
         assert peak < engine._dev.nbytes
+
+
+def reciprocal_staged():
+    return pl.StagedClass("distribution", pl.SequenceSpec(pl.Reciprocal(F(1, 2)), pl.IdentityN()))
+
+
+def labeled_members():
+    """Three members over tuple atoms, one of them outside another's support."""
+    return [pl.SparseDist({(0, 0): F(1, 2), (1, 1): F(1, 4), (2, 0): F(1, 4)}),
+            pl.SparseDist({(0, 0): F(1, 4), (1, 1): F(3, 4)}),
+            pl.SparseDist({(0, 1): F(1, 3), (2, 0): F(2, 3)})]
+
+
+# (learner, target) makers: the truncation learner's target puts mass on
+# atoms 5-8, outside its engine's columns 0-4; the labeled target on (3, 1),
+# outside every member's support; a one-atom target; a one-member class,
+# whose engine has no comparison sets
+ROW_CASES = {
+    "truncation": lambda: (pl.TruncationLearner(reciprocal_staged(), F(1, 2)),
+                           reciprocal_staged().truncate(F(1, 4))[-1]),
+    "labeled": lambda: (pl.ScheffeLearner(pl.FiniteClass("distribution", labeled_members())),
+                        pl.SparseDist({(0, 0): F(1, 3), (1, 1): F(1, 3), (3, 1): F(1, 3)})),
+    "one-atom": lambda: (pl.ScheffeLearner(pl.FiniteClass("distribution", PAIRS)), pl.delta(3)),
+    "one-member": lambda: (pl.ScheffeLearner(pl.FiniteClass("distribution", [pl.uniform([1, 2])])),
+                           pl.uniform([1, 2, 3])),
+}
+
+
+class TestSelectRows:
+    """select_rows() on the rows dist.draw_rows gives answers as select_block()
+    on the samples dist.draws gives, and run_draws() as run_block()."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(list(ROW_CASES)), m=st.sampled_from([1, 2, 5, 33]),
+           size=st.sampled_from([1, SELECT_CHUNK, SELECT_CHUNK + 1, 70]),
+           first=st.integers(0, 2 ** 64 - 100))
+    def test_rows_select_as_the_drawn_samples(self, case, m, size, first):
+        (learner, target), (fresh, _) = ROW_CASES[case](), ROW_CASES[case]()
+        seeds = range(first, first + size)
+        samples = list(draws(target, m, seeds))
+        expected = fresh.engine.select_block(samples)
+        if case == "truncation":
+            assert set(target.support()) - set(learner.engine._atoms)
+        engine, cols = learner.engine, learner.engine.columns(target)
+        chunks = list(draw_rows(target, m, seeds))
+        assert [i for rows in chunks for i in engine.select_rows(cols, rows)] == expected
+        assert [i for rows in chunks for i in engine.select_rows(cols, rows)] == expected  # hits
+        assert list(learner.run_draws(target, m, seeds)) == list(fresh.run_block(samples))
+
+    @pytest.mark.parametrize("case", list(ROW_CASES))
+    def test_empty_samples_raise(self, case):
+        learner, target = ROW_CASES[case]()
+        engine, cols = learner.engine, learner.engine.columns(target)
+        rows, = draw_rows(target, 0, [1, 2])
+        with pytest.raises(EmptySample):
+            engine.select_rows(cols, rows)
+        with pytest.raises(EmptySample):
+            engine.select_block(list(draws(target, 0, [1, 2])))
+        with pytest.raises(EmptySample):
+            next(learner.run_draws(target, 0, [1, 2]))
+        for empty in (rows[:0], rows[:0].reshape(0, 4)):  # no samples: no selection
+            assert engine.select_rows(cols, empty) == []
 
 
 class TestTruncationLearner:

@@ -1,6 +1,7 @@
 """Lower-bound harness: pairing contract, measure preservation, exact
 oracles, Markov conversion, Monte Carlo cross-checks, complexity search."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction as F
@@ -8,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import paclab as pl
-from paclab import nfl
+from paclab import learners, nfl
 from paclab.errors import (
     BadDistribution,
     BadPrecondition,
@@ -406,6 +407,33 @@ def counted_block(learner):
     return read, yielded
 
 
+def counted_draws(learner):
+    """Wrap the learner's run_draws, through which the Monte Carlo oracles
+    run every learner; returns the outputs it yields, in order."""
+    yielded, run_draws = [], learner.run_draws
+
+    def counted(target, m, seeds):
+        for out in run_draws(target, m, seeds):
+            yielded.append(out)
+            yield out
+
+    learner.run_draws = counted
+    return yielded
+
+
+def counted_select_rows(engine):
+    """Wrap a Scheffé engine's select_rows; returns the blocks of atom
+    position rows it selects on, in order."""
+    blocks, select_rows = [], engine.select_rows
+
+    def counted(cols, rows):
+        blocks.append(rows.tolist())
+        return select_rows(cols, rows)
+
+    engine.select_rows = counted
+    return blocks
+
+
 class TestMemberSamples:
     """nfl_exact's enumeration: each member's multisets or sequences over
     its own support, with integer weights over denom^m."""
@@ -666,9 +694,16 @@ class TestTrialBlocks:
         reference = [pl.draw(fam[i], m, rng.child(*prefix, i, t)) for t in range(trials)]
         ref, learner = make(), make()  # learner's block selects every sample itself
         expected = [ref.run(s) for s in reference]
-        read, yielded = counted_block(learner)
+        yielded = counted_draws(learner)
+        if kind == "scheffe":  # the engine selects on rows of atom positions
+            blocks = counted_select_rows(learner.engine)
+        else:  # the default run_draws hands run_block the drawn tuples
+            read, _ = counted_block(learner)
         losses = list(nfl._trial_outcomes(fam, learner, m, trials, rng, prefix, i,
                                            lambda err: err, {}))
+        if kind == "scheffe":
+            atoms = fam[i].support()
+            read = [tuple(atoms[j] for j in row) for rows in blocks for row in rows]
         assert losses == [pl.task_loss(fam, out, fam[i]) for out in expected]
         # one block of every trial's sample, one output per trial, in trial order
         assert read == reference and yielded == expected
@@ -698,20 +733,71 @@ class TestTrialBlocks:
         # Scheffé over every member but target 0 never returns it, so every
         # trial fails against a zero bar
         learner = pl.ScheffeLearner(pl.FiniteClass("distribution", list(fam.members)[1:]))
-        rows, select_block = [], learner.engine.select_block
-
-        def counted(chunk):
-            rows.append(len(chunk))
-            return select_block(chunk)
-
-        learner.engine.select_block = counted
+        blocks = counted_select_rows(learner.engine)
         max_fail = 3
         worst = nfl._level_failures(fam, learner, {0: F(0)}, 4, 100, pl.RngStream(SEED, 6),
                                     max_fail, {})
         assert worst is None
+        rows = [len(block) for block in blocks]
         # the trial that failed max_fail + 1 times ended the first chunk's selections
         assert rows == [SELECT_CHUNK]
         assert sum(rows) <= max_fail + 1 + SELECT_CHUNK - 1
+
+
+class TestDrawPaths:
+    """The Monte Carlo oracles hand each learner its trials through
+    run_draws: a Scheffé learner selects from the drawn atom positions and
+    builds no sample tuples; any other learner gets the drawn tuples."""
+
+    @staticmethod
+    def scheffe_case(kind):
+        """(class, learner maker) whose targets are the class's members."""
+        if kind == "scheffe":
+            fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
+            return fam, lambda: pl.ScheffeLearner(fam)
+        staged = pl.StagedClass("distribution",
+                                pl.SequenceSpec(pl.Reciprocal(F(1, 2)), pl.IdentityN()))
+        # targets of the finer truncation put mass outside the learner's columns
+        return staged.truncate(F(1, 4)), lambda: pl.TruncationLearner(staged, F(1, 2))
+
+    @pytest.mark.parametrize("kind", ["scheffe", "truncation"])
+    def test_scheffe_trials_build_no_tuples(self, monkeypatch, kind):
+        cls, make = self.scheffe_case(kind)
+        members = [0, len(cls) - 1]
+
+        def run(learner):
+            point = pl.estimate_sample_complexity(cls, learner, F(1, 2), F(1, 4),
+                                                  pl.RngStream(SEED, 12), trials=30, m_max=64,
+                                                  targets_cap=4)
+            stats = pl.mc_risk(cls, learner, 9, 40, pl.RngStream(SEED, 13), F(1, 8),
+                               member_indices=members)
+            return point, stats
+
+        reference = make()  # the same learner on the tuple path
+        reference.run_draws = functools.partial(Learner.run_draws, reference)
+        expected = run(reference)
+
+        def refuse(*args):
+            raise AssertionError("a Scheffé trial built sample tuples")
+
+        monkeypatch.setattr(pl.dist, "draws", refuse)
+        monkeypatch.setattr(learners, "draws", refuse)
+        assert run(make()) == expected
+
+    @pytest.mark.parametrize("kind", ["erm", "empirical-baseline", "union"])
+    def test_other_learners_take_the_drawn_tuples(self, kind):
+        task = "classification" if kind == "erm" else "distribution"
+        fam = make_instance(task, F(1, 2), 2).family
+        learner = {
+            "erm": lambda: pl.ErmLearner.for_class(fam),
+            "empirical-baseline": lambda: pl.EmpiricalBaseline(task),
+            "union": lambda: pl.UnionLearner([pl.ScheffeLearner(fam), pl.EmpiricalBaseline(task)]),
+        }[kind]()
+        read, yielded = counted_block(learner)
+        rng, i, m, trials = pl.RngStream(SEED, 14), 2, 5, 40
+        pl.mc_risk(fam, learner, m, trials, rng, F(1, 8), member_indices=[i])
+        assert read == [pl.draw(fam[i], m, rng.child(i, t)) for t in range(trials)]
+        assert len(yielded) == trials
 
 
 class TestEstimateSampleComplexity:
@@ -768,7 +854,7 @@ class TestEstimateSampleComplexity:
             losses.append((target, out))
             return task_loss(cls, out, target)
 
-        _, outputs = counted_block(learner)
+        outputs = counted_draws(learner)
         monkeypatch.setattr(nfl, "task_loss", counted_loss)
         pl.estimate_sample_complexity(fam, learner, F(1, 2), F(1, 4), pl.RngStream(SEED, 9),
                                       trials=30, m_min=2, m_max=64)
