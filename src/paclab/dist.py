@@ -227,17 +227,25 @@ class MassTable:
         int64 while scale < INT64_SAFE, exact Python ints past it."""
         half = math.lcm(self.denom, *(w.denominator for _, w in q.items))
         dtype = np.int64 if 2 * half < INT64_SAFE else object
-        row = np.zeros(len(self.atoms), dtype=dtype)
-        outside = 0
-        for a, w in q.items:
-            num = w.numerator * (half // w.denominator)
-            j = self.column.get(a)
-            if j is None:
-                outside += num
-            else:
-                row[j] = num
+        (row,), (outside,) = self.numerators([q], half, dtype)
         diff = self.mass.astype(dtype, copy=False) * (half // self.denom) - row
         return np.abs(diff, out=diff).sum(axis=1) + outside, 2 * half
+
+    def numerators(self, dists: Sequence[SparseDist], scale: int, dtype) -> tuple:
+        """(rows, outside) in `dtype`: rows[k, j] is dists[k]'s mass at atoms[j]
+        and outside[k] its mass off the columns, as numerators over `scale`, a
+        multiple of every mass's denominator."""
+        rows = np.zeros((len(dists), len(self.atoms)), dtype=dtype)
+        outside = np.zeros(len(dists), dtype=dtype)
+        for k, q in enumerate(dists):
+            for a, w in q.items:
+                num = w.numerator * (scale // w.denominator)
+                j = self.column.get(a)
+                if j is None:
+                    outside[k] += num
+                else:
+                    rows[k, j] = num
+        return rows, outside
 
 
 def tv_brute_force(p: SparseDist, q: SparseDist) -> Fraction:

@@ -3,30 +3,19 @@ union aggregation, and the empirical baselines.
 
 Every learner is a pure, deterministic function of (configuration,
 sample), where a sample is a tuple of atoms; ties always break toward
-the lowest index in the candidate class's canonical order. The Scheffé
-engine precomputes the pairwise comparison sets once per class from one
-integer mass matrix; selection runs one numpy formula on integer
-numerators over a common denominator, in the narrowest of int16, int32
-and int64 that holds every deviation and on object arrays of Python
-ints past int64, so the chosen member is the exact argmin either way.
-An engine remembers its recent selections by the sample's atom counts.
+the lowest index in the candidate class's canonical order, and the Scheffé
+engine's choice is the exact lowest-index argmin (`ScheffeEngine`).
 
-On an integer engine, selection first bounds every member's deviation
-from below on the engine's smallest comparison sets (the probe sets: the
-singletons, on the anchored families), takes one full deviation row at
-the member of least bound, and evaluates in full only the members whose
-bound does not exceed that row's maximum. No member outside them can
-attain the minimum, so the answer is still the exact lowest-index argmin.
-
-A learner takes a block of samples through `Learner.run_block`, which is
-`run` on each sample unless the learner has a faster way, and Monte Carlo
-trials through `Learner.run_draws`, which is run_block on the drawn tuples
-(`dist.draws`). The Scheffé learner selects SELECT_CHUNK samples at a time:
-one atom-count matrix, one memo pass, and one batched bound over the
-chunk's distinct misses, so only the samples the bound leaves several
-candidates are verified one at a time; its trials count the drawn atom
-positions (`dist.draw_rows`, `ScheffeEngine.select_rows`) and build no
-tuples. The union learner hands each constituent's run_block a chunk's first halves.
+A learner takes a block of samples through `Learner.run_block` (`run` on
+each sample unless the learner has a faster way), Monte Carlo trials
+through `Learner.run_draws` (run_block on the `dist.draws` tuples), and
+multisets as rows of atom counts through `Learner.run_counts` (run_block
+on the sorted tuples the rows spell out). The Scheffé learner selects from
+count rows in all three, with one memo pass and one batched bound over a
+call's distinct misses; its trials count the drawn atom positions
+(`dist.draw_rows`) and build no tuples. ERM on the classification task and
+the empirical distribution read count rows directly. The union learner
+hands each constituent's run_block a chunk's first halves.
 """
 
 from __future__ import annotations
@@ -102,33 +91,29 @@ class ScheffeEngine:
     itself. Up to half the members, the candidates' rows are gathered
     into the deviation buffer; past half, the whole matrix is evaluated.
 
-    Blocks: select_block() answers a list of samples, select() is a block
-    of one, and select_rows() answers a chunk of samples given as rows of
-    atom positions. A block's atom counts are one matrix (one bincount).
-    The choice depends on a sample only through its atom counts, so it is
-    memoised by the bytes of the sample's count row, held in the
-    narrowest unsigned dtype that holds the block's largest m (13 bytes
-    for a uint8 row over 12 atoms; rows of different dtypes differ in
-    length, so their keys never collide), in a dict cleared once it holds
-    SELECT_MEMO_SIZE entries.
-    A block reads its hits before it stores anything, so a clear inside
-    the block loses none of them. The block's distinct misses are bounded
-    together, `_bound_rows` at a time: at most sets / probe sets rows, so
-    the rows x probe sets x members bound fits the deviation buffer
-    (24 rows on a 220 x 298 engine with 12 probe sets). Only the rows
-    that keep several candidates are verified one at a time.
+    Blocks: select_block() answers a list of samples (select() is a block
+    of one) and select_rows() a chunk of rows of atom positions; each builds
+    the block's count matrix for the one selection core, _select_counts,
+    which ScheffeLearner.run_counts also calls. A choice is memoised by the
+    bytes of the count row in the narrowest unsigned dtype that holds the
+    block's largest m (rows of different dtypes differ in length, so their
+    keys never collide), in a dict cleared once it holds SELECT_MEMO_SIZE
+    entries; a block reads its hits first, so a clear loses none of them.
+    The block's distinct misses are bounded together, `_bound_rows` at a
+    time: at most sets / probe sets rows, so the rows x probe sets x members
+    bound fits the deviation buffer (24 rows on a 220 x 298 engine with 12
+    probe sets). Only the rows that keep several candidates are verified
+    one at a time.
 
     Widths: every entry of `_nums` is at most denom, and every deviation
-    numerator |nums * m - denom * count| of an m-point sample is at most
+    numerator |nums * m - denom * count| of an m-point sample at most
     denom * m. While denom < INT64_SAFE the engine is an integer engine:
-    `_nums` and `_probe` are held in the narrowest of int16, int32 and
-    int64 that holds denom, and each select computes in the narrowest
-    that holds denom * m of the block's largest m, so no step can
-    overflow. Past that (denom or denom * m >= INT64_SAFE) selection makes
-    one full pass per sample on exact Python ints (object dtype). The
-    bound and the deviations go into one buffer owned by the engine,
-    widened only when a call needs a wider dtype, so an engine must not
-    be shared between threads.
+    `_nums` and `_probe` are held in the narrowest of int16, int32 and int64
+    that holds denom, and each select computes in the narrowest that holds
+    denom * m, so no step can overflow; past that, selection makes one full
+    pass per sample on Python ints (object dtype). The bound and the
+    deviations go into one buffer owned by the engine, widened only when a
+    call needs a wider dtype, so an engine must not be shared between threads.
     """
 
     def __init__(self, members: MassTable | Sequence[SparseDist]):
@@ -186,42 +171,43 @@ class ScheffeEngine:
         index = [base + get(a, outside)
                  for base, sample in zip(range(0, stride * len(samples), stride), samples)
                  for a in sample]
-        return self._select_counts(index, [len(s) for s in samples])
+        counts = np.bincount(index, minlength=stride * len(samples)).reshape(-1, stride)
+        return self._select_counts(counts, [len(s) for s in samples])
 
-    def columns(self, p: SparseDist) -> np.ndarray:
-        """The engine column of each of p's atoms in canonical order, or the
-        outside column for an atom outside every member's support."""
+    def columns(self, atoms: Iterable) -> np.ndarray:
+        """The engine column of each atom, or the outside column for an atom
+        outside every member's support."""
         get, outside = self._column.get, len(self._column)
-        return np.array([get(a, outside) for a in p.support()], dtype=np.intp)
+        return np.array([get(a, outside) for a in atoms], dtype=np.intp)
 
     def select_rows(self, cols: np.ndarray, rows: np.ndarray) -> list:
         """select_block() of the samples at atom positions `rows` (a row per
-        sample, as `dist.draw_rows` gives them) of a dist p with columns(p) == cols."""
+        sample, as `dist.draw_rows` gives them) of a dist p with
+        columns(p.support()) == cols."""
         stride = len(self._column) + 1
         index = cols[rows]
         index += np.arange(0, stride * len(rows), stride)[:, None]
-        return self._select_counts(index.ravel(), [rows.shape[1]] * len(rows))
+        counts = np.bincount(index.ravel(), minlength=stride * len(rows)).reshape(-1, stride)
+        return self._select_counts(counts, [rows.shape[1]] * len(rows))
 
-    def _select_counts(self, index, lengths: list) -> list:
-        """The selection for each sample, of lengths[r] points, whose atom counts
-        are the bincount of `index`: a row per sample, its last column the atoms
-        outside every member's support. Each row is looked up in the memo by
-        its bytes, and the distinct misses are selected together (`_argmins`)."""
-        if not all(lengths):
+    def _select_counts(self, counts: np.ndarray, ms: list) -> list:
+        """The selection for each row of `counts`, a sample's count of each atom
+        column plus, last, of the atoms outside every member's support; row r
+        counts ms[r] points. Each row is looked up in the memo by its bytes,
+        and the distinct misses are selected together (`_argmins`)."""
+        if not all(ms):
             raise EmptySample("minimum-distance selection needs a sample")
-        if not self._incidence.shape[1] or not lengths:
-            return [0] * len(lengths)
-        stride = len(self._column) + 1
-        counts = np.bincount(index, minlength=stride * len(lengths)).reshape(-1, stride)
-        dtype = _count_dtype(max(lengths))
-        keys = counts.astype(dtype).view(f"V{stride * dtype.itemsize}").ravel().tolist()
+        if not self._incidence.shape[1] or not ms:
+            return [0] * len(ms)
+        dtype = np.min_scalar_type(max(ms))  # the narrowest unsigned dtype that holds m
+        keys = counts.astype(dtype).view(f"V{counts.shape[1] * dtype.itemsize}").ravel().tolist()
         memo = self._memo
         chosen = [memo.get(key) for key in keys]  # read before any clear below
         misses = {key: r for r, (key, best) in enumerate(zip(keys, chosen)) if best is None}
         if not misses:
             return chosen
         rows = list(misses.values())
-        found = dict(zip(misses, self._argmins(counts[rows], [lengths[r] for r in rows])))
+        found = dict(zip(misses, self._argmins(counts[rows], [ms[r] for r in rows])))
         for key, best in found.items():
             if len(memo) >= SELECT_MEMO_SIZE:
                 memo.clear()
@@ -230,7 +216,7 @@ class ScheffeEngine:
 
     def _argmins(self, counts: np.ndarray, ms: list) -> list:
         """The selection for each row of atom counts, as _select_counts
-        builds them, of an ms[r]-point sample."""
+        takes them, of an ms[r]-point sample."""
         # deviation numerators over common denominator denom*m:
         #   |prob_num * m - denom * count|, each at most denom*m. Every
         #   multiply names its dtype: under NEP 50 a narrow array times a
@@ -297,18 +283,6 @@ def _int_dtype(bound: int) -> Optional[np.dtype]:
     return None
 
 
-# (largest count, dtype), narrowest first
-_COUNT_WIDTHS = tuple((np.iinfo(t).max, np.dtype(t))
-                      for t in (np.uint8, np.uint16, np.uint32, np.uint64))
-
-
-def _count_dtype(m: int) -> np.dtype:
-    """The narrowest unsigned dtype that holds every atom count of an m-point sample."""
-    for top, dtype in _COUNT_WIDTHS:
-        if m <= top:
-            return dtype
-
-
 def _first_least_max_row(dev: np.ndarray, scaled: np.ndarray) -> int:
     """Lowest index of the row of |dev - scaled| whose maximum is least;
     overwrites `dev`."""
@@ -349,6 +323,14 @@ class Learner:
         generator seed (`dist.draws`), lazily and in order."""
         return self.run_block(draws(target, m, seeds))
 
+    def run_counts(self, atoms: Sequence, counts: np.ndarray):
+        """The output on each row of `counts`, an (r, len(atoms)) unsigned
+        integer matrix of samples' atom counts (`atoms` distinct and valid, in
+        canonical order): run_block() on the sorted tuples the rows spell out.
+        Only an `exchangeable` learner's output is fixed by the counts."""
+        return self.run_block(tuple(a for a, c in zip(atoms, row) for _ in range(c))
+                              for row in counts.tolist())
+
 
 class ScheffeLearner(Learner):
     """3-agnostic finite-class distribution learner."""
@@ -379,11 +361,21 @@ class ScheffeLearner(Learner):
         """run_block(draws(target, m, seeds)), selecting each chunk straight
         from its rows of atom positions (`engine.select_rows`); a chunk's
         distinct indices are each looked up in the class once."""
-        members, cols = self.cls.members, self.engine.columns(target)
+        members, cols = self.cls.members, self.engine.columns(target.support())
         for rows in draw_rows(target, m, seeds):
             chosen = self.engine.select_rows(cols, rows)
             found = {index: members[index] for index in set(chosen)}
             yield from map(found.__getitem__, chosen)
+
+    def run_counts(self, atoms: Sequence, counts: np.ndarray) -> list:
+        """run() on each count row: one product sums the rows into engine
+        columns, the atoms outside every member's support into the outside one."""
+        engine, members = self.engine, self.cls.members
+        onehot = engine.columns(atoms)[:, None] == np.arange(len(engine._column) + 1)
+        chosen = engine._select_counts(np.matmul(counts, onehot, dtype=np.int64),
+                                       counts.sum(axis=1).tolist())
+        found = {index: members[index] for index in set(chosen)}
+        return list(map(found.__getitem__, chosen))
 
 
 class TruncationLearner(ScheffeLearner):
@@ -448,17 +440,24 @@ class ErmLearner(Learner):
             return ErmLearner(list(source.members), TASK_REAL, real_ctx=cls.real_ctx)
         raise MixedTasks("distribution classes take the minimum-distance learner")
 
-    def _risk(self, h, p: SparseDist) -> Fraction:
-        if self.task == TASK_CLASSIFICATION:
-            return zero_one_risk(h, p)
-        return real_risk(self.real_ctx, h, p)
-
     def run(self, sample):
         atoms = tuple(sample)
         if not atoms:
             return self.hypotheses[0]
-        p = empirical_dist(atoms)
-        return min(self.hypotheses, key=lambda h: self._risk(h, p))  # first of least risk
+        p, ctx = empirical_dist(atoms), self.real_ctx
+        if self.task == TASK_CLASSIFICATION:
+            return min(self.hypotheses, key=lambda h: zero_one_risk(h, p))  # first of least risk
+        return min(self.hypotheses, key=lambda h: real_risk(ctx, h, p))
+
+    def run_counts(self, atoms: Sequence, counts: np.ndarray):
+        """Classification: the first hypothesis of fewest mistakes, a row's
+        summed counts of the atoms (x, b) with h(x) != b, as run() picks by
+        risk = mistakes / m. The real task spells the rows out."""
+        if self.task != TASK_CLASSIFICATION:
+            return super().run_counts(atoms, counts)
+        wrong = np.array([[h(x) != b for x, b in atoms] for h in self.hypotheses], dtype=np.int64)
+        best = (counts.astype(np.int64) @ wrong.T).argmin(axis=1)
+        return [self.hypotheses[k] for k in best.tolist()]
 
 
 class UnionLearner(Learner):
@@ -532,6 +531,19 @@ class EmpiricalBaseline(Learner):
             return ALL_ZERO_REAL
         return RealHypothesis(tuple((x, self.real_ctx.level_value) for x in labeler.ones))
 
+    def run_counts(self, atoms: Sequence, counts: np.ndarray):
+        """The distribution task builds each row's empirical distribution
+        unchecked, lazily, with one Fraction(c, m) per count value; the
+        hypothesis tasks spell the rows out."""
+        if self.task != TASK_DISTRIBUTION:
+            yield from super().run_counts(atoms, counts)
+            return
+        for row in counts.tolist():
+            if not (m := sum(row)):
+                raise EmptySample("empirical distribution of an empty sample")
+            mass = {c: Fraction(c, m) for c in set(row)}
+            yield SparseDist._trusted(tuple((a, mass[c]) for a, c in zip(atoms, row) if c))
+
 
 class ConstantLearner(Learner):
     """Ignores the sample; useful as an oracle subject and at m=0."""
@@ -546,3 +558,6 @@ class ConstantLearner(Learner):
 
     def run(self, sample):
         return self.output
+
+    def run_counts(self, atoms: Sequence, counts: np.ndarray) -> list:
+        return [self.output] * len(counts)

@@ -29,11 +29,11 @@ oracle's enumeration.
 
 The exact oracle enumerates each member's samples over that member's own
 support. A learner whose output ignores the order of the points
-(`Learner.exchangeable`) sees one sorted sample per multiset, weighted by
-its multinomial coefficient; any other learner sees every sequence. The
-weights are integers over the denominator^m of the family's shared mass
-table (`FiniteClass.mass_table`), summed per distinct learner output, and
-the enumeration budget charges exactly the samples enumerated.
+(`Learner.exchangeable`) sees one row of atom counts per multiset, weighted
+by its multinomial coefficient, through `Learner.run_counts`; any other
+learner sees every sequence. The weights are integers over the
+denominator^m of the family's shared mass table (`FiniteClass.mass_table`),
+and the enumeration budget charges exactly the samples enumerated.
 """
 
 from __future__ import annotations
@@ -41,12 +41,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .dist import SparseDist, delta, frac_str, mixture, sequence_prob, uniform
+import numpy as np
+
+from .dist import INT64_SAFE, MassTable, SparseDist, delta, frac_str, mixture, sequence_prob, uniform
 from .errors import (
     BadPrecondition,
     BadRange,
@@ -75,6 +76,7 @@ DEFAULT_ENUM_BUDGET = 10_000_000
 MATCHING_CACHE_SIZE = 1024
 # log-factorial tables kept, one per trial count n the binomial CDF is asked about
 LOG_FACTORIAL_TABLES = 64
+MEMBER_CHUNK = 32  # members whose samples the exact oracle scores at a time
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +221,6 @@ def nfl_real_instance(loss: LossRule, eta, width: int,
     return NflInstance(TASK_REAL, eta, width, None, fam)
 
 
-def instance_alphabet(inst: NflInstance) -> list:
-    if inst.task == TASK_DISTRIBUTION:
-        return list(range(0, inst.window + 1))
-    atoms = [(x, b) for x in range(1, inst.window + 1) for b in (0, 1)]
-    if inst.task == TASK_CLASSIFICATION:
-        return [(0, 0)] + atoms
-    return atoms
-
-
 def pair_distance(inst: NflInstance, member_index: int, fixed: frozenset) -> Fraction:
     """Distance between a member and its swap partner given the observed
     atoms: exact TV for distributions; for the labeled tasks the exact
@@ -240,18 +233,6 @@ def pair_distance(inst: NflInstance, member_index: int, fixed: frozenset) -> Fra
             return Fraction(0)
         return inst.eta * Fraction(len(support - fixed), inst.set_size)
     return inst.eta * Fraction(inst.window - len(fixed), inst.window)
-
-
-def swap_member_index(inst: NflInstance, member_index: int, seq: Sequence) -> Optional[int]:
-    """Index of the swap partner inside the family, or None if the partner
-    left the family (overflow pairing or escape)."""
-    if inst.task == TASK_DISTRIBUTION:
-        partner = swap_distribution(inst.window, seq, inst.family[member_index])
-        try:
-            return inst.family.index_of(partner)
-        except ValueError:
-            return None
-    return swap_labeling_index(inst.window, seq, member_index)
 
 
 # ---------------------------------------------------------------------------
@@ -401,41 +382,77 @@ def closed_form_floor(inst: NflInstance, m: int) -> Fraction:
     return inst.eta / 4 * (1 - q) ** m
 
 
-def _multinomials(size: int, m: int) -> list:
-    """m!/prod(c!) for each multiset of m of `size` points, with c its count
-    vector, in combinations_with_replacement order."""
-    top = math.factorial(m)
-    return [top // math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(bag))
-            for bag in itertools.combinations_with_replacement(range(size), m)]
-
-
-def _member_samples(members: Sequence[SparseDist], denom: int, m: int, exchangeable: bool):
-    """For each member in turn, an iterator of (sample, weight) over its
-    length-m samples on its own support. The sample's probability under the
-    member is weight / denom^m, so a member's weights sum to denom^m.
-
-    Exchangeable: one sample per multiset, as the sorted tuple that
-    combinations_with_replacement gives over the canonical atom order,
-    weighted by its multinomial coefficient times prod(num^c), with c its
-    count vector and num the member's mass numerators over `denom`.
-    Otherwise one sample per sequence, weighted by the product of its
-    numerators. Members with equal numerators share one weight list."""
-    weights: dict = {}  # numerators -> weights, in sample order
-    for member in members:
-        nums = tuple(w.numerator * (denom // w.denominator) for _, w in member.items)
-        if nums not in weights:
-            products = map(math.prod, _spread(nums, m, exchangeable))
-            weights[nums] = (list(map(operator.mul, _multinomials(len(nums), m), products))
-                             if exchangeable else list(products))
-        yield zip(_spread(member.support(), m, exchangeable), weights[nums])
-
-
-def _spread(points, m: int, exchangeable: bool):
-    """The length-m samples over `points` that `_member_samples` weighs: the
-    sorted multisets when `exchangeable`, every sequence otherwise."""
+def _member_samples(table: MassTable, m: int, exchangeable: bool) -> tuple:
+    """Every member's length-m samples over its own support, as (groups,
+    samples). `samples` holds the distinct samples in first-seen order: an
+    (r, len(table.atoms)) matrix of count rows, one per multiset, when
+    `exchangeable`, else a list of atom tuples, one per sequence. A group is
+    (members, ids, weights) for at most MEMBER_CHUNK members of one support
+    size: ids[g, t] indexes member members[g]'s t-th sample in `samples`, and
+    weights[g, t] = likelihood * denom^m is prod(num^c) times, for a multiset,
+    its multinomial coefficient, with c its counts on the member's support
+    and num the member's numerators. A sample's integer key is its count row
+    in base m+1, or its columns in base len(atoms). Keys and weights are
+    int64 below INT64_SAFE, Python ints past it."""
+    base, width = (m + 1, len(table.atoms)) if exchangeable else (len(table.atoms), m)
+    place = np.array([base ** d for d in range(width)],
+                     dtype=np.int64 if base ** width < INT64_SAFE else object)
+    by_size: dict = {}  # support size -> member indices
+    for i, p in enumerate(table.members):
+        by_size.setdefault(len(p.items), []).append(i)
+    dtype = np.int64 if table.denom ** max(m, 1) < INT64_SAFE else object  # nums and weights
+    keys: dict = {}  # sample key -> index in samples
+    groups = []
+    for s, indices in by_size.items():
+        picks = list(itertools.combinations_with_replacement(range(s), m) if exchangeable
+                     else itertools.product(range(s), repeat=m))
+        counts = np.array([[bag.count(j) for j in range(s)] for bag in picks])
+        picks = np.array(picks, dtype=np.intp).reshape(len(picks), m)
+        coefs = np.array([math.factorial(m) // math.prod(map(math.factorial, row))
+                          if exchangeable else 1 for row in counts.tolist()], dtype=dtype)
+        for lo in range(0, len(indices), MEMBER_CHUNK):
+            members = np.array(indices[lo:lo + MEMBER_CHUNK])
+            mass = table.mass[members]
+            cols = np.nonzero(mass)[1].reshape(len(members), s)
+            nums = np.take_along_axis(mass, cols, 1).astype(dtype)
+            found = place[cols] @ counts.T if exchangeable else cols[:, picks] @ place
+            ids = [keys.setdefault(key, len(keys)) for key in found.ravel().tolist()]
+            groups.append((members, np.array(ids).reshape(found.shape),
+                           coefs * np.prod(nums[:, None, :] ** counts, axis=2)))
+    digits = np.array(list(keys), dtype=place.dtype)[:, None] // place % base
     if exchangeable:
-        return itertools.combinations_with_replacement(points, m)
-    return itertools.product(points, repeat=m)
+        return groups, digits.astype(np.min_scalar_type(m))
+    return groups, [tuple(map(table.atoms.__getitem__, row)) for row in digits.tolist()]
+
+
+def _sample_losses(inst: NflInstance, outputs: list, out_ids: np.ndarray, groups: list,
+                   total: int):
+    """Per group of `_member_samples`, lazily: (members, weights, nums, scale),
+    nums[g, t] / scale the loss against members[g] of outputs[out_ids[k]], k
+    its t-th sample. Distribution: TV as L1 numerators over 2H, H the lcm of
+    the table's and the outputs' denominators. Other tasks: task_loss once per
+    distinct (member, output), over the group's lcm. nums is int64 while each
+    weight * nums and row sum (weights sum to `total`) stays below INT64_SAFE."""
+    family, table = inst.family, inst.family.mass_table()
+    if inst.task == TASK_DISTRIBUTION:
+        half = math.lcm(table.denom, *(w.denominator for q in outputs for _, w in q.items))
+        dtype = np.int64 if 2 * half * total < INT64_SAFE else object
+        rows, outside = table.numerators(outputs, half, dtype)
+        mass = table.mass.astype(dtype, copy=False) * (half // table.denom)
+        for members, ids, weights in groups:
+            k = out_ids[ids]
+            diff = rows[k] - mass[members, None, :]
+            yield members, weights, np.abs(diff, out=diff).sum(axis=2) + outside[k], 2 * half
+        return
+    for members, ids, weights in groups:
+        k = out_ids[ids]
+        pairs, inverse = np.unique(members[:, None] * len(outputs) + k, return_inverse=True)
+        losses = [task_loss(family, outputs[p % len(outputs)], family[p // len(outputs)])
+                  for p in pairs.tolist()]
+        scale = math.lcm(*(err.denominator for err in losses))
+        nums = [err.numerator * (scale // err.denominator) for err in losses]
+        dtype = np.int64 if max(map(abs, nums)) * total < INT64_SAFE else object
+        yield members, weights, np.array(nums, dtype=dtype)[inverse].reshape(k.shape), scale
 
 
 def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
@@ -447,19 +464,12 @@ def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
     and the enumerated `symmetrized_lower_bound` on any other; either way
     it and the budget are settled before any learner runs.
 
-    Each member's samples come from `_member_samples` over its own
-    support: one sorted sample per multiset, weighted by its multinomial
-    coefficient, when the learner is `exchangeable`, and one per sequence
-    otherwise. The weights are integers over the family's common
-    denominator^m (its mass table's). A first pass collects the distinct
-    samples of every member, and the learner runs on them as one block
-    (`Learner.run_block`); the weights are then summed per distinct
-    output. Each (member, output) loss is a numerator over a denominator:
-    the mean sums weight * numerator per denominator and takes one
-    Fraction step per distinct denominator, and each tail is an integer
-    sum. A distribution output's TV to every
-    member is one L1 row of the mass table, read as Python ints; the
-    other tasks call task_loss once per (member, output).
+    `_member_samples` enumerates the samples with integer weights over the
+    family's common denominator^m: the `exchangeable` learners read their
+    distinct count rows as one matrix (`Learner.run_counts`), the others
+    the distinct sequences as one block. `_sample_losses` gives each
+    (member, sample) loss as an integer over one scale per group of members,
+    so a member's mean is one Fraction and each tail an integer sum.
     """
     _check_enum_budget(inst, m, budget, all(ln.exchangeable for ln in learners))
     try:
@@ -467,51 +477,27 @@ def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
     except BadPrecondition:
         bound = symmetrized_lower_bound(inst, m, budget=budget)
     eta = inst.eta
-    if thresholds is None:
-        thresholds = [eta / 8]
-    thresholds = [Fraction(a) for a in thresholds]
-    levels = [(a.numerator, a.denominator) for a in thresholds]
-    family = inst.family
-    denom = family.mass_table().denom
-    total = denom ** m
+    thresholds = [Fraction(a) for a in (thresholds if thresholds is not None else [eta / 8])]
+    family, table = inst.family, inst.family.mass_table()
+    total = table.denom ** m
+    enumerated = {ex: _member_samples(table, m, ex) for ex in {ln.exchangeable for ln in learners}}
     reports = []
     for learner in learners:
-        ex = learner.exchangeable
-        samples = list(dict.fromkeys(s for p in family.members for s in _spread(p.support(), m, ex)))
+        groups, samples = enumerated[learner.exchangeable]
         ids: dict = {}  # output -> id; equal outputs share one id
-        runs = {sample: ids.setdefault(out, len(ids))  # sample -> output id
-                for sample, out in zip(samples, learner.run_block(samples))}
-        outputs = list(ids)  # id -> output
-        rows: dict = {}  # distribution: output id -> (L1 row as Python ints, scale)
-
-        def loss(k: int, i: int) -> tuple:
-            """(numerator, denominator) of output k's loss against member i."""
-            if inst.task != TASK_DISTRIBUTION:
-                err = task_loss(family, outputs[k], family.members[i])
-                return err.numerator, err.denominator
-            if k not in rows:
-                nums, scale = family.mass_table().l1(outputs[k])
-                rows[k] = nums.tolist(), scale
-            nums, scale = rows[k]
-            return nums[i], scale
-
-        means, tails = [], [[] for _ in thresholds]
-        for i, samples in enumerate(_member_samples(family.members, denom, m, ex)):
-            weights: dict = {}  # output id -> summed sample weight
-            for sample, w in samples:
-                k = runs[sample]
-                weights[k] = weights.get(k, 0) + w
-            sums: dict = {}  # loss denominator -> sum of weight * loss numerator
-            tail = [0] * len(thresholds)
-            for k, w in weights.items():
-                num, den = loss(k, i)
-                sums[den] = sums.get(den, 0) + w * num
-                for t, (a_num, a_den) in enumerate(levels):
-                    if num * a_den >= a_num * den:
-                        tail[t] += w
-            means.append(sum((Fraction(v, d) for d, v in sums.items()), Fraction(0)) / total)
-            for t, w in enumerate(tail):
-                tails[t].append(Fraction(w, total))
+        outs = (learner.run_counts(table.atoms, samples) if learner.exchangeable
+                else learner.run_block(samples))
+        out_ids = np.array([ids.setdefault(out, len(ids)) for out in outs], dtype=np.intp)
+        means, tails = [None] * len(family), [[None] * len(family) for _ in thresholds]
+        for members, weights, nums, scale in _sample_losses(inst, list(ids), out_ids, groups, total):
+            members = members.tolist()
+            for i, v in zip(members, (weights * nums).sum(axis=1).tolist()):
+                means[i] = Fraction(v, scale * total)
+            for tail, a in zip(tails, thresholds):
+                # the least numerator whose loss reaches a, kept within nums' range
+                level = min(max(-(-a.numerator * scale // a.denominator), 0), int(nums.max()) + 1)
+                for i, v in zip(members, np.where(nums >= level, weights, 0).sum(axis=1).tolist()):
+                    tail[i] = Fraction(v, total)
         reports.append(LearnerReport(
             name=learner.name,
             per_member_mean=means,
@@ -522,8 +508,7 @@ def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
     return ExactOracleReport(
         task=inst.task, eta=eta, window=inst.window, set_size=inst.set_size,
         m=m, family_size=len(family),
-        symmetrized_bound=bound, thresholds=thresholds,
-        learners=reports,
+        symmetrized_bound=bound, thresholds=thresholds, learners=reports,
         reference_lines={
             "eta_over_4": eta / 4,
             "eta_over_8": eta / 8,

@@ -15,7 +15,7 @@ import pytest
 import paclab as pl
 from paclab import cli
 from paclab.losses import hypotheses_of_class
-from paclab.nfl import instance_alphabet, observed_atoms
+from paclab.nfl import observed_atoms
 
 SEED = 20260808
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -86,7 +86,7 @@ def test_criterion_02_finite_class_guarantee():
 
 def test_criterion_03_pairing_identities():
     inst = pl.nfl_distribution_instance(F(1, 2), 2)
-    alphabet = instance_alphabet(inst)
+    alphabet = list(range(inst.window + 1))  # the anchor and the window
     assert len(alphabet) ** 2 == 81 and len(inst.family) == 28
     violations = 0
     pairs = 0

@@ -473,6 +473,23 @@ def test_runs_write_their_pinned_files(tmp_path, name, seed):
     assert written == PINNED_RUNS[name, seed]
 
 
+def test_exact_workload_hands_its_learners_count_rows(tmp_path, monkeypatch):
+    # the exact workload's learners are all exchangeable: nfl-exact hands
+    # them count rows (run_counts) and never a block of samples
+    def no_block(*args):
+        raise AssertionError("a block of samples was run")
+
+    for kind in (learners.Learner, learners.ScheffeLearner):
+        monkeypatch.setattr(kind, "run_block", no_block)
+    monkeypatch.setattr(learners.ScheffeEngine, "select_block", no_block)
+    bench = runpy.run_path(str(BENCH_WORKLOADS))
+    workload = bench["WORKLOADS"]["exact"]
+    cfg = write_cfg(tmp_path, workload.make_config(bench["DEFAULT_SEED"]))
+    assert run_cli([workload.subcommand, "--config", cfg, "--out", tmp_path / "out"]) == 0
+    body = (tmp_path / "out" / "report.json").read_bytes()
+    assert hashlib.sha256(body).hexdigest() == bench["PINNED"]["exact"]["report.json"]
+
+
 def test_benchmark_workloads_write_their_pinned_files(tmp_path):
     # the benchmark's workload configs at its default seed, read from its
     # module without importing it, must write the bytes it pins

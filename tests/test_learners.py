@@ -481,7 +481,7 @@ class TestSelectRows:
         expected = fresh.engine.select_block(samples)
         if case == "truncation":
             assert set(target.support()) - set(learner.engine._atoms)
-        engine, cols = learner.engine, learner.engine.columns(target)
+        engine, cols = learner.engine, learner.engine.columns(target.support())
         chunks = list(draw_rows(target, m, seeds))
         assert [i for rows in chunks for i in engine.select_rows(cols, rows)] == expected
         assert [i for rows in chunks for i in engine.select_rows(cols, rows)] == expected  # hits
@@ -490,7 +490,7 @@ class TestSelectRows:
     @pytest.mark.parametrize("case", list(ROW_CASES))
     def test_empty_samples_raise(self, case):
         learner, target = ROW_CASES[case]()
-        engine, cols = learner.engine, learner.engine.columns(target)
+        engine, cols = learner.engine, learner.engine.columns(target.support())
         rows, = draw_rows(target, 0, [1, 2])
         with pytest.raises(EmptySample):
             engine.select_rows(cols, rows)

@@ -6,7 +6,9 @@ import itertools
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import paclab as pl
 from paclab import learners, nfl
@@ -15,19 +17,40 @@ from paclab.errors import (
     BadPrecondition,
     BadRange,
     EmptyEstimate,
+    EmptySample,
     EnumerationBudgetExceeded,
     SearchBoundExceeded,
 )
 from paclab.dist import SELECT_CHUNK
 from paclab.learners import Learner
 from paclab.nfl import (
-    instance_alphabet,
     max_certifiable_failures,
     observed_atoms,
-    swap_member_index,
 )
 
 SEED = 20260808
+
+
+def instance_alphabet(inst):
+    """Every atom a member of the instance's family may put mass on."""
+    if inst.task == "distribution":
+        return list(range(0, inst.window + 1))
+    atoms = [(x, b) for x in range(1, inst.window + 1) for b in (0, 1)]
+    if inst.task == "classification":
+        return [(0, 0)] + atoms
+    return atoms
+
+
+def swap_member_index(inst, member_index, seq):
+    """Index of the swap partner inside the family, or None if the partner
+    left the family (overflow pairing or escape)."""
+    if inst.task == "distribution":
+        partner = pl.swap_distribution(inst.window, seq, inst.family[member_index])
+        try:
+            return inst.family.index_of(partner)
+        except ValueError:
+            return None
+    return nfl.swap_labeling_index(inst.window, seq, member_index)
 
 
 def all_pairs(inst, m):
@@ -170,9 +193,9 @@ def make_instance(task, eta, n):
 HUGE = 2 ** 64 + 13  # no int64 numerator over this denominator
 
 
-def huge_denominator_instance():
-    members = [pl.SparseDist({0: F(k, HUGE), 1: F(HUGE - 2 * k, HUGE), 2: F(k, HUGE)})
-               for k in (1, 5, HUGE // 3)]
+def huge_denominator_instance(denom=HUGE):
+    members = [pl.SparseDist({0: F(k, denom), 1: F(denom - 2 * k, denom), 2: F(k, denom)})
+               for k in (1, 5, denom // 3)]
     fam = pl.FiniteClass("distribution", members)
     return pl.NflInstance("distribution", F(1, 2), 2, 1, fam)
 
@@ -297,6 +320,10 @@ def oracle_cases():
     yield pytest.param(inst, 2, [
         pl.ScheffeLearner(inst.family), pl.EmpiricalBaseline("distribution"),
         pl.ConstantLearner(inst.family[2], "distribution")], id="past-int64")
+    inst = huge_denominator_instance(3 ** 26)  # int64 masses, but denom^2 is past int64
+    yield pytest.param(inst, 2, [
+        pl.ScheffeLearner(inst.family), pl.EmpiricalBaseline("distribution"),
+        pl.ConstantLearner(inst.family[2], "distribution")], id="weights-past-int64")
 
 
 class TestExactOracleAgainstReference:
@@ -308,6 +335,14 @@ class TestExactOracleAgainstReference:
             assert lr.per_member_mean == means, learner.name
             assert lr.tails == tails, learner.name
             assert all(type(v) is F for v in means)
+
+    @pytest.mark.parametrize("inst,m,learners", list(oracle_cases()))
+    def test_python_int_paths_agree(self, inst, m, learners, monkeypatch):
+        # with the int64 limit at 1, every sample key, weight and loss
+        # numerator of the enumeration is a Python int
+        expected = pl.nfl_exact(inst, learners, m, thresholds=THRESHOLDS).to_json_obj()
+        monkeypatch.setattr(nfl, "INT64_SAFE", 1)
+        assert pl.nfl_exact(inst, learners, m, thresholds=THRESHOLDS).to_json_obj() == expected
 
     def test_repeated_threshold_counts_once(self):
         inst = make_instance("distribution", F(1, 2), 2)
@@ -343,6 +378,18 @@ def learner_kinds(cls=Learner):
 TASKS = ["distribution", "classification", "real"]
 
 
+def counting_learner(instance, k):
+    """The k-th of exchangeable_learners() on an instance, and its family's atoms."""
+    inst = huge_denominator_instance() if instance == "huge-denominator" \
+        else make_instance(instance, F(1, 2), 2)
+    return exchangeable_learners(inst)[int(k)], inst.family.mass_table().atoms
+
+
+# every exchangeable learner of each task, and the distribution ones past int64
+COUNT_CASES = [("distribution", k) for k in "0123"] + [("classification", k) for k in "012"] \
+    + [("real", k) for k in "012"] + [("huge-denominator", k) for k in "0123"]
+
+
 class TestExchangeableLearners:
     def test_every_declared_kind_is_checked(self):
         declared = {kind for kind in learner_kinds() if kind.exchangeable}
@@ -374,11 +421,32 @@ class TestExchangeableLearners:
         learners = [pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution"),
                     pl.ConstantLearner(fam[0], "distribution"),
                     pl.UnionLearner([pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution")])]
-        read = [counted_block(learner)[0] for learner in learners]
+        read = [counted_counts(learner) for learner in learners[:3]]
+        read.append(counted_block(learners[3])[0])
         pl.nfl_exact(inst, learners, 3)
-        # every learner is handed each distinct sample once
+        # every learner is handed each distinct sample once: the exchangeable
+        # ones as count rows, the union as sequences
         assert [len(samples) for samples in read] == [455, 455, 455, 2197]
         assert all(len(set(samples)) == len(samples) for samples in read)
+
+    @pytest.mark.parametrize("case", COUNT_CASES, ids="-".join)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_run_counts_is_run_on_the_sorted_tuple(self, case, data):
+        (learner, atoms), (fresh, _) = counting_learner(*case), counting_learner(*case)
+        if case == ("distribution", "1"):  # the truncation learner reads atoms outside its columns
+            assert set(atoms) - set(learner.engine._atoms)
+        rows = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=len(atoms),
+                                           max_size=len(atoms)), min_size=1, max_size=40))
+        counts = np.array(rows, dtype=np.uint8)
+        spelled = [tuple(a for a, c in zip(atoms, row) for _ in range(c)) for row in rows]
+        try:
+            expected = [fresh.run(sample) for sample in spelled]
+        except EmptySample:
+            with pytest.raises(EmptySample):
+                list(learner.run_counts(atoms, counts))
+            return
+        assert list(learner.run_counts(atoms, counts)) == expected
 
 
 def enumerated_instances():
@@ -405,6 +473,18 @@ def counted_block(learner):
 
     learner.run_block = counted
     return read, yielded
+
+
+def counted_counts(learner):
+    """Wrap the learner's run_counts; returns the count rows it reads, in order."""
+    read, run_counts = [], learner.run_counts
+
+    def counted(atoms, counts):
+        read.extend(map(tuple, counts.tolist()))
+        return run_counts(atoms, counts)
+
+    learner.run_counts = counted
+    return read
 
 
 def counted_draws(learner):
@@ -435,37 +515,51 @@ def counted_select_rows(engine):
 
 
 class TestMemberSamples:
-    """nfl_exact's enumeration: each member's multisets or sequences over
-    its own support, with integer weights over denom^m."""
+    """nfl_exact's enumeration: each member's multisets as count rows, or its
+    sequences, over its own support, with integer weights over denom^m."""
 
     @pytest.mark.parametrize("m", range(6))
     @pytest.mark.parametrize("inst", list(enumerated_instances()))
     def test_weights_sum_to_denominator_power(self, inst, m):
-        members, denom = inst.family.members, inst.family.mass_table().denom
+        table = inst.family.mass_table()
         for exchangeable in (True, False):
-            enumerated = nfl._member_samples(members, denom, m, exchangeable)
-            for member, samples in zip(members, enumerated, strict=True):
-                samples = list(samples)
-                s = len(member.support())
-                assert sum(w for _, w in samples) == denom ** m
-                assert len(samples) == (math.comb(s + m - 1, m) if exchangeable else s ** m)
-                assert len({sample for sample, _ in samples}) == len(samples)
+            groups, samples = nfl._member_samples(table, m, exchangeable)
+            assert sorted(i for members, _, _ in groups for i in members.tolist()) \
+                == list(range(len(table)))
+            if exchangeable:  # a row per multiset: m points over the table's atoms
+                assert samples.dtype.kind == "u" and samples.shape[1] == len(table.atoms)
+                assert samples.sum(axis=1).tolist() == [m] * len(samples)
+                spelled = [{a for a, c in zip(table.atoms, row) if c} for row in samples.tolist()]
+            else:
+                assert all(len(seq) == m for seq in samples)
+                spelled = [set(seq) for seq in samples]
+            for members, ids, weights in groups:
+                for i, row, ws in zip(members.tolist(), ids.tolist(), weights.tolist()):
+                    s = len(table.members[i].support())
+                    assert sum(ws) == table.denom ** m
+                    assert len(row) == (math.comb(s + m - 1, m) if exchangeable else s ** m)
+                    assert len(set(row)) == len(row)
+                    assert all(spelled[t] <= set(table.members[i].support()) for t in row)
 
     @pytest.mark.parametrize("inst", list(enumerated_instances()))
     def test_multiset_weight_is_its_sequences_likelihood(self, inst):
-        # each multiset is the sorted tuple of its sequences, and its weight
-        # their summed likelihood; each sequence weight is its likelihood
+        # each multiset's weight is the summed likelihood of the sequences
+        # with its count row; each sequence weight is its likelihood
         m = 4
-        members, denom = inst.family.members, inst.family.mass_table().denom
-        multisets = nfl._member_samples(members, denom, m, True)
-        sequences = nfl._member_samples(members, denom, m, False)
-        for member, bags, seqs in zip(members, multisets, sequences, strict=True):
-            summed: dict = {}
-            for seq, w in seqs:
-                assert F(w, denom ** m) == pl.sequence_prob(member, seq)
-                key = tuple(sorted(seq, key=pl.dist.atom_key))
-                summed[key] = summed.get(key, 0) + w
-            assert dict(bags) == summed
+        table = inst.family.mass_table()
+
+        def weighted(exchangeable):
+            groups, samples = nfl._member_samples(table, m, exchangeable)
+            for members, ids, weights in groups:
+                for i, row, ws in zip(members.tolist(), ids.tolist(), weights.tolist()):
+                    yield from ((i, samples[t], w) for t, w in zip(row, ws))
+
+        summed: dict = {}
+        for i, seq, w in weighted(False):
+            assert F(w, table.denom ** m) == pl.sequence_prob(table.members[i], seq)
+            key = (i, tuple(seq.count(a) for a in table.atoms))
+            summed[key] = summed.get(key, 0) + w
+        assert {(i, tuple(row.tolist())): w for i, row, w in weighted(True)} == summed
 
     @pytest.mark.parametrize("shape,union,enough", [
         ("closed-form", False, 588), ("closed-form", True, 6_804), ("tilted", False, 6_804)],
@@ -481,7 +575,8 @@ class TestMemberSamples:
         made = [pl.ScheffeLearner(inst.family), pl.EmpiricalBaseline("distribution")]
         if union:
             made.append(pl.UnionLearner(made[:]))
-        read = [counted_block(learner)[0] for learner in made]
+        read = [counted_counts(learner) if learner.exchangeable else counted_block(learner)[0]
+                for learner in made]
         with pytest.raises(EnumerationBudgetExceeded):
             pl.nfl_exact(inst, made, 5, budget=enough - 1)
         assert all(samples == [] for samples in read)
