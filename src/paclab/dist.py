@@ -8,10 +8,15 @@ normalization, because the downstream oracles rely on exact equality of
 sample likelihoods; the family constructors, which compute their masses
 exactly, build through the unchecked `SparseDist._trusted`. Floats
 appear only inside the sampler's cumulative table, never in a reported
-probability. A sample is a plain tuple of atoms: `draw` returns one, and
-`draws` yields one per generator seed, as random.Random(seed).choices would.
-Both read the one sampling rule, `draw_rows`, which gives a chunk of samples
-as rows of positions in the canonical atoms, for callers that only count.
+probability.
+
+A sample has two shapes. As a plain tuple of atoms, it is what `draw`
+returns, and `draws` yields one per generator seed, as
+random.Random(seed).choices would. As a count row, it holds a sample's count
+of each of some distinct atoms in canonical order: `count_rows` counts a
+block of tuples this way, and `draw_rows`, the one sampling rule that `draws`
+also reads, gives a chunk of samples as rows of positions in the canonical
+atoms, which one offset bincount turns into count rows.
 
 `MassTable` holds the masses of a list of distributions as one integer
 matrix over a common denominator; the Scheffé engine, `opt_loss` and the
@@ -106,7 +111,9 @@ class SparseDist:
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "_pmf", dict(items))
-        object.__setattr__(self, "_hash", hash(items))
+        # Fractions are normalised, so equal items give equal integer triples
+        object.__setattr__(self, "_hash", hash(tuple([(a, w.numerator, w.denominator)
+                                                      for a, w in items])))
         object.__setattr__(self, "_cum_cache", None)
 
     def __setattr__(self, *_):
@@ -326,6 +333,17 @@ def draw_rows(p: SparseDist, m: int, seeds: Iterable[int]):
         u += w[1::2] >> 6
         u *= cum[-1] * 2.0 ** -53  # choices scales random() by cum[-1]
         yield np.searchsorted(cum[:-1], u, side="right").reshape(len(chunk), m)
+
+
+def count_rows(samples: Sequence[Sequence[Atom]]) -> tuple:
+    """(atoms, counts): the distinct atoms of the samples, checked and in
+    canonical order, and the (len(samples), len(atoms)) matrix whose row r
+    counts samples[r]'s points at each atom. The samples may differ in length."""
+    atoms = sorted(map(check_atom, {a for sample in samples for a in sample}), key=atom_key)
+    column, width = {a: j for j, a in enumerate(atoms)}, len(atoms)
+    index = [base + column[a] for base, sample in zip(itertools.count(0, width), samples)
+             for a in sample]
+    return atoms, np.bincount(index, minlength=width * len(samples)).reshape(len(samples), width)
 
 
 def empirical_measure(s: Sequence[Atom], event: Iterable[Atom]) -> Fraction:

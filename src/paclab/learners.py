@@ -2,20 +2,22 @@
 union aggregation, and the empirical baselines.
 
 Every learner is a pure, deterministic function of (configuration,
-sample), where a sample is a tuple of atoms; ties always break toward
-the lowest index in the candidate class's canonical order, and the Scheffé
-engine's choice is the exact lowest-index argmin (`ScheffeEngine`).
+sample); ties always break toward the lowest index in the candidate class's
+canonical order, and the Scheffé engine's choice is the exact lowest-index
+argmin (`ScheffeEngine`).
 
-A learner takes a block of samples through `Learner.run_block` (`run` on
-each sample unless the learner has a faster way), Monte Carlo trials
-through `Learner.run_draws` (run_block on the `dist.draws` tuples), and
-multisets as rows of atom counts through `Learner.run_counts` (run_block
-on the sorted tuples the rows spell out). The Scheffé learner selects from
-count rows in all three, with one memo pass and one batched bound over a
-call's distinct misses; its trials count the drawn atom positions
-(`dist.draw_rows`) and build no tuples. ERM on the classification task and
-the empirical distribution read count rows directly. The union learner
-hands each constituent's run_block a chunk's first halves.
+A sample reaches a learner in one of two shapes. `run` takes a tuple of
+atoms, and so does the union learner's `run_block`, whose split depends on
+order. Every block an `exchangeable` learner takes arrives as count rows
+through `Learner.run_counts`: `run_block` counts a block of tuples
+SELECT_CHUNK samples at a time (`dist.count_rows`), and `run_draws` counts
+each chunk of drawn atom positions (`dist.draw_rows`) with one offset
+bincount, so Monte Carlo trials build no tuples. The Scheffé learner selects
+a call's rows with one memo pass and one batched bound over its distinct
+misses; ERM on the classification task and the empirical distribution read
+the counts directly, and the other exchangeable learners spell rows out for
+`run`. The union learner hands each constituent's run_block a chunk's first
+halves.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dist import INT64_SAFE, SELECT_CHUNK, MassTable, SparseDist, draw_rows, draws, empirical_dist
+from .dist import (INT64_SAFE, SELECT_CHUNK, MassTable, SparseDist, count_rows, draw_rows, draws,
+                   empirical_dist)
 from .errors import EmptyClass, EmptySample, MixedTasks, SampleTooSmall
 from .families import (
     ALL_ZERO_REAL,
@@ -91,10 +94,9 @@ class ScheffeEngine:
     itself. Up to half the members, the candidates' rows are gathered
     into the deviation buffer; past half, the whole matrix is evaluated.
 
-    Blocks: select_block() answers a list of samples (select() is a block
-    of one) and select_rows() a chunk of rows of atom positions; each builds
-    the block's count matrix for the one selection core, _select_counts,
-    which ScheffeLearner.run_counts also calls. A choice is memoised by the
+    Blocks: _select_counts, the one selection core, takes rows of atom
+    counts over the engine's columns; ScheffeLearner.run_counts sums count
+    rows into them, and select() is one bincount. A choice is memoised by the
     bytes of the count row in the narrowest unsigned dtype that holds the
     block's largest m (rows of different dtypes differ in length, so their
     keys never collide), in a dict cleared once it holds SELECT_MEMO_SIZE
@@ -162,33 +164,9 @@ class ScheffeEngine:
 
     def select(self, sample: Sequence) -> int:
         """Index of the member with the smallest maximum deviation."""
-        return self.select_block([sample])[0]
-
-    def select_block(self, samples: Sequence) -> list:
-        """select() of each sample, in order (`_select_counts`)."""
-        stride = len(self._column) + 1
-        get, outside = self._column.get, stride - 1
-        index = [base + get(a, outside)
-                 for base, sample in zip(range(0, stride * len(samples), stride), samples)
-                 for a in sample]
-        counts = np.bincount(index, minlength=stride * len(samples)).reshape(-1, stride)
-        return self._select_counts(counts, [len(s) for s in samples])
-
-    def columns(self, atoms: Iterable) -> np.ndarray:
-        """The engine column of each atom, or the outside column for an atom
-        outside every member's support."""
         get, outside = self._column.get, len(self._column)
-        return np.array([get(a, outside) for a in atoms], dtype=np.intp)
-
-    def select_rows(self, cols: np.ndarray, rows: np.ndarray) -> list:
-        """select_block() of the samples at atom positions `rows` (a row per
-        sample, as `dist.draw_rows` gives them) of a dist p with
-        columns(p.support()) == cols."""
-        stride = len(self._column) + 1
-        index = cols[rows]
-        index += np.arange(0, stride * len(rows), stride)[:, None]
-        counts = np.bincount(index.ravel(), minlength=stride * len(rows)).reshape(-1, stride)
-        return self._select_counts(counts, [rows.shape[1]] * len(rows))
+        index = [get(a, outside) for a in sample]
+        return self._select_counts(np.bincount(index, minlength=outside + 1)[None], [len(index)])[0]
 
     def _select_counts(self, counts: np.ndarray, ms: list) -> list:
         """The selection for each row of `counts`, a sample's count of each atom
@@ -315,21 +293,38 @@ class Learner:
         raise NotImplementedError
 
     def run_block(self, samples: Iterable):
-        """run() on each sample, lazily and in order."""
-        return map(self.run, samples)
+        """run() on each sample, lazily and in order; an `exchangeable`
+        learner takes SELECT_CHUNK samples at a time as count rows
+        (`dist.count_rows`) through run_counts()."""
+        if not self.exchangeable:
+            yield from map(self.run, samples)
+            return
+        samples = iter(samples)
+        while chunk := list(itertools.islice(samples, SELECT_CHUNK)):
+            yield from self.run_counts(*count_rows(chunk))
 
     def run_draws(self, target: SparseDist, m: int, seeds: Iterable[int]):
         """run_block() on the m-point samples drawn from target, one per
-        generator seed (`dist.draws`), lazily and in order."""
-        return self.run_block(draws(target, m, seeds))
+        generator seed (`dist.draws`), lazily and in order. An `exchangeable`
+        learner takes each chunk of drawn atom positions (`dist.draw_rows`)
+        as count rows over target's support: one bincount, offset by row."""
+        if not self.exchangeable:
+            yield from self.run_block(draws(target, m, seeds))
+            return
+        atoms = target.support()
+        for rows in draw_rows(target, m, seeds):
+            size = len(atoms) * len(rows)
+            index = rows + np.arange(0, size, len(atoms))[:, None]
+            yield from self.run_counts(atoms, np.bincount(index.ravel(), minlength=size)
+                                       .reshape(len(rows), len(atoms)))
 
     def run_counts(self, atoms: Sequence, counts: np.ndarray):
-        """The output on each row of `counts`, an (r, len(atoms)) unsigned
+        """The output on each row of `counts`, an (r, len(atoms)) non-negative
         integer matrix of samples' atom counts (`atoms` distinct and valid, in
-        canonical order): run_block() on the sorted tuples the rows spell out.
+        canonical order): run() on the sorted tuples the rows spell out.
         Only an `exchangeable` learner's output is fixed by the counts."""
-        return self.run_block(tuple(a for a, c in zip(atoms, row) for _ in range(c))
-                              for row in counts.tolist())
+        return map(self.run, (tuple(a for a, c in zip(atoms, row) for _ in range(c))
+                              for row in counts.tolist()))
 
 
 class ScheffeLearner(Learner):
@@ -349,33 +344,17 @@ class ScheffeLearner(Learner):
     def run(self, sample):
         return self.cls.members[self.engine.select(sample)]
 
-    def run_block(self, samples: Iterable):
-        """run() on each sample, lazily and in order, selecting SELECT_CHUNK
-        samples per engine.select_block call."""
-        members, samples = self.cls.members, iter(samples)
-        while chunk := list(itertools.islice(samples, SELECT_CHUNK)):
-            for index in self.engine.select_block(chunk):
-                yield members[index]
-
-    def run_draws(self, target: SparseDist, m: int, seeds: Iterable[int]):
-        """run_block(draws(target, m, seeds)), selecting each chunk straight
-        from its rows of atom positions (`engine.select_rows`); a chunk's
-        distinct indices are each looked up in the class once."""
-        members, cols = self.cls.members, self.engine.columns(target.support())
-        for rows in draw_rows(target, m, seeds):
-            chosen = self.engine.select_rows(cols, rows)
-            found = {index: members[index] for index in set(chosen)}
-            yield from map(found.__getitem__, chosen)
-
     def run_counts(self, atoms: Sequence, counts: np.ndarray) -> list:
         """run() on each count row: one product sums the rows into engine
         columns, the atoms outside every member's support into the outside one."""
-        engine, members = self.engine, self.cls.members
-        onehot = engine.columns(atoms)[:, None] == np.arange(len(engine._column) + 1)
+        engine = self.engine
+        members = engine.members  # a list: no lookup through a family's ranked view
+        get, outside = engine._column.get, len(engine._column)
+        cols = np.array([get(a, outside) for a in atoms], dtype=np.intp)
+        onehot = cols[:, None] == np.arange(outside + 1)
         chosen = engine._select_counts(np.matmul(counts, onehot, dtype=np.int64),
                                        counts.sum(axis=1).tolist())
-        found = {index: members[index] for index in set(chosen)}
-        return list(map(found.__getitem__, chosen))
+        return [members[i] for i in chosen]
 
 
 class TruncationLearner(ScheffeLearner):

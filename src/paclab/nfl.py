@@ -634,8 +634,8 @@ def _trial_outcomes(cls: FiniteClass, learner: Learner, m: int, trials: int, rng
     sample draw(member i, m, rng.child(*prefix, i, t)) would: the block
     takes every trial's seed from one pass (`RngStream.child_seeds`), and
     the learner draws SELECT_CHUNK samples at a time (`Learner.run_draws`):
-    the Scheffé learner selects straight from the drawn atom positions, any
-    other takes the drawn tuples as one block (`Learner.run_block`). A caller
+    an exchangeable learner takes each chunk as count rows (`run_counts`),
+    any other (the union) the drawn tuples as one block (`run_block`). A caller
     that stops early has drawn at most SELECT_CHUNK - 1 past its last value."""
     target = cls.members[i]
     seeds = rng.child_seeds(*prefix, i, count=trials)

@@ -475,13 +475,12 @@ def test_runs_write_their_pinned_files(tmp_path, name, seed):
 
 def test_exact_workload_hands_its_learners_count_rows(tmp_path, monkeypatch):
     # the exact workload's learners are all exchangeable: nfl-exact hands
-    # them count rows (run_counts) and never a block of samples
+    # them count rows (run_counts), never a block of samples or one sample
     def no_block(*args):
         raise AssertionError("a block of samples was run")
 
-    for kind in (learners.Learner, learners.ScheffeLearner):
-        monkeypatch.setattr(kind, "run_block", no_block)
-    monkeypatch.setattr(learners.ScheffeEngine, "select_block", no_block)
+    monkeypatch.setattr(learners.Learner, "run_block", no_block)
+    monkeypatch.setattr(learners.ScheffeEngine, "select", no_block)
     bench = runpy.run_path(str(BENCH_WORKLOADS))
     workload = bench["WORKLOADS"]["exact"]
     cfg = write_cfg(tmp_path, workload.make_config(bench["DEFAULT_SEED"]))

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import paclab as pl
@@ -358,6 +359,15 @@ class TestRankedMembers:
             if isinstance(want, pl.SparseDist):
                 assert got.items == want.items and got.tag == want.tag
                 assert all(type(p) is F for _, p in got.items)
+                # the empirical distribution of a sample with those masses,
+                # from its tuple and from its count row, hashes equal too
+                denom = math.lcm(*(p.denominator for _, p in want.items))
+                counts = [p.numerator * (denom // p.denominator) for _, p in want.items]
+                sample = [a for a, c in zip(want.support(), counts) for _ in range(c)]
+                counted, = pl.EmpiricalBaseline("distribution").run_counts(want.support(),
+                                                                           np.array([counts]))
+                for same in (pl.empirical_dist(sample), counted):
+                    assert same == want and hash(same) == hash(want)
 
     def test_eta_one_has_no_anchor_atom(self):
         assert all(0 not in m.support() for m in pl.anchored_family(F(1), 3).members)

@@ -6,12 +6,13 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import paclab as pl
 from paclab import learners
-from paclab.dist import SELECT_CHUNK, draw_rows, draws
+from paclab.dist import SELECT_CHUNK, count_rows, draws
 from paclab.errors import EmptyClass, EmptySample, MixedTasks, SampleTooSmall
 from paclab.losses import hypotheses_of_class
 
@@ -337,8 +338,19 @@ def width_members(q):
             + [pl.SparseDist({1: 1 - F(1, q), 2: F(1, q)})])
 
 
+def scheffe(members):
+    """A Scheffé learner over the members, in their order."""
+    return pl.ScheffeLearner(pl.FiniteClass("distribution", members))
+
+
+def select_counted(learner, samples):
+    """run_counts() on the count rows of a block of samples (`count_rows`)."""
+    return learner.run_counts(*count_rows(samples))
+
+
 class TestSelectBlock:
-    """select_block() answers a block of samples as select() answers each."""
+    """run_counts() answers a counted block of samples as select() answers
+    each; its selections are the exact lowest-index argmin."""
 
     @pytest.mark.parametrize("width", WIDTH_DENOMS)
     def test_widths(self, width):
@@ -359,18 +371,20 @@ class TestSelectBlock:
     @example(width="int32", block=[[0, 1], [1, 0], [0, 1], [2], [0, 1]])  # duplicates
     def test_block_equals_select_and_the_fraction_argmin(self, width, block):
         members = width_members(WIDTH_DENOMS[width])
-        engine, fresh = pl.ScheffeEngine(members), pl.ScheffeEngine(members)
+        learner, fresh = scheffe(members), pl.ScheffeEngine(members)
         samples = [tuple(s) for s in block]
         samples += samples[::3]  # repeats within the block, after their first answer
-        chosen = engine.select_block(samples)
-        assert chosen == [fresh.select(s) for s in samples]
-        assert chosen == [fraction_argmin(members, engine.sets, s) for s in samples]
-        assert engine.select_block(samples) == chosen  # now every row is a memo hit
+        chosen = select_counted(learner, samples)
+        assert chosen == [members[fresh.select(s)] for s in samples]
+        assert chosen == [members[fraction_argmin(members, fresh.sets, s)] for s in samples]
+        assert select_counted(learner, samples) == chosen  # now every row is a memo hit
 
     def test_memo_keys_hold_counts_past_255(self):
         # 256 copies of one atom would wrap to a zero row in a uint8 key
-        engine = pl.ScheffeEngine([pl.delta(0), pl.delta(1), pl.uniform([0, 1])])
-        assert engine.select_block([(0,) * 256, (1,) * 256]) == [0, 1]
+        members = [pl.delta(0), pl.delta(1), pl.uniform([0, 1])]
+        learner = scheffe(members)
+        engine = learner.engine
+        assert select_counted(learner, [(0,) * 256, (1,) * 256]) == members[:2]
         # counts (1, 2, 0) as uint8 and (513, 0, 0) as uint16 share their
         # nonzero bytes, 01 02; the keys differ in length
         assert engine.select((0, 1, 1)) == 2
@@ -379,42 +393,43 @@ class TestSelectBlock:
     def test_mixed_sample_sizes_and_bound_passes(self):
         # blocks of up to 40 samples of 1-48 points on the 28 x 36 engine:
         # several bound passes of _bound_rows rows each
-        engine = pl.ScheffeEngine(PAIRS)
-        assert engine._bound_rows < 40
+        learner = scheffe(PAIRS)
+        assert learner.engine._bound_rows < 40
         samples = [pl.draw(PAIRS[t % len(PAIRS)], 1 + 47 * (t % 2) + t % 5, pl.RngStream(SEED, t))
                    for t in range(40)]
         samples += [s + (40,) for s in samples[:5]]
-        assert engine.select_block(samples) == [fraction_argmin(PAIRS, engine.sets, s)
-                                                for s in samples]
+        assert select_counted(learner, samples) \
+            == [PAIRS[fraction_argmin(PAIRS, learner.engine.sets, s)] for s in samples]
 
     def test_engine_without_comparison_sets(self):
-        engine = pl.ScheffeEngine([pl.uniform([1, 2]), pl.uniform([1, 2])])
-        assert engine.sets == []
-        assert engine.select_block([(1,), (7, 7), (2, 1, 9)]) == [0, 0, 0]
-        assert engine.select_block([]) == []
+        members = [pl.uniform([1, 2]), pl.uniform([1, 2])]
+        learner = scheffe(members)
+        assert learner.engine.sets == []
+        assert select_counted(learner, [(1,), (7, 7), (2, 1, 9)]) == [members[0]] * 3
+        assert select_counted(learner, []) == []
         with pytest.raises(EmptySample):
-            engine.select_block([(1,), ()])
+            select_counted(learner, [(1,), ()])
 
     def test_empty_sample_raises(self):
-        engine = pl.ScheffeEngine(PAIRS)
+        learner = scheffe(PAIRS)
         with pytest.raises(EmptySample):
-            engine.select([])
+            learner.engine.select([])
         with pytest.raises(EmptySample):
-            engine.select_block([(1, 2), ()])
-        assert engine.select_block([]) == []
+            select_counted(learner, [(1, 2), ()])
+        assert select_counted(learner, []) == []
 
     def test_block_straddling_the_memo_clear(self):
-        engine, fresh = pl.ScheffeEngine(PAIRS), pl.ScheffeEngine(PAIRS)
+        learner, fresh = scheffe(PAIRS), pl.ScheffeEngine(PAIRS)
         bags = list(itertools.combinations_with_replacement(range(9), 7))
         size = learners.SELECT_MEMO_SIZE
         for lo in range(0, size - 2, 32):
-            engine.select_block(bags[lo:min(lo + 32, size - 2)])
-        assert len(engine._memo) == size - 2
+            select_counted(learner, bags[lo:min(lo + 32, size - 2)])
+        assert len(learner.engine._memo) == size - 2
         # hits, then five misses (the third clears the memo), then hits
         # whose entries the clear dropped
         block = bags[:3] + bags[size - 2:size + 3] + bags[:3]
-        assert engine.select_block(block) == [fresh.select(s) for s in block]
-        assert len(engine._memo) == 3
+        assert select_counted(learner, block) == [PAIRS[fresh.select(s)] for s in block]
+        assert len(learner.engine._memo) == 3
 
     def test_learner_run_block_equals_run(self):
         fam = pl.anchored_family(F(1, 2), 8, size_filter=2)
@@ -427,17 +442,17 @@ class TestSelectBlock:
     def test_select_block_allocates_no_deviation_matrix(self):
         # blocks of 32 fresh 12-point samples on the 220 x 298 engine
         fam = pl.nfl_distribution_instance(F(1, 2), 3).family
-        engine = pl.ScheffeEngine(fam.members)
+        learner = pl.ScheffeLearner(fam)
         samples = [pl.draw(fam[7 * t % len(fam)], 12, pl.RngStream(SEED, t)) for t in range(96)]
-        engine.select(samples[0])  # the deviation buffer is the engine's, not a temporary
+        learner.run(samples[0])  # the deviation buffer is the engine's, not a temporary
         tracemalloc.start()
         try:
             for lo in range(0, len(samples), 32):
-                engine.select_block(samples[lo:lo + 32])
+                select_counted(learner, samples[lo:lo + 32])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < engine._dev.nbytes
+        assert peak < learner.engine._dev.nbytes
 
 
 def reciprocal_staged():
@@ -467,8 +482,8 @@ ROW_CASES = {
 
 
 class TestSelectRows:
-    """select_rows() on the rows dist.draw_rows gives answers as select_block()
-    on the samples dist.draws gives, and run_draws() as run_block()."""
+    """run_draws(), which counts the rows dist.draw_rows gives, answers as
+    run() on each sample dist.draws gives, and as run_block() on them."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=st.sampled_from(list(ROW_CASES)), m=st.sampled_from([1, 2, 5, 33]),
@@ -478,28 +493,27 @@ class TestSelectRows:
         (learner, target), (fresh, _) = ROW_CASES[case](), ROW_CASES[case]()
         seeds = range(first, first + size)
         samples = list(draws(target, m, seeds))
-        expected = fresh.engine.select_block(samples)
+        expected = [fresh.run(s) for s in samples]
         if case == "truncation":
             assert set(target.support()) - set(learner.engine._atoms)
-        engine, cols = learner.engine, learner.engine.columns(target.support())
-        chunks = list(draw_rows(target, m, seeds))
-        assert [i for rows in chunks for i in engine.select_rows(cols, rows)] == expected
-        assert [i for rows in chunks for i in engine.select_rows(cols, rows)] == expected  # hits
-        assert list(learner.run_draws(target, m, seeds)) == list(fresh.run_block(samples))
+        assert list(learner.run_draws(target, m, seeds)) == expected
+        assert list(learner.run_draws(target, m, seeds)) == expected  # now every row is a memo hit
+        assert list(fresh.run_block(samples)) == expected
 
     @pytest.mark.parametrize("case", list(ROW_CASES))
     def test_empty_samples_raise(self, case):
         learner, target = ROW_CASES[case]()
-        engine, cols = learner.engine, learner.engine.columns(target.support())
-        rows, = draw_rows(target, 0, [1, 2])
+        atoms = target.support()
         with pytest.raises(EmptySample):
-            engine.select_rows(cols, rows)
+            learner.run_counts(atoms, np.zeros((2, len(atoms)), dtype=np.intp))
         with pytest.raises(EmptySample):
-            engine.select_block(list(draws(target, 0, [1, 2])))
+            list(learner.run_block(list(draws(target, 0, [1, 2]))))
         with pytest.raises(EmptySample):
             next(learner.run_draws(target, 0, [1, 2]))
-        for empty in (rows[:0], rows[:0].reshape(0, 4)):  # no samples: no selection
-            assert engine.select_rows(cols, empty) == []
+        # no samples: no selection
+        assert learner.run_counts(atoms, np.zeros((0, len(atoms)), dtype=np.intp)) == []
+        for m in (0, 4):
+            assert list(learner.run_draws(target, m, [])) == []
 
 
 class TestTruncationLearner:
@@ -669,17 +683,17 @@ class TestUnion:
                 expected.append(pl.ErmLearner(candidates, task).run(s[cut:]))
         rows = []
         if task == "distribution":
-            select_block = inner.engine.select_block
+            run_counts = inner.run_counts
 
-            def counted(chunk):
-                rows.append(len(chunk))
-                return select_block(chunk)
+            def counted(atoms, counts):
+                rows.append(len(counts))
+                return run_counts(atoms, counts)
 
-            inner.engine.select_block = counted
+            inner.run_counts = counted
         union = pl.UnionLearner([inner, baseline])
         assert list(union.run_block(iter(samples))) == expected
         if task == "distribution":
-            # the Scheffé constituent selects the first halves a chunk at a time
+            # the Scheffé constituent counts the first halves a chunk at a time
             assert rows == [SELECT_CHUNK, SELECT_CHUNK, len(samples) - 2 * SELECT_CHUNK]
 
     def test_mixed_tasks_rejected(self):

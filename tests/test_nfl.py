@@ -1,7 +1,6 @@
 """Lower-bound harness: pairing contract, measure preservation, exact
 oracles, Markov conversion, Monte Carlo cross-checks, complexity search."""
 
-import functools
 import itertools
 import math
 from fractions import Fraction as F
@@ -21,7 +20,7 @@ from paclab.errors import (
     EnumerationBudgetExceeded,
     SearchBoundExceeded,
 )
-from paclab.dist import SELECT_CHUNK
+from paclab.dist import DRAW_POINTS, SELECT_CHUNK, draws
 from paclab.learners import Learner
 from paclab.nfl import (
     max_certifiable_failures,
@@ -379,10 +378,18 @@ TASKS = ["distribution", "classification", "real"]
 
 
 def counting_learner(instance, k):
-    """The k-th of exchangeable_learners() on an instance, and its family's atoms."""
+    """The k-th of exchangeable_learners() on an instance, and its family."""
     inst = huge_denominator_instance() if instance == "huge-denominator" \
         else make_instance(instance, F(1, 2), 2)
-    return exchangeable_learners(inst)[int(k)], inst.family.mass_table().atoms
+    return exchangeable_learners(inst)[int(k)], inst.family
+
+
+def outputs_or_empty(make):
+    """list(make()), or EmptySample if that raises it."""
+    try:
+        return list(make())
+    except EmptySample:
+        return EmptySample
 
 
 # every exchangeable learner of each task, and the distribution ones past int64
@@ -433,20 +440,39 @@ class TestExchangeableLearners:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_run_counts_is_run_on_the_sorted_tuple(self, case, data):
-        (learner, atoms), (fresh, _) = counting_learner(*case), counting_learner(*case)
+        (learner, fam), (fresh, _) = counting_learner(*case), counting_learner(*case)
+        atoms = fam.mass_table().atoms
         if case == ("distribution", "1"):  # the truncation learner reads atoms outside its columns
             assert set(atoms) - set(learner.engine._atoms)
         rows = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=len(atoms),
                                            max_size=len(atoms)), min_size=1, max_size=40))
         counts = np.array(rows, dtype=np.uint8)
         spelled = [tuple(a for a, c in zip(atoms, row) for _ in range(c)) for row in rows]
-        try:
-            expected = [fresh.run(sample) for sample in spelled]
-        except EmptySample:
-            with pytest.raises(EmptySample):
-                list(learner.run_counts(atoms, counts))
-            return
-        assert list(learner.run_counts(atoms, counts)) == expected
+        assert outputs_or_empty(lambda: learner.run_counts(atoms, counts)) \
+            == outputs_or_empty(lambda: map(fresh.run, spelled))
+
+    @pytest.mark.parametrize("case", COUNT_CASES, ids="-".join)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_run_block_and_run_draws_are_run_on_each_sample(self, case, data):
+        # blocks and Monte Carlo trials reach the learner as count rows; the
+        # truncation learner's targets put mass outside its engine's columns
+        (learner, fam), (fresh, _) = counting_learner(*case), counting_learner(*case)
+        atoms = fam.mass_table().atoms
+        size = data.draw(st.sampled_from([1, SELECT_CHUNK, SELECT_CHUNK + 1, 70]))
+        samples = data.draw(st.lists(st.lists(st.sampled_from(atoms), min_size=1, max_size=6)
+                                     .map(tuple), min_size=size, max_size=size))
+        if data.draw(st.booleans()):  # an empty sample somewhere in the block
+            samples.insert(data.draw(st.integers(0, size)), ())
+        assert outputs_or_empty(lambda: learner.run_block(samples)) \
+            == outputs_or_empty(lambda: map(fresh.run, samples))
+        target = fam[data.draw(st.integers(0, len(fam) - 1))]
+        m = data.draw(st.sampled_from([0, 1, 2, 5, DRAW_POINTS // SELECT_CHUNK + 1]))
+        first = data.draw(st.integers(0, 2 ** 64 - 100))
+        seeds = range(first, first + data.draw(st.sampled_from([1, SELECT_CHUNK,
+                                                                SELECT_CHUNK + 1, 70])))
+        assert outputs_or_empty(lambda: learner.run_draws(target, m, seeds)) \
+            == outputs_or_empty(lambda: map(fresh.run, draws(target, m, seeds)))
 
 
 def enumerated_instances():
@@ -499,19 +525,6 @@ def counted_draws(learner):
 
     learner.run_draws = counted
     return yielded
-
-
-def counted_select_rows(engine):
-    """Wrap a Scheffé engine's select_rows; returns the blocks of atom
-    position rows it selects on, in order."""
-    blocks, select_rows = [], engine.select_rows
-
-    def counted(cols, rows):
-        blocks.append(rows.tolist())
-        return select_rows(cols, rows)
-
-    engine.select_rows = counted
-    return blocks
 
 
 class TestMemberSamples:
@@ -761,18 +774,6 @@ class TestMcRisk:
                        pl.RngStream(SEED, 0), F(1, 16))
 
 
-def counted_runs(learner):
-    """Wrap the learner's run method; returns the list of samples it sees."""
-    seen, run = [], learner.run
-
-    def counted(sample):
-        seen.append(tuple(sample))
-        return run(sample)
-
-    learner.run = counted
-    return seen
-
-
 class TestTrialBlocks:
     @pytest.mark.parametrize("kind", ["scheffe", "union"])
     @pytest.mark.parametrize("m", [2, 9])
@@ -790,29 +791,30 @@ class TestTrialBlocks:
         ref, learner = make(), make()  # learner's block selects every sample itself
         expected = [ref.run(s) for s in reference]
         yielded = counted_draws(learner)
-        if kind == "scheffe":  # the engine selects on rows of atom positions
-            blocks = counted_select_rows(learner.engine)
-        else:  # the default run_draws hands run_block the drawn tuples
+        if kind == "scheffe":  # the learner reads count rows over the target's atoms
+            read = counted_counts(learner)
+            atoms = fam[i].support()
+            reference = [tuple(s.count(a) for a in atoms) for s in reference]
+        else:  # the union's run_block reads the drawn tuples
             read, _ = counted_block(learner)
         losses = list(nfl._trial_outcomes(fam, learner, m, trials, rng, prefix, i,
                                            lambda err: err, {}))
-        if kind == "scheffe":
-            atoms = fam[i].support()
-            read = [tuple(atoms[j] for j in row) for rows in blocks for row in rows]
         assert losses == [pl.task_loss(fam, out, fam[i]) for out in expected]
-        # one block of every trial's sample, one output per trial, in trial order
+        # every trial's sample read once, one output per trial, in trial order
         assert read == reference and yielded == expected
 
     def test_failing_level_stops_at_max_fail_plus_one(self):
         fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
         # a constant far from target 0 fails every trial against a zero bar
         learner = pl.ConstantLearner(fam[5], "distribution")
-        seen = counted_runs(learner)
+        read, yielded = counted_counts(learner), counted_draws(learner)
         max_fail = 3
         worst = nfl._level_failures(fam, learner, {0: F(0)}, 4, 40, pl.RngStream(SEED, 6),
                                     max_fail, {})
         assert worst is None
-        assert len(seen) == max_fail + 1
+        # the level took max_fail + 1 outputs, all from the first chunk's count rows
+        assert len(yielded) == max_fail + 1
+        assert len(read) == SELECT_CHUNK
 
     @pytest.mark.parametrize("memo", [True, False], ids=["memo", "no-memo"])
     def test_a_loss_equal_to_the_guarantee_is_no_failure(self, memo):
@@ -828,21 +830,26 @@ class TestTrialBlocks:
         # Scheffé over every member but target 0 never returns it, so every
         # trial fails against a zero bar
         learner = pl.ScheffeLearner(pl.FiniteClass("distribution", list(fam.members)[1:]))
-        blocks = counted_select_rows(learner.engine)
+        read = counted_counts(learner)
         max_fail = 3
         worst = nfl._level_failures(fam, learner, {0: F(0)}, 4, 100, pl.RngStream(SEED, 6),
                                     max_fail, {})
         assert worst is None
-        rows = [len(block) for block in blocks]
         # the trial that failed max_fail + 1 times ended the first chunk's selections
-        assert rows == [SELECT_CHUNK]
-        assert sum(rows) <= max_fail + 1 + SELECT_CHUNK - 1
+        assert len(read) == SELECT_CHUNK
+        assert len(read) <= max_fail + 1 + SELECT_CHUNK - 1
+
+
+def tuple_path(learner):
+    """The learner with run_draws replaced by run() on each `dist.draws` tuple."""
+    learner.run_draws = lambda target, m, seeds: map(learner.run, draws(target, m, seeds))
+    return learner
 
 
 class TestDrawPaths:
     """The Monte Carlo oracles hand each learner its trials through
-    run_draws: a Scheffé learner selects from the drawn atom positions and
-    builds no sample tuples; any other learner gets the drawn tuples."""
+    run_draws: an exchangeable learner reads the drawn atom positions as
+    count rows and builds no sample tuples; a union gets the drawn tuples."""
 
     @staticmethod
     def scheffe_case(kind):
@@ -868,9 +875,7 @@ class TestDrawPaths:
                                member_indices=members)
             return point, stats
 
-        reference = make()  # the same learner on the tuple path
-        reference.run_draws = functools.partial(Learner.run_draws, reference)
-        expected = run(reference)
+        expected = run(tuple_path(make()))  # the same learner on the tuple path
 
         def refuse(*args):
             raise AssertionError("a Scheffé trial built sample tuples")
@@ -880,7 +885,7 @@ class TestDrawPaths:
         assert run(make()) == expected
 
     @pytest.mark.parametrize("kind", ["erm", "empirical-baseline", "union"])
-    def test_other_learners_take_the_drawn_tuples(self, kind):
+    def test_other_learners_read_the_drawn_samples(self, kind):
         task = "classification" if kind == "erm" else "distribution"
         fam = make_instance(task, F(1, 2), 2).family
         learner = {
@@ -888,11 +893,36 @@ class TestDrawPaths:
             "empirical-baseline": lambda: pl.EmpiricalBaseline(task),
             "union": lambda: pl.UnionLearner([pl.ScheffeLearner(fam), pl.EmpiricalBaseline(task)]),
         }[kind]()
-        read, yielded = counted_block(learner)
         rng, i, m, trials = pl.RngStream(SEED, 14), 2, 5, 40
+        samples = [pl.draw(fam[i], m, rng.child(i, t)) for t in range(trials)]
+        if kind == "union":  # the union reads the drawn tuples
+            read, yielded = counted_block(learner)
+        else:  # the others read count rows over the target's atoms
+            read, yielded = counted_counts(learner), counted_draws(learner)
+            samples = [tuple(s.count(a) for a in fam[i].support()) for s in samples]
         pl.mc_risk(fam, learner, m, trials, rng, F(1, 8), member_indices=[i])
-        assert read == [pl.draw(fam[i], m, rng.child(i, t)) for t in range(trials)]
+        assert read == samples
         assert len(yielded) == trials
+
+    def test_classification_erm_trials_sum_no_fractions(self, monkeypatch):
+        # ERM on drawn samples counts each hypothesis's mistakes in integers
+        fam = pl.labeled_anchored_family(F(1, 2), 2)
+
+        def run(learner):
+            point = pl.estimate_sample_complexity(fam, learner, F(1, 2), F(1, 4),
+                                                  pl.RngStream(SEED, 15), trials=30, m_max=64,
+                                                  targets_cap=4)
+            stats = pl.mc_risk(fam, learner, 5, 200, pl.RngStream(SEED, 16), F(1, 8),
+                               member_indices=[0, 5, 15])
+            return point, stats
+
+        expected = run(tuple_path(pl.ErmLearner.for_class(fam)))
+
+        def refuse(*args):
+            raise AssertionError("an ERM trial summed Fraction risks")
+
+        monkeypatch.setattr(learners, "zero_one_risk", refuse)
+        assert run(pl.ErmLearner.for_class(fam)) == expected
 
 
 class TestEstimateSampleComplexity:
