@@ -13,11 +13,12 @@ through `Learner.run_counts`: `run_block` counts a block of tuples
 SELECT_CHUNK samples at a time (`dist.count_rows`), and `run_draws` counts
 each chunk of drawn atom positions (`dist.draw_rows`) with one offset
 bincount, so Monte Carlo trials build no tuples. The Scheffé learner selects
-a call's rows with one memo pass and one batched bound over its distinct
-misses; ERM on the classification task and the empirical distribution read
-the counts directly, and the other exchangeable learners spell rows out for
-`run`. The union learner hands each constituent's run_block a chunk's first
-halves.
+a call's rows with one memo pass and one batched pass over its distinct
+misses: a closed form on the window-structured engines of the anchored
+families, a bound and verify elsewhere. ERM on the classification task and
+the empirical distribution read the counts directly, and the other
+exchangeable learners spell rows out for `run`. The union learner hands
+each constituent's run_block a chunk's first halves.
 """
 
 from __future__ import annotations
@@ -94,6 +95,25 @@ class ScheffeEngine:
     itself. Up to half the members, the candidates' rows are gathered
     into the deviation buffer; past half, the whole matrix is evaluated.
 
+    Closed form: when the comparison sets are every subset of 1..n atoms of
+    a window W, an integer engine of three or more members selects with no
+    upper row and no verification. At build, n is the largest set size and
+    the probe sets are W's singletons: the sets are distinct subsets of at
+    most n atoms of the atoms in any set, so a count of sum_{k<=n} C(|W|, k)
+    proves the structure once those atoms are W. For member i and the count
+    row c of an m-point sample let d_a = m * nums_ia - denom * c_a, a in W.
+    If (a) the member holds at most n atoms of W and (b) the row at most n
+    distinct atoms of W, then d's positive and negative entries each form a
+    comparison set or none, the member's deviation is max(sum d+, sum d-),
+    and twice it is sum_a |d_a| + |sum_a d_a|. An atom outside W is in no
+    set, so it has one mass in every member: the window mass, and so
+    |sum_a d_a|, is the same for every member, and the choice is the first
+    member of least sum_a |d_a|, one rows x W x members pass in the
+    deviation buffer. Condition (a) is checked at build, on `_probe`; a
+    call with a row that fails (b) keeps the bound. Twice a deviation is
+    at most 2 * denom * m, so this pass computes in the narrowest width
+    that holds that, and a call past int64 keeps the bound.
+
     Blocks: _select_counts, the one selection core, takes rows of atom
     counts over the engine's columns; ScheffeLearner.run_counts sums count
     rows into them, and select() is one bincount. A choice is memoised by the
@@ -101,11 +121,11 @@ class ScheffeEngine:
     block's largest m (rows of different dtypes differ in length, so their
     keys never collide), in a dict cleared once it holds SELECT_MEMO_SIZE
     entries; a block reads its hits first, so a clear loses none of them.
-    The block's distinct misses are bounded together, `_bound_rows` at a
+    The block's distinct misses are selected together, `_bound_rows` at a
     time: at most sets / probe sets rows, so the rows x probe sets x members
-    bound fits the deviation buffer (24 rows on a 220 x 298 engine with 12
-    probe sets). Only the rows that keep several candidates are verified
-    one at a time.
+    bound or closed form fits the deviation buffer (24 rows on a 220 x 298
+    engine with 12 probe sets). Only the bounded rows that keep several
+    candidates are verified one at a time.
 
     Widths: every entry of `_nums` is at most denom, and every deviation
     numerator |nums * m - denom * count| of an m-point sample at most
@@ -147,13 +167,27 @@ class ScheffeEngine:
         # the probe block and the (lazily sized) deviation buffer, on an
         # integer engine with sets (select() needs neither on an engine
         # without sets)
-        self._probe = None
+        self._probe = self._window = None
         if dtype is not None and incidence.shape[1]:
             self._dev = np.empty(0, dtype=np.int8)
             sizes = incidence.sum(axis=0)
-            self._probe_sets = np.flatnonzero(sizes == sizes.min())
+            least, top = min(size_list := sizes.tolist()), max(size_list)
+            self._probe_sets = np.flatnonzero(sizes == least)
             self._probe = self._nums[:, self._probe_sets].T.copy()
             self._bound_rows = incidence.shape[1] // len(self._probe_sets)
+            # the closed form (cheap tests first): the sets are distinct
+            # subsets of at most `top` atoms of the atoms in any set, so their
+            # count proves they are all of them once those atoms are the
+            # singletons' (as they are when every set is one). The union
+            # builds a two-member engine per sample and selects once with
+            # it, so the test would cost it more than it saves.
+            singles = len(self._probe_sets)
+            if (least == 1 and len(mass) > 2
+                    and len(sizes) == sum(math.comb(singles, k) for k in range(1, top + 1))
+                    and (top == 1 or np.count_nonzero(incidence.any(axis=1)) == singles)
+                    and (self._probe != 0).sum(axis=0).max() <= top):
+                self._window = incidence[:, self._probe_sets].argmax(axis=0)  # in probe order
+                self._top = top
         self._memo: dict = {}  # atom-count bytes -> selected index
 
     @cached_property
@@ -204,13 +238,32 @@ class ScheffeEngine:
             nums = self._nums.astype(object, copy=False)
             cnt = (counts[:, :-1] @ self._incidence).astype(object)
             return [_first_least_max_row(nums * m, self.denom * row) for m, row in zip(ms, cnt)]
+        # a call with a row of more than `_top` distinct window atoms keeps
+        # the bound: samples drawn from members never have one
+        if (self._window is None or (wide := _int_dtype(2 * self.denom * max(ms))) is None
+                or ((counts[:, self._window] != 0).sum(axis=1) > self._top).any()):
+            return self._in_steps(self._bound_and_verify, counts, ms, dtype)
+        return self._in_steps(self._closed_form, counts, ms, wide)
+
+    def _in_steps(self, argmins, counts: np.ndarray, ms: Sequence, dtype: np.dtype) -> list:
+        """argmins() on `_bound_rows` rows at a time: its rows x probe sets x
+        members block then fits the deviation buffer."""
         step = self._bound_rows
         return [best for lo in range(0, len(ms), step)
-                for best in self._bound_and_verify(counts[lo:lo + step], ms[lo:lo + step], dtype)]
+                for best in argmins(counts[lo:lo + step], ms[lo:lo + step], dtype)]
 
-    def _bound_and_verify(self, counts: np.ndarray, ms: list, dtype: np.dtype) -> list:
-        """_argmins on at most `_bound_rows` rows, computing in `dtype`: the
-        rows x probe sets x members bound then fits the deviation buffer."""
+    def _closed_form(self, counts: np.ndarray, ms: Sequence, dtype: np.dtype) -> list:
+        """_argmins on rows of at most `_top` distinct window atoms, computing
+        in `dtype`, which holds 2 * denom * m: the first member of least
+        sum_a |d_a| over the window."""
+        ms = np.array(ms, dtype=dtype)
+        dev = np.multiply(self._probe, ms[:, None, None], dtype=dtype,
+                          out=self._buffer((len(ms), *self._probe.shape), dtype))
+        dev -= np.multiply(counts[:, self._window, None], self.denom, dtype=dtype)
+        return np.abs(dev, out=dev).sum(axis=1, dtype=dtype).argmin(axis=1).tolist()
+
+    def _bound_and_verify(self, counts: np.ndarray, ms: Sequence, dtype: np.dtype) -> list:
+        """_argmins on rows that keep the generic path, computing in `dtype`."""
         nums = self._nums
         scaled = np.multiply(counts[:, :-1] @ self._incidence, self.denom, dtype=dtype)
         ms = np.array(ms, dtype=dtype)

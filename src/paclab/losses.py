@@ -13,6 +13,7 @@ keeps "risk of the zero hypothesis <= level" an exact inequality.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .families import (
 )
 
 DYADIC_BITS = 40  # resolution of stored irrational inverse values
+BAYES_RISK_CACHE_SIZE = 1024  # most distributions whose Bayes risk is remembered
 
 
 class LossRule:
@@ -135,9 +137,16 @@ def bayes_labeler(p: SparseDist) -> BinaryHypothesis:
     return BinaryHypothesis.from_set(ones)
 
 
+@functools.lru_cache(maxsize=BAYES_RISK_CACHE_SIZE)
+def bayes_risk(p: SparseDist) -> Fraction:
+    """The Bayes labeler's risk on p, remembered per distribution: every
+    trial against one target scores against the same floor."""
+    return zero_one_risk(bayes_labeler(p), p)
+
+
 def zero_one_excess(h: BinaryHypothesis, p: SparseDist) -> Fraction:
     """Risk of h beyond the Bayes labeler's risk."""
-    return zero_one_risk(h, p) - zero_one_risk(bayes_labeler(p), p)
+    return zero_one_risk(h, p) - bayes_risk(p)
 
 
 def real_risk(ctx: RealTaskContext, h: RealHypothesis, p: SparseDist) -> Fraction:

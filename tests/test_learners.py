@@ -2,6 +2,7 @@
 bound, ERM, union aggregation, baselines, loss evaluators."""
 
 import itertools
+import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import paclab as pl
-from paclab import learners
+from paclab import learners, losses
 from paclab.dist import SELECT_CHUNK, count_rows, draws
 from paclab.errors import EmptyClass, EmptySample, MixedTasks, SampleTooSmall
 from paclab.losses import hypotheses_of_class
@@ -282,29 +283,35 @@ def block_members():
 class TestBoundAndVerify:
     """select() bounds every member on the probe sets, then evaluates in
     full only the members the bound cannot rule out; each path returns the
-    lowest-index argmin."""
+    lowest-index argmin. PAIRS rows of at most two distinct window atoms take
+    the closed form (TestClosedForm), so these run on rows and classes that
+    keep this generic path."""
 
     def test_large_sample_leaves_one_candidate(self, monkeypatch):
-        engine, passes = counted_engine(PAIRS, monkeypatch)
-        assert {engine.sets[k] for k in engine._probe_sets} == {frozenset({a}) for a in range(1, 9)}
+        members = block_members()
+        engine, passes = counted_engine(members, monkeypatch)
+        assert engine._window is None
         for t in range(8):
-            s = pl.draw(PAIRS[5 * t % len(PAIRS)], 48, pl.RngStream(SEED, t))
-            assert engine.select(s) == fraction_argmin(PAIRS, engine.sets, s)
+            s = pl.draw(members[5 * t % len(members)], 48, pl.RngStream(SEED, t))
+            assert engine.select(s) == fraction_argmin(members, engine.sets, s)
         assert passes == []  # the bound left the first member of least bound alone
 
     def test_small_samples_tie_and_pass_the_whole_matrix(self, monkeypatch):
         engine, passes = counted_engine(PAIRS, monkeypatch)
-        for m in (1, 2):
-            for s in itertools.combinations_with_replacement(range(9), m):
-                assert engine.select(s) == fraction_argmin(PAIRS, engine.sets, s)
+        # three distinct window atoms: past the closed form's two
+        samples = [s for s in itertools.combinations_with_replacement(range(9), 3)
+                   if len(set(s) - {0}) == 3]
+        for s in samples:
+            assert engine.select(s) == fraction_argmin(PAIRS, engine.sets, s)
         assert len(PAIRS) in passes
 
     def test_few_candidates_gather_their_rows(self, monkeypatch):
-        engine, passes = counted_engine(PAIRS, monkeypatch)
+        members = block_members()
+        engine, passes = counted_engine(members, monkeypatch)
         for t in range(8):
-            s = pl.draw(PAIRS[5 * t % len(PAIRS)], 3, pl.RngStream(SEED, t))
-            assert engine.select(s) == fraction_argmin(PAIRS, engine.sets, s)
-        assert any(1 < rows <= len(PAIRS) // 2 for rows in passes)
+            s = pl.draw(members[5 * t % len(members)], 3, pl.RngStream(SEED, t))
+            assert engine.select(s) == fraction_argmin(members, engine.sets, s)
+        assert any(1 < rows <= len(members) // 2 for rows in passes)
 
     def test_probe_sets_of_two_atoms(self, monkeypatch):
         members = block_members()
@@ -324,6 +331,92 @@ class TestBoundAndVerify:
         assert engine.sets == [] and passes == []
 
 
+def fraction_argmins(members, sets, samples):
+    """fraction_argmin on each sample, in exact integers: every probability
+    and empirical measure times scale * m, with `scale` the least common
+    denominator of the members' set probabilities, computed once."""
+    probs = [[pl.event_prob(p, s) for s in sets] for p in members]
+    scale = math.lcm(*(q.denominator for row in probs for q in row))
+    nums = [[q.numerator * (scale // q.denominator) for q in row] for row in probs]
+    chosen = []
+    for sample in samples:
+        counts, m = Counter(sample), len(sample)
+        empirical = [scale * sum(counts[a] for a in s) for s in sets]
+        devs = [max(abs(q * m - e) for q, e in zip(row, empirical)) for row in nums]
+        chosen.append(devs.index(min(devs)))
+    return chosen
+
+
+# classes whose comparison sets are every subset of 1..n atoms of a window,
+# with supports of at most n window atoms (the closed form), and classes the
+# detection rejects: sets of two-atom blocks, a window narrower than 2n
+# (singleton sets, supports of n > 1 atoms), unfiltered, and two-member
+# engines like the union's, which it does not test
+CLOSED_CASES = {
+    "anchored(1/2, 4, filter 2)": (lambda: pl.anchored_family(F(1, 2), 4, size_filter=2).members, True),
+    "anchored(1/3, 5, filter 2)": (lambda: pl.anchored_family(F(1, 3), 5, size_filter=2).members, True),
+    "anchored(1, 6, filter 3)": (lambda: pl.anchored_family(F(1), 6, size_filter=3).members, True),
+    "anchored(1/2, 6, filter 1)": (lambda: pl.anchored_family(F(1, 2), 6, size_filter=1).members, True),
+    "three anchored deltas": (lambda: [mix_anchor(F(1, 2), [a]) for a in (1, 2, 3)], True),
+    "two anchored deltas": (lambda: [mix_anchor(F(1, 2), [1]), mix_anchor(F(1, 2), [2])], False),
+    "blocks": (block_members, False),
+    "anchored(1/2, 5, filter 3)": (lambda: pl.anchored_family(F(1, 2), 5, size_filter=3).members, False),
+    "anchored(1/2, 3, filter 2)": (lambda: pl.anchored_family(F(1, 2), 3, size_filter=2).members, False),
+    "anchored(1/2, 3)": (lambda: pl.anchored_family(F(1, 2), 3).members, False),
+    "member and empirical": (lambda: [mix_anchor(F(1, 2), [1, 2]), pl.empirical_dist((1, 3, 3))], False),
+    "uniform and delta": (lambda: [pl.uniform([1, 2]), pl.delta(1)], False),
+    # sets {2}, {3} and {1, 2}: as many as the subsets of one or two
+    # singleton atoms, but atom 1 is in a set and no singleton
+    "a set past the singletons": (lambda: [pl.delta(3), pl.uniform([2, 3]),
+                                           pl.SparseDist({1: F(1, 3), 2: F(2, 3)})], False),
+}
+
+
+class TestClosedForm:
+    """On an engine whose comparison sets are every subset of 1..n atoms of a
+    window W, and whose members each hold at most n atoms of W, rows of at
+    most n distinct window atoms select by twice the deviation,
+    sum_a |d_a| + |sum_a d_a| over a in W, with no full pass. Every other
+    call and class keeps the bound; either way the choice is the lowest-index
+    argmin."""
+
+    def test_pairs_select_with_no_full_pass(self, monkeypatch):
+        engine, passes = counted_engine(PAIRS, monkeypatch)
+        assert {engine.sets[k] for k in engine._probe_sets} == {frozenset({a}) for a in range(1, 9)}
+        assert [engine._atoms[c] for c in engine._window] \
+            == [next(iter(engine.sets[k])) for k in engine._probe_sets]  # in probe order
+        samples = [s for m in range(1, 4) for s in itertools.combinations_with_replacement(range(10), m)
+                   if len(set(s) & set(range(1, 9))) <= 2]
+        samples += [pl.draw(PAIRS[5 * t % len(PAIRS)], 48, pl.RngStream(SEED, t)) for t in range(8)]
+        assert [engine.select(s) for s in samples] == fraction_argmins(PAIRS, engine.sets, samples)
+        assert passes == []
+
+    @pytest.mark.parametrize("case", list(CLOSED_CASES))
+    def test_every_small_multiset_and_wide_draws_match_the_fraction_argmin(self, case):
+        make, closed = CLOSED_CASES[case]
+        members = make()
+        engine = pl.ScheffeEngine(members)
+        assert (engine._window is not None) == closed
+        atoms = sorted({a for p in members for a in p.support()}) + [99]
+        samples = [s for m in range(1, 5) for s in itertools.combinations_with_replacement(atoms, m)]
+        wide = [pl.draw(pl.uniform(atoms), 9, pl.RngStream(SEED, t)) for t in range(30)]
+        if closed:
+            # drawn rows past the closed form's n window atoms
+            window = {engine._atoms[c] for c in engine._window}
+            assert any(len(set(s) & window) > engine._top for s in wide)
+            # every atom outside the window is in no set, so it has one mass in
+            # every member, and so has the window
+            assert len(set(engine._probe.sum(axis=0).tolist())) == 1
+        expected = fraction_argmins(members, engine.sets, samples + wide)
+        assert [engine.select(s) for s in samples + wide] == expected
+        # a block of small multisets, then one with the wide rows too (which
+        # keeps the bound on a closed-form engine)
+        learner = scheffe(members)
+        assert select_counted(learner, samples[::7]) == [members[i] for i in expected[:len(samples)][::7]]
+        assert select_counted(learner, samples[1::7] + wide) \
+            == [members[i] for i in expected[:len(samples)][1::7] + expected[len(samples):]]
+
+
 # one engine per arithmetic width: with m <= 6, denom * m stays within int16,
 # int32 or int64, crosses from int64 to Python ints at m = 3, or the
 # denominator is past int64 from the start
@@ -336,6 +429,14 @@ def width_members(q):
     return ([pl.SparseDist({0: F(k, q), 1: F(q - 2 * k, q), 2: F(k, q)})
              for k in (1, 2, q // 3, q // 2 - 1)]
             + [pl.SparseDist({1: 1 - F(1, q), 2: F(1, q)})])
+
+
+def window_members(q):
+    """Six members on the pairs of atoms 1-4 with masses over q: every subset
+    of one or two of those atoms is a comparison set (the closed form)."""
+    pairs = itertools.combinations(range(1, 5), 2)
+    return [pl.SparseDist({a: F(k, q), b: 1 - F(k, q)})
+            for k, (a, b) in zip((1, 2, q // 3, q // 2 - 1, q // 4, 3), pairs)]
 
 
 def scheffe(members):
@@ -361,6 +462,53 @@ class TestSelectBlock:
             assert names == ["int64"] * 2 + ["object"] * 4
         else:
             assert names == [width] * 6
+
+    @pytest.mark.parametrize("width", WIDTH_DENOMS)
+    def test_closed_form_widths(self, width):
+        # the closed form computes twice the deviation, up to 2 * denom * m
+        engine = pl.ScheffeEngine(window_members(WIDTH_DENOMS[width]))
+        assert engine.denom == WIDTH_DENOMS[width]
+        assert (engine._window is None) == (width == "object")
+        dtypes = [learners._int_dtype(2 * engine.denom * m) for m in range(1, 7)]
+        names = ["object" if dtype is None else dtype.name for dtype in dtypes]
+        if width == "int64-to-object":
+            assert names == ["int64"] + ["object"] * 5
+        else:
+            assert names == [width] * 6
+
+    @pytest.mark.parametrize("bits", [15, 31])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_closed_form_width_boundaries_match_the_object_path(self, bits, m, monkeypatch):
+        # 2 * denom * m just below 2^bits computes in int16 (bits 15) or int32
+        # (bits 31), just above in the next width. m points on atom 4 reach the
+        # bound 2 * denom * m itself against the member on atoms 1 and 2.
+        for q, width in (((2 ** bits - 1) // (2 * m), (bits + 1) // 8),
+                         ((2 ** bits - 1) // (2 * m) + 1, (bits + 1) // 4)):
+            members = window_members(q)
+            samples = list(itertools.combinations_with_replacement(range(6), m))
+            engine, passes = counted_engine(members, monkeypatch)
+            assert engine.denom == q and engine._window is not None
+            assert learners._int_dtype(2 * q * m).itemsize == width
+            chosen = [engine.select(s) for s in samples]
+            assert passes == [] or m == 3  # three distinct atoms keep the generic path
+            with monkeypatch.context() as patched:
+                patched.setattr(learners, "_int_dtype", lambda bound: None)
+                on_objects = pl.ScheffeEngine(members)
+                assert chosen == [on_objects.select(s) for s in samples]
+            assert chosen == fraction_argmins(members, engine.sets, samples)
+
+    @settings(max_examples=40, deadline=None)
+    @given(width=st.sampled_from(list(WIDTH_DENOMS)),
+           block=st.lists(st.lists(st.sampled_from([0, 1, 2, 3, 4, 7]), min_size=1, max_size=6),
+                          min_size=1, max_size=40))
+    @example(width="int64-to-object", block=[[4], [4, 4], [1, 2, 3]])  # int64, then generic rows
+    def test_closed_form_block_equals_select_and_the_fraction_argmin(self, width, block):
+        members = window_members(WIDTH_DENOMS[width])
+        learner, fresh = scheffe(members), pl.ScheffeEngine(members)
+        samples = [tuple(s) for s in block]
+        chosen = select_counted(learner, samples)
+        assert chosen == [members[fresh.select(s)] for s in samples]
+        assert chosen == [members[i] for i in fraction_argmins(members, fresh.sets, samples)]
 
     @settings(max_examples=80, deadline=None)
     @given(width=st.sampled_from(list(WIDTH_DENOMS)),
@@ -744,6 +892,17 @@ class TestBaselinesAndLosses:
         fam = pl.labeled_anchored_family(F(1, 2), 2)
         for member in fam.members[:4]:
             assert pl.zero_one_excess(pl.bayes_labeler(member), member) == 0
+
+    def test_bayes_risk_is_remembered_per_target(self):
+        losses.bayes_risk.cache_clear()
+        fam = pl.labeled_anchored_family(F(1, 2), 2)
+        hypotheses = hypotheses_of_class(fam)
+        for member in fam.members[:4]:
+            for h in hypotheses:
+                assert pl.zero_one_excess(h, member) \
+                    == pl.zero_one_risk(h, member) - pl.zero_one_risk(pl.bayes_labeler(member), member)
+        info = losses.bayes_risk.cache_info()
+        assert (info.misses, info.maxsize) == (4, losses.BAYES_RISK_CACHE_SIZE)
 
     def test_h_zero_risk_at_most_level(self):
         # realizable plateau targets: the zero hypothesis misses only the
