@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BadDistribution, BadWeights, EmptySample, EmptySupport
+from .errors import BadDistribution, BadRange, BadWeights, EmptySample, EmptySupport
 from .rng import RngStream
 
 Atom = Union[int, tuple]
@@ -318,6 +318,8 @@ def draw_rows(p: SparseDist, m: int, seeds: Iterable[int]):
     2**-53, and a right searchsorted over cum[:-1] is choices' bisect."""
     if m < 0:
         raise BadDistribution("sample size must be >= 0")
+    if 64 * m > 2 ** 31 - 1:  # getrandbits takes its bit count as a C int
+        raise BadRange(f"sample size m={m} is past {(2 ** 31 - 1) // 64}, the most one draw takes")
     _, cum = _cumulative(p)
     gen = _random.Random()  # random.Random.seed calls this seed for an int
     reseed, bits = gen.seed, gen.getrandbits

@@ -79,7 +79,7 @@ class BadPrecondition(PaclabError):
 
 
 class BadRange(PaclabError):
-    """Markov conversion arguments outside [0,1) x [0,1]."""
+    """An argument outside its range: Markov conversion bounds, a sample size."""
 
 
 class EnumerationBudgetExceeded(PaclabError):

@@ -15,7 +15,7 @@ each chunk of drawn atom positions (`dist.draw_rows`) with one offset
 bincount, so Monte Carlo trials build no tuples. The Scheffé learner selects
 a call's rows with one memo pass and one batched pass over its distinct
 misses: a closed form on the window-structured engines of the anchored
-families, a bound and verify elsewhere. ERM on the classification task and
+families, one full pass per row elsewhere. ERM on the classification task and
 the empirical distribution read the counts directly, and the other
 exchangeable learners spell rows out for `run`. The union learner hands
 each constituent's run_block a chunk's first halves.
@@ -81,38 +81,28 @@ class ScheffeEngine:
     probability of each set. select() returns the index minimizing the
     maximum deviation between member and empirical set probabilities.
     `sets` lists the comparison sets as frozensets of atoms, built on
-    first read.
-
-    Bound and verify, on an integer engine: the probe sets are the
-    comparison sets of fewest atoms, and `_probe` holds their columns of
-    `_nums`, one row per set. A member's deviation on the probe sets,
-    LB, is at most its full deviation, since the probe sets are
-    comparison sets. Let i0 be the first member of least LB and UB
-    its full deviation, so the minimum deviation is at most UB. A member
-    attaining the minimum has LB <= UB, so the candidates {i : LB_i <= UB},
-    in index order, hold every minimizer, and the first candidate of least
-    full deviation is the lowest-index argmin. A lone candidate is i0
-    itself. Up to half the members, the candidates' rows are gathered
-    into the deviation buffer; past half, the whole matrix is evaluated.
+    first read. The full pass computes every member's deviation on every
+    set of a sample and takes the first member of least maximum.
 
     Closed form: when the comparison sets are every subset of 1..n atoms of
-    a window W, an integer engine of three or more members selects with no
-    upper row and no verification. At build, n is the largest set size and
-    the probe sets are W's singletons: the sets are distinct subsets of at
-    most n atoms of the atoms in any set, so a count of sum_{k<=n} C(|W|, k)
-    proves the structure once those atoms are W. For member i and the count
-    row c of an m-point sample let d_a = m * nums_ia - denom * c_a, a in W.
-    If (a) the member holds at most n atoms of W and (b) the row at most n
+    a window W, an integer engine of three or more members selects with a
+    members x W pass. At build, n is the largest set size and W the
+    singleton sets' atoms: the sets are distinct subsets of at most n atoms
+    of the atoms in any set, so a count of sum_{k<=n} C(|W|, k) proves the
+    structure once those atoms are W. For member i and the count row c of
+    an m-point sample let d_a = m * nums_ia - denom * c_a, a in W. If (a)
+    the member holds at most n atoms of W and (b) the row at most n
     distinct atoms of W, then d's positive and negative entries each form a
     comparison set or none, the member's deviation is max(sum d+, sum d-),
     and twice it is sum_a |d_a| + |sum_a d_a|. An atom outside W is in no
     set, so it has one mass in every member: the window mass, and so
     |sum_a d_a|, is the same for every member, and the choice is the first
     member of least sum_a |d_a|, one rows x W x members pass in the
-    deviation buffer. Condition (a) is checked at build, on `_probe`; a
-    call with a row that fails (b) keeps the bound. Twice a deviation is
-    at most 2 * denom * m, so this pass computes in the narrowest width
-    that holds that, and a call past int64 keeps the bound.
+    deviation buffer. Condition (a) is checked at build, on `_probe`, the
+    members' masses on W; a call with a row that fails (b) takes the full
+    pass. Twice a deviation is at most 2 * denom * m, so this pass computes
+    in the narrowest width that holds that, and a call past int64 takes the
+    full pass.
 
     Blocks: _select_counts, the one selection core, takes rows of atom
     counts over the engine's columns; ScheffeLearner.run_counts sums count
@@ -121,21 +111,20 @@ class ScheffeEngine:
     block's largest m (rows of different dtypes differ in length, so their
     keys never collide), in a dict cleared once it holds SELECT_MEMO_SIZE
     entries; a block reads its hits first, so a clear loses none of them.
-    The block's distinct misses are selected together, `_bound_rows` at a
-    time: at most sets / probe sets rows, so the rows x probe sets x members
-    bound or closed form fits the deviation buffer (24 rows on a 220 x 298
-    engine with 12 probe sets). Only the bounded rows that keep several
-    candidates are verified one at a time.
+    The block's distinct misses are selected together, as many rows per
+    pass as fit the deviation buffer: sets / |W| rows of the closed form
+    (24 rows on a 220 x 298 engine with a 12-atom window), one row of the
+    full pass.
 
     Widths: every entry of `_nums` is at most denom, and every deviation
     numerator |nums * m - denom * count| of an m-point sample at most
     denom * m. While denom < INT64_SAFE the engine is an integer engine:
     `_nums` and `_probe` are held in the narrowest of int16, int32 and int64
     that holds denom, and each select computes in the narrowest that holds
-    denom * m, so no step can overflow; past that, selection makes one full
-    pass per sample on Python ints (object dtype). The bound and the
-    deviations go into one buffer owned by the engine, widened only when a
-    call needs a wider dtype, so an engine must not be shared between threads.
+    denom * m, so no step can overflow; past int64 the full pass computes
+    on Python ints (object dtype). The deviations go into one buffer of
+    `_nums.size` entries owned by the engine, widened only when a call needs
+    a wider dtype, so an engine must not be shared between threads.
     """
 
     def __init__(self, members: MassTable | Sequence[SparseDist]):
@@ -162,32 +151,25 @@ class ScheffeEngine:
         incidence = np.frombuffer(b"".join(row.ljust(width, b"\0") for row in rows), dtype=bool)
         incidence = incidence.reshape(len(rows), width).T.astype(np.int64)
         self._incidence = incidence
-        dtype = _int_dtype(self.denom)  # None exactly when `mass` holds Python ints
-        self._nums = mass @ incidence if dtype is None else (mass @ incidence).astype(dtype)
-        # the probe block and the (lazily sized) deviation buffer, on an
-        # integer engine with sets (select() needs neither on an engine
-        # without sets)
-        self._probe = self._window = None
-        if dtype is not None and incidence.shape[1]:
-            self._dev = np.empty(0, dtype=np.int8)
+        dtype = _int_dtype(self.denom)  # object exactly when `mass` holds Python ints
+        self._nums = (mass @ incidence).astype(dtype)
+        self._dev = np.empty(0, dtype=np.int8)  # the deviation buffer, sized on first use
+        # the closed form (cheap tests first): the sets are distinct subsets
+        # of at most `top` atoms of the atoms in any set, so their count
+        # proves they are all of them once those atoms are the singletons'
+        # (as they are when every set is one). The union builds a two-member
+        # engine per sample and selects once with it, so the test would cost
+        # it more than it saves.
+        self._window = None
+        if dtype != object and len(mass) > 2 and incidence.shape[1]:
             sizes = incidence.sum(axis=0)
-            least, top = min(size_list := sizes.tolist()), max(size_list)
-            self._probe_sets = np.flatnonzero(sizes == least)
-            self._probe = self._nums[:, self._probe_sets].T.copy()
-            self._bound_rows = incidence.shape[1] // len(self._probe_sets)
-            # the closed form (cheap tests first): the sets are distinct
-            # subsets of at most `top` atoms of the atoms in any set, so their
-            # count proves they are all of them once those atoms are the
-            # singletons' (as they are when every set is one). The union
-            # builds a two-member engine per sample and selects once with
-            # it, so the test would cost it more than it saves.
-            singles = len(self._probe_sets)
-            if (least == 1 and len(mass) > 2
-                    and len(sizes) == sum(math.comb(singles, k) for k in range(1, top + 1))
-                    and (top == 1 or np.count_nonzero(incidence.any(axis=1)) == singles)
-                    and (self._probe != 0).sum(axis=0).max() <= top):
-                self._window = incidence[:, self._probe_sets].argmax(axis=0)  # in probe order
-                self._top = top
+            singles, top = np.flatnonzero(sizes == 1), int(sizes.max())
+            probe = self._nums[:, singles].T
+            if (len(sizes) == sum(math.comb(len(singles), k) for k in range(1, top + 1))
+                    and (top == 1 or np.count_nonzero(incidence.any(axis=1)) == len(singles))
+                    and (probe != 0).sum(axis=0).max() <= top):
+                self._window = incidence[:, singles].argmax(axis=0)  # in set order
+                self._probe, self._top = probe.copy(), top
         self._memo: dict = {}  # atom-count bytes -> selected index
 
     @cached_property
@@ -232,23 +214,21 @@ class ScheffeEngine:
         # deviation numerators over common denominator denom*m:
         #   |prob_num * m - denom * count|, each at most denom*m. Every
         #   multiply names its dtype: under NEP 50 a narrow array times a
-        #   Python int stays narrow.
-        dtype = _int_dtype(self.denom * max(ms))
-        if self._probe is None or dtype is None:
-            nums = self._nums.astype(object, copy=False)
-            cnt = (counts[:, :-1] @ self._incidence).astype(object)
-            return [_first_least_max_row(nums * m, self.denom * row) for m, row in zip(ms, cnt)]
-        # a call with a row of more than `_top` distinct window atoms keeps
-        # the bound: samples drawn from members never have one
-        if (self._window is None or (wide := _int_dtype(2 * self.denom * max(ms))) is None
-                or ((counts[:, self._window] != 0).sum(axis=1) > self._top).any()):
-            return self._in_steps(self._bound_and_verify, counts, ms, dtype)
-        return self._in_steps(self._closed_form, counts, ms, wide)
+        #   Python int stays narrow. A row of more than `_top` distinct
+        #   window atoms takes the full pass: samples drawn from members
+        #   never have one.
+        wide = _int_dtype(2 * self.denom * max(ms))
+        if (self._window is not None and wide != object
+                and ((counts[:, self._window] != 0).sum(axis=1) <= self._top).all()):
+            return self._in_steps(self._closed_form, counts, ms, wide, self._probe.size)
+        return self._in_steps(self._full_pass, counts, ms, _int_dtype(self.denom * max(ms)),
+                              self._nums.size)
 
-    def _in_steps(self, argmins, counts: np.ndarray, ms: Sequence, dtype: np.dtype) -> list:
-        """argmins() on `_bound_rows` rows at a time: its rows x probe sets x
-        members block then fits the deviation buffer."""
-        step = self._bound_rows
+    def _in_steps(self, argmins, counts: np.ndarray, ms: Sequence, dtype: np.dtype,
+                  block: int) -> list:
+        """argmins() on as many rows at a time as blocks of `block` entries
+        per row fit the deviation buffer."""
+        step = self._nums.size // block
         return [best for lo in range(0, len(ms), step)
                 for best in argmins(counts[lo:lo + step], ms[lo:lo + step], dtype)]
 
@@ -262,64 +242,41 @@ class ScheffeEngine:
         dev -= np.multiply(counts[:, self._window, None], self.denom, dtype=dtype)
         return np.abs(dev, out=dev).sum(axis=1, dtype=dtype).argmin(axis=1).tolist()
 
-    def _bound_and_verify(self, counts: np.ndarray, ms: Sequence, dtype: np.dtype) -> list:
-        """_argmins on rows that keep the generic path, computing in `dtype`."""
-        nums = self._nums
-        scaled = np.multiply(counts[:, :-1] @ self._incidence, self.denom, dtype=dtype)
+    def _full_pass(self, counts: np.ndarray, ms: Sequence, dtype: np.dtype) -> list:
+        """_argmins on any rows, computing in `dtype`, which holds denom * m:
+        every member's deviation on every comparison set, and the first
+        member of least maximum deviation."""
         ms = np.array(ms, dtype=dtype)
-        lower = np.multiply(self._probe, ms[:, None, None], dtype=dtype,
-                            out=self._buffer((len(ms), *self._probe.shape), dtype))
-        lower -= scaled[:, self._probe_sets, None]
-        lower = np.abs(lower, out=lower).max(axis=1)
-        first = lower.argmin(axis=1)
-        upper = np.multiply(nums[first], ms[:, None], dtype=dtype)
-        upper -= scaled
-        alive = lower <= np.abs(upper, out=upper).max(axis=1, keepdims=True)
-        chosen = first.tolist()  # right wherever first is the lone candidate
-        for r, alive_count in enumerate(alive.sum(axis=1).tolist()):
-            if alive_count == 1:
-                continue
-            candidates = np.flatnonzero(alive[r])
-            if 2 * len(candidates) <= len(nums):
-                dev = np.multiply(nums[candidates], ms[r], dtype=dtype,
-                                  out=self._buffer((len(candidates), nums.shape[1]), dtype))
-                chosen[r] = int(candidates[_first_least_max_row(dev, scaled[r])])
-            else:
-                dev = np.multiply(nums, ms[r], dtype=dtype, out=self._buffer(nums.shape, dtype))
-                chosen[r] = _first_least_max_row(dev, scaled[r])
-        return chosen
+        dev = np.multiply(self._nums, ms[:, None, None], dtype=dtype,
+                          out=self._buffer((len(ms), *self._nums.shape), dtype))
+        dev -= np.multiply(counts[:, None, :-1] @ self._incidence, self.denom, dtype=dtype)
+        return np.abs(dev, out=dev).max(axis=2).argmin(axis=1).tolist()
 
     def _buffer(self, shape: tuple, dtype: np.dtype) -> np.ndarray:
         """The deviation buffer's first bytes as a `shape` array of `dtype`;
         numpy refuses a shape larger than the buffer. The buffer is
         reallocated only for a dtype wider than its own; a narrower one
-        views its bytes."""
+        views its bytes. Python ints (object dtype) get a fresh array, since
+        numpy views no bytes as objects."""
+        if dtype == object:
+            return np.empty(shape, dtype)
         if self._dev.itemsize < dtype.itemsize:
             self._dev = np.empty(self._nums.size, dtype=dtype)
         return np.ndarray(shape, dtype, self._dev)
 
 
-# (largest bound, dtype), narrowest first; int64 stops below INT64_SAFE
+# (largest bound, dtype), narrowest first; int64 stops below INT64_SAFE, and
+# Python ints (object) hold the rest
 _INT_WIDTHS = ((np.iinfo(np.int16).max, np.dtype(np.int16)),
                (np.iinfo(np.int32).max, np.dtype(np.int32)),
-               (INT64_SAFE - 1, np.dtype(np.int64)))
+               (INT64_SAFE - 1, np.dtype(np.int64)),
+               (math.inf, np.dtype(object)))
 
 
-def _int_dtype(bound: int) -> Optional[np.dtype]:
+def _int_dtype(bound: int) -> np.dtype:
     """The narrowest of int16, int32 and int64 that holds every integer of
-    absolute value at most `bound`; None once bound >= INT64_SAFE."""
-    for top, dtype in _INT_WIDTHS:
-        if bound <= top:
-            return dtype
-    return None
-
-
-def _first_least_max_row(dev: np.ndarray, scaled: np.ndarray) -> int:
-    """Lowest index of the row of |dev - scaled| whose maximum is least;
-    overwrites `dev`."""
-    dev -= scaled
-    np.abs(dev, out=dev)
-    return int(dev.max(axis=1).argmin())
+    absolute value at most `bound`; object (Python ints) once bound >= INT64_SAFE."""
+    return next(dtype for top, dtype in _INT_WIDTHS if bound <= top)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +345,8 @@ class ScheffeLearner(Learner):
     exchangeable = True
 
     def __init__(self, cls: FiniteClass):
+        if cls.task != TASK_DISTRIBUTION:
+            raise MixedTasks("hypothesis classes take the ERM learner")
         if len(cls) == 0:
             raise EmptyClass("empty candidate class")
         self.cls = cls

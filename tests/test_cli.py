@@ -768,6 +768,31 @@ def test_negative_m_in_exact_oracle_is_config_error(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_sample_size_past_one_draw_is_config_error(tmp_path, capsys):
+    # 64 * m random bits per sample must fit getrandbits' C int
+    cfg = write_cfg(tmp_path, {"kind": "learn", "seed": 5,
+                               "class": {"family": "anchored", "eta": "1/2", "n": 4},
+                               "learner": {"kind": "scheffe"}, "target_index": 0,
+                               "m": 2 ** 70, "trials": 3})
+    assert run_cli(["learn", "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: BadRange: sample size m=") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "learn", "class": {"family": "labeled", "eta": "1/2", "n": 2},
+     "target_index": 0, "m": 4, "trials": 5, "learner": {"kind": "scheffe"}},
+    {"kind": "nfl-mc", "instance": {"task": "classification", "eta": "1/2", "n": 2},
+     "m": 2, "trials": 5, "learner": {"kind": "scheffe"}},
+    {"kind": "nfl-exact", "instance": {"task": "real", **REAL_ABSOLUTE},
+     "m": 2, "learners": [{"kind": "scheffe"}]},
+], ids=["learn-labeled", "nfl-mc-classification", "nfl-exact-real"])
+def test_scheffe_on_a_hypothesis_class_is_config_error(tmp_path, capsys, cfg):
+    path = write_cfg(tmp_path, {**cfg, "seed": 5})
+    assert run_cli([cfg["kind"], "--config", path, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: MixedTasks: hypothesis classes take the ERM learner\n"
+
+
 def test_multi_point_curve_with_k(tmp_path):
     cfg = write_cfg(tmp_path, {
         "kind": "sample-complexity", "seed": 6,

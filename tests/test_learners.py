@@ -153,7 +153,7 @@ class TestScheffe:
             assert engine.denom == q and learners._int_dtype(q * m).itemsize == width
             chosen = [engine.select(s) for s in samples]
             with monkeypatch.context() as patched:
-                patched.setattr(learners, "_int_dtype", lambda bound: None)
+                patched.setattr(learners, "_int_dtype", lambda bound: np.dtype(object))
                 on_objects = pl.ScheffeEngine(fam)
                 assert chosen == [on_objects.select(s) for s in samples]
             assert chosen == [fraction_argmin(fam, engine.sets, s) for s in samples]
@@ -253,77 +253,77 @@ class TestScheffe:
                     assert pl.tv(fam.members[chosen], target) <= 3 * opt + 4 * gap
 
 
+def counted_passes(monkeypatch, path="_full_pass"):
+    """A list that gets the row count of each `path` pass (`_full_pass` or
+    `_closed_form`) any engine's selections make."""
+    passes, run = [], getattr(pl.ScheffeEngine, path)
+
+    def counted(self, counts, ms, dtype):
+        passes.append(len(ms))
+        return run(self, counts, ms, dtype)
+
+    monkeypatch.setattr(pl.ScheffeEngine, path, counted)
+    return passes
+
+
 def counted_engine(members, monkeypatch):
-    """An engine, and a list that gets the row count of each full deviation
-    pass select() makes."""
-    engine = pl.ScheffeEngine(members)
-    passes = []
-    full_pass = learners._first_least_max_row
-
-    def counted(dev, scaled):
-        passes.append(len(dev))
-        return full_pass(dev, scaled)
-
-    monkeypatch.setattr(learners, "_first_least_max_row", counted)
-    return engine, passes
+    """An engine, and a list that gets the row count of each full pass its
+    selections make."""
+    return pl.ScheffeEngine(members), counted_passes(monkeypatch)
 
 
-# 28 members x 36 comparison sets; the 8 singletons are the probe sets
+# 28 members x 36 comparison sets; the 8 singletons are the window
 PAIRS = pl.anchored_family(F(1, 2), 8, size_filter=2).members
 
 
 def block_members():
     """Anchored members uniform on two of five blocks {2b-1, 2b}: every
-    comparison set is a union of blocks, so the probe sets hold two atoms."""
+    comparison set is a union of blocks, so no set is a singleton."""
     blocks = [(2 * b - 1, 2 * b) for b in range(1, 6)]
     return [mix_anchor(F(1, 2), [*blocks[i], *blocks[j]])
             for i, j in itertools.combinations(range(5), 2)]
 
 
-class TestBoundAndVerify:
-    """select() bounds every member on the probe sets, then evaluates in
-    full only the members the bound cannot rule out; each path returns the
+def distinct(samples):
+    """The number of distinct multisets among the samples."""
+    return len({tuple(sorted(s)) for s in samples})
+
+
+class TestFullPass:
+    """select() evaluates every member on every comparison set, one row per
+    pass, wherever the closed form does not apply, and returns the
     lowest-index argmin. PAIRS rows of at most two distinct window atoms take
     the closed form (TestClosedForm), so these run on rows and classes that
-    keep this generic path."""
+    keep the full pass."""
 
-    def test_large_sample_leaves_one_candidate(self, monkeypatch):
+    def test_block_members_take_a_pass_per_distinct_sample(self, monkeypatch):
         members = block_members()
         engine, passes = counted_engine(members, monkeypatch)
         assert engine._window is None
-        for t in range(8):
-            s = pl.draw(members[5 * t % len(members)], 48, pl.RngStream(SEED, t))
+        samples = [pl.draw(members[5 * t % len(members)], m, pl.RngStream(SEED, t))
+                   for m in (3, 48) for t in range(8)]
+        for s in samples:
             assert engine.select(s) == fraction_argmin(members, engine.sets, s)
-        assert passes == []  # the bound left the first member of least bound alone
+        assert passes == [1] * distinct(samples)
 
-    def test_small_samples_tie_and_pass_the_whole_matrix(self, monkeypatch):
+    def test_rows_of_three_window_atoms_take_the_full_pass(self, monkeypatch):
         engine, passes = counted_engine(PAIRS, monkeypatch)
         # three distinct window atoms: past the closed form's two
         samples = [s for s in itertools.combinations_with_replacement(range(9), 3)
                    if len(set(s) - {0}) == 3]
         for s in samples:
             assert engine.select(s) == fraction_argmin(PAIRS, engine.sets, s)
-        assert len(PAIRS) in passes
+        assert passes == [1] * len(samples)
 
-    def test_few_candidates_gather_their_rows(self, monkeypatch):
+    def test_comparison_sets_of_two_atoms(self, monkeypatch):
         members = block_members()
         engine, passes = counted_engine(members, monkeypatch)
-        for t in range(8):
-            s = pl.draw(members[5 * t % len(members)], 3, pl.RngStream(SEED, t))
-            assert engine.select(s) == fraction_argmin(members, engine.sets, s)
-        assert any(1 < rows <= len(members) // 2 for rows in passes)
-
-    def test_probe_sets_of_two_atoms(self, monkeypatch):
-        members = block_members()
-        engine, passes = counted_engine(members, monkeypatch)
-        assert {len(engine.sets[k]) for k in engine._probe_sets} == {2}
+        assert engine._window is None and {len(s) for s in engine.sets} == {2, 4}
         samples = [s for m in (1, 2) for s in itertools.combinations_with_replacement(range(11), m)]
         samples += [pl.draw(members[t], 24, pl.RngStream(SEED, t)) for t in range(10)]
         for s in samples:
             assert engine.select(s) == fraction_argmin(members, engine.sets, s)
-        # every path ran: a lone candidate, a few gathered rows, the whole matrix
-        assert len(passes) < len(samples)
-        assert len(members) in passes and any(1 < rows <= len(members) // 2 for rows in passes)
+        assert passes == [1] * distinct(samples)
 
     def test_one_member_class(self, monkeypatch):
         engine, passes = counted_engine([pl.uniform([1, 2])], monkeypatch)
@@ -377,14 +377,15 @@ class TestClosedForm:
     window W, and whose members each hold at most n atoms of W, rows of at
     most n distinct window atoms select by twice the deviation,
     sum_a |d_a| + |sum_a d_a| over a in W, with no full pass. Every other
-    call and class keeps the bound; either way the choice is the lowest-index
-    argmin."""
+    call and class takes the full pass; either way the choice is the
+    lowest-index argmin."""
 
     def test_pairs_select_with_no_full_pass(self, monkeypatch):
         engine, passes = counted_engine(PAIRS, monkeypatch)
-        assert {engine.sets[k] for k in engine._probe_sets} == {frozenset({a}) for a in range(1, 9)}
+        singletons = [s for s in engine.sets if len(s) == 1]
+        assert set(singletons) == {frozenset({a}) for a in range(1, 9)}
         assert [engine._atoms[c] for c in engine._window] \
-            == [next(iter(engine.sets[k])) for k in engine._probe_sets]  # in probe order
+            == [next(iter(s)) for s in singletons]  # in set order
         samples = [s for m in range(1, 4) for s in itertools.combinations_with_replacement(range(10), m)
                    if len(set(s) & set(range(1, 9))) <= 2]
         samples += [pl.draw(PAIRS[5 * t % len(PAIRS)], 48, pl.RngStream(SEED, t)) for t in range(8)]
@@ -410,11 +411,39 @@ class TestClosedForm:
         expected = fraction_argmins(members, engine.sets, samples + wide)
         assert [engine.select(s) for s in samples + wide] == expected
         # a block of small multisets, then one with the wide rows too (which
-        # keeps the bound on a closed-form engine)
+        # takes the full pass on a closed-form engine)
         learner = scheffe(members)
         assert select_counted(learner, samples[::7]) == [members[i] for i in expected[:len(samples)][::7]]
         assert select_counted(learner, samples[1::7] + wide) \
             == [members[i] for i in expected[:len(samples)][1::7] + expected[len(samples):]]
+
+
+class TestSelectionTraffic:
+    """Which pass the lab's own runs select with: every multiset of the exact
+    oracle on the window-structured instance takes the closed form, and the
+    truncated staged class and the union's two-member engines the full
+    pass. A change that moves a benchmark-shaped run off the closed form
+    fails here."""
+
+    def test_exact_oracle_rows_take_the_closed_form(self, monkeypatch):
+        inst = pl.nfl_distribution_instance(F(1, 2), 3)
+        closed, full = counted_passes(monkeypatch, "_closed_form"), counted_passes(monkeypatch)
+        pl.nfl_exact(inst, [pl.ScheffeLearner(inst.family)], 3)
+        assert sum(closed) == math.comb(13 + 3 - 1, 3) == 455 and full == []
+
+    def test_truncation_and_union_engines_take_the_full_pass(self, monkeypatch):
+        # the class and sample size of the shipped learn_truncation config
+        staged = pl.StagedClass("distribution", pl.SequenceSpec(pl.Reciprocal(F(8)), pl.IdentityN()))
+        learner = pl.TruncationLearner(staged, 8)
+        assert (len(learner.engine.members), len(learner.engine.sets)) == (27, 16)
+        closed, full = counted_passes(monkeypatch, "_closed_form"), counted_passes(monkeypatch)
+        list(learner.run_draws(learner.cls.members[26], 18, range(50)))
+        assert closed == [] and full and set(full) == {1}
+        fam = pl.anchored_family(F(1, 2), 8, size_filter=2)
+        union = pl.UnionLearner([pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution")])
+        full.clear()
+        list(union.run_draws(fam.members[3], 8, range(20)))  # its Scheffé constituent: closed form
+        assert full and set(full) == {1}
 
 
 # one engine per arithmetic width: with m <= 6, denom * m stays within int16,
@@ -457,7 +486,7 @@ class TestSelectBlock:
     def test_widths(self, width):
         engine = pl.ScheffeEngine(width_members(WIDTH_DENOMS[width]))
         dtypes = [learners._int_dtype(engine.denom * m) for m in range(1, 7)]
-        names = ["object" if dtype is None else dtype.name for dtype in dtypes]
+        names = [dtype.name for dtype in dtypes]
         if width == "int64-to-object":
             assert names == ["int64"] * 2 + ["object"] * 4
         else:
@@ -470,7 +499,7 @@ class TestSelectBlock:
         assert engine.denom == WIDTH_DENOMS[width]
         assert (engine._window is None) == (width == "object")
         dtypes = [learners._int_dtype(2 * engine.denom * m) for m in range(1, 7)]
-        names = ["object" if dtype is None else dtype.name for dtype in dtypes]
+        names = [dtype.name for dtype in dtypes]
         if width == "int64-to-object":
             assert names == ["int64"] + ["object"] * 5
         else:
@@ -490,9 +519,9 @@ class TestSelectBlock:
             assert engine.denom == q and engine._window is not None
             assert learners._int_dtype(2 * q * m).itemsize == width
             chosen = [engine.select(s) for s in samples]
-            assert passes == [] or m == 3  # three distinct atoms keep the generic path
+            assert passes == [] or m == 3  # three distinct atoms take the full pass
             with monkeypatch.context() as patched:
-                patched.setattr(learners, "_int_dtype", lambda bound: None)
+                patched.setattr(learners, "_int_dtype", lambda bound: np.dtype(object))
                 on_objects = pl.ScheffeEngine(members)
                 assert chosen == [on_objects.select(s) for s in samples]
             assert chosen == fraction_argmins(members, engine.sets, samples)
@@ -538,16 +567,18 @@ class TestSelectBlock:
         assert engine.select((0, 1, 1)) == 2
         assert engine.select((0,) * 513) == 0
 
-    def test_mixed_sample_sizes_and_bound_passes(self):
-        # blocks of up to 40 samples of 1-48 points on the 28 x 36 engine:
-        # several bound passes of _bound_rows rows each
+    def test_mixed_sample_sizes_over_several_passes(self, monkeypatch):
+        # a block of 45 samples of 1-49 points on the 28 x 36 engine with an
+        # 8-atom window: closed-form passes of 36 // 8 = 4 rows each
         learner = scheffe(PAIRS)
-        assert learner.engine._bound_rows < 40
+        passes = counted_passes(monkeypatch, "_closed_form")
         samples = [pl.draw(PAIRS[t % len(PAIRS)], 1 + 47 * (t % 2) + t % 5, pl.RngStream(SEED, t))
                    for t in range(40)]
         samples += [s + (40,) for s in samples[:5]]
         assert select_counted(learner, samples) \
             == [PAIRS[fraction_argmin(PAIRS, learner.engine.sets, s)] for s in samples]
+        rows = distinct(samples)
+        assert passes == [4] * (rows // 4) + [rows % 4] * (rows % 4 > 0)
 
     def test_engine_without_comparison_sets(self):
         members = [pl.uniform([1, 2]), pl.uniform([1, 2])]
