@@ -321,7 +321,9 @@ def draw_rows(p: SparseDist, m: int, seeds: Iterable[int]):
     if 64 * m > 2 ** 31 - 1:  # getrandbits takes its bit count as a C int
         raise BadRange(f"sample size m={m} is past {(2 ** 31 - 1) // 64}, the most one draw takes")
     _, cum = _cumulative(p)
-    gen = _random.Random()  # random.Random.seed calls this seed for an int
+    # seeded with 0, not from os.urandom: each draw reseeds it below, as
+    # random.Random.seed does for an int
+    gen = _random.Random(0)
     reseed, bits = gen.seed, gen.getrandbits
     per_pass = max(1, min(SELECT_CHUNK, DRAW_POINTS // max(m, 1)))
     seeds = iter(seeds)

@@ -15,10 +15,11 @@ each chunk of drawn atom positions (`dist.draw_rows`) with one offset
 bincount, so Monte Carlo trials build no tuples. The Scheffé learner selects
 a call's rows with one memo pass and one batched pass over its distinct
 misses: a closed form on the window-structured engines of the anchored
-families, one full pass per row elsewhere. ERM on the classification task and
-the empirical distribution read the counts directly, and the other
-exchangeable learners spell rows out for `run`. The union learner hands
-each constituent's run_block a chunk's first halves.
+families, which the engine recognises from the mass table alone and which
+enumerate no comparison set, and one full pass per row elsewhere. ERM on the
+classification task and the empirical distribution read the counts directly,
+and the other exchangeable learners spell rows out for `run`. The union
+learner hands each constituent's run_block a chunk's first halves.
 """
 
 from __future__ import annotations
@@ -80,29 +81,31 @@ class ScheffeEngine:
     set counts, and `_nums = mass @ incidence` holds each member's exact
     probability of each set. select() returns the index minimizing the
     maximum deviation between member and empirical set probabilities.
-    `sets` lists the comparison sets as frozensets of atoms, built on
-    first read. The full pass computes every member's deviation on every
-    set of a sample and takes the first member of least maximum.
+    The full pass computes every member's deviation on every set of a
+    sample and takes the first member of least maximum. The sets, as
+    `_incidence`, `_nums` and the frozensets of `sets`, are enumerated on
+    first read: by the first full pass, or by a caller.
 
-    Closed form: when the comparison sets are every subset of 1..n atoms of
-    a window W, an integer engine of three or more members selects with a
-    members x W pass. At build, n is the largest set size and W the
-    singleton sets' atoms: the sets are distinct subsets of at most n atoms
-    of the atoms in any set, so a count of sum_{k<=n} C(|W|, k) proves the
-    structure once those atoms are W. For member i and the count row c of
-    an m-point sample let d_a = m * nums_ia - denom * c_a, a in W. If (a)
-    the member holds at most n atoms of W and (b) the row at most n
-    distinct atoms of W, then d's positive and negative entries each form a
-    comparison set or none, the member's deviation is max(sum d+, sum d-),
-    and twice it is sum_a |d_a| + |sum_a d_a|. An atom outside W is in no
-    set, so it has one mass in every member: the window mass, and so
-    |sum_a d_a|, is the same for every member, and the choice is the first
-    member of least sum_a |d_a|, one rows x W x members pass in the
-    deviation buffer. Condition (a) is checked at build, on `_probe`, the
-    members' masses on W; a call with a row that fails (b) takes the full
-    pass. Twice a deviation is at most 2 * denom * m, so this pass computes
-    in the narrowest width that holds that, and a call past int64 takes the
-    full pass.
+    Closed form: the window W (`_varying`) is the set of columns that vary
+    across members. An atom of one mass in every member is in no comparison
+    set, so the engine has none exactly when W is empty. At build, the
+    mass table alone tells whether an integer engine of three or more
+    members is window-structured: every member holds exactly n atoms of W,
+    every nonzero mass on W is one value, the members' supports on W are
+    all C(|W|, n) distinct n-subsets, and |W| >= 2n. The comparison set of
+    p against q is then p's support on W minus q's, and these range over
+    every subset of 1..n atoms of W. For member i and the count row c of
+    an m-point sample let d_a = m * mass_ia - denom * c_a, a in W. Since
+    (a) the member holds at most n atoms of W, if (b) the row holds at
+    most n distinct atoms of W, then d's positive and negative entries
+    each form a comparison set or none, the member's deviation is
+    max(sum d+, sum d-), and twice it is sum_a |d_a| + |sum_a d_a|. The
+    window mass, and so |sum_a d_a|, is the same for every member, and the
+    choice is the first member of least sum_a |d_a|, one rows x W x members
+    pass over `_probe`, the members' masses on W, with no set enumerated.
+    A call with a row that fails (b) takes the full pass. Twice a deviation
+    is at most 2 * denom * m, so this pass computes in the narrowest width
+    that holds that, and a call past int64 takes the full pass.
 
     Blocks: _select_counts, the one selection core, takes rows of atom
     counts over the engine's columns; ScheffeLearner.run_counts sums count
@@ -111,10 +114,8 @@ class ScheffeEngine:
     block's largest m (rows of different dtypes differ in length, so their
     keys never collide), in a dict cleared once it holds SELECT_MEMO_SIZE
     entries; a block reads its hits first, so a clear loses none of them.
-    The block's distinct misses are selected together, as many rows per
-    pass as fit the deviation buffer: sets / |W| rows of the closed form
-    (24 rows on a 220 x 298 engine with a 12-atom window), one row of the
-    full pass.
+    The block's distinct misses are selected together: SELECT_CHUNK rows
+    per pass of the closed form, one row per full pass.
 
     Widths: every entry of `_nums` is at most denom, and every deviation
     numerator |nums * m - denom * count| of an m-point sample at most
@@ -122,9 +123,9 @@ class ScheffeEngine:
     `_nums` and `_probe` are held in the narrowest of int16, int32 and int64
     that holds denom, and each select computes in the narrowest that holds
     denom * m, so no step can overflow; past int64 the full pass computes
-    on Python ints (object dtype). The deviations go into one buffer of
-    `_nums.size` entries owned by the engine, widened only when a call needs
-    a wider dtype, so an engine must not be shared between threads.
+    on Python ints (object dtype). The deviations go into one byte buffer
+    owned by the engine, grown only when a pass needs more bytes, so an
+    engine must not be shared between threads.
     """
 
     def __init__(self, members: MassTable | Sequence[SparseDist]):
@@ -136,41 +137,45 @@ class ScheffeEngine:
         self.denom = table.denom
         self._column = table.column
         self._atoms = table.atoms
-        mass = table.mass
+        self._mass = mass = table.mass
+        self._dev = np.empty(0, dtype=np.uint8)  # the deviation buffer, grown on use
+        self._memo: dict = {}  # atom-count bytes -> selected index
+        self._varying = window = np.flatnonzero((mass != mass[0]).any(axis=0))  # W
+        # the closed form, cheap tests first. The union builds a two-member
+        # engine per sample and selects once with it, so it is not tested.
+        self._window = None
+        dtype = _int_dtype(self.denom)  # object exactly when `mass` holds Python ints
+        if dtype != object and len(mass) > 2:
+            probe = mass[:, window].T.astype(dtype, order="C")
+            held = probe != 0
+            sizes = held.sum(axis=0)  # each member's atoms in W
+            top, values = int(sizes[0]), probe[held]
+            if ((sizes == top).all() and 2 * top <= len(window)
+                    and len(mass) == math.comb(len(window), top) and (values == values[0]).all()
+                    and len(set(_row_bytes(held.T))) == len(mass)):
+                self._window, self._probe, self._top = window, probe, top
 
+    @cached_property
+    def _incidence(self) -> np.ndarray:
+        """The atom x comparison-set incidence matrix (int64), sets in
+        first-seen (i, j) order."""
         # p(a) > q(a) only inside p's support, so row j of `row > mass` is
         # yatracos_set(p, members[j]). Each member's rows become bytes in one
         # call, and dict.fromkeys keeps the distinct ones in first-seen
-        # (i, j) order. The bytes drop trailing zero (False) bytes, so the
-        # empty set is b"".
+        # (i, j) order.
+        mass = self._mass
         width = mass.shape[1]
         rows: dict = {}  # row bytes, in first-seen (i, j) order
         for row in mass:
-            rows.update(dict.fromkeys((row > mass).view(f"S{width}").ravel().tolist()))
+            rows.update(dict.fromkeys(_row_bytes(row > mass)))
         rows.pop(b"", None)
         incidence = np.frombuffer(b"".join(row.ljust(width, b"\0") for row in rows), dtype=bool)
-        incidence = incidence.reshape(len(rows), width).T.astype(np.int64)
-        self._incidence = incidence
-        dtype = _int_dtype(self.denom)  # object exactly when `mass` holds Python ints
-        self._nums = (mass @ incidence).astype(dtype)
-        self._dev = np.empty(0, dtype=np.int8)  # the deviation buffer, sized on first use
-        # the closed form (cheap tests first): the sets are distinct subsets
-        # of at most `top` atoms of the atoms in any set, so their count
-        # proves they are all of them once those atoms are the singletons'
-        # (as they are when every set is one). The union builds a two-member
-        # engine per sample and selects once with it, so the test would cost
-        # it more than it saves.
-        self._window = None
-        if dtype != object and len(mass) > 2 and incidence.shape[1]:
-            sizes = incidence.sum(axis=0)
-            singles, top = np.flatnonzero(sizes == 1), int(sizes.max())
-            probe = self._nums[:, singles].T
-            if (len(sizes) == sum(math.comb(len(singles), k) for k in range(1, top + 1))
-                    and (top == 1 or np.count_nonzero(incidence.any(axis=1)) == len(singles))
-                    and (probe != 0).sum(axis=0).max() <= top):
-                self._window = incidence[:, singles].argmax(axis=0)  # in set order
-                self._probe, self._top = probe.copy(), top
-        self._memo: dict = {}  # atom-count bytes -> selected index
+        return incidence.reshape(len(rows), width).T.astype(np.int64)
+
+    @cached_property
+    def _nums(self) -> np.ndarray:
+        """Each member's probability of each comparison set, over denom."""
+        return (self._mass @ self._incidence).astype(_int_dtype(self.denom))
 
     @cached_property
     def sets(self) -> list:
@@ -191,7 +196,7 @@ class ScheffeEngine:
         and the distinct misses are selected together (`_argmins`)."""
         if not all(ms):
             raise EmptySample("minimum-distance selection needs a sample")
-        if not self._incidence.shape[1] or not ms:
+        if not self._varying.size or not ms:  # no comparison sets, or no rows
             return [0] * len(ms)
         dtype = np.min_scalar_type(max(ms))  # the narrowest unsigned dtype that holds m
         keys = counts.astype(dtype).view(f"V{counts.shape[1] * dtype.itemsize}").ravel().tolist()
@@ -220,15 +225,12 @@ class ScheffeEngine:
         wide = _int_dtype(2 * self.denom * max(ms))
         if (self._window is not None and wide != object
                 and ((counts[:, self._window] != 0).sum(axis=1) <= self._top).all()):
-            return self._in_steps(self._closed_form, counts, ms, wide, self._probe.size)
-        return self._in_steps(self._full_pass, counts, ms, _int_dtype(self.denom * max(ms)),
-                              self._nums.size)
+            return self._in_steps(self._closed_form, counts, ms, wide, SELECT_CHUNK)
+        return self._in_steps(self._full_pass, counts, ms, _int_dtype(self.denom * max(ms)), 1)
 
-    def _in_steps(self, argmins, counts: np.ndarray, ms: Sequence, dtype: np.dtype,
-                  block: int) -> list:
-        """argmins() on as many rows at a time as blocks of `block` entries
-        per row fit the deviation buffer."""
-        step = self._nums.size // block
+    @staticmethod
+    def _in_steps(argmins, counts: np.ndarray, ms: Sequence, dtype: np.dtype, step: int) -> list:
+        """argmins() on `step` rows at a time."""
         return [best for lo in range(0, len(ms), step)
                 for best in argmins(counts[lo:lo + step], ms[lo:lo + step], dtype)]
 
@@ -238,7 +240,8 @@ class ScheffeEngine:
         sum_a |d_a| over the window."""
         ms = np.array(ms, dtype=dtype)
         dev = np.multiply(self._probe, ms[:, None, None], dtype=dtype,
-                          out=self._buffer((len(ms), *self._probe.shape), dtype))
+                          out=self._buffer((len(ms), *self._probe.shape), dtype,
+                                           SELECT_CHUNK * self._probe.size))
         dev -= np.multiply(counts[:, self._window, None], self.denom, dtype=dtype)
         return np.abs(dev, out=dev).sum(axis=1, dtype=dtype).argmin(axis=1).tolist()
 
@@ -248,21 +251,27 @@ class ScheffeEngine:
         member of least maximum deviation."""
         ms = np.array(ms, dtype=dtype)
         dev = np.multiply(self._nums, ms[:, None, None], dtype=dtype,
-                          out=self._buffer((len(ms), *self._nums.shape), dtype))
+                          out=self._buffer((len(ms), *self._nums.shape), dtype, self._nums.size))
         dev -= np.multiply(counts[:, None, :-1] @ self._incidence, self.denom, dtype=dtype)
         return np.abs(dev, out=dev).max(axis=2).argmin(axis=1).tolist()
 
-    def _buffer(self, shape: tuple, dtype: np.dtype) -> np.ndarray:
+    def _buffer(self, shape: tuple, dtype: np.dtype, entries: int) -> np.ndarray:
         """The deviation buffer's first bytes as a `shape` array of `dtype`;
-        numpy refuses a shape larger than the buffer. The buffer is
-        reallocated only for a dtype wider than its own; a narrower one
-        views its bytes. Python ints (object dtype) get a fresh array, since
-        numpy views no bytes as objects."""
+        a pass holds at most `entries` entries, and the buffer is reallocated
+        to that many only when it holds fewer bytes. Python ints (object
+        dtype) get a fresh array, since numpy views no bytes as objects."""
         if dtype == object:
             return np.empty(shape, dtype)
-        if self._dev.itemsize < dtype.itemsize:
-            self._dev = np.empty(self._nums.size, dtype=dtype)
+        if self._dev.size < entries * dtype.itemsize:
+            self._dev = np.empty(entries * dtype.itemsize, dtype=np.uint8)
         return np.ndarray(shape, dtype, self._dev)
+
+
+def _row_bytes(rows: np.ndarray) -> list:
+    """Each row of a boolean matrix as bytes, trailing zero (False) bytes
+    dropped: distinct rows give distinct bytes, and an all-False row b""."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"S{rows.shape[1]}").ravel().tolist()
 
 
 # (largest bound, dtype), narrowest first; int64 stops below INT64_SAFE, and

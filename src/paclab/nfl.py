@@ -727,22 +727,22 @@ def _guarantee(cls: FiniteClass, target: SparseDist, eps: Fraction,
     return agnostic_factor * opt + eps
 
 
-def _level_failures(cls, learner, bars, m, trials, rng, max_fail, verdicts) -> Optional[int]:
+def _level_failures(cls, learner, bars, m, trials, rng, max_fail, verdicts) -> dict:
     """Run one grid level against the guarantee `bars[i]` of each tested
-    target i; the worst failure count over targets, or None as soon as a
-    target fails more than `max_fail` times and so cannot certify.
+    target i, in the order of `bars`: each tested target's failure count,
+    in that order. The level stops at the first target that fails more than
+    `max_fail` times and so cannot certify; that target comes last.
     `verdicts` is the search's memo of whether an output fails a target."""
-    worst = 0
+    counts = {}
     for i, bar in bars.items():
-        failures = 0
+        counts[i] = 0
         for failed in _trial_outcomes(cls, learner, m, trials, rng, (m,), i,
                                       bar.__lt__, verdicts):  # err > bar
             if failed:
-                failures += 1
-                if failures > max_fail:
-                    return None
-        worst = max(worst, failures)
-    return worst
+                counts[i] += 1
+                if counts[i] > max_fail:
+                    return counts
+    return counts
 
 
 def _no_level_certified(eps, delta, m_max: int, last_failed: int) -> SearchBoundExceeded:
@@ -802,9 +802,24 @@ def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
     bars = {i: _guarantee(cls, cls.members[i], eps, learner.agnostic_factor)
             for i in targets}
     verdicts = {} if learner.finite_outputs else None
+    # verdicts and selections are pure, so the order targets are tested in
+    # changes no result, only how soon a failing level stops: a level that
+    # fails moves the target that failed it to the front, and one that
+    # passes orders the targets by their failures at it, most first, stably
+    order = list(targets)
 
     def failures_at(m):
-        return _level_failures(cls, learner, bars, m, trials, rng, max_fail, verdicts)
+        """The worst failure count over targets at level m, or None if a
+        target fails more than max_fail times."""
+        counts = _level_failures(cls, learner, {i: bars[i] for i in order}, m, trials, rng,
+                                 max_fail, verdicts)
+        worst, last = max(counts.values()), next(reversed(counts))
+        if worst > max_fail:
+            order.remove(last)
+            order.insert(0, last)
+            return None
+        order.sort(key=counts.__getitem__, reverse=True)
+        return worst
 
     # lo: the last level that failed, or the one just below the first level
     lo = m_start - 1

@@ -11,16 +11,31 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _MIX_START = 0x243F6A8885A308D3
+_GAMMA, _MUL1, _MUL2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def _splitmix64(x: int) -> int:
     # Standard SplitMix64 finalizer; good avalanche for seed derivation.
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x = (x + _GAMMA) & _MASK64
+    x = ((x ^ (x >> 30)) * _MUL1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MUL2) & _MASK64
     return (x ^ (x >> 31)) & _MASK64
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """_splitmix64 on each entry of a uint64 array, in place: uint64
+    arithmetic wraps mod 2^64, as the masks do."""
+    x += np.uint64(_GAMMA)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MUL1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MUL2)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def mix(*parts: int) -> int:
@@ -57,7 +72,9 @@ class RngStream:
     def child_seeds(self, *prefix: int, count: int) -> list:
         """[self.child(*prefix, t).seed for t in range(count)], with no
         stream built: mix folds its parts left to right, so the master seed
-        and the shared (stream index, *prefix) are each folded once."""
-        master = mix(self.master_seed)
-        index = mix(self.stream_index, *prefix)
-        return [_splitmix64(master ^ _splitmix64(index ^ t)) for t in range(count)]
+        and the shared (stream index, *prefix) are each folded once, and the
+        two rounds per trial run as one uint64 pass each."""
+        index = np.uint64(mix(self.stream_index, *prefix))
+        seeds = _splitmix64_array(np.arange(count, dtype=np.uint64) ^ index)
+        seeds ^= np.uint64(mix(self.master_seed))
+        return _splitmix64_array(seeds).tolist()

@@ -5,6 +5,7 @@ fails here instead."""
 import importlib
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,12 @@ def test_engine_tally_and_select_key_read_the_current_engine():
     assert count_sets((engine, engine.members), None) == len(engine.sets) == 2
     sample = pl.draw(pl.uniform([0, 1]), 4, pl.RngStream(3, 0))
     assert probe("learners.select").key(engine, sample) == tuple(sorted(sample))
+
+
+def test_engine_tally_reads_the_sets_a_closed_form_engine_never_enumerates():
+    # the 220-member engine of the exact workload selects in closed form,
+    # so the sets are enumerated only when the tally reads them
+    table = pl.nfl_distribution_instance(Fraction(1, 2), 3).family.mass_table()
+    engine = pl.ScheffeEngine(table)
+    assert engine._window is not None and "_incidence" not in engine.__dict__
+    assert probe("learners.engine_init").tally[1]((engine, table), None) == 298

@@ -148,6 +148,15 @@ class TestDrawBlocks:
             assert seeds == [r.child(*prefix, t).seed for t in range(count)]
             assert all(type(seed) is int for seed in seeds)
 
+    @settings(max_examples=60, deadline=None)
+    @given(master=st.integers(-(2 ** 70), 2 ** 70), index=st.integers(-(2 ** 70), 2 ** 70),
+           prefix=st.lists(st.integers(-(2 ** 70), 2 ** 70), max_size=3),
+           count=st.integers(0, 200))
+    def test_child_seeds_equal_child_seeds_one_at_a_time(self, master, index, prefix, count):
+        r = pl.RngStream(master, index)
+        expected = [r.child(*prefix, t).seed for t in range(count)]
+        assert r.child_seeds(*prefix, count=count) == expected
+
     @pytest.mark.parametrize("m", [0, 1, 2, 17])
     @pytest.mark.parametrize("p", [
         pl.delta(3),

@@ -347,11 +347,11 @@ def fraction_argmins(members, sets, samples):
     return chosen
 
 
-# classes whose comparison sets are every subset of 1..n atoms of a window,
-# with supports of at most n window atoms (the closed form), and classes the
-# detection rejects: sets of two-atom blocks, a window narrower than 2n
-# (singleton sets, supports of n > 1 atoms), unfiltered, and two-member
-# engines like the union's, which it does not test
+# classes whose members put one mass on each of every n-subset of a window
+# of at least 2n atoms (the closed form), and classes the table test
+# rejects: sets of two-atom blocks, a window narrower than 2n, unfiltered,
+# unequal masses on the window, a repeated support, and two-member engines
+# like the union's, which it does not test
 CLOSED_CASES = {
     "anchored(1/2, 4, filter 2)": (lambda: pl.anchored_family(F(1, 2), 4, size_filter=2).members, True),
     "anchored(1/3, 5, filter 2)": (lambda: pl.anchored_family(F(1, 3), 5, size_filter=2).members, True),
@@ -369,6 +369,10 @@ CLOSED_CASES = {
     # singleton atoms, but atom 1 is in a set and no singleton
     "a set past the singletons": (lambda: [pl.delta(3), pl.uniform([2, 3]),
                                            pl.SparseDist({1: F(1, 3), 2: F(2, 3)})], False),
+    "window_members(31)": (lambda: window_members(31), False),
+    # as many members as pairs of atoms 1-4, but pair {1, 2} twice and {3, 4} never
+    "a support twice": (lambda: [mix_anchor(F(1, 2), [a, b]) for a, b in
+                                 ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (1, 2))], False),
 }
 
 
@@ -382,15 +386,36 @@ class TestClosedForm:
 
     def test_pairs_select_with_no_full_pass(self, monkeypatch):
         engine, passes = counted_engine(PAIRS, monkeypatch)
-        singletons = [s for s in engine.sets if len(s) == 1]
-        assert set(singletons) == {frozenset({a}) for a in range(1, 9)}
-        assert [engine._atoms[c] for c in engine._window] \
-            == [next(iter(s)) for s in singletons]  # in set order
+        assert [engine._atoms[c] for c in engine._window] == list(range(1, 9))  # in column order
         samples = [s for m in range(1, 4) for s in itertools.combinations_with_replacement(range(10), m)
                    if len(set(s) & set(range(1, 9))) <= 2]
         samples += [pl.draw(PAIRS[5 * t % len(PAIRS)], 48, pl.RngStream(SEED, t)) for t in range(8)]
-        assert [engine.select(s) for s in samples] == fraction_argmins(PAIRS, engine.sets, samples)
-        assert passes == []
+        chosen = [engine.select(s) for s in samples]
+        assert passes == [] and "_incidence" not in engine.__dict__  # no set enumerated
+        singletons = [s for s in engine.sets if len(s) == 1]
+        assert set(singletons) == {frozenset({a}) for a in range(1, 9)}
+        assert chosen == fraction_argmins(PAIRS, engine.sets, samples)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 3), extra=st.integers(0, 2),
+           eta=st.sampled_from([F(1), F(1, 2), F(2, 7)]), data=st.data())
+    def test_the_table_test_accepts_exactly_every_window_subset_as_sets(self, n, extra, eta, data):
+        # eta on each n-subset of a window of at least 2n atoms, 1 - eta on atom 0
+        window = list(range(1, max(3, 2 * n + extra) + 1))
+        members = data.draw(st.permutations([mix_anchor(eta, list(a))
+                                             for a in itertools.combinations(window, n)]))
+        engine = pl.ScheffeEngine(members)
+        assert engine._window is not None and engine._top == n
+        assert [engine._atoms[c] for c in engine._window] == window
+        assert "_incidence" not in engine.__dict__
+        subsets = {frozenset(s) for k in range(1, n + 1) for s in itertools.combinations(window, k)}
+        assert len(engine.sets) == len(subsets) and set(engine.sets) == subsets
+        # one member short of every n-subset: rejected, unless n = 1, where
+        # the dropped member's atom leaves the window and the rest are a
+        # window class of their own once three or more
+        rest = list(members)
+        del rest[data.draw(st.integers(0, len(rest) - 1))]
+        assert (pl.ScheffeEngine(rest)._window is not None) == (n == 1 and len(rest) >= 3)
 
     @pytest.mark.parametrize("case", list(CLOSED_CASES))
     def test_every_small_multiset_and_wide_draws_match_the_fraction_argmin(self, case):
@@ -428,17 +453,35 @@ class TestSelectionTraffic:
     def test_exact_oracle_rows_take_the_closed_form(self, monkeypatch):
         inst = pl.nfl_distribution_instance(F(1, 2), 3)
         closed, full = counted_passes(monkeypatch, "_closed_form"), counted_passes(monkeypatch)
-        pl.nfl_exact(inst, [pl.ScheffeLearner(inst.family)], 3)
+        learner = pl.ScheffeLearner(inst.family)
+        pl.nfl_exact(inst, [learner], 3)
         assert sum(closed) == math.comb(13 + 3 - 1, 3) == 455 and full == []
+        assert "_incidence" not in learner.engine.__dict__  # no set enumerated
+
+    def test_spot_check_enumerates_no_set(self, monkeypatch):
+        # the search workload's spot check, on fewer trials and targets
+        engines, init = [], pl.ScheffeEngine.__init__
+
+        def recorded(self, members):
+            init(self, members)
+            engines.append(self)
+
+        monkeypatch.setattr(pl.ScheffeEngine, "__init__", recorded)
+        closed, full = counted_passes(monkeypatch, "_closed_form"), counted_passes(monkeypatch)
+        pl.synthesize(pl.FunctionTable.from_values([1, 4, 9]), pl.RngStream(1), spot_check_k=2,
+                      trials=30, targets_cap=4)
+        assert [len(engine.members) for engine in engines] == [220]
+        assert closed and full == [] and "_incidence" not in engines[0].__dict__
 
     def test_truncation_and_union_engines_take_the_full_pass(self, monkeypatch):
         # the class and sample size of the shipped learn_truncation config
         staged = pl.StagedClass("distribution", pl.SequenceSpec(pl.Reciprocal(F(8)), pl.IdentityN()))
         learner = pl.TruncationLearner(staged, 8)
-        assert (len(learner.engine.members), len(learner.engine.sets)) == (27, 16)
+        assert "_incidence" not in learner.engine.__dict__  # enumerated at the first select
         closed, full = counted_passes(monkeypatch, "_closed_form"), counted_passes(monkeypatch)
         list(learner.run_draws(learner.cls.members[26], 18, range(50)))
         assert closed == [] and full and set(full) == {1}
+        assert (len(learner.engine.members), learner.engine._incidence.shape[1]) == (27, 16)
         fam = pl.anchored_family(F(1, 2), 8, size_filter=2)
         union = pl.UnionLearner([pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution")])
         full.clear()
@@ -461,11 +504,19 @@ def width_members(q):
 
 
 def window_members(q):
-    """Six members on the pairs of atoms 1-4 with masses over q: every subset
-    of one or two of those atoms is a comparison set (the closed form)."""
+    """Six members on the pairs of atoms 1-4 with unequal masses over q:
+    every subset of one or two of those atoms is a comparison set, but the
+    table test rejects the class, so it takes the full pass."""
     pairs = itertools.combinations(range(1, 5), 2)
     return [pl.SparseDist({a: F(k, q), b: 1 - F(k, q)})
             for k, (a, b) in zip((1, 2, q // 3, q // 2 - 1, q // 4, 3), pairs)]
+
+
+def uniform_window_members(q):
+    """(1 - 2/q) delta(0) + (2/q) Uniform(A) for the six pairs A of atoms
+    1-4, with denominator q: a window class (the closed form)."""
+    return [pl.SparseDist({0: 1 - F(2, q), a: F(1, q), b: F(1, q)})
+            for a, b in itertools.combinations(range(1, 5), 2)]
 
 
 def scheffe(members):
@@ -495,7 +546,7 @@ class TestSelectBlock:
     @pytest.mark.parametrize("width", WIDTH_DENOMS)
     def test_closed_form_widths(self, width):
         # the closed form computes twice the deviation, up to 2 * denom * m
-        engine = pl.ScheffeEngine(window_members(WIDTH_DENOMS[width]))
+        engine = pl.ScheffeEngine(uniform_window_members(WIDTH_DENOMS[width]))
         assert engine.denom == WIDTH_DENOMS[width]
         assert (engine._window is None) == (width == "object")
         dtypes = [learners._int_dtype(2 * engine.denom * m) for m in range(1, 7)]
@@ -513,7 +564,7 @@ class TestSelectBlock:
         # bound 2 * denom * m itself against the member on atoms 1 and 2.
         for q, width in (((2 ** bits - 1) // (2 * m), (bits + 1) // 8),
                          ((2 ** bits - 1) // (2 * m) + 1, (bits + 1) // 4)):
-            members = window_members(q)
+            members = uniform_window_members(q)
             samples = list(itertools.combinations_with_replacement(range(6), m))
             engine, passes = counted_engine(members, monkeypatch)
             assert engine.denom == q and engine._window is not None
@@ -532,7 +583,7 @@ class TestSelectBlock:
                           min_size=1, max_size=40))
     @example(width="int64-to-object", block=[[4], [4, 4], [1, 2, 3]])  # int64, then generic rows
     def test_closed_form_block_equals_select_and_the_fraction_argmin(self, width, block):
-        members = window_members(WIDTH_DENOMS[width])
+        members = uniform_window_members(WIDTH_DENOMS[width])
         learner, fresh = scheffe(members), pl.ScheffeEngine(members)
         samples = [tuple(s) for s in block]
         chosen = select_counted(learner, samples)
@@ -568,8 +619,8 @@ class TestSelectBlock:
         assert engine.select((0,) * 513) == 0
 
     def test_mixed_sample_sizes_over_several_passes(self, monkeypatch):
-        # a block of 45 samples of 1-49 points on the 28 x 36 engine with an
-        # 8-atom window: closed-form passes of 36 // 8 = 4 rows each
+        # a block of 45 samples of 1-49 points on the 28-member engine with
+        # an 8-atom window: closed-form passes of SELECT_CHUNK = 32 rows each
         learner = scheffe(PAIRS)
         passes = counted_passes(monkeypatch, "_closed_form")
         samples = [pl.draw(PAIRS[t % len(PAIRS)], 1 + 47 * (t % 2) + t % 5, pl.RngStream(SEED, t))
@@ -578,7 +629,7 @@ class TestSelectBlock:
         assert select_counted(learner, samples) \
             == [PAIRS[fraction_argmin(PAIRS, learner.engine.sets, s)] for s in samples]
         rows = distinct(samples)
-        assert passes == [4] * (rows // 4) + [rows % 4] * (rows % 4 > 0)
+        assert rows > SELECT_CHUNK and passes == [SELECT_CHUNK, rows - SELECT_CHUNK]
 
     def test_engine_without_comparison_sets(self):
         members = [pl.uniform([1, 2]), pl.uniform([1, 2])]

@@ -809,9 +809,9 @@ class TestTrialBlocks:
         learner = pl.ConstantLearner(fam[5], "distribution")
         read, yielded = counted_counts(learner), counted_draws(learner)
         max_fail = 3
-        worst = nfl._level_failures(fam, learner, {0: F(0)}, 4, 40, pl.RngStream(SEED, 6),
-                                    max_fail, {})
-        assert worst is None
+        counts = nfl._level_failures(fam, learner, {0: F(0)}, 4, 40, pl.RngStream(SEED, 6),
+                                     max_fail, {})
+        assert counts == {0: max_fail + 1}
         # the level took max_fail + 1 outputs, all from the first chunk's count rows
         assert len(yielded) == max_fail + 1
         assert len(read) == SELECT_CHUNK
@@ -821,9 +821,10 @@ class TestTrialBlocks:
         fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
         learner = pl.ConstantLearner(fam[5], "distribution")
         err, rng = pl.task_loss(fam, fam[5], fam[0]), pl.RngStream(SEED, 6)
-        for bar, worst in ((err, 0), (err - F(1, 10 ** 9), None)):
+        for bar, failures in ((err, 0), (err - F(1, 10 ** 9), 4)):
             verdicts = {} if memo else None  # one memo per search, whose bars are fixed
-            assert nfl._level_failures(fam, learner, {0: bar}, 4, 10, rng, 3, verdicts) == worst
+            assert nfl._level_failures(fam, learner, {0: bar}, 4, 10, rng, 3, verdicts) \
+                == {0: failures}
 
     def test_failing_scheffe_level_draws_at_most_one_chunk_past_the_stop(self):
         fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
@@ -832,9 +833,9 @@ class TestTrialBlocks:
         learner = pl.ScheffeLearner(pl.FiniteClass("distribution", list(fam.members)[1:]))
         read = counted_counts(learner)
         max_fail = 3
-        worst = nfl._level_failures(fam, learner, {0: F(0)}, 4, 100, pl.RngStream(SEED, 6),
-                                    max_fail, {})
-        assert worst is None
+        counts = nfl._level_failures(fam, learner, {0: F(0)}, 4, 100, pl.RngStream(SEED, 6),
+                                     max_fail, {})
+        assert counts == {0: max_fail + 1}
         # the trial that failed max_fail + 1 times ended the first chunk's selections
         assert len(read) == SELECT_CHUNK
         assert len(read) <= max_fail + 1 + SELECT_CHUNK - 1
@@ -1002,6 +1003,39 @@ class TestEstimateSampleComplexity:
 
         monkeypatch.setattr(nfl, "_level_failures", recorded)
         return tried
+
+    def test_search_tests_the_worst_target_first(self, monkeypatch):
+        # the search workload's spot check at seed 1 (anchored(1, 12, filter
+        # 3), 16 targets): the order targets are tested in ends failing
+        # levels sooner and leaves the point as it is
+        ran, trial_outcomes = [0], nfl._trial_outcomes
+        levels, level_failures = [], nfl._level_failures
+
+        def counted(*args):
+            for failed in trial_outcomes(*args):
+                ran[0] += 1
+                yield failed
+
+        def recorded(cls, learner, bars, *args):
+            counts = level_failures(cls, learner, bars, *args)
+            levels.append((list(bars), counts))
+            return counts
+
+        monkeypatch.setattr(nfl, "_trial_outcomes", counted)
+        monkeypatch.setattr(nfl, "_level_failures", recorded)
+        rep = pl.synthesize(pl.FunctionTable.from_values([1, 4, 9, 16, 25]), pl.RngStream(1, 0),
+                            spot_check_k=2, trials=120, targets_cap=16, m_max=256)
+        point = rep.spot_check["point"]
+        assert (point["m_hat"], point["worst_failures"], point["targets_tested"]) == (11, 9, 16)
+        assert ran[0] == 5967  # 6,714 in the sampled targets' index order
+        max_fail = nfl.max_certifiable_failures(120, 1 / 7)
+        assert levels[0][0] == sorted(levels[0][0])
+        for (order, counts), (after, _) in zip(levels, levels[1:]):
+            last = list(counts)[-1]
+            if counts[last] > max_fail:  # moved to the front
+                assert after == [last] + [i for i in order if i != last]
+            else:  # most failures first, ties in the order before
+                assert after == sorted(order, key=counts.__getitem__, reverse=True)
 
     def test_search_stays_at_or_above_m_min(self, monkeypatch):
         tried = self.levels_tried(monkeypatch)
