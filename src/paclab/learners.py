@@ -12,14 +12,14 @@ order. Every block an `exchangeable` learner takes arrives as count rows
 through `Learner.run_counts`: `run_block` counts a block of tuples
 SELECT_CHUNK samples at a time (`dist.count_rows`), and `run_draws` counts
 each chunk of drawn atom positions (`dist.draw_rows`) with one offset
-bincount, so Monte Carlo trials build no tuples. The Scheffé learner selects
-a call's rows with one memo pass and one batched pass over its distinct
-misses: a closed form on the window-structured engines of the anchored
-families, which the engine recognises from the mass table alone and which
-enumerate no comparison set, and one full pass per row elsewhere. ERM on the
-classification task and the empirical distribution read the counts directly,
-and the other exchangeable learners spell rows out for `run`. The union
-learner hands each constituent's run_block a chunk's first halves.
+bincount, so Monte Carlo trials build no tuples. On the window-structured
+engines of the anchored families, which the engine recognises from the mass
+table alone, the Scheffé learner selects a row of at most n window atoms by
+the support rule, with no memo and no comparison set; any other row takes a
+memo and one full pass per distinct miss. Classification ERM and the
+empirical baselines read the counts directly, and real-task ERM spells rows
+out for `run`. The union learner hands each constituent's run_block a
+chunk's first halves.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .dist import (INT64_SAFE, SELECT_CHUNK, MassTable, SparseDist, count_rows, 
                    empirical_dist)
 from .errors import EmptyClass, EmptySample, MixedTasks, SampleTooSmall
 from .families import (
-    ALL_ZERO_REAL,
     BinaryHypothesis,
     DEFAULT_MEMBER_BUDGET,
     FiniteClass,
@@ -86,46 +85,45 @@ class ScheffeEngine:
     `_incidence`, `_nums` and the frozensets of `sets`, are enumerated on
     first read: by the first full pass, or by a caller.
 
-    Closed form: the window W (`_varying`) is the set of columns that vary
-    across members. An atom of one mass in every member is in no comparison
-    set, so the engine has none exactly when W is empty. At build, the
-    mass table alone tells whether an integer engine of three or more
-    members is window-structured: every member holds exactly n atoms of W,
-    every nonzero mass on W is one value, the members' supports on W are
-    all C(|W|, n) distinct n-subsets, and |W| >= 2n. The comparison set of
-    p against q is then p's support on W minus q's, and these range over
-    every subset of 1..n atoms of W. For member i and the count row c of
-    an m-point sample let d_a = m * mass_ia - denom * c_a, a in W. Since
-    (a) the member holds at most n atoms of W, if (b) the row holds at
-    most n distinct atoms of W, then d's positive and negative entries
-    each form a comparison set or none, the member's deviation is
-    max(sum d+, sum d-), and twice it is sum_a |d_a| + |sum_a d_a|. The
-    window mass, and so |sum_a d_a|, is the same for every member, and the
-    choice is the first member of least sum_a |d_a|, one rows x W x members
-    pass over `_probe`, the members' masses on W, with no set enumerated.
-    A call with a row that fails (b) takes the full pass. Twice a deviation
-    is at most 2 * denom * m, so this pass computes in the narrowest width
-    that holds that, and a call past int64 takes the full pass.
+    Support rule: the window W (`_varying`) is the set of columns that
+    vary across members. An atom of one mass in every member is in no
+    comparison set, so the engine has none exactly when W is empty. At
+    build, the mass table alone tells whether an engine of three or more
+    members is window-structured: every member holds exactly n atoms of
+    W, every nonzero mass on W is one value mu, there are C(|W|, n)
+    members, |W| >= 2n, and the members' colex ranks sum_i C(c_i, i), c_1
+    < ... < c_n their positions in W, are 0, 1, ... in order, as the
+    anchored families rank them. The comparison sets are then every subset
+    of 1..n atoms of W, and a count row c of an m-point sample with at
+    most n distinct atoms of W selects the first member of least
+    sum_a |m * mass_ia - denom * c_a| over a in W. Swapping a seen atom a
+    out of a member's set for an unseen one raises that sum by
+    m * mu + denom * c_a - |m * mu - denom * c_a| > 0, so every minimiser
+    holds every seen atom; every unseen atom adds m * mu, so those tie,
+    and the first fills its set with the unseen atoms of lowest position.
+    The rule reads no count value, m or denominator: a few whole-block
+    passes over the rows' seen window atoms, and a gather from `_binom`,
+    C(position, slot). A row of more window atoms takes the full pass.
 
     Blocks: _select_counts, the one selection core, takes rows of atom
     counts over the engine's columns; ScheffeLearner.run_counts sums count
-    rows into them, and select() is one bincount. A choice is memoised by the
-    bytes of the count row in the narrowest unsigned dtype that holds the
-    block's largest m (rows of different dtypes differ in length, so their
-    keys never collide), in a dict cleared once it holds SELECT_MEMO_SIZE
-    entries; a block reads its hits first, so a clear loses none of them.
-    The block's distinct misses are selected together: SELECT_CHUNK rows
-    per pass of the closed form, one row per full pass.
+    rows into them, and select() is one bincount. A full-pass choice is
+    memoised by the bytes of the count row in the narrowest unsigned dtype
+    that holds the largest m among the rows taking it (rows of different
+    dtypes differ in length, so their keys never collide), in a dict
+    cleared once it holds SELECT_MEMO_SIZE entries; a block reads its hits
+    first, so a clear loses none of them. Each distinct miss takes one full
+    pass.
 
     Widths: every entry of `_nums` is at most denom, and every deviation
     numerator |nums * m - denom * count| of an m-point sample at most
-    denom * m. While denom < INT64_SAFE the engine is an integer engine:
-    `_nums` and `_probe` are held in the narrowest of int16, int32 and int64
-    that holds denom, and each select computes in the narrowest that holds
-    denom * m, so no step can overflow; past int64 the full pass computes
-    on Python ints (object dtype). The deviations go into one byte buffer
-    owned by the engine, grown only when a pass needs more bytes, so an
-    engine must not be shared between threads.
+    denom * m. While denom < INT64_SAFE `_nums` is held in the narrowest
+    of int16, int32 and int64 that holds denom, and each full pass
+    computes in the narrowest that holds denom * m, so no step can
+    overflow; past int64 it computes on Python ints (object dtype). The
+    deviations go into one byte buffer owned by the engine, grown only
+    when a pass needs more bytes, so an engine must not be shared between
+    threads.
     """
 
     def __init__(self, members: MassTable | Sequence[SparseDist]):
@@ -141,19 +139,23 @@ class ScheffeEngine:
         self._dev = np.empty(0, dtype=np.uint8)  # the deviation buffer, grown on use
         self._memo: dict = {}  # atom-count bytes -> selected index
         self._varying = window = np.flatnonzero((mass != mass[0]).any(axis=0))  # W
-        # the closed form, cheap tests first. The union builds a two-member
+        # the support rule, cheap tests first. The union builds a two-member
         # engine per sample and selects once with it, so it is not tested.
         self._window = None
-        dtype = _int_dtype(self.denom)  # object exactly when `mass` holds Python ints
-        if dtype != object and len(mass) > 2:
-            probe = mass[:, window].T.astype(dtype, order="C")
-            held = probe != 0
-            sizes = held.sum(axis=0)  # each member's atoms in W
-            top, values = int(sizes[0]), probe[held]
+        if len(mass) > 2:
+            on_window = mass[:, window]
+            held = on_window != 0
+            sizes = held.sum(axis=1)  # each member's atoms in W
+            top = int(sizes[0])
             if ((sizes == top).all() and 2 * top <= len(window)
-                    and len(mass) == math.comb(len(window), top) and (values == values[0]).all()
-                    and len(set(_row_bytes(held.T))) == len(mass)):
-                self._window, self._probe, self._top = window, probe, top
+                    and len(mass) == math.comb(len(window), top)
+                    and ((on_window == on_window.max()) == held).all()):  # one mass mu on W
+                # C(position, slot) for slots 1..n, and 0 at every other slot
+                binom = np.zeros((len(window), len(window) + 1), dtype=np.int64)
+                for slot in range(1, top + 1):
+                    binom[:, slot] = [math.comb(pos, slot) for pos in range(len(window))]
+                if (_colex_ranks(held, binom) == np.arange(len(mass))).all():
+                    self._window, self._top, self._binom = window, top, binom
 
     @cached_property
     def _incidence(self) -> np.ndarray:
@@ -166,8 +168,8 @@ class ScheffeEngine:
         mass = self._mass
         width = mass.shape[1]
         rows: dict = {}  # row bytes, in first-seen (i, j) order
-        for row in mass:
-            rows.update(dict.fromkeys(_row_bytes(row > mass)))
+        for row in mass:  # as bytes, trailing zero (False) bytes dropped
+            rows.update(dict.fromkeys((row > mass).view(f"S{width}").ravel().tolist()))
         rows.pop(b"", None)
         incidence = np.frombuffer(b"".join(row.ljust(width, b"\0") for row in rows), dtype=bool)
         return incidence.reshape(len(rows), width).T.astype(np.int64)
@@ -192,12 +194,29 @@ class ScheffeEngine:
     def _select_counts(self, counts: np.ndarray, ms: list) -> list:
         """The selection for each row of `counts`, a sample's count of each atom
         column plus, last, of the atoms outside every member's support; row r
-        counts ms[r] points. Each row is looked up in the memo by its bytes,
-        and the distinct misses are selected together (`_argmins`)."""
+        counts ms[r] points. On a window-structured engine a row of at most n
+        distinct window atoms takes the support rule; every other row is
+        looked up in the memo (`_memoised`)."""
         if not all(ms):
             raise EmptySample("minimum-distance selection needs a sample")
         if not self._varying.size or not ms:  # no comparison sets, or no rows
             return [0] * len(ms)
+        if self._window is None:
+            return self._memoised(counts, ms)
+        seen = counts[:, self._window] != 0
+        pad = self._top - seen.sum(axis=1)  # the unseen window atoms each choice holds
+        taken = seen | (np.cumsum(~seen, axis=1) <= pad[:, None])
+        chosen = _colex_ranks(taken, self._binom).tolist()
+        if pad.min() < 0:  # rows of more than n window atoms
+            rows = np.flatnonzero(pad < 0).tolist()
+            for r, best in zip(rows, self._memoised(counts[rows], [ms[r] for r in rows])):
+                chosen[r] = best
+        return chosen
+
+    def _memoised(self, counts: np.ndarray, ms: list) -> list:
+        """The full pass's selection for each row, as _select_counts takes
+        them: each row is looked up in the memo by its bytes, and each
+        distinct miss takes one full pass."""
         dtype = np.min_scalar_type(max(ms))  # the narrowest unsigned dtype that holds m
         keys = counts.astype(dtype).view(f"V{counts.shape[1] * dtype.itemsize}").ravel().tolist()
         memo = self._memo
@@ -205,73 +224,43 @@ class ScheffeEngine:
         misses = {key: r for r, (key, best) in enumerate(zip(keys, chosen)) if best is None}
         if not misses:
             return chosen
-        rows = list(misses.values())
-        found = dict(zip(misses, self._argmins(counts[rows], [ms[r] for r in rows])))
+        wide = _int_dtype(self.denom * max(ms[r] for r in misses.values()))
+        found = {key: self._full_pass(counts[r], ms[r], wide) for key, r in misses.items()}
         for key, best in found.items():
             if len(memo) >= SELECT_MEMO_SIZE:
                 memo.clear()
             memo[key] = best
         return [found[key] if best is None else best for key, best in zip(keys, chosen)]
 
-    def _argmins(self, counts: np.ndarray, ms: list) -> list:
-        """The selection for each row of atom counts, as _select_counts
-        takes them, of an ms[r]-point sample."""
-        # deviation numerators over common denominator denom*m:
-        #   |prob_num * m - denom * count|, each at most denom*m. Every
-        #   multiply names its dtype: under NEP 50 a narrow array times a
-        #   Python int stays narrow. A row of more than `_top` distinct
-        #   window atoms takes the full pass: samples drawn from members
-        #   never have one.
-        wide = _int_dtype(2 * self.denom * max(ms))
-        if (self._window is not None and wide != object
-                and ((counts[:, self._window] != 0).sum(axis=1) <= self._top).all()):
-            return self._in_steps(self._closed_form, counts, ms, wide, SELECT_CHUNK)
-        return self._in_steps(self._full_pass, counts, ms, _int_dtype(self.denom * max(ms)), 1)
+    def _full_pass(self, counts: np.ndarray, m: int, dtype: np.dtype) -> int:
+        """The selection for one row of atom counts of an m-point sample,
+        computing in `dtype`, which holds denom * m: every member's deviation
+        on every comparison set, and the first member of least maximum."""
+        # deviation numerators |prob_num * m - denom * count| over denom * m,
+        # each at most denom * m. Every multiply names its dtype: under NEP 50
+        # a narrow array times a Python int stays narrow.
+        dev = np.multiply(self._nums, m, dtype=dtype, out=self._buffer(dtype))
+        dev -= np.multiply(counts[:-1] @ self._incidence, self.denom, dtype=dtype)
+        return int(np.abs(dev, out=dev).max(axis=1).argmin())
 
-    @staticmethod
-    def _in_steps(argmins, counts: np.ndarray, ms: Sequence, dtype: np.dtype, step: int) -> list:
-        """argmins() on `step` rows at a time."""
-        return [best for lo in range(0, len(ms), step)
-                for best in argmins(counts[lo:lo + step], ms[lo:lo + step], dtype)]
-
-    def _closed_form(self, counts: np.ndarray, ms: Sequence, dtype: np.dtype) -> list:
-        """_argmins on rows of at most `_top` distinct window atoms, computing
-        in `dtype`, which holds 2 * denom * m: the first member of least
-        sum_a |d_a| over the window."""
-        ms = np.array(ms, dtype=dtype)
-        dev = np.multiply(self._probe, ms[:, None, None], dtype=dtype,
-                          out=self._buffer((len(ms), *self._probe.shape), dtype,
-                                           SELECT_CHUNK * self._probe.size))
-        dev -= np.multiply(counts[:, self._window, None], self.denom, dtype=dtype)
-        return np.abs(dev, out=dev).sum(axis=1, dtype=dtype).argmin(axis=1).tolist()
-
-    def _full_pass(self, counts: np.ndarray, ms: Sequence, dtype: np.dtype) -> list:
-        """_argmins on any rows, computing in `dtype`, which holds denom * m:
-        every member's deviation on every comparison set, and the first
-        member of least maximum deviation."""
-        ms = np.array(ms, dtype=dtype)
-        dev = np.multiply(self._nums, ms[:, None, None], dtype=dtype,
-                          out=self._buffer((len(ms), *self._nums.shape), dtype, self._nums.size))
-        dev -= np.multiply(counts[:, None, :-1] @ self._incidence, self.denom, dtype=dtype)
-        return np.abs(dev, out=dev).max(axis=2).argmin(axis=1).tolist()
-
-    def _buffer(self, shape: tuple, dtype: np.dtype, entries: int) -> np.ndarray:
-        """The deviation buffer's first bytes as a `shape` array of `dtype`;
-        a pass holds at most `entries` entries, and the buffer is reallocated
-        to that many only when it holds fewer bytes. Python ints (object
-        dtype) get a fresh array, since numpy views no bytes as objects."""
+    def _buffer(self, dtype: np.dtype) -> np.ndarray:
+        """The deviation buffer as a `_nums`-shaped `dtype` array, grown only
+        when it holds fewer bytes; Python ints (object dtype) get a fresh
+        array, since numpy views no bytes as objects."""
         if dtype == object:
-            return np.empty(shape, dtype)
-        if self._dev.size < entries * dtype.itemsize:
-            self._dev = np.empty(entries * dtype.itemsize, dtype=np.uint8)
-        return np.ndarray(shape, dtype, self._dev)
+            return np.empty(self._nums.shape, dtype)
+        if self._dev.size < self._nums.size * dtype.itemsize:
+            self._dev = np.empty(self._nums.size * dtype.itemsize, dtype=np.uint8)
+        return np.ndarray(self._nums.shape, dtype, self._dev)
 
 
-def _row_bytes(rows: np.ndarray) -> list:
-    """Each row of a boolean matrix as bytes, trailing zero (False) bytes
-    dropped: distinct rows give distinct bytes, and an all-False row b""."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(f"S{rows.shape[1]}").ravel().tolist()
+def _colex_ranks(held: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """The colex rank sum_i C(c_i, i) of each row of a boolean (rows, |W|)
+    matrix that holds at most n positions c_1 < c_2 < ...: binom[pos, slot]
+    is C(pos, slot) for slots 1..n, 0 elsewhere, so slot 0 adds nothing."""
+    slots = np.cumsum(held, axis=1, dtype=np.min_scalar_type(held.shape[1]))  # 3x int64's speed
+    slots *= held
+    return binom[np.arange(held.shape[1]), slots].sum(axis=1)
 
 
 # (largest bound, dtype), narrowest first; int64 stops below INT64_SAFE, and
@@ -522,21 +511,28 @@ class EmpiricalBaseline(Learner):
         atoms = tuple(sample)
         if self.task == TASK_DISTRIBUTION:
             return empirical_dist(atoms)
-        labeler = bayes_labeler(empirical_dist(atoms)) if atoms else BinaryHypothesis(())
+        return self._labeler(bayes_labeler(empirical_dist(atoms)).ones if atoms else ())
+
+    def _labeler(self, ones: tuple):
+        """The task's hypothesis that labels the points `ones`, sorted, 1."""
         if self.task == TASK_CLASSIFICATION:
-            return labeler
+            return BinaryHypothesis(ones)
         if self.real_ctx is None:
             raise MixedTasks("real baseline needs a task context")
-        if not labeler.ones:
-            return ALL_ZERO_REAL
-        return RealHypothesis(tuple((x, self.real_ctx.level_value) for x in labeler.ones))
+        return RealHypothesis(tuple((x, self.real_ctx.level_value) for x in ones))
 
     def run_counts(self, atoms: Sequence, counts: np.ndarray):
         """The distribution task builds each row's empirical distribution
-        unchecked, lazily, with one Fraction(c, m) per count value; the
-        hypothesis tasks spell the rows out."""
+        unchecked, lazily, with one Fraction(c, m) per count value. The
+        hypothesis tasks label point x 1 iff a row counts more (x, 1) than
+        (x, 0) points, as run()'s Bayes labeler does by mass."""
         if self.task != TASK_DISTRIBUTION:
-            yield from super().run_counts(atoms, counts)
+            points = sorted({x for x, _ in atoms})
+            # +1 where an atom is point x labelled 1, -1 where labelled otherwise
+            votes = np.array([[(1 if b == 1 else -1) if x == p else 0 for p in points]
+                              for x, b in atoms], dtype=np.int64).reshape(len(atoms), len(points))
+            for ones in (counts.astype(np.int64) @ votes > 0).tolist():
+                yield self._labeler(tuple(x for x, one in zip(points, ones) if one))
             return
         for row in counts.tolist():
             if not (m := sum(row)):

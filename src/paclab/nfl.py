@@ -720,8 +720,11 @@ class ComplexityCurve:
 
 def _guarantee(cls: FiniteClass, target: SparseDist, eps: Fraction,
                agnostic_factor: int) -> Fraction:
+    """The loss a learner must stay within against `target`, a member of cls."""
     if cls.task == TASK_CLASSIFICATION:
         return eps  # excess risk already nets out the best labeler
+    if cls.task == TASK_DISTRIBUTION and cls.benchmark is None:
+        return eps  # the target is a member: opt = TV(target, target) = 0
     bench = cls.benchmark if cls.benchmark is not None else cls
     opt, _ = opt_loss(bench, target)
     return agnostic_factor * opt + eps

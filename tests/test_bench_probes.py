@@ -50,9 +50,9 @@ def test_engine_tally_and_select_key_read_the_current_engine():
     assert probe("learners.select").key(engine, sample) == tuple(sorted(sample))
 
 
-def test_engine_tally_reads_the_sets_a_closed_form_engine_never_enumerates():
-    # the 220-member engine of the exact workload selects in closed form,
-    # so the sets are enumerated only when the tally reads them
+def test_engine_tally_reads_the_sets_a_support_rule_engine_never_enumerates():
+    # the 220-member engine of the exact workload selects by the support
+    # rule, so the sets are enumerated only when the tally reads them
     table = pl.nfl_distribution_instance(Fraction(1, 2), 3).family.mass_table()
     engine = pl.ScheffeEngine(table)
     assert engine._window is not None and "_incidence" not in engine.__dict__

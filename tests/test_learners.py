@@ -176,10 +176,14 @@ class TestScheffe:
         assert pl.ScheffeEngine(members).sets == pairwise_yatracos_sets(members)
 
     def test_select_allocates_no_deviation_matrix(self):
-        # fresh members x sets int64 temporaries (524 KB each) would peak near 1 MB
+        # fresh members x sets int64 temporaries (524 KB each) would peak near
+        # 1 MB. Samples of all 13 atoms hold more than the 3 window atoms the
+        # support rule takes, so they take the full pass.
         fam = pl.nfl_distribution_instance(F(1, 2), 3).family
         engine = pl.ScheffeEngine(fam.members)
-        samples = [pl.draw(fam[7 * t % len(fam)], 12, pl.RngStream(SEED, t)) for t in range(50)]
+        atoms = pl.uniform(range(13))
+        samples = [pl.draw(atoms, 12, pl.RngStream(SEED, t)) for t in range(50)]
+        engine.select(samples[0])  # enumerates the sets before tracing
         tracemalloc.start()
         try:
             for s in samples:
@@ -191,12 +195,13 @@ class TestScheffe:
 
     def test_memoised_selection_equals_fresh_selection(self):
         # a seeded sweep with repeated multisets, reorderings and atoms
-        # outside every support (which count toward m but no set)
-        fam = pl.anchored_family(F(1, 2), 8, size_filter=2)
-        engine, fresh = pl.ScheffeEngine(fam.members), pl.ScheffeEngine(fam.members)
+        # outside every support (which count toward m but no set), on a
+        # class whose every selection takes the full pass through the memo
+        members = block_members()
+        engine, fresh = pl.ScheffeEngine(members), pl.ScheffeEngine(members)
         samples = []
         for t in range(300):
-            s = pl.draw(fam[(3 * t) % len(fam)], 1 + t % 6, pl.RngStream(SEED, t))
+            s = pl.draw(members[(3 * t) % len(members)], 1 + t % 6, pl.RngStream(SEED, t))
             samples += [s, s[::-1], s + (40,) * (t % 3)]
         for s in samples:
             fresh._memo.clear()
@@ -210,18 +215,18 @@ class TestScheffe:
         assert engine.select([0, 99, 99, 99]) == 1
 
     def test_memo_stays_bounded(self):
-        # all 6,435 multisets of 7 atoms over the 9 atoms of the class
-        fam = pl.anchored_family(F(1, 2), 8, size_filter=2)
-        engine, fresh = pl.ScheffeEngine(fam.members), pl.ScheffeEngine(fam.members)
+        # all 5,005 multisets of 6 atoms over atoms 0-9 of the full-pass class
+        members = block_members()
+        engine, fresh = pl.ScheffeEngine(members), pl.ScheffeEngine(members)
         sizes = []
-        for t, s in enumerate(itertools.combinations_with_replacement(range(9), 7)):
+        for t, s in enumerate(itertools.combinations_with_replacement(range(10), 6)):
             chosen = engine.select(s)
             sizes.append(len(engine._memo))
             if t % 97 == 0:
                 fresh._memo.clear()
                 assert chosen == fresh.select(s)
         assert max(sizes) == learners.SELECT_MEMO_SIZE
-        assert sizes[-1] == 6435 - learners.SELECT_MEMO_SIZE  # cleared once when full
+        assert sizes[-1] == 5005 - learners.SELECT_MEMO_SIZE  # cleared once when full
 
     def test_denominator_past_int64_is_exact_argmin_through_the_memo(self):
         q = 2 ** 64 + 13
@@ -253,17 +258,39 @@ class TestScheffe:
                     assert pl.tv(fam.members[chosen], target) <= 3 * opt + 4 * gap
 
 
-def counted_passes(monkeypatch, path="_full_pass"):
-    """A list that gets the row count of each `path` pass (`_full_pass` or
-    `_closed_form`) any engine's selections make."""
-    passes, run = [], getattr(pl.ScheffeEngine, path)
+def counted_passes(monkeypatch):
+    """A list that gets the sample size m of each full pass any engine's
+    selections make."""
+    passes, run = [], pl.ScheffeEngine._full_pass
 
-    def counted(self, counts, ms, dtype):
-        passes.append(len(ms))
-        return run(self, counts, ms, dtype)
+    def counted(self, counts, m, dtype):
+        passes.append(m)
+        return run(self, counts, m, dtype)
 
-    monkeypatch.setattr(pl.ScheffeEngine, path, counted)
+    monkeypatch.setattr(pl.ScheffeEngine, "_full_pass", counted)
     return passes
+
+
+def counted_window_rows(monkeypatch):
+    """Two lists that get, for each selection call on a window-structured
+    engine, its number of rows and the number it hands to the memo and the
+    full pass (`_memoised`); the support rule answers the difference."""
+    rows, memoised = [], []
+    select, memo = pl.ScheffeEngine._select_counts, pl.ScheffeEngine._memoised
+
+    def counted_select(self, counts, ms):
+        if self._window is not None:
+            rows.append(len(ms))
+        return select(self, counts, ms)
+
+    def counted_memo(self, counts, ms):
+        if self._window is not None:
+            memoised.append(len(ms))
+        return memo(self, counts, ms)
+
+    monkeypatch.setattr(pl.ScheffeEngine, "_select_counts", counted_select)
+    monkeypatch.setattr(pl.ScheffeEngine, "_memoised", counted_memo)
+    return rows, memoised
 
 
 def counted_engine(members, monkeypatch):
@@ -291,10 +318,10 @@ def distinct(samples):
 
 class TestFullPass:
     """select() evaluates every member on every comparison set, one row per
-    pass, wherever the closed form does not apply, and returns the
+    pass, wherever the support rule does not apply, and returns the
     lowest-index argmin. PAIRS rows of at most two distinct window atoms take
-    the closed form (TestClosedForm), so these run on rows and classes that
-    keep the full pass."""
+    the rule (TestSupportRule), so these run on rows and classes that keep
+    the full pass."""
 
     def test_block_members_take_a_pass_per_distinct_sample(self, monkeypatch):
         members = block_members()
@@ -304,16 +331,16 @@ class TestFullPass:
                    for m in (3, 48) for t in range(8)]
         for s in samples:
             assert engine.select(s) == fraction_argmin(members, engine.sets, s)
-        assert passes == [1] * distinct(samples)
+        assert len(passes) == distinct(samples)
 
     def test_rows_of_three_window_atoms_take_the_full_pass(self, monkeypatch):
         engine, passes = counted_engine(PAIRS, monkeypatch)
-        # three distinct window atoms: past the closed form's two
+        # three distinct window atoms: past the rule's two
         samples = [s for s in itertools.combinations_with_replacement(range(9), 3)
                    if len(set(s) - {0}) == 3]
         for s in samples:
             assert engine.select(s) == fraction_argmin(PAIRS, engine.sets, s)
-        assert passes == [1] * len(samples)
+        assert passes == [3] * len(samples)
 
     def test_comparison_sets_of_two_atoms(self, monkeypatch):
         members = block_members()
@@ -323,7 +350,7 @@ class TestFullPass:
         samples += [pl.draw(members[t], 24, pl.RngStream(SEED, t)) for t in range(10)]
         for s in samples:
             assert engine.select(s) == fraction_argmin(members, engine.sets, s)
-        assert passes == [1] * distinct(samples)
+        assert len(passes) == distinct(samples)
 
     def test_one_member_class(self, monkeypatch):
         engine, passes = counted_engine([pl.uniform([1, 2])], monkeypatch)
@@ -347,12 +374,20 @@ def fraction_argmins(members, sets, samples):
     return chosen
 
 
-# classes whose members put one mass on each of every n-subset of a window
-# of at least 2n atoms (the closed form), and classes the table test
-# rejects: sets of two-atom blocks, a window narrower than 2n, unfiltered,
-# unequal masses on the window, a repeated support, and two-member engines
-# like the union's, which it does not test
-CLOSED_CASES = {
+def colex(window, n):
+    """The n-subsets of `window` in colex order (by largest atom, then the
+    next largest, ...): ascending bitmask order, as the anchored families
+    rank their members."""
+    return sorted(itertools.combinations(window, n), key=lambda subset: subset[::-1])
+
+
+# classes whose members put one mass on each n-subset of a window of at
+# least 2n atoms, in colex order (the support rule), and classes the table
+# test rejects: sets of two-atom blocks, a window narrower than 2n,
+# unfiltered, unequal masses on the window, a repeated support, a window
+# class in lexicographic order, and two-member engines like the union's,
+# which it does not test
+WINDOW_CASES = {
     "anchored(1/2, 4, filter 2)": (lambda: pl.anchored_family(F(1, 2), 4, size_filter=2).members, True),
     "anchored(1/3, 5, filter 2)": (lambda: pl.anchored_family(F(1, 3), 5, size_filter=2).members, True),
     "anchored(1, 6, filter 3)": (lambda: pl.anchored_family(F(1), 6, size_filter=3).members, True),
@@ -373,16 +408,29 @@ CLOSED_CASES = {
     # as many members as pairs of atoms 1-4, but pair {1, 2} twice and {3, 4} never
     "a support twice": (lambda: [mix_anchor(F(1, 2), [a, b]) for a, b in
                                  ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (1, 2))], False),
+    "lexicographic pairs": (lambda: uniform_window_members(7, itertools.combinations), False),
 }
 
 
-class TestClosedForm:
-    """On an engine whose comparison sets are every subset of 1..n atoms of a
-    window W, and whose members each hold at most n atoms of W, rows of at
-    most n distinct window atoms select by twice the deviation,
-    sum_a |d_a| + |sum_a d_a| over a in W, with no full pass. Every other
-    call and class takes the full pass; either way the choice is the
-    lowest-index argmin."""
+class TestSupportRule:
+    """On a window-structured engine, whose members are uniform on the
+    n-subsets of a window W in colex order, a row of j <= n distinct window
+    atoms selects the member that holds those j atoms and the n - j unseen
+    window atoms of lowest position, its colex rank, with no memo entry and
+    no full pass. Every other row and class takes the full pass; either way
+    the choice is the lowest-index argmin."""
+
+    def test_the_rule_by_hand(self):
+        # PAIRS: window atoms 1-8 at positions 0-7, members the pairs in colex order
+        engine = pl.ScheffeEngine(PAIRS)
+        # {5}: with the lowest unseen atom, {1, 5}, rank C(0, 1) + C(4, 2) = 6,
+        # however many times atom 5 was seen
+        assert engine.select([5]) == engine.select([5] * 40 + [0, 99]) == 6
+        assert PAIRS[6].support() == (0, 1, 5)
+        # {3, 7}: rank C(2, 1) + C(6, 2) = 17; no window atom: {1, 2}, rank 0
+        assert engine.select([7, 3, 3]) == 17 and PAIRS[17].support() == (0, 3, 7)
+        assert engine.select([0, 99, 99]) == 0
+        assert engine._memo == {}
 
     def test_pairs_select_with_no_full_pass(self, monkeypatch):
         engine, passes = counted_engine(PAIRS, monkeypatch)
@@ -391,7 +439,8 @@ class TestClosedForm:
                    if len(set(s) & set(range(1, 9))) <= 2]
         samples += [pl.draw(PAIRS[5 * t % len(PAIRS)], 48, pl.RngStream(SEED, t)) for t in range(8)]
         chosen = [engine.select(s) for s in samples]
-        assert passes == [] and "_incidence" not in engine.__dict__  # no set enumerated
+        assert passes == [] and engine._memo == {}
+        assert "_incidence" not in engine.__dict__  # no set enumerated
         singletons = [s for s in engine.sets if len(s) == 1]
         assert set(singletons) == {frozenset({a}) for a in range(1, 9)}
         assert chosen == fraction_argmins(PAIRS, engine.sets, samples)
@@ -399,44 +448,69 @@ class TestClosedForm:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 3), extra=st.integers(0, 2),
            eta=st.sampled_from([F(1), F(1, 2), F(2, 7)]), data=st.data())
-    def test_the_table_test_accepts_exactly_every_window_subset_as_sets(self, n, extra, eta, data):
+    def test_the_table_test_accepts_every_window_subset_in_colex_order(self, n, extra, eta, data):
         # eta on each n-subset of a window of at least 2n atoms, 1 - eta on atom 0
         window = list(range(1, max(3, 2 * n + extra) + 1))
-        members = data.draw(st.permutations([mix_anchor(eta, list(a))
-                                             for a in itertools.combinations(window, n)]))
-        engine = pl.ScheffeEngine(members)
+        ordered = [mix_anchor(eta, list(a)) for a in colex(window, n)]
+        engine = pl.ScheffeEngine(ordered)
         assert engine._window is not None and engine._top == n
         assert [engine._atoms[c] for c in engine._window] == window
         assert "_incidence" not in engine.__dict__
         subsets = {frozenset(s) for k in range(1, n + 1) for s in itertools.combinations(window, k)}
         assert len(engine.sets) == len(subsets) and set(engine.sets) == subsets
+        # the same class in any other order is rejected: a choice's rank is
+        # its colex rank
+        members = data.draw(st.permutations(ordered))
+        assert (pl.ScheffeEngine(members)._window is not None) == (members == ordered)
         # one member short of every n-subset: rejected, unless n = 1, where
         # the dropped member's atom leaves the window and the rest are a
         # window class of their own once three or more
-        rest = list(members)
+        rest = list(ordered)
         del rest[data.draw(st.integers(0, len(rest) - 1))]
         assert (pl.ScheffeEngine(rest)._window is not None) == (n == 1 and len(rest) >= 3)
 
-    @pytest.mark.parametrize("case", list(CLOSED_CASES))
+    @settings(max_examples=60, deadline=None)
+    @given(eta=st.sampled_from([F(1), F(1, 2), F(1, 5), F(3, 7)]), n=st.integers(1, 3),
+           extra=st.integers(0, 3), data=st.data())
+    def test_the_rule_is_the_fraction_argmin(self, eta, n, extra, data):
+        # blocks over the anchor, the window and an atom outside every
+        # support: rows of fewer than n window atoms leave ties among the
+        # unseen ones, and rows of more than n take the full pass
+        window = list(range(1, max(3, 2 * n + extra) + 1))
+        members = [mix_anchor(eta, list(a)) for a in colex(window, n)]
+        learner, fresh = scheffe(members), pl.ScheffeEngine(members)
+        assert fresh._window is not None
+        atoms = [0, *window, 99]
+        block = data.draw(st.lists(st.lists(st.sampled_from(atoms), min_size=1, max_size=8),
+                                   min_size=1, max_size=24))
+        samples = [tuple(s) for s in block]
+        expected = fraction_argmins(members, fresh.sets, samples)
+        assert select_counted(learner, samples) == [members[i] for i in expected]
+        assert [fresh.select(s) for s in samples] == expected
+        # only the rows past n window atoms reach the memo
+        wide = {tuple(sorted(s)) for s in samples if len(set(s) & set(window)) > n}
+        assert len(learner.engine._memo) == len(wide)
+
+    @pytest.mark.parametrize("case", list(WINDOW_CASES))
     def test_every_small_multiset_and_wide_draws_match_the_fraction_argmin(self, case):
-        make, closed = CLOSED_CASES[case]
+        make, ruled = WINDOW_CASES[case]
         members = make()
         engine = pl.ScheffeEngine(members)
-        assert (engine._window is not None) == closed
+        assert (engine._window is not None) == ruled
         atoms = sorted({a for p in members for a in p.support()}) + [99]
         samples = [s for m in range(1, 5) for s in itertools.combinations_with_replacement(atoms, m)]
         wide = [pl.draw(pl.uniform(atoms), 9, pl.RngStream(SEED, t)) for t in range(30)]
-        if closed:
-            # drawn rows past the closed form's n window atoms
+        if ruled:
+            # drawn rows past the rule's n window atoms
             window = {engine._atoms[c] for c in engine._window}
             assert any(len(set(s) & window) > engine._top for s in wide)
             # every atom outside the window is in no set, so it has one mass in
             # every member, and so has the window
-            assert len(set(engine._probe.sum(axis=0).tolist())) == 1
+            assert len(set(engine._mass[:, engine._window].sum(axis=1).tolist())) == 1
         expected = fraction_argmins(members, engine.sets, samples + wide)
         assert [engine.select(s) for s in samples + wide] == expected
         # a block of small multisets, then one with the wide rows too (which
-        # takes the full pass on a closed-form engine)
+        # take the full pass on a window-structured engine)
         learner = scheffe(members)
         assert select_counted(learner, samples[::7]) == [members[i] for i in expected[:len(samples)][::7]]
         assert select_counted(learner, samples[1::7] + wide) \
@@ -444,21 +518,23 @@ class TestClosedForm:
 
 
 class TestSelectionTraffic:
-    """Which pass the lab's own runs select with: every multiset of the exact
-    oracle on the window-structured instance takes the closed form, and the
-    truncated staged class and the union's two-member engines the full
-    pass. A change that moves a benchmark-shaped run off the closed form
-    fails here."""
+    """Which path the lab's own runs select with: every row of the exact
+    oracle on the window-structured instance, and of the search workload's
+    spot check, takes the support rule, with no memo entry and no full pass;
+    the truncated staged class and the union's two-member engines take the
+    full pass. A change that moves a benchmark-shaped run off the rule fails
+    here."""
 
-    def test_exact_oracle_rows_take_the_closed_form(self, monkeypatch):
+    def test_exact_oracle_rows_take_the_rule(self, monkeypatch):
         inst = pl.nfl_distribution_instance(F(1, 2), 3)
-        closed, full = counted_passes(monkeypatch, "_closed_form"), counted_passes(monkeypatch)
+        (rows, memoised), full = counted_window_rows(monkeypatch), counted_passes(monkeypatch)
         learner = pl.ScheffeLearner(inst.family)
         pl.nfl_exact(inst, [learner], 3)
-        assert sum(closed) == math.comb(13 + 3 - 1, 3) == 455 and full == []
+        assert sum(rows) == math.comb(13 + 3 - 1, 3) == 455
+        assert memoised == full == [] and learner.engine._memo == {}
         assert "_incidence" not in learner.engine.__dict__  # no set enumerated
 
-    def test_spot_check_enumerates_no_set(self, monkeypatch):
+    def test_spot_check_rows_take_the_rule(self, monkeypatch):
         # the search workload's spot check, on fewer trials and targets
         engines, init = [], pl.ScheffeEngine.__init__
 
@@ -467,26 +543,32 @@ class TestSelectionTraffic:
             engines.append(self)
 
         monkeypatch.setattr(pl.ScheffeEngine, "__init__", recorded)
-        closed, full = counted_passes(monkeypatch, "_closed_form"), counted_passes(monkeypatch)
+        (rows, memoised), full = counted_window_rows(monkeypatch), counted_passes(monkeypatch)
         pl.synthesize(pl.FunctionTable.from_values([1, 4, 9]), pl.RngStream(1), spot_check_k=2,
                       trials=30, targets_cap=4)
+        # one engine, window-structured, so every row it selects is counted
         assert [len(engine.members) for engine in engines] == [220]
-        assert closed and full == [] and "_incidence" not in engines[0].__dict__
+        assert sum(rows) >= 30 and memoised == full == [] and engines[0]._memo == {}
+        assert "_incidence" not in engines[0].__dict__
 
     def test_truncation_and_union_engines_take_the_full_pass(self, monkeypatch):
         # the class and sample size of the shipped learn_truncation config
         staged = pl.StagedClass("distribution", pl.SequenceSpec(pl.Reciprocal(F(8)), pl.IdentityN()))
         learner = pl.TruncationLearner(staged, 8)
+        assert learner.engine._window is None
         assert "_incidence" not in learner.engine.__dict__  # enumerated at the first select
-        closed, full = counted_passes(monkeypatch, "_closed_form"), counted_passes(monkeypatch)
+        (rows, memoised), full = counted_window_rows(monkeypatch), counted_passes(monkeypatch)
         list(learner.run_draws(learner.cls.members[26], 18, range(50)))
-        assert closed == [] and full and set(full) == {1}
+        assert rows == [] and full and set(full) == {18}
         assert (len(learner.engine.members), learner.engine._incidence.shape[1]) == (27, 16)
         fam = pl.anchored_family(F(1, 2), 8, size_filter=2)
         union = pl.UnionLearner([pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution")])
         full.clear()
-        list(union.run_draws(fam.members[3], 8, range(20)))  # its Scheffé constituent: closed form
-        assert full and set(full) == {1}
+        # its Scheffé constituent takes the rule on the first halves, 4 points
+        # each; the union's two-member engines the full pass on the second
+        list(union.run_draws(fam.members[3], 8, range(20)))
+        assert sum(rows) == 20 and memoised == []
+        assert full and set(full) == {4}
 
 
 # one engine per arithmetic width: with m <= 6, denom * m stays within int16,
@@ -504,19 +586,20 @@ def width_members(q):
 
 
 def window_members(q):
-    """Six members on the pairs of atoms 1-4 with unequal masses over q:
-    every subset of one or two of those atoms is a comparison set, but the
-    table test rejects the class, so it takes the full pass."""
-    pairs = itertools.combinations(range(1, 5), 2)
+    """Six members on the pairs of atoms 1-4, in colex order, with unequal
+    masses over q: every subset of one or two of those atoms is a comparison
+    set, but the table test rejects the class, so it takes the full pass."""
+    pairs = colex(range(1, 5), 2)
     return [pl.SparseDist({a: F(k, q), b: 1 - F(k, q)})
             for k, (a, b) in zip((1, 2, q // 3, q // 2 - 1, q // 4, 3), pairs)]
 
 
-def uniform_window_members(q):
+def uniform_window_members(q, order=colex):
     """(1 - 2/q) delta(0) + (2/q) Uniform(A) for the six pairs A of atoms
-    1-4, with denominator q: a window class (the closed form)."""
+    1-4, in the order `order(window, 2)` lists them, with denominator q: a
+    window class, which takes the support rule in colex order."""
     return [pl.SparseDist({0: 1 - F(2, q), a: F(1, q), b: F(1, q)})
-            for a, b in itertools.combinations(range(1, 5), 2)]
+            for a, b in order(range(1, 5), 2)]
 
 
 def scheffe(members):
@@ -544,45 +627,24 @@ class TestSelectBlock:
             assert names == [width] * 6
 
     @pytest.mark.parametrize("width", WIDTH_DENOMS)
-    def test_closed_form_widths(self, width):
-        # the closed form computes twice the deviation, up to 2 * denom * m
-        engine = pl.ScheffeEngine(uniform_window_members(WIDTH_DENOMS[width]))
-        assert engine.denom == WIDTH_DENOMS[width]
-        assert (engine._window is None) == (width == "object")
-        dtypes = [learners._int_dtype(2 * engine.denom * m) for m in range(1, 7)]
-        names = [dtype.name for dtype in dtypes]
-        if width == "int64-to-object":
-            assert names == ["int64"] + ["object"] * 5
-        else:
-            assert names == [width] * 6
-
-    @pytest.mark.parametrize("bits", [15, 31])
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_closed_form_width_boundaries_match_the_object_path(self, bits, m, monkeypatch):
-        # 2 * denom * m just below 2^bits computes in int16 (bits 15) or int32
-        # (bits 31), just above in the next width. m points on atom 4 reach the
-        # bound 2 * denom * m itself against the member on atoms 1 and 2.
-        for q, width in (((2 ** bits - 1) // (2 * m), (bits + 1) // 8),
-                         ((2 ** bits - 1) // (2 * m) + 1, (bits + 1) // 4)):
-            members = uniform_window_members(q)
-            samples = list(itertools.combinations_with_replacement(range(6), m))
-            engine, passes = counted_engine(members, monkeypatch)
-            assert engine.denom == q and engine._window is not None
-            assert learners._int_dtype(2 * q * m).itemsize == width
-            chosen = [engine.select(s) for s in samples]
-            assert passes == [] or m == 3  # three distinct atoms take the full pass
-            with monkeypatch.context() as patched:
-                patched.setattr(learners, "_int_dtype", lambda bound: np.dtype(object))
-                on_objects = pl.ScheffeEngine(members)
-                assert chosen == [on_objects.select(s) for s in samples]
-            assert chosen == fraction_argmins(members, engine.sets, samples)
+    def test_every_width_takes_the_rule(self, width, monkeypatch):
+        # the rule does no arithmetic on counts, so a denominator past int64
+        # takes it too
+        members = uniform_window_members(WIDTH_DENOMS[width])
+        engine, passes = counted_engine(members, monkeypatch)
+        assert engine.denom == WIDTH_DENOMS[width] and engine._window is not None
+        samples = [s for m in range(1, 7) for s in itertools.combinations_with_replacement(range(6), m)
+                   if len(set(s) & {1, 2, 3, 4}) <= 2]
+        chosen = [engine.select(s) for s in samples]
+        assert passes == [] and engine._memo == {}
+        assert chosen == fraction_argmins(members, engine.sets, samples)
 
     @settings(max_examples=40, deadline=None)
     @given(width=st.sampled_from(list(WIDTH_DENOMS)),
            block=st.lists(st.lists(st.sampled_from([0, 1, 2, 3, 4, 7]), min_size=1, max_size=6),
                           min_size=1, max_size=40))
-    @example(width="int64-to-object", block=[[4], [4, 4], [1, 2, 3]])  # int64, then generic rows
-    def test_closed_form_block_equals_select_and_the_fraction_argmin(self, width, block):
+    @example(width="int64-to-object", block=[[4], [4, 4], [1, 2, 3]])  # the rule, then the full pass
+    def test_window_block_equals_select_and_the_fraction_argmin(self, width, block):
         members = uniform_window_members(WIDTH_DENOMS[width])
         learner, fresh = scheffe(members), pl.ScheffeEngine(members)
         samples = [tuple(s) for s in block]
@@ -618,18 +680,22 @@ class TestSelectBlock:
         assert engine.select((0, 1, 1)) == 2
         assert engine.select((0,) * 513) == 0
 
-    def test_mixed_sample_sizes_over_several_passes(self, monkeypatch):
-        # a block of 45 samples of 1-49 points on the 28-member engine with
-        # an 8-atom window: closed-form passes of SELECT_CHUNK = 32 rows each
+    def test_mixed_sample_sizes_in_one_block(self, monkeypatch):
+        # a block of 50 samples of 1-49 points on the 28-member engine with
+        # an 8-atom window: the rule answers the rows drawn from members in
+        # one pass over the block, and each distinct row of three or more
+        # window atoms takes a full pass
         learner = scheffe(PAIRS)
-        passes = counted_passes(monkeypatch, "_closed_form")
+        (rows, memoised), passes = counted_window_rows(monkeypatch), counted_passes(monkeypatch)
         samples = [pl.draw(PAIRS[t % len(PAIRS)], 1 + 47 * (t % 2) + t % 5, pl.RngStream(SEED, t))
                    for t in range(40)]
         samples += [s + (40,) for s in samples[:5]]
+        wide = [pl.draw(pl.uniform(range(1, 9)), 3 + t, pl.RngStream(SEED, 100 + t)) for t in range(5)]
+        samples += wide
         assert select_counted(learner, samples) \
             == [PAIRS[fraction_argmin(PAIRS, learner.engine.sets, s)] for s in samples]
-        rows = distinct(samples)
-        assert rows > SELECT_CHUNK and passes == [SELECT_CHUNK, rows - SELECT_CHUNK]
+        assert all(len(set(s)) > 2 for s in wide)
+        assert rows == [len(samples)] and memoised == [len(wide)] and len(passes) == distinct(wide)
 
     def test_engine_without_comparison_sets(self):
         members = [pl.uniform([1, 2]), pl.uniform([1, 2])]
@@ -649,8 +715,10 @@ class TestSelectBlock:
         assert select_counted(learner, []) == []
 
     def test_block_straddling_the_memo_clear(self):
-        learner, fresh = scheffe(PAIRS), pl.ScheffeEngine(PAIRS)
-        bags = list(itertools.combinations_with_replacement(range(9), 7))
+        # every selection on the block class takes the full pass through the memo
+        members = block_members()
+        learner, fresh = scheffe(members), pl.ScheffeEngine(members)
+        bags = list(itertools.combinations_with_replacement(range(10), 6))
         size = learners.SELECT_MEMO_SIZE
         for lo in range(0, size - 2, 32):
             select_counted(learner, bags[lo:min(lo + 32, size - 2)])
@@ -658,7 +726,7 @@ class TestSelectBlock:
         # hits, then five misses (the third clears the memo), then hits
         # whose entries the clear dropped
         block = bags[:3] + bags[size - 2:size + 3] + bags[:3]
-        assert select_counted(learner, block) == [PAIRS[fresh.select(s)] for s in block]
+        assert select_counted(learner, block) == [members[fresh.select(s)] for s in block]
         assert len(learner.engine._memo) == 3
 
     def test_learner_run_block_equals_run(self):
@@ -670,11 +738,14 @@ class TestSelectBlock:
         assert [learner.run(samples[0]), *block] == [learner.run(s) for s in samples]
 
     def test_select_block_allocates_no_deviation_matrix(self):
-        # blocks of 32 fresh 12-point samples on the 220 x 298 engine
+        # blocks of 32 fresh 12-point samples on the 220 x 298 engine, of all
+        # 13 atoms, so most hold more than the rule's 3 window atoms
         fam = pl.nfl_distribution_instance(F(1, 2), 3).family
         learner = pl.ScheffeLearner(fam)
-        samples = [pl.draw(fam[7 * t % len(fam)], 12, pl.RngStream(SEED, t)) for t in range(96)]
+        atoms = pl.uniform(range(13))
+        samples = [pl.draw(atoms, 12, pl.RngStream(SEED, t)) for t in range(96)]
         learner.run(samples[0])  # the deviation buffer is the engine's, not a temporary
+        assert learner.engine._dev.nbytes and len(learner.engine._memo) == 1
         tracemalloc.start()
         try:
             for lo in range(0, len(samples), 32):
@@ -965,6 +1036,24 @@ class TestBaselinesAndLosses:
         base = pl.EmpiricalBaseline("classification")
         out = base.run(((1, 1), (1, 1), (1, 0), (2, 0)))
         assert out.ones == (1,)
+
+    @pytest.mark.parametrize("task", ["classification", "real"])
+    def test_plurality_from_counts_is_run_on_every_small_multiset(self, task, monkeypatch):
+        # every multiset of m <= 4 of the labeled(1/2, 2) atoms, or of a real
+        # instance's atoms, labelled by comparing two integer counts per point
+        fam = (pl.labeled_anchored_family(F(1, 2), 2) if task == "classification"
+               else pl.nfl_real_instance(pl.AbsoluteLoss(), F(1, 2), 3).family)
+        atoms = fam.mass_table().atoms
+        baseline = pl.EmpiricalBaseline(task, real_ctx=fam.real_ctx)
+        bags = [bag for m in range(5) for bag in itertools.combinations_with_replacement(range(len(atoms)), m)]
+        expected = [baseline.run([atoms[i] for i in bag]) for bag in bags]
+        counts = np.array([np.bincount(np.array(bag, dtype=np.intp), minlength=len(atoms)) for bag in bags])
+
+        def refuse(*args):
+            raise AssertionError("a count row built an empirical distribution")
+
+        monkeypatch.setattr(learners, "empirical_dist", refuse)
+        assert list(baseline.run_counts(atoms, counts)) == expected
 
     def test_bayes_ties_to_zero(self):
         p = pl.SparseDist({(1, 0): F(1, 2), (1, 1): F(1, 2)})

@@ -926,6 +926,18 @@ class TestDrawPaths:
         assert run(pl.ErmLearner.for_class(fam)) == expected
 
 
+def counted_opt_loss(monkeypatch):
+    """A list that gets the target of each opt_loss call the search makes."""
+    targets, opt_loss = [], nfl.opt_loss
+
+    def counted(cls, target):
+        targets.append(target)
+        return opt_loss(cls, target)
+
+    monkeypatch.setattr(nfl, "opt_loss", counted)
+    return targets
+
+
 class TestEstimateSampleComplexity:
     def test_trivial_singleton(self):
         cls = pl.FiniteClass("distribution", [pl.delta(0)])
@@ -951,19 +963,24 @@ class TestEstimateSampleComplexity:
         assert exc.value.detail["last_failed"] == 2
 
     def test_guarantee_computed_once_per_target(self, monkeypatch):
-        fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
-        opt_loss = nfl.opt_loss
-        targets = []
-
-        def counted(cls, target):
-            targets.append(target)
-            return opt_loss(cls, target)
-
-        monkeypatch.setattr(nfl, "opt_loss", counted)
-        pt = pl.estimate_sample_complexity(fam, pl.ScheffeLearner(fam), F(1, 8), F(1, 4),
+        # a real-task data class is benchmarked against its hypothesis class,
+        # so each target's guarantee takes one opt_loss
+        fam = pl.plateau_data_family(pl.AbsoluteLoss(), F(1, 2), 3)
+        targets = counted_opt_loss(monkeypatch)
+        pt = pl.estimate_sample_complexity(fam, pl.ErmLearner.for_class(fam), F(1, 8), F(1, 4),
                                            pl.RngStream(SEED, 7), trials=40, m_max=256)
         assert pt.m_hat > 2  # the search tried several grid levels
         assert len(targets) == pt.targets_tested == len(set(targets)) == len(fam)
+
+    def test_member_targets_of_a_distribution_class_take_no_opt_loss(self, monkeypatch):
+        # TV(p, p) = 0, so a member target's guarantee is eps itself
+        fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
+        targets = counted_opt_loss(monkeypatch)
+        pt = pl.estimate_sample_complexity(fam, pl.ScheffeLearner(fam), F(1, 8), F(1, 4),
+                                           pl.RngStream(SEED, 7), trials=40, m_max=256)
+        assert pt.m_hat > 2 and targets == []
+        assert all(nfl._guarantee(fam, p, F(1, 8), 3) == 3 * pl.opt_loss(fam, p)[0] + F(1, 8)
+                   for p in fam.members)
 
     @pytest.mark.parametrize("kind", ["scheffe", "empirical-baseline", "union"])
     def test_losses_memoised_only_for_finite_outputs(self, monkeypatch, kind):
