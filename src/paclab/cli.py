@@ -422,11 +422,8 @@ def _run_nfl_exact(cfg: Reader, rng, base_dir):
     markov_tails = asserts.get("markov_tails", _bool, False)
     bound_eq = asserts.get("bound_equals", Fraction, None)
     report_obj = nfl_exact(inst, learners, m, thresholds=thresholds, budget=budget)
-    failures = []
-    if above_bound:
-        for lr in report_obj.learners:
-            if lr.class_average < report_obj.symmetrized_bound:
-                failures.append(f"{lr.name}: average {lr.class_average} below bound")
+    failures = [f"{lr.name}: average {lr.class_average} below bound" for lr in report_obj.learners
+                if above_bound and lr.class_average < report_obj.symmetrized_bound]
     if markov_tails:
         for lr in report_obj.learners:
             for a in report_obj.thresholds:
@@ -463,9 +460,7 @@ def _run_dominate(cfg: Reader, rng, base_dir):
     cert = dominates_prefix(f, g)
     report = {"kind": "dominate", "f": f.to_json_obj(), "g": g.to_json_obj(),
               "certificate": cert.to_json_obj()}
-    failures = []
-    if assert_dominates and not cert.dominates:
-        failures.append("dominance assertion failed")
+    failures = ["dominance assertion failed"] if assert_dominates and not cert.dominates else []
     return report, {}, failures
 
 
@@ -481,9 +476,8 @@ def _run_synthesize(cfg: Reader, rng, base_dir):
                       targets_cap=spot.get("targets_cap", _int, 64))
         exceeds = spot.get("assert_m_hat_exceeds", _int, None)
     rep = synthesize(g, rng=rng, **kwargs)
-    lines = ["k,target,lower_bound"]
-    for k in range(1, g.horizon + 1):
-        lines.append(f"{k},{g.at(k)},{rep.lower_bounds.at(k)}")
+    lines = ["k,target,lower_bound"] + [f"{k},{g.at(k)},{rep.lower_bounds.at(k)}"
+                                        for k in range(1, g.horizon + 1)]
     failures = []
     if not rep.certificate.dominates:
         failures.append("lower-bound line does not dominate the target on the prefix")
@@ -510,9 +504,7 @@ def run_experiment(subcommand: str, cfg, out_dir=None, seed_override=None,
                    base_dir: Path = Path()) -> tuple:
     """Execute one subcommand; returns (exit_code, manifest dict)."""
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    reader = Reader(cfg)
-    if seed_override is not None:
-        reader = Reader({**cfg, "seed": int(seed_override)})
+    reader = Reader(cfg if seed_override is None else {**cfg, "seed": int(seed_override)})
     kind = reader.get("kind", str, None)
     if kind != subcommand:
         raise ConfigError(reader.at("kind"), f"config kind {kind!r} does not match "
@@ -527,8 +519,7 @@ def run_experiment(subcommand: str, cfg, out_dir=None, seed_override=None,
     report["assertion_failures"] = failures
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = {"report.json": json.dumps(report, indent=2) + "\n"}
-    files.update(extra_files)
+    files = {"report.json": json.dumps(report, indent=2) + "\n", **extra_files}
     digests = {}
     for name, body in files.items():
         (out_dir / name).write_text(body)

@@ -198,7 +198,7 @@ def _spot_check(g: FunctionTable, k: int, rng: RngStream, trials: int,
         n_spot += 1
     eps = eta / 8
     delta = markov_reverse(eta / 4, eta / 8)
-    # a protocol that cannot run is rejected before the engine is built
+    # a protocol that cannot run is rejected before the class is built
     check_search_protocol(eps, delta, trials, targets_cap, 1, m_max, ScheffeLearner)
     family = anchored_family(eta, 4 * n_spot, size_filter=n_spot)
     learner = ScheffeLearner(family)

@@ -338,11 +338,13 @@ class FiniteClass:
     pass rank-indexed views that build member i and label i on first
     access; consumers that need every member (the Scheffé engine, opt_loss,
     the exact oracles) build them all, and a class of distributions keeps
-    their masses in one `mass_table`."""
+    their masses in one `mass_table`. `window`, if set, is (W, n): the
+    members are one per n-subset of the atoms W, 2n <= |W|, in colex order,
+    each with one mass on its n atoms and one mass off W (`anchored_family`)."""
 
     def __init__(self, task: str, members: Sequence[Member], labels: Optional[Sequence[str]] = None,
                  real_ctx: Optional[RealTaskContext] = None, tag: Optional[str] = None,
-                 benchmark: Optional["FiniteClass"] = None):
+                 benchmark: Optional["FiniteClass"] = None, window: Optional[tuple] = None):
         if task not in TASKS:
             raise BadN(f"unknown task {task!r}")
         self.task = task
@@ -353,6 +355,7 @@ class FiniteClass:
         # for data-distribution handles: the hypothesis class losses are
         # benchmarked against (defaults to the handle itself)
         self.benchmark = benchmark
+        self.window = window
         self._mass_table: Optional[MassTable] = None
 
     def __len__(self):
@@ -417,7 +420,9 @@ def anchored_family(eta, n: int, size_filter: Optional[int] = None,
 
     With size_filter=r only subsets of size exactly r are kept (these
     filtered families are the hard instances the lower-bound harness
-    feeds on). Indexed by ascending subset bitmask.
+    feeds on). Indexed by ascending subset bitmask, which is colex order, so
+    with 2r <= n the class declares its window ((1, ..., n), r), which
+    lets `ScheffeLearner` select by the support rule.
     """
     eta = Fraction(eta)
     if not 0 < eta <= 1:
@@ -443,8 +448,9 @@ def anchored_family(eta, n: int, size_filter: Optional[int] = None,
         return SparseDist._trusted(anchor + tuple((x, share) for x in a),
                                    tag=f"anchor(eta={eta},A={a})")
 
+    window = (tuple(range(1, n + 1)), size_filter) if size_filter and 2 * size_filter <= n else None
     return FiniteClass(TASK_DISTRIBUTION, _Ranked(count, member), _set_labels(count, mask_of),
-                       tag=f"anchored(eta={eta},n={n},r={size_filter})")
+                       tag=f"anchored(eta={eta},n={n},r={size_filter})", window=window)
 
 
 def labeled_anchored_family(eta, n: int, budget: int = DEFAULT_MEMBER_BUDGET) -> FiniteClass:

@@ -12,14 +12,13 @@ order. Every block an `exchangeable` learner takes arrives as count rows
 through `Learner.run_counts`: `run_block` counts a block of tuples
 SELECT_CHUNK samples at a time (`dist.count_rows`), and `run_draws` counts
 each chunk of drawn atom positions (`dist.draw_rows`) with one offset
-bincount, so Monte Carlo trials build no tuples. On the window-structured
-engines of the anchored families, which the engine recognises from the mass
-table alone, the Scheffé learner selects a row of at most n window atoms by
-the support rule, with no memo and no comparison set; any other row takes a
-memo and one full pass per distinct miss. Classification ERM and the
-empirical baselines read the counts directly, and real-task ERM spells rows
-out for `run`. The union learner hands each constituent's run_block a
-chunk's first halves.
+bincount, so Monte Carlo trials build no tuples. On a class that declares
+its window (the filtered anchored families) the Scheffé learner selects a
+row of at most n window atoms by the support rule, with no mass table and
+no engine; any other row takes the engine's memo and one full pass per
+distinct miss. Classification ERM and the empirical baselines read the
+counts directly, and real-task ERM spells rows out for `run`. The union
+learner hands each constituent's run_block a chunk's first halves.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -47,7 +46,7 @@ from .families import (
 )
 from .losses import bayes_labeler, hypotheses_of_class, real_risk, zero_one_risk
 
-SELECT_MEMO_SIZE = 4096  # most selections an engine remembers
+SELECT_MEMO_SIZE = 4096  # most selections an engine, or a learner's rank memo, remembers
 
 
 def yatracos_set(p: SparseDist, q: SparseDist) -> frozenset:
@@ -85,35 +84,14 @@ class ScheffeEngine:
     `_incidence`, `_nums` and the frozensets of `sets`, are enumerated on
     first read: by the first full pass, or by a caller.
 
-    Support rule: the window W (`_varying`) is the set of columns that
-    vary across members. An atom of one mass in every member is in no
-    comparison set, so the engine has none exactly when W is empty. At
-    build, the mass table alone tells whether an engine of three or more
-    members is window-structured: every member holds exactly n atoms of
-    W, every nonzero mass on W is one value mu, there are C(|W|, n)
-    members, |W| >= 2n, and the members' colex ranks sum_i C(c_i, i), c_1
-    < ... < c_n their positions in W, are 0, 1, ... in order, as the
-    anchored families rank them. The comparison sets are then every subset
-    of 1..n atoms of W, and a count row c of an m-point sample with at
-    most n distinct atoms of W selects the first member of least
-    sum_a |m * mass_ia - denom * c_a| over a in W. Swapping a seen atom a
-    out of a member's set for an unseen one raises that sum by
-    m * mu + denom * c_a - |m * mu - denom * c_a| > 0, so every minimiser
-    holds every seen atom; every unseen atom adds m * mu, so those tie,
-    and the first fills its set with the unseen atoms of lowest position.
-    The rule reads no count value, m or denominator: a few whole-block
-    passes over the rows' seen window atoms, and a gather from `_binom`,
-    C(position, slot). A row of more window atoms takes the full pass.
-
-    Blocks: _select_counts, the one selection core, takes rows of atom
-    counts over the engine's columns; ScheffeLearner.run_counts sums count
-    rows into them, and select() is one bincount. A full-pass choice is
-    memoised by the bytes of the count row in the narrowest unsigned dtype
-    that holds the largest m among the rows taking it (rows of different
-    dtypes differ in length, so their keys never collide), in a dict
-    cleared once it holds SELECT_MEMO_SIZE entries; a block reads its hits
-    first, so a clear loses none of them. Each distinct miss takes one full
-    pass.
+    Blocks: _select_counts, the one selection core, takes count rows as
+    `Learner.run_counts` does, and select() counts one sample. A full-pass
+    choice is memoised by the bytes of the count row over the engine's
+    columns in the narrowest unsigned dtype that holds the largest m among
+    the rows taking it (rows of different dtypes differ in length, so their
+    keys never collide), in a dict cleared once it holds SELECT_MEMO_SIZE
+    entries; a block reads its hits first, so a clear loses none of them.
+    Each distinct miss takes one full pass.
 
     Widths: every entry of `_nums` is at most denom, and every deviation
     numerator |nums * m - denom * count| of an m-point sample at most
@@ -138,24 +116,8 @@ class ScheffeEngine:
         self._mass = mass = table.mass
         self._dev = np.empty(0, dtype=np.uint8)  # the deviation buffer, grown on use
         self._memo: dict = {}  # atom-count bytes -> selected index
-        self._varying = window = np.flatnonzero((mass != mass[0]).any(axis=0))  # W
-        # the support rule, cheap tests first. The union builds a two-member
-        # engine per sample and selects once with it, so it is not tested.
-        self._window = None
-        if len(mass) > 2:
-            on_window = mass[:, window]
-            held = on_window != 0
-            sizes = held.sum(axis=1)  # each member's atoms in W
-            top = int(sizes[0])
-            if ((sizes == top).all() and 2 * top <= len(window)
-                    and len(mass) == math.comb(len(window), top)
-                    and ((on_window == on_window.max()) == held).all()):  # one mass mu on W
-                # C(position, slot) for slots 1..n, and 0 at every other slot
-                binom = np.zeros((len(window), len(window) + 1), dtype=np.int64)
-                for slot in range(1, top + 1):
-                    binom[:, slot] = [math.comb(pos, slot) for pos in range(len(window))]
-                if (_colex_ranks(held, binom) == np.arange(len(mass))).all():
-                    self._window, self._top, self._binom = window, top, binom
+        # an atom of one mass in every member is in no comparison set
+        self._has_sets = bool((mass != mass[0]).any())
 
     @cached_property
     def _incidence(self) -> np.ndarray:
@@ -187,36 +149,20 @@ class ScheffeEngine:
 
     def select(self, sample: Sequence) -> int:
         """Index of the member with the smallest maximum deviation."""
-        get, outside = self._column.get, len(self._column)
-        index = [get(a, outside) for a in sample]
-        return self._select_counts(np.bincount(index, minlength=outside + 1)[None], [len(index)])[0]
+        return self._select_counts(*count_rows([sample]))[0]
 
-    def _select_counts(self, counts: np.ndarray, ms: list) -> list:
-        """The selection for each row of `counts`, a sample's count of each atom
-        column plus, last, of the atoms outside every member's support; row r
-        counts ms[r] points. On a window-structured engine a row of at most n
-        distinct window atoms takes the support rule; every other row is
-        looked up in the memo (`_memoised`)."""
+    def _select_counts(self, atoms: Sequence, counts: np.ndarray) -> list:
+        """The selection for each row of `counts`, as `Learner.run_counts` takes
+        them: one product sums the rows into engine columns, and the atoms
+        outside every member's support into a last one."""
+        ms = counts.sum(axis=1).tolist()
         if not all(ms):
             raise EmptySample("minimum-distance selection needs a sample")
-        if not self._varying.size or not ms:  # no comparison sets, or no rows
+        if not self._has_sets or not ms:
             return [0] * len(ms)
-        if self._window is None:
-            return self._memoised(counts, ms)
-        seen = counts[:, self._window] != 0
-        pad = self._top - seen.sum(axis=1)  # the unseen window atoms each choice holds
-        taken = seen | (np.cumsum(~seen, axis=1) <= pad[:, None])
-        chosen = _colex_ranks(taken, self._binom).tolist()
-        if pad.min() < 0:  # rows of more than n window atoms
-            rows = np.flatnonzero(pad < 0).tolist()
-            for r, best in zip(rows, self._memoised(counts[rows], [ms[r] for r in rows])):
-                chosen[r] = best
-        return chosen
-
-    def _memoised(self, counts: np.ndarray, ms: list) -> list:
-        """The full pass's selection for each row, as _select_counts takes
-        them: each row is looked up in the memo by its bytes, and each
-        distinct miss takes one full pass."""
+        get, outside = self._column.get, len(self._column)
+        cols = np.array([get(a, outside) for a in atoms], dtype=np.intp)
+        counts = np.matmul(counts, cols[:, None] == np.arange(outside + 1), dtype=np.int64)
         dtype = np.min_scalar_type(max(ms))  # the narrowest unsigned dtype that holds m
         keys = counts.astype(dtype).view(f"V{counts.shape[1] * dtype.itemsize}").ravel().tolist()
         memo = self._memo
@@ -252,15 +198,6 @@ class ScheffeEngine:
         if self._dev.size < self._nums.size * dtype.itemsize:
             self._dev = np.empty(self._nums.size * dtype.itemsize, dtype=np.uint8)
         return np.ndarray(self._nums.shape, dtype, self._dev)
-
-
-def _colex_ranks(held: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    """The colex rank sum_i C(c_i, i) of each row of a boolean (rows, |W|)
-    matrix that holds at most n positions c_1 < c_2 < ...: binom[pos, slot]
-    is C(pos, slot) for slots 1..n, 0 elsewhere, so slot 0 adds nothing."""
-    slots = np.cumsum(held, axis=1, dtype=np.min_scalar_type(held.shape[1]))  # 3x int64's speed
-    slots *= held
-    return binom[np.arange(held.shape[1]), slots].sum(axis=1)
 
 
 # (largest bound, dtype), narrowest first; int64 stops below INT64_SAFE, and
@@ -336,7 +273,22 @@ class Learner:
 
 
 class ScheffeLearner(Learner):
-    """3-agnostic finite-class distribution learner."""
+    """3-agnostic finite-class distribution learner: the engine's choice.
+
+    Support rule: on a class that declares its window (`FiniteClass.window`)
+    W and n, the comparison sets are every subset of 1..n atoms of W, so a
+    count row c of an m-point sample with at most n distinct atoms of W
+    selects the first member of least sum_a |m * mass_ia - denom * c_a|
+    over a in W. Swapping a seen atom a out of a member's set for an unseen
+    one raises that sum by m * mu + denom * c_a - |m * mu - denom * c_a| > 0
+    (mu: a member's mass on each of its n atoms), so every minimiser holds
+    every seen atom; every unseen atom adds m * mu, so those tie, and the
+    first takes the unseen atoms of lowest position: index sum_i C(c_i, i)
+    over its positions c_1 < ... < c_n in W. A row's seen atoms of W are one
+    bitmask, looked up in a rank memo cleared at SELECT_MEMO_SIZE entries; a
+    block's misses are ranked in one pass. Rows of more atoms of W, and all
+    rows of a class with no window, take the engine, built on first use.
+    """
 
     agnostic_factor = 3
     finite_outputs = True
@@ -348,23 +300,70 @@ class ScheffeLearner(Learner):
         if len(cls) == 0:
             raise EmptyClass("empty candidate class")
         self.cls = cls
-        self.engine = ScheffeEngine(cls.mass_table())
+        self._ranks: dict = {}  # seen-window bitmask -> member index, -1 past n atoms
         self.name = f"scheffe({cls.tag or len(cls)})"
 
+    @cached_property
+    def engine(self) -> ScheffeEngine:
+        return ScheffeEngine(self.cls.mass_table())
+
     def run(self, sample):
-        return self.cls.members[self.engine.select(sample)]
+        return self.run_counts(*count_rows([sample]))[0]
 
     def run_counts(self, atoms: Sequence, counts: np.ndarray) -> list:
-        """run() on each count row: one product sums the rows into engine
-        columns, the atoms outside every member's support into the outside one."""
-        engine = self.engine
-        members = engine.members  # a list: no lookup through a family's ranked view
-        get, outside = engine._column.get, len(engine._column)
-        cols = np.array([get(a, outside) for a in atoms], dtype=np.intp)
-        onehot = cols[:, None] == np.arange(outside + 1)
-        chosen = engine._select_counts(np.matmul(counts, onehot, dtype=np.int64),
-                                       counts.sum(axis=1).tolist())
-        return [members[i] for i in chosen]
+        """run() on each count row; each distinct member is read once."""
+        if self.cls.window is None:
+            chosen = self.engine._select_counts(atoms, counts)
+        else:
+            seen = counts != 0
+            keys = (seen @ _window_weights(tuple(atoms), self.cls.window[0])).tolist()
+            if 0 in keys and not seen.any(axis=1).all():  # an empty row has key 0
+                raise EmptySample("minimum-distance selection needs a sample")
+            ranks = self._ranks
+            chosen = [ranks.get(key) for key in keys]  # read before any clear below
+            if None in chosen:
+                misses = list(dict.fromkeys(k for k, i in zip(keys, chosen) if i is None))
+                found = dict(zip(misses, self._rank(misses)))
+                for key, i in found.items():
+                    if len(ranks) >= SELECT_MEMO_SIZE:
+                        ranks.clear()
+                    ranks[key] = i
+                chosen = [found[k] if i is None else i for k, i in zip(keys, chosen)]
+            if -1 in chosen:  # rows of more than n window atoms
+                wide = [r for r, i in enumerate(chosen) if i < 0]
+                for r, i in zip(wide, self.engine._select_counts(atoms, counts[wide])):
+                    chosen[r] = i
+        members = self.cls.members
+        outputs = {i: members[i] for i in set(chosen)}
+        return [outputs[i] for i in chosen]
+
+    def _rank(self, masks: list) -> list:
+        """The rule's member index for each seen-window bitmask, -1 past n atoms."""
+        width, n = len(self.cls.window[0]), self.cls.window[1]
+        raw = b"".join(mask.to_bytes(-(-width // 8), "little") for mask in masks)
+        seen = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(masks), -1), axis=1,
+                             count=width, bitorder="little").view(bool)
+        pad = n - seen.sum(axis=1)  # the unseen window atoms each choice holds
+        taken = seen | (np.cumsum(~seen, axis=1) <= pad[:, None])
+        slots = np.cumsum(taken, axis=1) * taken  # held position p is slot i: C(p, i)
+        ranks = self._comb_table[np.arange(width), slots].sum(axis=1)
+        return np.where(pad < 0, -1, ranks).tolist()
+
+    @cached_property
+    def _comb_table(self) -> np.ndarray:
+        """C(position, slot) for slots 1..n, 0 at slot 0 and past n."""
+        width, n = len(self.cls.window[0]), self.cls.window[1]
+        return np.array([[math.comb(p, i) if 1 <= i <= n else 0 for i in range(width + 1)]
+                         for p in range(width)], dtype=np.int64)
+
+
+@lru_cache(maxsize=SELECT_MEMO_SIZE)
+def _window_weights(atoms: tuple, window: tuple) -> np.ndarray:
+    """1 << position for each of `atoms` in `window`, 0 for every other atom
+    (Python ints past 62 positions); shared between calls, so never written."""
+    weight = {a: 1 << p for p, a in enumerate(window)}
+    dtype = np.int64 if len(window) < 63 else object
+    return np.array([weight.get(a, 0) for a in atoms], dtype=dtype)
 
 
 class TruncationLearner(ScheffeLearner):

@@ -76,6 +76,7 @@ DEFAULT_ENUM_BUDGET = 10_000_000
 MATCHING_CACHE_SIZE = 1024
 # log-factorial tables kept, one per trial count n the binomial CDF is asked about
 LOG_FACTORIAL_TABLES = 64
+CP_ENDPOINTS = 4096  # Clopper-Pearson endpoints kept, one per (failures, trials, alpha)
 MEMBER_CHUNK = 32  # members whose samples the exact oracle scores at a time
 
 
@@ -565,6 +566,7 @@ def _bisect(lo: float, hi: float, below) -> tuple:
     return lo, hi
 
 
+@functools.lru_cache(maxsize=CP_ENDPOINTS)
 def clopper_pearson_upper(failures: int, trials: int, alpha: float = 0.05) -> float:
     """Upper endpoint of the two-sided (1-alpha) interval for a proportion."""
     if trials <= 0:
@@ -575,6 +577,7 @@ def clopper_pearson_upper(failures: int, trials: int, alpha: float = 0.05) -> fl
                    lambda p: _binom_cdf(failures, trials, p) > alpha / 2)[1]
 
 
+@functools.lru_cache(maxsize=CP_ENDPOINTS)
 def clopper_pearson_lower(failures: int, trials: int, alpha: float = 0.05) -> float:
     if trials <= 0:
         raise EmptyEstimate("no trials")

@@ -50,10 +50,21 @@ def test_engine_tally_and_select_key_read_the_current_engine():
     assert probe("learners.select").key(engine, sample) == tuple(sorted(sample))
 
 
-def test_engine_tally_reads_the_sets_a_support_rule_engine_never_enumerates():
-    # the 220-member engine of the exact workload selects by the support
-    # rule, so the sets are enumerated only when the tally reads them
-    table = pl.nfl_distribution_instance(Fraction(1, 2), 3).family.mass_table()
-    engine = pl.ScheffeEngine(table)
-    assert engine._window is not None and "_incidence" not in engine.__dict__
-    assert probe("learners.engine_init").tally[1]((engine, table), None) == 298
+def test_engine_tally_reads_the_sets_the_engine_has_not_enumerated():
+    # an engine enumerates its sets at its first full pass, so on the exact
+    # workload's 220-member table (whose learner builds no engine: it
+    # selects by the support rule) they are enumerated when the tally reads them
+    fam = pl.nfl_distribution_instance(Fraction(1, 2), 3).family
+    assert fam.window is not None
+    engine = pl.ScheffeEngine(fam.mass_table())
+    assert "_incidence" not in engine.__dict__
+    assert probe("learners.engine_init").tally[1]((engine, fam.mass_table()), None) == 298
+
+
+def test_the_cp_probe_counts_every_call_of_the_memoised_endpoint():
+    # the endpoint is an lru_cache; the probe wraps it, so a memo hit is a call
+    target = pl.nfl.clopper_pearson_upper
+    tracer = spans.Tracer()
+    traced = tracer.wrap(probe("nfl.cp"), target)
+    assert traced(3, 120) == traced(3, 120) == target.__wrapped__(3, 120)
+    assert tracer.names == ["nfl.cp", "nfl.cp"]

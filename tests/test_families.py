@@ -1,5 +1,6 @@
 """Family constructors, stage sequences, staged unions and truncation."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -28,6 +29,19 @@ class TestAnchoredFamily:
     @pytest.mark.parametrize("n,r", [(4, 2), (8, 2), (6, 3)])
     def test_filtered_size_is_binomial(self, n, r):
         assert len(pl.anchored_family(F(1, 2), n, size_filter=r)) == math.comb(n, r)
+
+    @pytest.mark.parametrize("n,r,declared", [(4, 2, True), (8, 2, True), (6, 3, True),
+                                              (2, 1, True), (64, 1, True), (5, 3, False),
+                                              (3, 2, False), (1, 1, False)])
+    def test_a_filtered_family_declares_its_window_when_2r_fits(self, n, r, declared):
+        # the window atoms 1..n in position order, and r; member i is uniform
+        # on the i-th r-subset in colex order (ascending bitmask)
+        fam = pl.anchored_family(F(1, 3), n, size_filter=r)
+        assert fam.window == ((tuple(range(1, n + 1)), r) if declared else None)
+        colex = sorted(itertools.combinations(range(1, n + 1), r), key=lambda s: s[::-1])
+        assert [p.support()[1:] for p in fam.members] == colex
+        if n < 8:
+            assert pl.anchored_family(F(1, 3), n).window is None
 
     def test_appendix_filter_count(self):
         # |A| = n over window 4n at n = 2

@@ -271,26 +271,36 @@ def counted_passes(monkeypatch):
     return passes
 
 
-def counted_window_rows(monkeypatch):
-    """Two lists that get, for each selection call on a window-structured
-    engine, its number of rows and the number it hands to the memo and the
-    full pass (`_memoised`); the support rule answers the difference."""
-    rows, memoised = [], []
-    select, memo = pl.ScheffeEngine._select_counts, pl.ScheffeEngine._memoised
+def counted_rule_rows(monkeypatch):
+    """Two lists that get the number of rows of each run_counts call of a
+    Scheffé learner and of each selection call of any engine; on a class
+    with a declared window the support rule answers the difference."""
+    rows, engined = [], []
+    run, select = pl.ScheffeLearner.run_counts, pl.ScheffeEngine._select_counts
 
-    def counted_select(self, counts, ms):
-        if self._window is not None:
-            rows.append(len(ms))
-        return select(self, counts, ms)
+    def counted_run(self, atoms, counts):
+        rows.append(len(counts))
+        return run(self, atoms, counts)
 
-    def counted_memo(self, counts, ms):
-        if self._window is not None:
-            memoised.append(len(ms))
-        return memo(self, counts, ms)
+    def counted_select(self, atoms, counts):
+        engined.append(len(counts))
+        return select(self, atoms, counts)
 
+    monkeypatch.setattr(pl.ScheffeLearner, "run_counts", counted_run)
     monkeypatch.setattr(pl.ScheffeEngine, "_select_counts", counted_select)
-    monkeypatch.setattr(pl.ScheffeEngine, "_memoised", counted_memo)
-    return rows, memoised
+    return rows, engined
+
+
+def recorded_engines(monkeypatch):
+    """A list that gets every ScheffeEngine built."""
+    engines, init = [], pl.ScheffeEngine.__init__
+
+    def recorded(self, members):
+        init(self, members)
+        engines.append(self)
+
+    monkeypatch.setattr(pl.ScheffeEngine, "__init__", recorded)
+    return engines
 
 
 def counted_engine(members, monkeypatch):
@@ -299,8 +309,13 @@ def counted_engine(members, monkeypatch):
     return pl.ScheffeEngine(members), counted_passes(monkeypatch)
 
 
-# 28 members x 36 comparison sets; the 8 singletons are the window
-PAIRS = pl.anchored_family(F(1, 2), 8, size_filter=2).members
+def pairs_class():
+    """anchored(1/2, 8, filter 2): 28 members x 36 comparison sets, and a
+    declared window, atoms 1-8 with n = 2."""
+    return pl.anchored_family(F(1, 2), 8, size_filter=2)
+
+
+PAIRS = pairs_class().members
 
 
 def block_members():
@@ -317,16 +332,12 @@ def distinct(samples):
 
 
 class TestFullPass:
-    """select() evaluates every member on every comparison set, one row per
-    pass, wherever the support rule does not apply, and returns the
-    lowest-index argmin. PAIRS rows of at most two distinct window atoms take
-    the rule (TestSupportRule), so these run on rows and classes that keep
-    the full pass."""
+    """select() evaluates every member on every comparison set, one pass per
+    distinct row, and returns the lowest-index argmin."""
 
     def test_block_members_take_a_pass_per_distinct_sample(self, monkeypatch):
         members = block_members()
         engine, passes = counted_engine(members, monkeypatch)
-        assert engine._window is None
         samples = [pl.draw(members[5 * t % len(members)], m, pl.RngStream(SEED, t))
                    for m in (3, 48) for t in range(8)]
         for s in samples:
@@ -335,7 +346,7 @@ class TestFullPass:
 
     def test_rows_of_three_window_atoms_take_the_full_pass(self, monkeypatch):
         engine, passes = counted_engine(PAIRS, monkeypatch)
-        # three distinct window atoms: past the rule's two
+        # three distinct window atoms: past the support rule's two
         samples = [s for s in itertools.combinations_with_replacement(range(9), 3)
                    if len(set(s) - {0}) == 3]
         for s in samples:
@@ -345,7 +356,7 @@ class TestFullPass:
     def test_comparison_sets_of_two_atoms(self, monkeypatch):
         members = block_members()
         engine, passes = counted_engine(members, monkeypatch)
-        assert engine._window is None and {len(s) for s in engine.sets} == {2, 4}
+        assert {len(s) for s in engine.sets} == {2, 4}
         samples = [s for m in (1, 2) for s in itertools.combinations_with_replacement(range(11), m)]
         samples += [pl.draw(members[t], 24, pl.RngStream(SEED, t)) for t in range(10)]
         for s in samples:
@@ -381,137 +392,162 @@ def colex(window, n):
     return sorted(itertools.combinations(window, n), key=lambda subset: subset[::-1])
 
 
-# classes whose members put one mass on each n-subset of a window of at
-# least 2n atoms, in colex order (the support rule), and classes the table
-# test rejects: sets of two-atom blocks, a window narrower than 2n,
-# unfiltered, unequal masses on the window, a repeated support, a window
-# class in lexicographic order, and two-member engines like the union's,
-# which it does not test
+# classes that declare their window (the filtered anchored families of a
+# window of at least 2n atoms), whose rows of at most n window atoms take the
+# support rule, and classes that do not, whose every row takes the engine:
+# sets of two-atom blocks, a window narrower than 2n, unfiltered, unequal
+# masses on the window, a repeated support, a window class in lexicographic
+# order, and two-member classes like the union's
 WINDOW_CASES = {
-    "anchored(1/2, 4, filter 2)": (lambda: pl.anchored_family(F(1, 2), 4, size_filter=2).members, True),
-    "anchored(1/3, 5, filter 2)": (lambda: pl.anchored_family(F(1, 3), 5, size_filter=2).members, True),
-    "anchored(1, 6, filter 3)": (lambda: pl.anchored_family(F(1), 6, size_filter=3).members, True),
-    "anchored(1/2, 6, filter 1)": (lambda: pl.anchored_family(F(1, 2), 6, size_filter=1).members, True),
-    "three anchored deltas": (lambda: [mix_anchor(F(1, 2), [a]) for a in (1, 2, 3)], True),
-    "two anchored deltas": (lambda: [mix_anchor(F(1, 2), [1]), mix_anchor(F(1, 2), [2])], False),
-    "blocks": (block_members, False),
-    "anchored(1/2, 5, filter 3)": (lambda: pl.anchored_family(F(1, 2), 5, size_filter=3).members, False),
-    "anchored(1/2, 3, filter 2)": (lambda: pl.anchored_family(F(1, 2), 3, size_filter=2).members, False),
-    "anchored(1/2, 3)": (lambda: pl.anchored_family(F(1, 2), 3).members, False),
-    "member and empirical": (lambda: [mix_anchor(F(1, 2), [1, 2]), pl.empirical_dist((1, 3, 3))], False),
-    "uniform and delta": (lambda: [pl.uniform([1, 2]), pl.delta(1)], False),
+    "anchored(1/2, 4, filter 2)": (lambda: pl.anchored_family(F(1, 2), 4, size_filter=2), True),
+    "anchored(1/3, 5, filter 2)": (lambda: pl.anchored_family(F(1, 3), 5, size_filter=2), True),
+    "anchored(1, 6, filter 3)": (lambda: pl.anchored_family(F(1), 6, size_filter=3), True),
+    "anchored(1/2, 6, filter 1)": (lambda: pl.anchored_family(F(1, 2), 6, size_filter=1), True),
+    "anchored(1/2, 2, filter 1)": (lambda: pl.anchored_family(F(1, 2), 2, size_filter=1), True),
+    "three anchored deltas": (lambda: hand([mix_anchor(F(1, 2), [a]) for a in (1, 2, 3)]), False),
+    "two anchored deltas": (lambda: hand([mix_anchor(F(1, 2), [1]), mix_anchor(F(1, 2), [2])]), False),
+    "blocks": (lambda: hand(block_members()), False),
+    "anchored(1/2, 5, filter 3)": (lambda: pl.anchored_family(F(1, 2), 5, size_filter=3), False),
+    "anchored(1/2, 3, filter 2)": (lambda: pl.anchored_family(F(1, 2), 3, size_filter=2), False),
+    "anchored(1/2, 3)": (lambda: pl.anchored_family(F(1, 2), 3), False),
+    "member and empirical": (lambda: hand([mix_anchor(F(1, 2), [1, 2]), pl.empirical_dist((1, 3, 3))]), False),
+    "uniform and delta": (lambda: hand([pl.uniform([1, 2]), pl.delta(1)]), False),
     # sets {2}, {3} and {1, 2}: as many as the subsets of one or two
     # singleton atoms, but atom 1 is in a set and no singleton
-    "a set past the singletons": (lambda: [pl.delta(3), pl.uniform([2, 3]),
-                                           pl.SparseDist({1: F(1, 3), 2: F(2, 3)})], False),
-    "window_members(31)": (lambda: window_members(31), False),
+    "a set past the singletons": (lambda: hand([pl.delta(3), pl.uniform([2, 3]),
+                                                pl.SparseDist({1: F(1, 3), 2: F(2, 3)})]), False),
+    "window_members(31)": (lambda: hand(window_members(31)), False),
     # as many members as pairs of atoms 1-4, but pair {1, 2} twice and {3, 4} never
-    "a support twice": (lambda: [mix_anchor(F(1, 2), [a, b]) for a, b in
-                                 ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (1, 2))], False),
-    "lexicographic pairs": (lambda: uniform_window_members(7, itertools.combinations), False),
+    "a support twice": (lambda: hand([mix_anchor(F(1, 2), [a, b]) for a, b in
+                                      ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (1, 2))]), False),
+    "lexicographic pairs": (lambda: hand(uniform_window_members(7, itertools.combinations)), False),
 }
 
 
+def hand(members):
+    """A class of the members, in their order, that declares no window."""
+    return pl.FiniteClass("distribution", members)
+
+
 class TestSupportRule:
-    """On a window-structured engine, whose members are uniform on the
-    n-subsets of a window W in colex order, a row of j <= n distinct window
-    atoms selects the member that holds those j atoms and the n - j unseen
-    window atoms of lowest position, its colex rank, with no memo entry and
-    no full pass. Every other row and class takes the full pass; either way
-    the choice is the lowest-index argmin."""
+    """A Scheffé learner on a class that declares its window (W, n) selects
+    each row of j <= n distinct window atoms by the support rule: the member
+    that holds those j atoms and the n - j unseen window atoms of lowest
+    position, its colex rank, with no mass table and no engine. A row of
+    more window atoms takes the engine, built on first use; either way the
+    choice is the engine's lowest-index argmin."""
 
     def test_the_rule_by_hand(self):
-        # PAIRS: window atoms 1-8 at positions 0-7, members the pairs in colex order
-        engine = pl.ScheffeEngine(PAIRS)
+        # window atoms 1-8 at positions 0-7, members the pairs in colex order
+        fam = pairs_class()
+        learner = pl.ScheffeLearner(fam)
         # {5}: with the lowest unseen atom, {1, 5}, rank C(0, 1) + C(4, 2) = 6,
         # however many times atom 5 was seen
-        assert engine.select([5]) == engine.select([5] * 40 + [0, 99]) == 6
-        assert PAIRS[6].support() == (0, 1, 5)
+        assert learner.run([5]) is learner.run([5] * 40 + [0, 99]) is fam.members[6]
+        assert fam.members[6].support() == (0, 1, 5)
         # {3, 7}: rank C(2, 1) + C(6, 2) = 17; no window atom: {1, 2}, rank 0
-        assert engine.select([7, 3, 3]) == 17 and PAIRS[17].support() == (0, 3, 7)
-        assert engine.select([0, 99, 99]) == 0
-        assert engine._memo == {}
+        assert learner.run([7, 3, 3]) is fam.members[17] and fam.members[17].support() == (0, 3, 7)
+        assert learner.run([0, 99, 99]) is fam.members[0]
+        # keyed by the bitmask of the seen window positions
+        assert learner._ranks == {1 << 4: 6, 1 << 2 | 1 << 6: 17, 0: 0}
+        assert "engine" not in learner.__dict__ and fam._mass_table is None
 
-    def test_pairs_select_with_no_full_pass(self, monkeypatch):
-        engine, passes = counted_engine(PAIRS, monkeypatch)
-        assert [engine._atoms[c] for c in engine._window] == list(range(1, 9))  # in column order
+    def test_pairs_select_with_no_engine(self, monkeypatch):
+        fam, engines = pairs_class(), recorded_engines(monkeypatch)
+        learner = pl.ScheffeLearner(fam)
         samples = [s for m in range(1, 4) for s in itertools.combinations_with_replacement(range(10), m)
                    if len(set(s) & set(range(1, 9))) <= 2]
         samples += [pl.draw(PAIRS[5 * t % len(PAIRS)], 48, pl.RngStream(SEED, t)) for t in range(8)]
-        chosen = [engine.select(s) for s in samples]
-        assert passes == [] and engine._memo == {}
-        assert "_incidence" not in engine.__dict__  # no set enumerated
-        singletons = [s for s in engine.sets if len(s) == 1]
-        assert set(singletons) == {frozenset({a}) for a in range(1, 9)}
-        assert chosen == fraction_argmins(PAIRS, engine.sets, samples)
+        chosen = select_counted(learner, samples)
+        assert engines == [] and "engine" not in learner.__dict__ and fam._mass_table is None
+        sets = pl.ScheffeEngine(PAIRS).sets
+        assert chosen == [PAIRS[i] for i in fraction_argmins(PAIRS, sets, samples)]
 
     @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(1, 3), extra=st.integers(0, 2),
-           eta=st.sampled_from([F(1), F(1, 2), F(2, 7)]), data=st.data())
-    def test_the_table_test_accepts_every_window_subset_in_colex_order(self, n, extra, eta, data):
-        # eta on each n-subset of a window of at least 2n atoms, 1 - eta on atom 0
-        window = list(range(1, max(3, 2 * n + extra) + 1))
-        ordered = [mix_anchor(eta, list(a)) for a in colex(window, n)]
-        engine = pl.ScheffeEngine(ordered)
-        assert engine._window is not None and engine._top == n
-        assert [engine._atoms[c] for c in engine._window] == window
-        assert "_incidence" not in engine.__dict__
+    @given(n=st.integers(1, 3), extra=st.integers(0, 2), eta=st.sampled_from([F(1), F(1, 2), F(2, 7)]))
+    def test_a_declared_window_is_what_the_rule_assumes(self, n, extra, eta):
+        # anchored(eta, 2n + extra, filter n): one member per n-subset of the
+        # window in colex order, one mass on its window atoms and one off the
+        # window, and every subset of 1..n window atoms a comparison set
+        fam = pl.anchored_family(eta, 2 * n + extra, size_filter=n)
+        window, top = fam.window
+        assert window == tuple(range(1, 2 * n + extra + 1)) and top == n
+        members = list(fam.members)
+        assert [tuple(a for a in p.support() if a in window) for p in members] == colex(window, n)
+        assert len({w for p in members for a, w in p.items if a in window}) == 1
+        assert len({sum(w for a, w in p.items if a not in window) for p in members}) == 1
         subsets = {frozenset(s) for k in range(1, n + 1) for s in itertools.combinations(window, k)}
-        assert len(engine.sets) == len(subsets) and set(engine.sets) == subsets
-        # the same class in any other order is rejected: a choice's rank is
-        # its colex rank
-        members = data.draw(st.permutations(ordered))
-        assert (pl.ScheffeEngine(members)._window is not None) == (members == ordered)
-        # one member short of every n-subset: rejected, unless n = 1, where
-        # the dropped member's atom leaves the window and the rest are a
-        # window class of their own once three or more
-        rest = list(ordered)
-        del rest[data.draw(st.integers(0, len(rest) - 1))]
-        assert (pl.ScheffeEngine(rest)._window is not None) == (n == 1 and len(rest) >= 3)
+        sets = pl.ScheffeEngine(members).sets
+        assert len(sets) == len(subsets) and set(sets) == subsets
 
     @settings(max_examples=60, deadline=None)
     @given(eta=st.sampled_from([F(1), F(1, 2), F(1, 5), F(3, 7)]), n=st.integers(1, 3),
            extra=st.integers(0, 3), data=st.data())
     def test_the_rule_is_the_fraction_argmin(self, eta, n, extra, data):
-        # blocks over the anchor, the window and an atom outside every
-        # support: rows of fewer than n window atoms leave ties among the
-        # unseen ones, and rows of more than n take the full pass
-        window = list(range(1, max(3, 2 * n + extra) + 1))
-        members = [mix_anchor(eta, list(a)) for a in colex(window, n)]
-        learner, fresh = scheffe(members), pl.ScheffeEngine(members)
-        assert fresh._window is not None
-        atoms = [0, *window, 99]
-        block = data.draw(st.lists(st.lists(st.sampled_from(atoms), min_size=1, max_size=8),
-                                   min_size=1, max_size=24))
+        # blocks over the anchor (none at eta = 1), the window and atom 99,
+        # outside every support: rows of fewer than n window atoms leave ties
+        # among the unseen ones, and rows of more than n take the engine
+        fam = pl.anchored_family(eta, 2 * n + extra, size_filter=n)
+        window = set(fam.window[0])
+        members = list(fam.members)
+        learner, fresh = pl.ScheffeLearner(fam), pl.ScheffeEngine(members)
+        block = data.draw(st.lists(st.lists(st.sampled_from([0, *sorted(window), 99]),
+                                            min_size=1, max_size=8), min_size=1, max_size=24))
         samples = [tuple(s) for s in block]
         expected = fraction_argmins(members, fresh.sets, samples)
-        assert select_counted(learner, samples) == [members[i] for i in expected]
         assert [fresh.select(s) for s in samples] == expected
-        # only the rows past n window atoms reach the memo
-        wide = {tuple(sorted(s)) for s in samples if len(set(s) & set(window)) > n}
-        assert len(learner.engine._memo) == len(wide)
+        assert select_counted(learner, samples) == [members[i] for i in expected]
+        assert [learner.run(s) for s in samples] == [members[i] for i in expected]
+        # the engine is built exactly when a row holds more than n window atoms
+        assert ("engine" in learner.__dict__) == any(len(set(s) & window) > n for s in samples)
+        # an empty row anywhere in a block raises
+        empty = data.draw(st.integers(0, len(samples)))
+        with pytest.raises(EmptySample):
+            select_counted(learner, samples[:empty] + [()] + samples[empty:])
+
+    def test_a_window_past_62_atoms_keys_by_python_ints(self):
+        fam = pl.anchored_family(F(1), 64, size_filter=1)
+        learner = pl.ScheffeLearner(fam)
+        samples = [(64,), (63, 63), (1,), (99,), (64, 99), (1, 64), (62, 63, 64)]
+        chosen = select_counted(learner, samples)
+        assert chosen[:5] == [fam.members[i] for i in (63, 62, 0, 0, 63)]
+        assert 1 << 63 in learner._ranks and learner._ranks[1 << 63] == 63
+        assert all(type(key) is int for key in learner._ranks)
+        members = list(fam.members)
+        assert chosen == [members[i] for i in fraction_argmins(members, learner.engine.sets, samples)]
+
+    @pytest.mark.parametrize("make", [lambda: pl.anchored_family(F(1, 2), 5, size_filter=3),
+                                      lambda: pl.anchored_family(F(1, 2), 4),
+                                      lambda: hand(list(PAIRS))], ids=["2n > w", "unfiltered", "hand"])
+    def test_a_class_with_no_window_takes_the_engine(self, make, monkeypatch):
+        cls = make()
+        assert cls.window is None
+        learner, members = pl.ScheffeLearner(cls), list(cls.members)
+        (rows, engined), engines = counted_rule_rows(monkeypatch), recorded_engines(monkeypatch)
+        samples = [s for m in (1, 2) for s in itertools.combinations_with_replacement(range(7), m)]
+        chosen = select_counted(learner, samples)
+        assert rows == engined == [len(samples)] and len(engines) == 1
+        assert chosen == [members[i] for i in fraction_argmins(members, learner.engine.sets, samples)]
 
     @pytest.mark.parametrize("case", list(WINDOW_CASES))
     def test_every_small_multiset_and_wide_draws_match_the_fraction_argmin(self, case):
-        make, ruled = WINDOW_CASES[case]
-        members = make()
+        make, declared = WINDOW_CASES[case]
+        cls = make()
+        members = list(cls.members)
+        assert (cls.window is not None) == declared
         engine = pl.ScheffeEngine(members)
-        assert (engine._window is not None) == ruled
         atoms = sorted({a for p in members for a in p.support()}) + [99]
         samples = [s for m in range(1, 5) for s in itertools.combinations_with_replacement(atoms, m)]
         wide = [pl.draw(pl.uniform(atoms), 9, pl.RngStream(SEED, t)) for t in range(30)]
-        if ruled:
+        if declared:
             # drawn rows past the rule's n window atoms
-            window = {engine._atoms[c] for c in engine._window}
-            assert any(len(set(s) & window) > engine._top for s in wide)
-            # every atom outside the window is in no set, so it has one mass in
-            # every member, and so has the window
-            assert len(set(engine._mass[:, engine._window].sum(axis=1).tolist())) == 1
+            window, n = cls.window
+            assert any(len(set(s) & set(window)) > n for s in wide)
         expected = fraction_argmins(members, engine.sets, samples + wide)
         assert [engine.select(s) for s in samples + wide] == expected
         # a block of small multisets, then one with the wide rows too (which
-        # take the full pass on a window-structured engine)
-        learner = scheffe(members)
+        # take the engine on a class with a declared window)
+        learner = pl.ScheffeLearner(make())
         assert select_counted(learner, samples[::7]) == [members[i] for i in expected[:len(samples)][::7]]
         assert select_counted(learner, samples[1::7] + wide) \
             == [members[i] for i in expected[:len(samples)][1::7] + expected[len(samples):]]
@@ -519,56 +555,66 @@ class TestSupportRule:
 
 class TestSelectionTraffic:
     """Which path the lab's own runs select with: every row of the exact
-    oracle on the window-structured instance, and of the search workload's
-    spot check, takes the support rule, with no memo entry and no full pass;
-    the truncated staged class and the union's two-member engines take the
-    full pass. A change that moves a benchmark-shaped run off the rule fails
-    here."""
+    oracle on the n = 3 instance, and of the search workload's spot check,
+    takes the support rule, and neither builds an engine (the spot check no
+    mass table either); the truncated staged class and the union's
+    two-member engines take the full pass. A change that moves a
+    benchmark-shaped run off the rule fails here."""
 
     def test_exact_oracle_rows_take_the_rule(self, monkeypatch):
         inst = pl.nfl_distribution_instance(F(1, 2), 3)
-        (rows, memoised), full = counted_window_rows(monkeypatch), counted_passes(monkeypatch)
+        engines, full = recorded_engines(monkeypatch), counted_passes(monkeypatch)
+        rows, engined = counted_rule_rows(monkeypatch)
         learner = pl.ScheffeLearner(inst.family)
         pl.nfl_exact(inst, [learner], 3)
         assert sum(rows) == math.comb(13 + 3 - 1, 3) == 455
-        assert memoised == full == [] and learner.engine._memo == {}
-        assert "_incidence" not in learner.engine.__dict__  # no set enumerated
+        assert engined == full == engines == [] and "engine" not in learner.__dict__
 
     def test_spot_check_rows_take_the_rule(self, monkeypatch):
         # the search workload's spot check, on fewer trials and targets
-        engines, init = [], pl.ScheffeEngine.__init__
+        built, init = [], pl.ScheffeLearner.__init__
 
-        def recorded(self, members):
-            init(self, members)
-            engines.append(self)
+        def recorded(self, cls):
+            init(self, cls)
+            built.append(self)
 
-        monkeypatch.setattr(pl.ScheffeEngine, "__init__", recorded)
-        (rows, memoised), full = counted_window_rows(monkeypatch), counted_passes(monkeypatch)
+        monkeypatch.setattr(pl.ScheffeLearner, "__init__", recorded)
+        engines, full = recorded_engines(monkeypatch), counted_passes(monkeypatch)
+        rows, engined = counted_rule_rows(monkeypatch)
         pl.synthesize(pl.FunctionTable.from_values([1, 4, 9]), pl.RngStream(1), spot_check_k=2,
                       trials=30, targets_cap=4)
-        # one engine, window-structured, so every row it selects is counted
-        assert [len(engine.members) for engine in engines] == [220]
-        assert sum(rows) >= 30 and memoised == full == [] and engines[0]._memo == {}
-        assert "_incidence" not in engines[0].__dict__
+        [learner] = built
+        assert len(learner.cls) == 220 and learner.cls.window is not None and sum(rows) >= 30
+        assert engined == full == engines == [] and "engine" not in learner.__dict__
+        assert learner.cls._mass_table is None
+
+    def test_a_large_window_class_builds_no_table_and_only_the_members_it_reads(self):
+        # anchored(1, 20, filter 5): 15,504 members, whose mass table alone
+        # took 0.3 s; trials against three members at m = 10
+        fam = pl.anchored_family(F(1), 20, size_filter=5)
+        learner = pl.ScheffeLearner(fam)
+        targets = [0, 7_000, len(fam) - 1]
+        outputs = {id(out) for i in targets for out in learner.run_draws(fam.members[i], 10, range(64))}
+        assert fam._mass_table is None and "engine" not in learner.__dict__
+        assert len(fam.members._built) <= len(targets) + len(outputs)
 
     def test_truncation_and_union_engines_take_the_full_pass(self, monkeypatch):
         # the class and sample size of the shipped learn_truncation config
         staged = pl.StagedClass("distribution", pl.SequenceSpec(pl.Reciprocal(F(8)), pl.IdentityN()))
         learner = pl.TruncationLearner(staged, 8)
-        assert learner.engine._window is None
-        assert "_incidence" not in learner.engine.__dict__  # enumerated at the first select
-        (rows, memoised), full = counted_window_rows(monkeypatch), counted_passes(monkeypatch)
+        assert learner.cls.window is None and "engine" not in learner.__dict__  # built at the first select
+        (rows, engined), full = counted_rule_rows(monkeypatch), counted_passes(monkeypatch)
         list(learner.run_draws(learner.cls.members[26], 18, range(50)))
-        assert rows == [] and full and set(full) == {18}
+        assert rows == engined and sum(rows) == 50 and full and set(full) == {18}
         assert (len(learner.engine.members), learner.engine._incidence.shape[1]) == (27, 16)
-        fam = pl.anchored_family(F(1, 2), 8, size_filter=2)
+        fam = pairs_class()
         union = pl.UnionLearner([pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution")])
-        full.clear()
+        rows.clear(), engined.clear(), full.clear()
         # its Scheffé constituent takes the rule on the first halves, 4 points
         # each; the union's two-member engines the full pass on the second
         list(union.run_draws(fam.members[3], 8, range(20)))
-        assert sum(rows) == 20 and memoised == []
-        assert full and set(full) == {4}
+        assert sum(rows) == 20 and "engine" not in union.learners[0].__dict__
+        assert len(engined) == 20 and full and set(full) == {4}
 
 
 # one engine per arithmetic width: with m <= 6, denom * m stays within int16,
@@ -627,23 +673,23 @@ class TestSelectBlock:
             assert names == [width] * 6
 
     @pytest.mark.parametrize("width", WIDTH_DENOMS)
-    def test_every_width_takes_the_rule(self, width, monkeypatch):
-        # the rule does no arithmetic on counts, so a denominator past int64
-        # takes it too
+    def test_a_window_class_at_every_width_is_the_fraction_argmin(self, width, monkeypatch):
+        # uniform on the pairs of a window, as the support rule's classes, but
+        # at every width of the full pass's arithmetic
         members = uniform_window_members(WIDTH_DENOMS[width])
         engine, passes = counted_engine(members, monkeypatch)
-        assert engine.denom == WIDTH_DENOMS[width] and engine._window is not None
+        assert engine.denom == WIDTH_DENOMS[width]
         samples = [s for m in range(1, 7) for s in itertools.combinations_with_replacement(range(6), m)
                    if len(set(s) & {1, 2, 3, 4}) <= 2]
         chosen = [engine.select(s) for s in samples]
-        assert passes == [] and engine._memo == {}
+        assert len(passes) == len(engine._memo) == len(samples)
         assert chosen == fraction_argmins(members, engine.sets, samples)
 
     @settings(max_examples=40, deadline=None)
     @given(width=st.sampled_from(list(WIDTH_DENOMS)),
            block=st.lists(st.lists(st.sampled_from([0, 1, 2, 3, 4, 7]), min_size=1, max_size=6),
                           min_size=1, max_size=40))
-    @example(width="int64-to-object", block=[[4], [4, 4], [1, 2, 3]])  # the rule, then the full pass
+    @example(width="int64-to-object", block=[[4], [4, 4], [1, 2, 3]])  # m = 1 to 3, past int64 at 3
     def test_window_block_equals_select_and_the_fraction_argmin(self, width, block):
         members = uniform_window_members(WIDTH_DENOMS[width])
         learner, fresh = scheffe(members), pl.ScheffeEngine(members)
@@ -681,12 +727,11 @@ class TestSelectBlock:
         assert engine.select((0,) * 513) == 0
 
     def test_mixed_sample_sizes_in_one_block(self, monkeypatch):
-        # a block of 50 samples of 1-49 points on the 28-member engine with
-        # an 8-atom window: the rule answers the rows drawn from members in
-        # one pass over the block, and each distinct row of three or more
-        # window atoms takes a full pass
-        learner = scheffe(PAIRS)
-        (rows, memoised), passes = counted_window_rows(monkeypatch), counted_passes(monkeypatch)
+        # a block of 50 samples of 1-49 points on the 28-member class with
+        # an 8-atom window: the rule answers the rows drawn from members, and
+        # each distinct row of three or more window atoms takes a full pass
+        learner = pl.ScheffeLearner(pairs_class())
+        (rows, engined), passes = counted_rule_rows(monkeypatch), counted_passes(monkeypatch)
         samples = [pl.draw(PAIRS[t % len(PAIRS)], 1 + 47 * (t % 2) + t % 5, pl.RngStream(SEED, t))
                    for t in range(40)]
         samples += [s + (40,) for s in samples[:5]]
@@ -695,7 +740,7 @@ class TestSelectBlock:
         assert select_counted(learner, samples) \
             == [PAIRS[fraction_argmin(PAIRS, learner.engine.sets, s)] for s in samples]
         assert all(len(set(s)) > 2 for s in wide)
-        assert rows == [len(samples)] and memoised == [len(wide)] and len(passes) == distinct(wide)
+        assert rows == [len(samples)] and engined == [len(wide)] and len(passes) == distinct(wide)
 
     def test_engine_without_comparison_sets(self):
         members = [pl.uniform([1, 2]), pl.uniform([1, 2])]
@@ -707,12 +752,14 @@ class TestSelectBlock:
             select_counted(learner, [(1,), ()])
 
     def test_empty_sample_raises(self):
-        learner = scheffe(PAIRS)
         with pytest.raises(EmptySample):
-            learner.engine.select([])
-        with pytest.raises(EmptySample):
-            select_counted(learner, [(1, 2), ()])
-        assert select_counted(learner, []) == []
+            scheffe(PAIRS).engine.select([])
+        for learner in (scheffe(PAIRS), pl.ScheffeLearner(pairs_class())):
+            with pytest.raises(EmptySample):
+                learner.run([])
+            with pytest.raises(EmptySample):
+                select_counted(learner, [(1, 2), ()])
+            assert select_counted(learner, []) == []
 
     def test_block_straddling_the_memo_clear(self):
         # every selection on the block class takes the full pass through the memo

@@ -697,6 +697,28 @@ class TestClopperPearson:
                     assert nfl._binom_cdf(x, n, p) == reference(x, n, p), (x, n, p)
         assert nfl._log_factorials.cache_info().currsize <= nfl.LOG_FACTORIAL_TABLES
 
+    def test_memoised_endpoints_equal_the_bisection(self):
+        # each endpoint is memoised per (failures, trials, alpha): a first and
+        # a repeated call return the uncached bisection's float, bit for bit
+        for endpoint in (pl.clopper_pearson_upper, pl.clopper_pearson_lower):
+            for trials in (1, 2, 7, 60, 120, 129, 200):
+                for x in sorted({0, 1, trials // 3, trials // 2, trials - 1, trials}):
+                    for alpha in (0.05, 0.001):
+                        expected = endpoint.__wrapped__(x, trials, alpha)
+                        assert endpoint(x, trials, alpha) == expected
+                        assert endpoint(x, trials, alpha) == expected, (endpoint, x, trials)
+
+    def test_endpoint_memos_stay_bounded(self):
+        # past CP_ENDPOINTS keys (on the all-failure and no-failure shortcuts,
+        # which cost no bisection) each memo drops its oldest entries
+        for endpoint, failures in ((pl.clopper_pearson_upper, lambda t: t),
+                                   (pl.clopper_pearson_lower, lambda t: 0)):
+            for trials in range(1, nfl.CP_ENDPOINTS + 50):
+                endpoint(failures(trials), trials)
+            info = endpoint.cache_info()
+            assert info.maxsize == info.currsize == nfl.CP_ENDPOINTS
+        assert pl.clopper_pearson_upper(0, 200) == pl.clopper_pearson_upper.__wrapped__(0, 200)
+
     def test_max_certifiable(self):
         mc = max_certifiable_failures(200, 1 / 15)
         assert pl.clopper_pearson_upper(mc, 200) <= 1 / 15
