@@ -42,6 +42,7 @@ from .families import (
     Reciprocal,
     SequenceSpec,
     StagedClass,
+    TASK_DISTRIBUTION,
     TASK_REAL,
     anchored_family,
     labeled_anchored_family,
@@ -56,7 +57,7 @@ from .learners import (
     TruncationLearner,
     UnionLearner,
 )
-from .losses import AbsoluteLoss, CappedLinearLoss, SquaredLoss
+from .losses import AbsoluteLoss, CappedLinearLoss, SquaredLoss, bayes_labeler
 from .nfl import (
     ComplexityCurve,
     DEFAULT_ENUM_BUDGET,
@@ -288,7 +289,10 @@ def _load_learner(spec: Reader, cls: FiniteClass, staged=None):
         return EmpiricalBaseline(cls.task, real_ctx=cls.real_ctx)
     if kind == "constant":
         idx = spec.get("member_index", _index(len(cls)))
-        return ConstantLearner(cls.members[idx], cls.task, name=f"constant-m{idx}")
+        member = cls.members[idx]
+        if cls.task != TASK_DISTRIBUTION:  # a data distribution: output its Bayes labeler
+            member = EmpiricalBaseline(cls.task, cls.real_ctx).labeler(bayes_labeler(member).ones)
+        return ConstantLearner(member, cls.task, name=f"constant-m{idx}")
     raise ConfigError(spec.at("kind"), f"unknown learner {kind!r}")
 
 

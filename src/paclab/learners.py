@@ -6,19 +6,18 @@ sample); ties always break toward the lowest index in the candidate class's
 canonical order, and the Scheffé engine's choice is the exact lowest-index
 argmin (`ScheffeEngine`).
 
-A sample reaches a learner in one of two shapes. `run` takes a tuple of
-atoms, and so does the union learner's `run_block`, whose split depends on
-order. Every block an `exchangeable` learner takes arrives as count rows
-through `Learner.run_counts`: `run_block` counts a block of tuples
-SELECT_CHUNK samples at a time (`dist.count_rows`), and `run_draws` counts
-each chunk of drawn atom positions (`dist.draw_rows`) with one offset
-bincount, so Monte Carlo trials build no tuples. On a class that declares
-its window (the filtered anchored families) the Scheffé learner selects a
-row of at most n window atoms by the support rule, with no mass table and
-no engine; any other row takes the engine's memo and one full pass per
-distinct miss. Classification ERM and the empirical baselines read the
-counts directly, and real-task ERM spells rows out for `run`. The union
-learner hands each constituent's run_block a chunk's first halves.
+Every `exchangeable` learner implements one method, `run_counts`, on count
+rows; `run` on one sample is run_counts on its count row. `run_block`
+counts a block of tuples SELECT_CHUNK samples at a time (`dist.count_rows`),
+and `run_draws` counts each chunk of drawn atom positions (`dist.draw_rows`)
+with one offset bincount, so Monte Carlo trials build no tuples. On a class
+that declares its window (the filtered anchored families) the Scheffé
+learner selects a row of at most n window atoms by the support rule, with no
+mass table and no engine; any other row takes the engine's memo and one
+full pass per distinct miss. ERM sums integer losses and the empirical
+baselines read the counts directly. The union learner, whose split depends
+on order, takes tuples: it hands each constituent's run_block a chunk's
+first halves.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dist import (INT64_SAFE, SELECT_CHUNK, MassTable, SparseDist, count_rows, draw_rows, draws,
-                   empirical_dist)
+from .dist import INT64_SAFE, SELECT_CHUNK, MassTable, SparseDist, count_rows, draw_rows, draws
 from .errors import EmptyClass, EmptySample, MixedTasks, SampleTooSmall
 from .families import (
     BinaryHypothesis,
@@ -44,7 +42,7 @@ from .families import (
     TASK_DISTRIBUTION,
     TASK_REAL,
 )
-from .losses import bayes_labeler, hypotheses_of_class, real_risk, zero_one_risk
+from .losses import hypotheses_of_class
 
 SELECT_MEMO_SIZE = 4096  # most selections an engine, or a learner's rank memo, remembers
 
@@ -86,22 +84,15 @@ class ScheffeEngine:
 
     Blocks: _select_counts, the one selection core, takes count rows as
     `Learner.run_counts` does, and select() counts one sample. A full-pass
-    choice is memoised by the bytes of the count row over the engine's
-    columns in the narrowest unsigned dtype that holds the largest m among
-    the rows taking it (rows of different dtypes differ in length, so their
-    keys never collide), in a dict cleared once it holds SELECT_MEMO_SIZE
-    entries; a block reads its hits first, so a clear loses none of them.
-    Each distinct miss takes one full pass.
+    choice is memoised by the bytes of the int64 count row over the
+    engine's columns (`_memoised`); each distinct miss takes one full pass.
 
     Widths: every entry of `_nums` is at most denom, and every deviation
     numerator |nums * m - denom * count| of an m-point sample at most
     denom * m. While denom < INT64_SAFE `_nums` is held in the narrowest
     of int16, int32 and int64 that holds denom, and each full pass
     computes in the narrowest that holds denom * m, so no step can
-    overflow; past int64 it computes on Python ints (object dtype). The
-    deviations go into one byte buffer owned by the engine, grown only
-    when a pass needs more bytes, so an engine must not be shared between
-    threads.
+    overflow; past int64 it computes on Python ints (object dtype).
     """
 
     def __init__(self, members: MassTable | Sequence[SparseDist]):
@@ -114,7 +105,6 @@ class ScheffeEngine:
         self._column = table.column
         self._atoms = table.atoms
         self._mass = mass = table.mass
-        self._dev = np.empty(0, dtype=np.uint8)  # the deviation buffer, grown on use
         self._memo: dict = {}  # atom-count bytes -> selected index
         # an atom of one mass in every member is in no comparison set
         self._has_sets = bool((mass != mass[0]).any())
@@ -163,20 +153,14 @@ class ScheffeEngine:
         get, outside = self._column.get, len(self._column)
         cols = np.array([get(a, outside) for a in atoms], dtype=np.intp)
         counts = np.matmul(counts, cols[:, None] == np.arange(outside + 1), dtype=np.int64)
-        dtype = np.min_scalar_type(max(ms))  # the narrowest unsigned dtype that holds m
-        keys = counts.astype(dtype).view(f"V{counts.shape[1] * dtype.itemsize}").ravel().tolist()
-        memo = self._memo
-        chosen = [memo.get(key) for key in keys]  # read before any clear below
-        misses = {key: r for r, (key, best) in enumerate(zip(keys, chosen)) if best is None}
-        if not misses:
-            return chosen
-        wide = _int_dtype(self.denom * max(ms[r] for r in misses.values()))
-        found = {key: self._full_pass(counts[r], ms[r], wide) for key, r in misses.items()}
-        for key, best in found.items():
-            if len(memo) >= SELECT_MEMO_SIZE:
-                memo.clear()
-            memo[key] = best
-        return [found[key] if best is None else best for key, best in zip(keys, chosen)]
+        keys = counts.view(f"V{counts.shape[1] * 8}").ravel().tolist()
+
+        def solve(misses: list) -> list:
+            row = dict(zip(keys, range(len(keys))))
+            wide = _int_dtype(self.denom * max(ms[row[key]] for key in misses))
+            return [self._full_pass(counts[row[key]], ms[row[key]], wide) for key in misses]
+
+        return _memoised(self._memo, keys, solve)
 
     def _full_pass(self, counts: np.ndarray, m: int, dtype: np.dtype) -> int:
         """The selection for one row of atom counts of an m-point sample,
@@ -185,19 +169,9 @@ class ScheffeEngine:
         # deviation numerators |prob_num * m - denom * count| over denom * m,
         # each at most denom * m. Every multiply names its dtype: under NEP 50
         # a narrow array times a Python int stays narrow.
-        dev = np.multiply(self._nums, m, dtype=dtype, out=self._buffer(dtype))
+        dev = np.multiply(self._nums, m, dtype=dtype)
         dev -= np.multiply(counts[:-1] @ self._incidence, self.denom, dtype=dtype)
         return int(np.abs(dev, out=dev).max(axis=1).argmin())
-
-    def _buffer(self, dtype: np.dtype) -> np.ndarray:
-        """The deviation buffer as a `_nums`-shaped `dtype` array, grown only
-        when it holds fewer bytes; Python ints (object dtype) get a fresh
-        array, since numpy views no bytes as objects."""
-        if dtype == object:
-            return np.empty(self._nums.shape, dtype)
-        if self._dev.size < self._nums.size * dtype.itemsize:
-            self._dev = np.empty(self._nums.size * dtype.itemsize, dtype=np.uint8)
-        return np.ndarray(self._nums.shape, dtype, self._dev)
 
 
 # (largest bound, dtype), narrowest first; int64 stops below INT64_SAFE, and
@@ -212,6 +186,23 @@ def _int_dtype(bound: int) -> np.dtype:
     """The narrowest of int16, int32 and int64 that holds every integer of
     absolute value at most `bound`; object (Python ints) once bound >= INT64_SAFE."""
     return next(dtype for top, dtype in _INT_WIDTHS if bound <= top)
+
+
+def _memoised(memo: dict, keys: list, solve) -> list:
+    """memo's value for each of `keys`; `solve` maps the list of distinct
+    missing keys, in first-seen order, to their values. memo is cleared
+    once it holds SELECT_MEMO_SIZE entries; every hit is read first, so a
+    clear loses none of them."""
+    chosen = [memo.get(key) for key in keys]
+    if None not in chosen:
+        return chosen
+    misses = list(dict.fromkeys(key for key, value in zip(keys, chosen) if value is None))
+    found = dict(zip(misses, solve(misses)))
+    for key, value in found.items():
+        if len(memo) >= SELECT_MEMO_SIZE:
+            memo.clear()
+        memo[key] = value
+    return [found[key] if value is None else value for key, value in zip(keys, chosen)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +226,14 @@ class Learner:
     name: str = "learner"
 
     def run(self, sample: Sequence):
-        raise NotImplementedError
+        """The output on one sample: run_counts() on its count row if `exchangeable`."""
+        if self.exchangeable:
+            return next(iter(self.run_counts(*count_rows([sample]))))
+        return next(self.run_block([sample]))
 
     def run_block(self, samples: Iterable):
-        """run() on each sample, lazily and in order; an `exchangeable`
-        learner takes SELECT_CHUNK samples at a time as count rows
-        (`dist.count_rows`) through run_counts()."""
-        if not self.exchangeable:
-            yield from map(self.run, samples)
-            return
+        """run() on each sample, lazily and in order, SELECT_CHUNK samples at
+        a time as count rows (`dist.count_rows`) through run_counts()."""
         samples = iter(samples)
         while chunk := list(itertools.islice(samples, SELECT_CHUNK)):
             yield from self.run_counts(*count_rows(chunk))
@@ -266,10 +256,10 @@ class Learner:
     def run_counts(self, atoms: Sequence, counts: np.ndarray):
         """The output on each row of `counts`, an (r, len(atoms)) non-negative
         integer matrix of samples' atom counts (`atoms` distinct and valid, in
-        canonical order): run() on the sorted tuples the rows spell out.
-        Only an `exchangeable` learner's output is fixed by the counts."""
-        return map(self.run, (tuple(a for a, c in zip(atoms, row) for _ in range(c))
-                              for row in counts.tolist()))
+        canonical order). Every `exchangeable` learner implements this, and
+        only such a learner's output is fixed by the counts; any other
+        overrides run_block()."""
+        raise NotImplementedError
 
 
 class ScheffeLearner(Learner):
@@ -307,11 +297,8 @@ class ScheffeLearner(Learner):
     def engine(self) -> ScheffeEngine:
         return ScheffeEngine(self.cls.mass_table())
 
-    def run(self, sample):
-        return self.run_counts(*count_rows([sample]))[0]
-
     def run_counts(self, atoms: Sequence, counts: np.ndarray) -> list:
-        """run() on each count row; each distinct member is read once."""
+        """The selection on each count row; each distinct member is read once."""
         if self.cls.window is None:
             chosen = self.engine._select_counts(atoms, counts)
         else:
@@ -319,16 +306,7 @@ class ScheffeLearner(Learner):
             keys = (seen @ _window_weights(tuple(atoms), self.cls.window[0])).tolist()
             if 0 in keys and not seen.any(axis=1).all():  # an empty row has key 0
                 raise EmptySample("minimum-distance selection needs a sample")
-            ranks = self._ranks
-            chosen = [ranks.get(key) for key in keys]  # read before any clear below
-            if None in chosen:
-                misses = list(dict.fromkeys(k for k, i in zip(keys, chosen) if i is None))
-                found = dict(zip(misses, self._rank(misses)))
-                for key, i in found.items():
-                    if len(ranks) >= SELECT_MEMO_SIZE:
-                        ranks.clear()
-                    ranks[key] = i
-                chosen = [found[k] if i is None else i for k, i in zip(keys, chosen)]
+            chosen = _memoised(self._ranks, keys, self._rank)
             if -1 in chosen:  # rows of more than n window atoms
                 wide = [r for r, i in enumerate(chosen) if i < 0]
                 for r, i in zip(wide, self.engine._select_counts(atoms, counts[wide])):
@@ -393,12 +371,10 @@ class TruncationLearner(ScheffeLearner):
 
 
 class ErmLearner(Learner):
-    """Empirical risk minimization over a finite hypothesis list.
-
-    A hypothesis's empirical risk is its exact risk (`zero_one_risk` or
-    `real_risk`) on the sample's empirical distribution. On an empty
-    sample every hypothesis has vacuous empirical risk, so the tie rule
-    returns the lowest-index hypothesis.
+    """Empirical risk minimization over a finite hypothesis list: the first
+    hypothesis of least summed loss on the sample, which is least empirical
+    risk. On an empty sample every sum is 0, so the tie rule returns the
+    lowest-index hypothesis.
     """
 
     finite_outputs = True
@@ -428,24 +404,31 @@ class ErmLearner(Learner):
             return ErmLearner(list(source.members), TASK_REAL, real_ctx=cls.real_ctx)
         raise MixedTasks("distribution classes take the minimum-distance learner")
 
-    def run(self, sample):
-        atoms = tuple(sample)
-        if not atoms:
-            return self.hypotheses[0]
-        p, ctx = empirical_dist(atoms), self.real_ctx
-        if self.task == TASK_CLASSIFICATION:
-            return min(self.hypotheses, key=lambda h: zero_one_risk(h, p))  # first of least risk
-        return min(self.hypotheses, key=lambda h: real_risk(ctx, h, p))
+    def run_counts(self, atoms: Sequence, counts: np.ndarray) -> list:
+        """The first hypothesis of least summed loss on each count row
+        (`_summed_losses`)."""
+        best = self._summed_losses(atoms, counts).argmin(axis=1).tolist()
+        return [self.hypotheses[k] for k in best]
 
-    def run_counts(self, atoms: Sequence, counts: np.ndarray):
-        """Classification: the first hypothesis of fewest mistakes, a row's
-        summed counts of the atoms (x, b) with h(x) != b, as run() picks by
-        risk = mistakes / m. The real task spells the rows out."""
-        if self.task != TASK_CLASSIFICATION:
-            return super().run_counts(atoms, counts)
-        wrong = np.array([[h(x) != b for x, b in atoms] for h in self.hypotheses], dtype=np.int64)
-        best = (counts.astype(np.int64) @ wrong.T).argmin(axis=1)
-        return [self.hypotheses[k] for k in best.tolist()]
+    def _summed_losses(self, atoms: Sequence, counts: np.ndarray) -> np.ndarray:
+        """The (rows, hypotheses) integer matrix of each row's summed losses.
+        Classification counts mistakes, the atoms (x, b) with h(x) != b, in
+        int64. The real task scales each loss g(|h(x) - y(b)|) to an integer
+        over the losses' common denominator, in int64 while the largest one
+        times max(m, 1) stays below INT64_SAFE, else in Python ints."""
+        if self.task == TASK_CLASSIFICATION:
+            wrong = np.array([[h(x) != b for x, b in atoms] for h in self.hypotheses],
+                             dtype=np.int64)
+            return np.matmul(counts, wrong.T, dtype=np.int64)
+        ctx = self.real_ctx
+        loss = [[ctx.loss.g(abs(h(x) - ctx.y_of_bit(b))) for x, b in atoms]
+                for h in self.hypotheses]
+        scale = math.lcm(*(g.denominator for row in loss for g in row))
+        nums = [[g.numerator * (scale // g.denominator) for g in row] for row in loss]
+        top = max((num for row in nums for num in row), default=0)
+        dtype = np.int64 if top * int(counts.sum(axis=1).max(initial=1)) < INT64_SAFE else object
+        nums = np.array(nums, dtype=dtype).reshape(len(loss), len(atoms))
+        return counts.astype(dtype) @ nums.T
 
 
 class UnionLearner(Learner):
@@ -472,9 +455,6 @@ class UnionLearner(Learner):
         # large enough for every constituent
         self.min_sample = max(2, 2 * max(ln.min_sample for ln in self.learners) - 1)
         self.name = f"union({len(self.learners)})"
-
-    def run(self, sample):
-        return next(self.run_block([sample]))
 
     def run_block(self, samples: Iterable):
         """run() on each sample, lazily and in order, SELECT_CHUNK samples at
@@ -506,13 +486,7 @@ class EmpiricalBaseline(Learner):
         self.real_ctx = real_ctx
         self.name = "empirical-baseline"
 
-    def run(self, sample):
-        atoms = tuple(sample)
-        if self.task == TASK_DISTRIBUTION:
-            return empirical_dist(atoms)
-        return self._labeler(bayes_labeler(empirical_dist(atoms)).ones if atoms else ())
-
-    def _labeler(self, ones: tuple):
+    def labeler(self, ones: tuple):
         """The task's hypothesis that labels the points `ones`, sorted, 1."""
         if self.task == TASK_CLASSIFICATION:
             return BinaryHypothesis(ones)
@@ -524,14 +498,14 @@ class EmpiricalBaseline(Learner):
         """The distribution task builds each row's empirical distribution
         unchecked, lazily, with one Fraction(c, m) per count value. The
         hypothesis tasks label point x 1 iff a row counts more (x, 1) than
-        (x, 0) points, as run()'s Bayes labeler does by mass."""
+        (x, 0) points: the empirical distribution's Bayes labeler."""
         if self.task != TASK_DISTRIBUTION:
             points = sorted({x for x, _ in atoms})
             # +1 where an atom is point x labelled 1, -1 where labelled otherwise
             votes = np.array([[(1 if b == 1 else -1) if x == p else 0 for p in points]
                               for x, b in atoms], dtype=np.int64).reshape(len(atoms), len(points))
             for ones in (counts.astype(np.int64) @ votes > 0).tolist():
-                yield self._labeler(tuple(x for x, one in zip(points, ones) if one))
+                yield self.labeler(tuple(x for x, one in zip(points, ones) if one))
             return
         for row in counts.tolist():
             if not (m := sum(row)):
@@ -550,9 +524,6 @@ class ConstantLearner(Learner):
         self.output = output
         self.task = task
         self.name = name or "constant"
-
-    def run(self, sample):
-        return self.output
 
     def run_counts(self, atoms: Sequence, counts: np.ndarray) -> list:
         return [self.output] * len(counts)

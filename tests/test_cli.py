@@ -287,6 +287,71 @@ def test_mutated_shipped_configs_never_raise(tmp_path, capsys):
     assert bad == []
 
 
+ONE_LEARNER = [{"kind": "scheffe"}, {"kind": "truncation", "epsilon": "8"}, {"kind": "erm"},
+               {"kind": "empirical-baseline"}, {"kind": "constant", "member_index": 1}]
+EVERY_LEARNER = ONE_LEARNER + [{"kind": "union", "of": []}] + [
+    {"kind": "union", "of": [spec, {"kind": "empirical-baseline"}]} for spec in ONE_LEARNER]
+SWEEP_INSTANCES = [{"task": "distribution", "eta": "1/2", "n": 2},
+                   {"task": "classification", "eta": "1/2", "n": 1},
+                   {"task": "real", "eta": "1/2", "width": 2, "loss": {"kind": "squared"}}]
+SWEEP_CLASSES = [
+    {"family": "anchored", "eta": "1/2", "n": 2}, {"family": "labeled", "eta": "1/2", "n": 1},
+    {"family": "plateau-data", "eta": "1/2", "width": 2, "loss": {"kind": "absolute"}},
+    {"family": "plateau-data", "eta": "1/2", "width": 2, "loss": {"kind": "squared"}}] + [
+    {"family": "staged", "task": task, "eta": {"kind": "reciprocal", "c": "8"},
+     "n": {"kind": "identity"}, "truncate_epsilon": "8", "loss": {"kind": "absolute"}}
+    for task in ("distribution", "classification", "real")]
+
+
+def learner_sweep():
+    """A tiny config of each learner kind on each instance task (nfl-exact
+    at m = 0 and 2, nfl-mc) and each family (learn at m = 0 and 4,
+    sample-complexity)."""
+    for spec in EVERY_LEARNER:
+        for inst in SWEEP_INSTANCES:
+            for m in (0, 2):
+                yield {"kind": "nfl-exact", "instance": inst, "m": m, "learners": [spec]}
+            yield {"kind": "nfl-mc", "instance": inst, "m": 2, "trials": 5, "learner": spec,
+                   "member_indices": [1]}
+        for cls in SWEEP_CLASSES:
+            for m in (0, 4):
+                yield {"kind": "learn", "class": cls, "learner": spec, "target_index": 1, "m": m,
+                       "trials": 2}
+            yield {"kind": "sample-complexity", "class": cls, "learner": spec, "epsilon": "1/2",
+                   "delta": "1/4", "protocol": {"trials": 20, "m_max": 8, "targets_cap": 2}}
+
+
+def test_every_learner_kind_on_every_task_never_raises(tmp_path, capsys):
+    cases, bad = 0, []
+    for cfg in learner_sweep():
+        cases += 1
+        try:
+            code = run_cli([cfg["kind"], "--config", write_cfg(tmp_path, {"seed": 1, **cfg}),
+                            "--out", tmp_path / "o"])
+        except Exception as exc:
+            bad.append(f"{cfg}: {type(exc).__name__}: {exc}")
+            continue
+        if code not in (0, 2, 3, 4):
+            bad.append(f"{cfg}: exit {code}")
+    capsys.readouterr()
+    assert cases == 11 * (3 * 3 + 3 * 7)
+    assert bad == []
+
+
+@pytest.mark.parametrize("inst", SWEEP_INSTANCES[1:], ids=lambda inst: inst["task"])
+def test_constant_learner_outputs_the_members_bayes_labeler(tmp_path, inst):
+    # on a hypothesis task constant-m{i} has exact risk 0 against member i
+    cfg = {"kind": "nfl-exact", "seed": 1, "instance": inst, "m": 2,
+           "learners": [{"kind": "constant", "member_index": i} for i in range(4)]}
+    out = tmp_path / "o"
+    assert run_cli(["nfl-exact", "--config", write_cfg(tmp_path, cfg), "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    for i, learner in enumerate(report["learners"]):
+        assert learner["name"] == f"constant-m{i}"
+        assert [mean == "0/1" for mean in learner["per_member_mean"]][:4] \
+            == [k == i for k in range(4)]
+
+
 @pytest.mark.parametrize("name,field,value", UNSET_FIELDS, ids=lambda v: str(v))
 def test_unset_fields_run_clean(tmp_path, name, field, value):
     # the sweep's added fields are valid as added

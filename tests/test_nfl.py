@@ -26,6 +26,7 @@ from paclab.nfl import (
     max_certifiable_failures,
     observed_atoms,
 )
+from test_learners import counting_baseline, counting_erm
 
 SEED = 20260808
 
@@ -384,6 +385,21 @@ def counting_learner(instance, k):
     return exchangeable_learners(inst)[int(k)], inst.family
 
 
+def reference_output(learner, sample):
+    """An exchangeable learner's output on one sample by a reference that
+    shares no code with its run_counts: counting ERM, the counting plurality
+    labeler, the empirical distribution, the constant; a Scheffé learner's
+    run() with a fresh memo (its Fraction references live in test_learners)."""
+    if isinstance(learner, pl.ErmLearner):
+        return counting_erm(learner, sample)
+    if isinstance(learner, pl.EmpiricalBaseline):
+        return (pl.empirical_dist(sample) if learner.task == "distribution"
+                else counting_baseline(learner.task, learner.real_ctx, sample))
+    if isinstance(learner, pl.ConstantLearner):
+        return learner.output
+    return learner.run(sample)
+
+
 def outputs_or_empty(make):
     """list(make()), or EmptySample if that raises it."""
     try:
@@ -449,7 +465,7 @@ class TestExchangeableLearners:
         counts = np.array(rows, dtype=np.uint8)
         spelled = [tuple(a for a, c in zip(atoms, row) for _ in range(c)) for row in rows]
         assert outputs_or_empty(lambda: learner.run_counts(atoms, counts)) \
-            == outputs_or_empty(lambda: map(fresh.run, spelled))
+            == outputs_or_empty(lambda: (reference_output(fresh, s) for s in spelled))
 
     @pytest.mark.parametrize("case", COUNT_CASES, ids="-".join)
     @settings(max_examples=15, deadline=None)
@@ -928,7 +944,8 @@ class TestDrawPaths:
         assert len(yielded) == trials
 
     def test_classification_erm_trials_sum_no_fractions(self, monkeypatch):
-        # ERM on drawn samples counts each hypothesis's mistakes in integers
+        # ERM on drawn samples counts each hypothesis's mistakes in integers:
+        # it adds no Fraction, and picks as counting ERM on the drawn tuples
         fam = pl.labeled_anchored_family(F(1, 2), 2)
 
         def run(learner):
@@ -939,13 +956,25 @@ class TestDrawPaths:
                                member_indices=[0, 5, 15])
             return point, stats
 
-        expected = run(tuple_path(pl.ErmLearner.for_class(fam)))
+        reference = pl.ErmLearner.for_class(fam)
+        reference.run_draws = lambda target, m, seeds: (counting_erm(reference, s)
+                                                        for s in draws(target, m, seeds))
+        expected = run(reference)
 
         def refuse(*args):
             raise AssertionError("an ERM trial summed Fraction risks")
 
-        monkeypatch.setattr(learners, "zero_one_risk", refuse)
-        assert run(pl.ErmLearner.for_class(fam)) == expected
+        learner = pl.ErmLearner.for_class(fam)
+        run_counts = learner.run_counts
+
+        def no_fraction_sums(atoms, counts):
+            with monkeypatch.context() as patched:
+                patched.setattr(F, "__add__", refuse)
+                patched.setattr(F, "__radd__", refuse)
+                return run_counts(atoms, counts)
+
+        learner.run_counts = no_fraction_sums
+        assert run(learner) == expected
 
 
 def counted_opt_loss(monkeypatch):
