@@ -6,13 +6,12 @@ the output directory. Report bodies contain no timestamps and are
 byte-identical across reruns of the same config and seed; wall-clock
 metadata lives only in the manifest.
 
-Exit codes: 0 success, 2 config error, 3 budget exceeded, 4 a requested
-assertion failed.
+Exit codes: 0 success, 2 a usage or config error or an unusable output
+directory, 3 budget exceeded, 4 a requested assertion failed.
 """
 
 from __future__ import annotations
 
-import argparse
 import datetime
 import hashlib
 import json
@@ -515,6 +514,12 @@ def run_experiment(subcommand: str, cfg, out_dir=None, seed_override=None,
                                              f"subcommand {subcommand!r}")
     out_field = reader.get("out", Path, None)  # read even when --out overrides it
     out_dir = Path(out_dir or out_field or ".")
+    for nearest in (out_dir, *out_dir.parents):  # mkdir below makes the missing part
+        if nearest.exists():
+            if not nearest.is_dir():
+                raise NotADirectoryError(f"output directory {out_dir}: {nearest} "
+                                         "is not a directory")
+            break
     seed = reader.get("seed", _int)
     rng = RngStream(seed, 0)
 
@@ -541,28 +546,66 @@ def run_experiment(subcommand: str, cfg, out_dir=None, seed_override=None,
     return (EXIT_ASSERT if failures else EXIT_OK), manifest
 
 
+USAGE = ("usage: paclab <subcommand> --config <path> [--out <dir>] [--seed <int>]\n"
+         "  each option --flag value or --flag=value, in any order")
+
+
+def _parse_argv(argv) -> tuple:
+    """(subcommand, config, out, seed) from an argv of USAGE's grammar; a
+    ValueError names the first argument that does not fit it."""
+    subcommands, values = [], {"--out": None, "--seed": None}
+    args = iter(argv)
+    for arg in args:
+        if not arg.startswith("-"):
+            subcommands.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        if flag not in ("--config", "--out", "--seed"):
+            raise ValueError(f"unknown option {flag!r}")
+        if not eq:  # the value is the next argument; of those starting "-", only an integer
+            value = next(args, None)
+            if value is None or value.startswith("-") and not value[1:].isdigit():
+                raise ValueError(f"option {flag} needs a value")
+        values[flag] = value
+    if len(subcommands) != 1:
+        raise ValueError(f"expected one subcommand, got {len(subcommands)}: {subcommands}")
+    if subcommands[0] not in SUBCOMMANDS:
+        raise ValueError(f"unknown subcommand {subcommands[0]!r} "
+                         f"(choose from {', '.join(SUBCOMMANDS)})")
+    if "--config" not in values:
+        raise ValueError("option --config is required")
+    seed = values["--seed"]
+    if seed is not None:
+        try:
+            seed = int(seed)
+        except ValueError:
+            raise ValueError(f"option --seed takes an integer, not {seed!r}") from None
+    return subcommands[0], values["--config"], values["--out"], seed
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="paclab",
-        description="Seeded experiment runner for distribution-learning hardness checks.")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("--config", required=True, help="path to a JSON config")
-    parser.add_argument("--out", default=None, help="output directory (default: config 'out' or '.')")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(f"{USAGE}\nsubcommands: {', '.join(SUBCOMMANDS)}")
+        return EXIT_OK
+    try:
+        subcommand, config, out, seed = _parse_argv(argv)
+    except ValueError as exc:
+        print(f"{USAGE}\npaclab: error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
-        cfg = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        print(f"config error: no such file {args.config}", file=sys.stderr)
+        cfg = json.loads(Path(config).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"config error: cannot read {config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        code, _ = run_experiment(args.subcommand, cfg, args.out, seed_override=args.seed,
-                                 base_dir=Path(args.config).resolve().parent)
+        code, _ = run_experiment(subcommand, cfg, out, seed_override=seed,
+                                 base_dir=Path(config).resolve().parent)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -571,6 +614,9 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except PaclabError as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # the output directory cannot be made or written
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if code == EXIT_ASSERT:
         print("assertion failure (see report.json)", file=sys.stderr)

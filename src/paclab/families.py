@@ -389,9 +389,21 @@ def _concat(head, parts: list) -> _Ranked:
     return _Ranked(starts[-1], item)
 
 
-def _masks_of_size(n: int, r: int) -> list:
-    """Bitmasks of the r-element subsets of {1..n}, ascending."""
-    return sorted(sum(1 << b for b in c) for c in itertools.combinations(range(n), r))
+def _colex_unrank(n: int, r: int) -> Callable[[int], int]:
+    """i -> the bitmask of the i-th r-element subset of {1..n} in ascending
+    bitmask (colex) order. This inverts i = sum_k C(c_k, k) over its bit
+    positions c_1 < ... < c_r: c_k is the last p with C(p, k) <= what is
+    left of i once the slots above k are taken off."""
+    columns = [[math.comb(p, k) for p in range(n)] for k in range(r, 0, -1)]
+
+    def mask_of(i: int) -> int:
+        mask = 0
+        for column in columns:
+            p = bisect.bisect_right(column, i) - 1
+            i -= column[p]
+            mask |= 1 << p
+        return mask
+    return mask_of
 
 
 def _mask_to_set(mask: int):
@@ -438,7 +450,7 @@ def anchored_family(eta, n: int, size_filter: Optional[int] = None,
     if size_filter is None:
         mask_of = lambda i: i + 1
     else:
-        mask_of = _masks_of_size(n, size_filter).__getitem__
+        mask_of = _colex_unrank(n, size_filter)
     anchor = _anchor(eta, 0)
     shares = [None] + [eta / k for k in range(1, n + 1)]  # eta/|A|
 

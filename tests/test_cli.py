@@ -3,7 +3,10 @@
 import copy
 import hashlib
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ import pytest
 from paclab import cli, dominance, learners
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = CONFIG_DIR.parent / "src"
 SCHEMA = CONFIG_DIR.parent / "docs" / "config.schema.json"
 BENCH_WORKLOADS = CONFIG_DIR.parent / "perfbench" / "workloads.py"
 
@@ -71,6 +75,74 @@ def test_non_object_config_is_config_error(tmp_path, capsys, body):
     cfg.write_text(body)
     assert run_cli(["construct", "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+
+
+def run_module(args, cwd):
+    """`python -m paclab.cli args` in a fresh interpreter at `cwd`."""
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    return subprocess.run([sys.executable, "-m", "paclab.cli", *map(str, args)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+SMALL = CONFIG_DIR / "construct_small.json"
+
+
+@pytest.mark.parametrize("args,says", [
+    (["bogus", "--config", SMALL], "usage:"),
+    (["construct"], "usage:"),
+    (["construct", "--config"], "usage:"),
+    (["construct", "--out", "--config", SMALL], "usage:"),
+    (["construct", "--config", SMALL, "--verbose"], "usage:"),
+    (["construct", "--conf", SMALL], "usage:"),  # no prefixes of an option
+    (["construct", "--config", SMALL, "--seed", "x"], "usage:"),
+    (["construct", "learn", "--config", SMALL], "usage:"),
+    (["construct", "--config", "."], "config error:"),
+    (["construct", "--config", "latin1.json"], "config error:"),
+    (["construct", "--config", "deep.json"], "config error:"),
+    (["construct", "--config", SMALL, "--out", "file"], "output error:"),
+    (["construct", "--config", SMALL, "--out", "file/sub"], "output error:"),
+], ids=["unknown-subcommand", "no-config", "no-value-at-end", "no-value", "unknown-option",
+        "prefix", "non-integer-seed", "two-subcommands", "config-is-a-directory",
+        "config-not-utf8", "config-nested-too-deep", "out-is-a-file", "out-below-a-file"])
+def test_bad_argv_or_paths_exit_2_without_a_traceback(tmp_path, args, says):
+    (tmp_path / "latin1.json").write_bytes(b'{"kind": "construct", "seed": 1, "x": "\xe9"}')
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    (tmp_path / "file").write_text("")
+    proc = run_module(args, tmp_path)
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert says in proc.stderr and "Traceback" not in proc.stderr
+    assert {p.name for p in tmp_path.iterdir()} == {"latin1.json", "deep.json", "file"}
+    assert (tmp_path / "file").read_text() == ""
+
+
+def test_help_prints_usage_to_stdout(tmp_path):
+    proc = run_module(["--help"], tmp_path)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: paclab")
+
+
+def test_argv_forms_write_the_same_report(tmp_path):
+    forms = {"spaced": ["construct", "--config", SMALL, "--out", "a", "--seed", "5"],
+             "equals": ["construct", f"--config={SMALL}", "--out=b", "--seed=5"],
+             "options-first": ["--seed", "5", "--out", "c", "--config", SMALL, "construct"]}
+    for args in forms.values():
+        assert run_module(args, tmp_path).returncode == 0
+    bodies = {(tmp_path / out / "report.json").read_bytes() for out in "abc"}
+    assert len(bodies) == 1
+
+
+def test_an_unusable_out_fails_before_the_run(tmp_path, monkeypatch):
+    # the nearest existing ancestor of the output path is a file: the run
+    # stops before the runner, and creates nothing
+    def no_run(*args):
+        raise AssertionError("the runner ran")
+
+    monkeypatch.setitem(cli._RUNNERS, "construct", no_run)
+    (tmp_path / "file").write_text("")
+    cfg = json.loads(SMALL.read_text())
+    for out in (tmp_path / "file", tmp_path / "file" / "a" / "b"):
+        with pytest.raises(NotADirectoryError):
+            cli.run_experiment("construct", cfg, out)
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 INSTANCE = {"task": "distribution", "eta": "1/2", "n": 2}  # 28 members

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import paclab as pl
+from paclab import families
 from paclab.errors import BadEta, BadN, ClassTooLarge, EtaAboveGmax, NonVanishing
 
 
@@ -42,6 +43,18 @@ class TestAnchoredFamily:
         assert [p.support()[1:] for p in fam.members] == colex
         if n < 8:
             assert pl.anchored_family(F(1, 3), n).window is None
+
+    def test_filtered_members_are_unranked_not_enumerated(self, monkeypatch):
+        # member i's subset comes from its rank alone: building the class of
+        # 134,596 members and reading its last one lists no subsets
+        def no_enumeration(*args):
+            raise AssertionError("subsets were enumerated")
+
+        monkeypatch.setattr(families.itertools, "combinations", no_enumeration)
+        fam = pl.anchored_family(F(1), 24, size_filter=6)
+        assert len(fam) == 134_596
+        assert fam.labels[-1] == "A=[19, 20, 21, 22, 23, 24]"
+        assert fam[-1].support() == tuple(range(19, 25))
 
     def test_appendix_filter_count(self):
         # |A| = n over window 4n at n = 2
