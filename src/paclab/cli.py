@@ -136,12 +136,12 @@ def _trial_count(value) -> int:
     return n
 
 
-def _sample_size(value) -> int:
-    """A JSON integer of at least 0."""
-    m = _int(value)
-    if m < 0:
-        raise ValueError("a sample size cannot be negative")
-    return m
+def _non_negative(value) -> int:
+    """A JSON integer of at least 0: a sample size or a count to report."""
+    n = _int(value)
+    if n < 0:
+        raise ValueError("cannot be negative")
+    return n
 
 
 def _bool(value) -> bool:
@@ -328,7 +328,7 @@ def _run_construct(cfg: Reader, rng, base_dir):
     if staged is not None and not spec.has("truncate_epsilon"):
         # countable handle: report the rules and the first stage sizes, no
         # member materialization beyond what the caller asks for
-        horizon = cfg.get("stage_horizon", _int, 6)
+        horizon = cfg.get("stage_horizon", _non_negative, 6)
         levels, sizes = {}, {}
         for i in range(1, horizon + 1):
             levels[str(i)] = frac_str(staged.spec.eta_value(i))
@@ -342,7 +342,7 @@ def _run_construct(cfg: Reader, rng, base_dir):
             "stage_sizes": sizes,
         }
         return report, {}, []
-    cap = cfg.get("max_members", _int, 1 << 12)
+    cap = cfg.get("max_members", _non_negative, 1 << 12)
     cls = _load_class(spec, staged)
     members = [m.to_json_obj() if isinstance(m, SparseDist) else repr(m)
                for m in cls.members[:cap]]
@@ -359,7 +359,7 @@ def _run_construct(cfg: Reader, rng, base_dir):
 def _run_learn(cfg: Reader, rng, base_dir):
     # trials and m first: a run that cannot happen builds no class or learner
     trials = cfg.get("trials", _trial_count, 1)
-    m = cfg.get("m", _sample_size)
+    m = cfg.get("m", _non_negative)
     cls, learner = _class_and_learner(cfg)
     target_idx = cfg.get("target_index", _index(len(cls)))
     threshold = cfg.get("threshold", Fraction, "1/8")
@@ -415,7 +415,7 @@ def _run_sample_complexity(cfg: Reader, rng, base_dir):
 
 
 def _run_nfl_exact(cfg: Reader, rng, base_dir):
-    m = cfg.get("m", _sample_size)  # before the instance, as in _run_learn
+    m = cfg.get("m", _non_negative)  # before the instance, as in _run_learn
     inst = _load_instance(cfg.get("instance", Reader))
     learners = [_load_learner(s, inst.family) for s in cfg.list("learners", Reader)]
     thresholds = cfg.list("thresholds", Fraction, []) or None
@@ -440,7 +440,7 @@ def _run_nfl_exact(cfg: Reader, rng, base_dir):
 
 def _run_nfl_mc(cfg: Reader, rng, base_dir):
     trials = cfg.get("trials", _trial_count)  # before the instance, as in _run_learn
-    m = cfg.get("m", _sample_size)
+    m = cfg.get("m", _non_negative)
     inst = _load_instance(cfg.get("instance", Reader))
     learner = _load_learner(cfg.get("learner", Reader), inst.family)
     threshold = cfg.get("threshold", Fraction, inst.eta / 8)

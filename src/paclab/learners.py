@@ -44,7 +44,7 @@ from .families import (
 )
 from .losses import hypotheses_of_class
 
-SELECT_MEMO_SIZE = 4096  # most selections an engine, or a learner's rank memo, remembers
+SELECT_MEMO_SIZE = 4096  # most entries any memo filled through `memoised` holds
 
 
 def yatracos_set(p: SparseDist, q: SparseDist) -> frozenset:
@@ -85,7 +85,7 @@ class ScheffeEngine:
     Blocks: _select_counts, the one selection core, takes count rows as
     `Learner.run_counts` does, and select() counts one sample. A full-pass
     choice is memoised by the bytes of the int64 count row over the
-    engine's columns (`_memoised`); each distinct miss takes one full pass.
+    engine's columns (`memoised`); each distinct miss takes one full pass.
 
     Widths: every entry of `_nums` is at most denom, and every deviation
     numerator |nums * m - denom * count| of an m-point sample at most
@@ -160,7 +160,7 @@ class ScheffeEngine:
             wide = _int_dtype(self.denom * max(ms[row[key]] for key in misses))
             return [self._full_pass(counts[row[key]], ms[row[key]], wide) for key in misses]
 
-        return _memoised(self._memo, keys, solve)
+        return memoised(self._memo, keys, solve)
 
     def _full_pass(self, counts: np.ndarray, m: int, dtype: np.dtype) -> int:
         """The selection for one row of atom counts of an m-point sample,
@@ -188,12 +188,12 @@ def _int_dtype(bound: int) -> np.dtype:
     return next(dtype for top, dtype in _INT_WIDTHS if bound <= top)
 
 
-def _memoised(memo: dict, keys: list, solve) -> list:
+def memoised(memo: dict, keys: list, solve) -> list:
     """memo's value for each of `keys`; `solve` maps the list of distinct
     missing keys, in first-seen order, to their values. memo is cleared
     once it holds SELECT_MEMO_SIZE entries; every hit is read first, so a
     clear loses none of them."""
-    chosen = [memo.get(key) for key in keys]
+    chosen = list(map(memo.get, keys))
     if None not in chosen:
         return chosen
     misses = list(dict.fromkeys(key for key, value in zip(keys, chosen) if value is None))
@@ -212,15 +212,13 @@ def _memoised(memo: dict, keys: list, solve) -> list:
 class Learner:
     """Deterministic map from samples to an output, with a task kind and
     the agnostic factor its guarantee carries (3 for TV, 1 otherwise).
-    `finite_outputs` says every output comes from a fixed finite list, so
-    a memo keyed by output stays bounded. `exchangeable` says the output
+    `exchangeable` says the output
     depends only on the sample's multiset of points, not on their order,
     so reordering a sample returns an equal output. `min_sample` is the
     smallest sample size `run` accepts."""
 
     task: str = TASK_DISTRIBUTION
     agnostic_factor: int = 1
-    finite_outputs: bool = False
     exchangeable: bool = False
     min_sample: int = 1
     name: str = "learner"
@@ -281,7 +279,6 @@ class ScheffeLearner(Learner):
     """
 
     agnostic_factor = 3
-    finite_outputs = True
     exchangeable = True
 
     def __init__(self, cls: FiniteClass):
@@ -306,7 +303,7 @@ class ScheffeLearner(Learner):
             keys = (seen @ _window_weights(tuple(atoms), self.cls.window[0])).tolist()
             if 0 in keys and not seen.any(axis=1).all():  # an empty row has key 0
                 raise EmptySample("minimum-distance selection needs a sample")
-            chosen = _memoised(self._ranks, keys, self._rank)
+            chosen = memoised(self._ranks, keys, self._rank)
             if -1 in chosen:  # rows of more than n window atoms
                 wide = [r for r, i in enumerate(chosen) if i < 0]
                 for r, i in zip(wide, self.engine._select_counts(atoms, counts[wide])):
@@ -377,7 +374,6 @@ class ErmLearner(Learner):
     lowest-index hypothesis.
     """
 
-    finite_outputs = True
     exchangeable = True
 
     def __init__(self, hypotheses: Sequence, task: str, real_ctx=None,
@@ -450,7 +446,6 @@ class UnionLearner(Learner):
         self.task = learners[0].task
         self.real_ctx = real_ctx
         self.agnostic_factor = 3 if self.task == TASK_DISTRIBUTION else 1
-        self.finite_outputs = all(ln.finite_outputs for ln in self.learners)
         # both halves non-empty, and the first half of ceil(m/2) points
         # large enough for every constituent
         self.min_sample = max(2, 2 * max(ln.min_sample for ln in self.learners) - 1)
@@ -517,7 +512,6 @@ class EmpiricalBaseline(Learner):
 class ConstantLearner(Learner):
     """Ignores the sample; useful as an oracle subject and at m=0."""
 
-    finite_outputs = True
     exchangeable = True
 
     def __init__(self, output, task: str, name: Optional[str] = None):

@@ -47,7 +47,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .dist import INT64_SAFE, MassTable, SparseDist, delta, frac_str, mixture, sequence_prob, uniform
+from .dist import (INT64_SAFE, SELECT_CHUNK, MassTable, SparseDist, delta, frac_str, mixture,
+                   sequence_prob, uniform)
 from .errors import (
     BadPrecondition,
     BadRange,
@@ -66,7 +67,7 @@ from .families import (
     labeled_anchored_family,
     plateau_data_family,
 )
-from .learners import Learner
+from .learners import Learner, memoised
 from .losses import LossRule, opt_loss, task_loss
 from .rng import RngStream
 
@@ -627,11 +628,11 @@ class McMemberStat:
 
 
 def _trial_outcomes(cls: FiniteClass, learner: Learner, m: int, trials: int, rng: RngStream,
-                    prefix: tuple, i: int, judge, memo: Optional[dict]):
+                    prefix: tuple, i: int, judge, memo: dict):
     """judge(task loss against member i of the learner's output) for each
     trial's m-point sample, lazily and in trial order. `memo`, which the
-    caller keeps for one search or Monte Carlo call, holds that value per
-    (i, output); None, for outputs from no finite list, keeps no memo.
+    caller keeps for target i alone, holds that value per output, each
+    chunk's outputs looked up at once in it (`learners.memoised`).
 
     The trials against member i run as one block, and trial t draws the
     sample draw(member i, m, rng.child(*prefix, i, t)) would: the block
@@ -639,17 +640,12 @@ def _trial_outcomes(cls: FiniteClass, learner: Learner, m: int, trials: int, rng
     the learner draws SELECT_CHUNK samples at a time (`Learner.run_draws`):
     an exchangeable learner takes each chunk as count rows (`run_counts`),
     any other (the union) the drawn tuples as one block (`run_block`). A caller
-    that stops early has drawn at most SELECT_CHUNK - 1 past its last value."""
+    that stops early has drawn and judged at most SELECT_CHUNK - 1 past its last value."""
     target = cls.members[i]
-    seeds = rng.child_seeds(*prefix, i, count=trials)
-    for out in learner.run_draws(target, m, seeds):
-        if memo is None:
-            yield judge(task_loss(cls, out, target))
-            continue
-        value = memo.get((i, out))
-        if value is None:
-            value = memo[i, out] = judge(task_loss(cls, out, target))
-        yield value
+    outputs = learner.run_draws(target, m, rng.child_seeds(*prefix, i, count=trials))
+    while chunk := list(itertools.islice(outputs, SELECT_CHUNK)):
+        yield from memoised(memo, chunk, lambda outs: [judge(task_loss(cls, out, target))
+                                                       for out in outs])
 
 
 def mc_risk(cls: FiniteClass, learner: Learner, m: int, trials: int, rng: RngStream,
@@ -663,14 +659,13 @@ def mc_risk(cls: FiniteClass, learner: Learner, m: int, trials: int, rng: RngStr
         raise EmptyEstimate("mc_risk needs at least one trial")
     threshold = Fraction(threshold)
     indices = list(member_indices) if member_indices is not None else list(range(len(cls)))
-    losses = {} if learner.finite_outputs else None
     stats = []
     for i in indices:
         total, failures = 0.0, 0
-        for err in _trial_outcomes(cls, learner, m, trials, rng, (), i, lambda err: err, losses):
-            total += float(err)
-            if err >= threshold:
-                failures += 1
+        for err, failed in _trial_outcomes(cls, learner, m, trials, rng, (), i,
+                                           lambda err: (float(err), err >= threshold), {}):
+            total += err
+            failures += failed
         stats.append(McMemberStat(
             member_index=i, trials=trials, mean_error=total / trials,
             failures=failures, threshold=threshold,
@@ -738,12 +733,12 @@ def _level_failures(cls, learner, bars, m, trials, rng, max_fail, verdicts) -> d
     target i, in the order of `bars`: each tested target's failure count,
     in that order. The level stops at the first target that fails more than
     `max_fail` times and so cannot certify; that target comes last.
-    `verdicts` is the search's memo of whether an output fails a target."""
+    `verdicts[i]` is the search's memo of whether an output fails target i."""
     counts = {}
     for i, bar in bars.items():
         counts[i] = 0
         for failed in _trial_outcomes(cls, learner, m, trials, rng, (m,), i,
-                                      bar.__lt__, verdicts):  # err > bar
+                                      bar.__lt__, verdicts[i]):  # err > bar
             if failed:
                 counts[i] += 1
                 if counts[i] > max_fail:
@@ -760,11 +755,13 @@ def _no_level_certified(eps, delta, m_max: int, last_failed: int) -> SearchBound
 def check_search_protocol(eps, delta, trials: int, targets_cap: int, m_min: int,
                           m_max: int, learner) -> int:
     """The checks of `estimate_sample_complexity` that need no class:
-    at least one trial and one target (else EmptyEstimate), and a first
-    level max(m_min, learner.min_sample) within m_max (else
-    SearchBoundExceeded, as when no level certifies). Returns that first
-    level. `learner` may be a learner class, so a caller that builds a
-    costly learner can run the checks first."""
+    eps >= 0 and 0 < delta < 1 (else BadRange), at least one trial and one
+    target (else EmptyEstimate), and a first level max(m_min,
+    learner.min_sample) within m_max (else SearchBoundExceeded, as when no
+    level certifies). Returns that first level. `learner` may be a learner
+    class, so a caller that builds a costly learner can run the checks first."""
+    if eps < 0 or not 0 < delta < 1:
+        raise BadRange(f"the search needs epsilon >= 0 and 0 < delta < 1, not {eps} and {delta}")
     if trials < 1 or targets_cap < 1:
         raise EmptyEstimate(f"the search needs trials >= 1 and targets_cap >= 1, "
                             f"not {trials} and {targets_cap}")
@@ -803,11 +800,10 @@ def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
     else:
         gen = rng.child(917).generator()
         targets = sorted(gen.sample(range(len(cls)), targets_cap))
-    # the guarantee of each target holds across levels, and so does every
-    # verdict seen when the learner's outputs come from a finite list
+    # each target's guarantee, and so every verdict in its memo, holds across levels
     bars = {i: _guarantee(cls, cls.members[i], eps, learner.agnostic_factor)
             for i in targets}
-    verdicts = {} if learner.finite_outputs else None
+    verdicts = {i: {} for i in targets}
     # verdicts and selections are pure, so the order targets are tested in
     # changes no result, only how soon a failing level stops: a level that
     # fails moves the target that failed it to the front, and one that

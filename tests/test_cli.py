@@ -269,6 +269,9 @@ def test_union_search_without_m_min(tmp_path):
     ("sample-complexity", "protocol", {"trials": 0}),
     ("sample-complexity", "protocol", {"targets_cap": 0}),
     ("sample-complexity", "protocol", {"targets_cap": -1}),
+    ("sample-complexity", "epsilon", "-1"),
+    ("sample-complexity", "delta", "3"),
+    ("sample-complexity", "delta", "0"),
     ("synthesize", "spot_check", {"k": 0}),
     ("synthesize", "spot_check", {"k": 2, "targets_cap": -1}),
     ("nfl-exact", "assert", {"markov_tails": "no"}),
@@ -284,6 +287,17 @@ def test_bad_scalar_is_config_error(tmp_path, kind, field, body):
                       "learner": {"kind": "scheffe"}}}[kind]
     cfg = write_cfg(tmp_path, {"kind": kind, "seed": 1, **cfg, field: body})
     assert run_cli([kind, "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    ({"family": "anchored", "eta": "1/2", "n": 2}, "max_members", -1),
+    ({"eta": {"kind": "reciprocal", "c": "8"}, "n": {"kind": "identity"}}, "stage_horizon", -3),
+], ids=repr)
+def test_negative_construct_count_is_config_error(tmp_path, capsys, cls, field, value):
+    cfg = write_cfg(tmp_path, {"kind": "construct", "seed": 1, "class": cls, field: value})
+    assert run_cli(["construct", "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
+    assert f"config error: config field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 MALFORMED = ["two", -1, 0, 1.5, True, None, [], {}]
@@ -810,16 +824,21 @@ def test_configs_match_schema():
     jsonschema.Draft202012Validator.check_schema(schema)
     configs = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))]
     assert len(configs) == 7
-    configs.append({"kind": "construct", "seed": 3, "class": STAGED_NO_FAMILY,
-                    "stage_horizon": 16})
+    configs += [{"kind": "construct", "seed": 3, "class": STAGED_NO_FAMILY,
+                 "stage_horizon": 16},
+                {"kind": "nfl-mc", "seed": 3, "instance": {**INSTANCE, "budget": 1 << 20},
+                 "m": 2, "trials": 3, "learner": {"kind": "scheffe"}},
+                {"kind": "learn", "seed": 3, "class": STAGED_NO_FAMILY, "m": 4,
+                 "learner": {"kind": "truncation", "epsilon": "1/2", "budget": 1 << 20}}]
     # the benchmark's workload configs, read from its module without importing it
     bench = runpy.run_path(str(BENCH_WORKLOADS))
     configs += [w.make_config(bench["DEFAULT_SEED"]) for w in bench["WORKLOADS"].values()]
-    assert len(configs) == 11
+    assert len(configs) == 13
     for cfg in configs:
         jsonschema.validate(cfg, schema)
-    with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate({"kind": "construct", "seed": 3, "class": {"n": 2}}, schema)
+    for bad in ({"class": {"n": 2}}, {"max_members": -1}, {"stage_horizon": -3}):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({"kind": "construct", "seed": 3, **bad}, schema)
 
 
 def test_dominate_reads_csv_tables(tmp_path):

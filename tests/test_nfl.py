@@ -543,6 +543,47 @@ def counted_draws(learner):
     return yielded
 
 
+def memo_case(kind):
+    """(class, learner) of a memo test: the learner picks from the class,
+    outputs its sample's empirical distribution, or unions the two."""
+    fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
+    learner = {
+        "scheffe": lambda: pl.ScheffeLearner(fam),
+        "empirical-baseline": lambda: pl.EmpiricalBaseline("distribution"),
+        "union": lambda: pl.UnionLearner([pl.ScheffeLearner(fam),
+                                          pl.EmpiricalBaseline("distribution")]),
+    }[kind]()
+    return fam, learner
+
+
+def counted_losses(monkeypatch):
+    """Record the (target, output) pair of every task loss the Monte Carlo
+    oracles compute."""
+    pairs, task_loss = [], nfl.task_loss
+
+    def counted(cls, out, target):
+        pairs.append((target, out))
+        return task_loss(cls, out, target)
+
+    monkeypatch.setattr(nfl, "task_loss", counted)
+    return pairs
+
+
+def memo_sizes(monkeypatch):
+    """Record each memo's size after every lookup through `learners.memoised`,
+    from the oracles and from the learners alike."""
+    sizes, memoised = [], learners.memoised
+
+    def recorded(memo, keys, solve):
+        values = memoised(memo, keys, solve)
+        sizes.append(len(memo))
+        return values
+
+    monkeypatch.setattr(nfl, "memoised", recorded)
+    monkeypatch.setattr(learners, "memoised", recorded)
+    return sizes
+
+
 class TestMemberSamples:
     """nfl_exact's enumeration: each member's multisets as count rows, or its
     sequences, over its own support, with integer weights over denom^m."""
@@ -783,27 +824,33 @@ class TestMcRisk:
         assert a[0].mean_error == b[0].mean_error
         assert a[0].failures == b[0].failures
 
-    @pytest.mark.parametrize("kind", ["scheffe", "empirical-baseline"])
-    def test_losses_memoised_only_for_finite_outputs(self, monkeypatch, kind):
-        fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
-        learner = (pl.ScheffeLearner(fam) if kind == "scheffe"
-                   else pl.EmpiricalBaseline("distribution"))
-        pairs = []
-        task_loss = nfl.task_loss
-
-        def counted_loss(cls, out, target):
-            pairs.append((target, out))
-            return task_loss(cls, out, target)
-
-        monkeypatch.setattr(nfl, "task_loss", counted_loss)
+    @pytest.mark.parametrize("kind,scored", [("scheffe", 15), ("empirical-baseline", 50),
+                                             ("union", 43)])
+    def test_each_loss_computed_once_per_target_and_output(self, monkeypatch, kind, scored):
+        fam, learner = memo_case(kind)
+        pairs, outputs = counted_losses(monkeypatch), counted_draws(learner)
         trials = 40
         pl.mc_risk(fam, learner, 3, trials, pl.RngStream(SEED, 8), F(1, 8))
-        if kind == "scheffe":
-            # at most one loss per (member, output) pair
-            assert len(pairs) == len(set(pairs)) < len(fam) * trials
-        else:
-            # fresh empirical outputs keep no memo: one loss per trial
-            assert len(pairs) == len(fam) * trials
+        # outputs repeat at m = 3, the baseline's too: one loss per (target, output) pair
+        assert len(outputs) == len(fam) * trials
+        assert len(pairs) == len(set(pairs)) == scored < len(outputs)
+
+    @pytest.mark.parametrize("kind", ["scheffe", "empirical-baseline", "union"])
+    def test_memos_bounded_at_select_memo_size(self, monkeypatch, kind):
+        def run():
+            fam, learner = memo_case(kind)
+            stats = pl.mc_risk(fam, learner, 3, 40, pl.RngStream(SEED, 8), F(1, 8))
+            point = pl.estimate_sample_complexity(fam, learner, F(1, 2), F(1, 4),
+                                                  pl.RngStream(SEED, 9), trials=30,
+                                                  m_min=2, m_max=64)
+            return stats, point
+
+        expected = run()
+        sizes = memo_sizes(monkeypatch)
+        monkeypatch.setattr(learners, "SELECT_MEMO_SIZE", 2)
+        assert run() == expected
+        # no memo outgrew 2 entries, and at least one reached them
+        assert max(sizes) == 2
 
     def test_negative_m_is_rejected(self):
         inst = pl.nfl_distribution_instance(F(1, 2), 2)
@@ -848,19 +895,18 @@ class TestTrialBlocks:
         read, yielded = counted_counts(learner), counted_draws(learner)
         max_fail = 3
         counts = nfl._level_failures(fam, learner, {0: F(0)}, 4, 40, pl.RngStream(SEED, 6),
-                                     max_fail, {})
+                                     max_fail, {0: {}})
         assert counts == {0: max_fail + 1}
-        # the level took max_fail + 1 outputs, all from the first chunk's count rows
-        assert len(yielded) == max_fail + 1
-        assert len(read) == SELECT_CHUNK
+        # the level counted max_fail + 1 outputs, all from the first chunk's
+        # count rows, whose outputs were judged as one
+        assert len(yielded) == len(read) == SELECT_CHUNK
 
-    @pytest.mark.parametrize("memo", [True, False], ids=["memo", "no-memo"])
-    def test_a_loss_equal_to_the_guarantee_is_no_failure(self, memo):
+    def test_a_loss_equal_to_the_guarantee_is_no_failure(self):
         fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
         learner = pl.ConstantLearner(fam[5], "distribution")
         err, rng = pl.task_loss(fam, fam[5], fam[0]), pl.RngStream(SEED, 6)
         for bar, failures in ((err, 0), (err - F(1, 10 ** 9), 4)):
-            verdicts = {} if memo else None  # one memo per search, whose bars are fixed
+            verdicts = {0: {}}  # one memo per target of a search, whose bar is fixed
             assert nfl._level_failures(fam, learner, {0: bar}, 4, 10, rng, 3, verdicts) \
                 == {0: failures}
 
@@ -872,7 +918,7 @@ class TestTrialBlocks:
         read = counted_counts(learner)
         max_fail = 3
         counts = nfl._level_failures(fam, learner, {0: F(0)}, 4, 100, pl.RngStream(SEED, 6),
-                                     max_fail, {})
+                                     max_fail, {0: {}})
         assert counts == {0: max_fail + 1}
         # the trial that failed max_fail + 1 times ended the first chunk's selections
         assert len(read) == SELECT_CHUNK
@@ -997,6 +1043,21 @@ class TestEstimateSampleComplexity:
                                            trials=80, m_max=16)
         assert pt.m_hat == 1
 
+    @pytest.mark.parametrize("eps,delta", [(F(-1), F(1, 4)), (F(1, 8), F(0)), (F(1, 8), F(1)),
+                                           (F(1, 8), F(3))], ids=repr)
+    def test_out_of_range_eps_or_delta_is_rejected(self, eps, delta):
+        fam = pl.anchored_family(F(1, 2), 2)
+        with pytest.raises(BadRange):
+            pl.estimate_sample_complexity(fam, pl.ScheffeLearner(fam), eps, delta,
+                                          pl.RngStream(SEED, 4), trials=30, m_max=8)
+
+    def test_zero_eps_asks_for_exact_identification(self):
+        # every trial must return the target itself, which a finite class certifies
+        fam = pl.anchored_family(F(1, 2), 2)
+        pt = pl.estimate_sample_complexity(fam, pl.ScheffeLearner(fam), 0, F(1, 4),
+                                           pl.RngStream(SEED, 4), trials=30, m_max=64)
+        assert pt.eps == 0 and pt.m_hat > 1
+
     def test_too_few_trials_for_delta(self):
         cls = pl.FiniteClass("distribution", [pl.delta(0)])
         with pytest.raises(SearchBoundExceeded):
@@ -1033,31 +1094,17 @@ class TestEstimateSampleComplexity:
         assert all(nfl._guarantee(fam, p, F(1, 8), 3) == 3 * pl.opt_loss(fam, p)[0] + F(1, 8)
                    for p in fam.members)
 
-    @pytest.mark.parametrize("kind", ["scheffe", "empirical-baseline", "union"])
-    def test_losses_memoised_only_for_finite_outputs(self, monkeypatch, kind):
-        fam = pl.anchored_family(F(1, 2), 4, size_filter=2)
-        learner = {
-            "scheffe": lambda: pl.ScheffeLearner(fam),
-            "empirical-baseline": lambda: pl.EmpiricalBaseline("distribution"),
-            "union": lambda: pl.UnionLearner([pl.ScheffeLearner(fam),
-                                              pl.EmpiricalBaseline("distribution")]),
-        }[kind]()
-        losses, task_loss = [], nfl.task_loss
-
-        def counted_loss(cls, out, target):
-            losses.append((target, out))
-            return task_loss(cls, out, target)
-
-        outputs = counted_draws(learner)
-        monkeypatch.setattr(nfl, "task_loss", counted_loss)
+    @pytest.mark.parametrize("kind,scored,drawn", [("scheffe", 15, 180),
+                                                   ("empirical-baseline", 106, 390),
+                                                   ("union", 47, 390)])
+    def test_each_verdict_computed_once_per_target_and_output(self, monkeypatch, kind, scored,
+                                                              drawn):
+        fam, learner = memo_case(kind)
+        pairs, outputs = counted_losses(monkeypatch), counted_draws(learner)
         pl.estimate_sample_complexity(fam, learner, F(1, 2), F(1, 4), pl.RngStream(SEED, 9),
                                       trials=30, m_min=2, m_max=64)
-        if kind == "scheffe":
-            # at most one loss per (target, member) pair
-            assert len(losses) == len(set(losses)) <= len(fam) ** 2 < len(outputs)
-        else:
-            # fresh empirical outputs keep no memo: one loss per output
-            assert len(losses) == len(outputs)
+        # one verdict per (target, output) pair, kept across the search's levels
+        assert len(pairs) == len(set(pairs)) == scored < len(outputs) == drawn
 
     @staticmethod
     def levels_tried(monkeypatch):
