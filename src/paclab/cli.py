@@ -78,6 +78,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_ASSERT = 4
+# past stage 14,285 a stage size 2^i - 1 has more digits than Python writes as an int
+STAGE_HORIZON_MAX = 4096
 
 
 _MISSING = object()
@@ -141,6 +143,14 @@ def _non_negative(value) -> int:
     n = _int(value)
     if n < 0:
         raise ValueError("cannot be negative")
+    return n
+
+
+def _stage_horizon(value) -> int:
+    """A count of stages to report, 0..STAGE_HORIZON_MAX."""
+    n = _non_negative(value)
+    if n > STAGE_HORIZON_MAX:
+        raise ValueError(f"at most {STAGE_HORIZON_MAX} stages are reported")
     return n
 
 
@@ -328,7 +338,7 @@ def _run_construct(cfg: Reader, rng, base_dir):
     if staged is not None and not spec.has("truncate_epsilon"):
         # countable handle: report the rules and the first stage sizes, no
         # member materialization beyond what the caller asks for
-        horizon = cfg.get("stage_horizon", _non_negative, 6)
+        horizon = cfg.get("stage_horizon", _stage_horizon, 6)
         levels, sizes = {}, {}
         for i in range(1, horizon + 1):
             levels[str(i)] = frac_str(staged.spec.eta_value(i))

@@ -364,9 +364,6 @@ class FiniteClass:
     def __getitem__(self, i: int) -> Member:
         return self.members[i]
 
-    def index_of(self, member: Member) -> int:
-        return self.members.index(member)
-
     def mass_table(self) -> MassTable:
         """The members' MassTable, built on the first call and kept; only a
         class of distributions has one."""

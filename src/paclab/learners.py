@@ -357,15 +357,6 @@ class TruncationLearner(ScheffeLearner):
         super().__init__(staged.truncate(self.eps, budget=budget))  # may raise NonVanishing/ClassTooLarge
         self.name = f"truncation(eps={self.eps})"
 
-    def advertised_sample_size(self, delta) -> int:
-        """The union bound advertised for this reduction: stages-by-width
-        squared inside the log, 128/eps^2 outside."""
-        idx = self.staged.spec.settling_index(self.eps / 4)
-        nmax = self.staged.spec.n_max(idx)
-        eps = float(self.eps)
-        return math.ceil(128 * (math.log(3 * (idx * nmax) ** 2) + math.log(1 / float(delta)))
-                         / eps ** 2)
-
 
 class ErmLearner(Learner):
     """Empirical risk minimization over a finite hypothesis list: the first
@@ -491,9 +482,10 @@ class EmpiricalBaseline(Learner):
 
     def run_counts(self, atoms: Sequence, counts: np.ndarray):
         """The distribution task builds each row's empirical distribution
-        unchecked, lazily, with one Fraction(c, m) per count value. The
-        hypothesis tasks label point x 1 iff a row counts more (x, 1) than
-        (x, 0) points: the empirical distribution's Bayes labeler."""
+        unchecked, lazily, with one Fraction(c, m) per distinct (c, m) of the
+        call, shared by every row that holds it. The hypothesis tasks label
+        point x 1 iff a row counts more (x, 1) than (x, 0) points: the
+        empirical distribution's Bayes labeler."""
         if self.task != TASK_DISTRIBUTION:
             points = sorted({x for x, _ in atoms})
             # +1 where an atom is point x labelled 1, -1 where labelled otherwise
@@ -502,10 +494,13 @@ class EmpiricalBaseline(Learner):
             for ones in (counts.astype(np.int64) @ votes > 0).tolist():
                 yield self.labeler(tuple(x for x, one in zip(points, ones) if one))
             return
+        fracs: dict = {}  # m -> {c: Fraction(c, m)}
         for row in counts.tolist():
             if not (m := sum(row)):
                 raise EmptySample("empirical distribution of an empty sample")
-            mass = {c: Fraction(c, m) for c in set(row)}
+            mass = fracs.setdefault(m, {})
+            for c in set(row) - mass.keys():
+                mass[c] = Fraction(c, m)
             yield SparseDist._trusted(tuple((a, mass[c]) for a, c in zip(atoms, row) if c))
 
 

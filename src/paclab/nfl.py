@@ -165,22 +165,6 @@ def swap_distribution(base: int, seq: Sequence, member: SparseDist) -> SparseDis
                    tag=f"swap({member.tag})")
 
 
-def _flip_mask(mask: int, width: int, fixed: frozenset) -> int:
-    flip = 0
-    for x in range(1, width + 1):
-        if x not in fixed:
-            flip |= 1 << (x - 1)
-    return mask ^ flip
-
-
-def swap_labeling_index(width: int, seq: Sequence, index: int) -> int:
-    """Partner index for labeled families: flip every label off the
-    observed points. Relies on member index == labeling bitmask, which
-    holds for the family constructors in paclab.families."""
-    fixed = observed_atoms(TASK_CLASSIFICATION, seq, width)
-    return _flip_mask(index, width, fixed)
-
-
 # ---------------------------------------------------------------------------
 # hard instances
 # ---------------------------------------------------------------------------
@@ -244,19 +228,27 @@ def pair_distance(inst: NflInstance, member_index: int, fixed: frozenset) -> Fra
 def _check_enum_budget(inst: NflInstance, m: int, budget: int, exchangeable: bool):
     """Charge members x (samples per member) against the budget: the
     C(s+m-1, m) multisets of the largest support s when `exchangeable`,
-    its s^m sequences otherwise."""
+    its s^m sequences otherwise. The charge is built one factor at a time
+    and stops at the first past the budget, so a huge m costs nothing."""
     if m < 0:
         raise BadRange(f"sample size m={m} is negative")
     size = len(inst.family)
     support = max(len(p.support()) for p in inst.family.members)
-    if exchangeable:
-        kind, per_member = "multisets", math.comb(support + m - 1, m)
+    if exchangeable:  # C(s+m-1, m) is the product of (m+k)/k over k < s
+        kind, per_member = "multisets", f"C({support + m - 1}, {m})"
+        factors = ((m + k, k) for k in range(1, support))
     else:
-        kind, per_member = "sequences", support ** m
-    if size * per_member > budget:
+        kind, per_member = "sequences", f"{support}^{m}"
+        factors = itertools.repeat((support, 1), m if support > 1 else 0)
+    charge = size
+    for num, den in factors:
+        if charge > budget:
+            break
+        charge = charge * num // den
+    if charge > budget:
         raise EnumerationBudgetExceeded(
             f"{size} members x {per_member} {kind} of {m} points over {support} atoms "
-            f"= {size * per_member} weighted samples > budget {budget}")
+            f"> budget {budget} weighted samples")
 
 
 def symmetrized_lower_bound(inst: NflInstance, m: int,
@@ -332,9 +324,12 @@ def _window_point_mass(inst: NflInstance) -> Optional[Fraction]:
     atoms other than the anchor, all in 1..window; eta/window for
     classification and 1/window for the real task, as the marginal of
     every x in 1..window. The three nfl_*_instance constructors build
-    this shape; a hand-built NflInstance need not have it."""
+    this shape; a hand-built NflInstance need not have it. The test
+    compares integers on the family's mass table."""
     dist_task = inst.task == TASK_DISTRIBUTION
     if len(inst.family) == 0 or inst.window < 1 or (dist_task and not inst.set_size):
+        return None
+    if not all(isinstance(p, SparseDist) for p in inst.family.members):
         return None
     if dist_task:
         q = inst.eta / inst.set_size
@@ -342,25 +337,22 @@ def _window_point_mass(inst: NflInstance) -> Optional[Fraction]:
         q = inst.eta / inst.window
     else:
         q = Fraction(1, inst.window)
-    window = range(1, inst.window + 1)
-    for member in inst.family.members:
-        if not isinstance(member, SparseDist):
+    table = inst.family.mass_table()
+    share, rest = divmod(q.numerator * table.denom, q.denominator)  # q over table.denom
+    if rest:
+        return None
+    if dist_task:  # every row: set_size window atoms of mass q, besides the anchor
+        if not all(a == 0 or isinstance(a, int) and 1 <= a <= inst.window for a in table.atoms):
             return None
-        if dist_task:
-            points = [(a, w) for a, w in member.items if a != 0]
-            if len(points) != inst.set_size or any(
-                    not isinstance(a, int) or a not in window or w != q for a, w in points):
-                return None
-            continue
-        marginal = dict.fromkeys(window, Fraction(0))
-        for a, w in member.items:
-            if not isinstance(a, tuple):
-                return None
-            if a[0] in marginal:
-                marginal[a[0]] += w
-        if any(w != q for w in marginal.values()):
+        mass = table.mass[:, np.array([a != 0 for a in table.atoms])]
+        held = mass != 0
+        shaped = (held.sum(axis=1) == inst.set_size).all() and (mass[held] == share).all()
+    else:  # every row's marginal on each x in 1..window, by an atoms x window 0/1 matrix
+        if not all(isinstance(a, tuple) for a in table.atoms):
             return None
-    return q
+        onto = np.array([[a[0] == x for x in range(1, inst.window + 1)] for a in table.atoms])
+        shaped = (table.mass @ onto == share).all()
+    return q if shaped else None
 
 
 def closed_form_floor(inst: NflInstance, m: int) -> Fraction:
@@ -471,7 +463,9 @@ def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
     distinct count rows as one matrix (`Learner.run_counts`), the others
     the distinct sequences as one block. `_sample_losses` gives each
     (member, sample) loss as an integer over one scale per group of members,
-    so a member's mean is one Fraction and each tail an integer sum.
+    so a member's mean is one Fraction and each tail an integer sum. Members
+    of equal mean or tail share one Fraction, and the class average and max
+    read each group's integer sums.
     """
     _check_enum_budget(inst, m, budget, all(ln.exchangeable for ln in learners))
     try:
@@ -490,21 +484,25 @@ def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
         outs = (learner.run_counts(table.atoms, samples) if learner.exchangeable
                 else learner.run_block(samples))
         out_ids = np.array([ids.setdefault(out, len(ids)) for out in outs], dtype=np.intp)
+        frac = functools.cache(Fraction)  # one Fraction per distinct (numerator, denominator)
         means, tails = [None] * len(family), [[None] * len(family) for _ in thresholds]
+        sums, tops = [], []  # per group: its means' sum and largest mean
         for members, weights, nums, scale in _sample_losses(inst, list(ids), out_ids, groups, total):
-            members = members.tolist()
-            for i, v in zip(members, (weights * nums).sum(axis=1).tolist()):
-                means[i] = Fraction(v, scale * total)
+            members, row = members.tolist(), (weights * nums).sum(axis=1).tolist()
+            for i, v in zip(members, row):
+                means[i] = frac(v, scale * total)
+            sums.append(Fraction(sum(row), scale * total))
+            tops.append(frac(max(row), scale * total))
             for tail, a in zip(tails, thresholds):
                 # the least numerator whose loss reaches a, kept within nums' range
                 level = min(max(-(-a.numerator * scale // a.denominator), 0), int(nums.max()) + 1)
                 for i, v in zip(members, np.where(nums >= level, weights, 0).sum(axis=1).tolist()):
-                    tail[i] = Fraction(v, total)
+                    tail[i] = frac(v, total)
         reports.append(LearnerReport(
             name=learner.name,
             per_member_mean=means,
-            class_average=sum(means, Fraction(0)) / len(family),
-            class_max=max(means),
+            class_average=sum(sums) / len(family),
+            class_max=max(tops),
             tails=dict(zip(thresholds, tails)),
         ))
     return ExactOracleReport(

@@ -16,6 +16,7 @@ import paclab as pl
 from paclab import cli
 from paclab.losses import hypotheses_of_class
 from paclab.nfl import observed_atoms
+from test_learners import advertised_sample_size
 
 SEED = 20260808
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -187,7 +188,7 @@ def test_criterion_07_truncation_learner():
             assert d == staged.spec.eta_value(i)
             assert d <= eps / 4
 
-    m = learner.advertised_sample_size(0.1)
+    m = advertised_sample_size(learner, 0.1)
     assert m == 18
     target_idx = 26  # stage 4, widest support in the truncation
     target = learner.cls[target_idx]

@@ -7,6 +7,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -292,12 +293,26 @@ def test_bad_scalar_is_config_error(tmp_path, kind, field, body):
 @pytest.mark.parametrize("cls,field,value", [
     ({"family": "anchored", "eta": "1/2", "n": 2}, "max_members", -1),
     ({"eta": {"kind": "reciprocal", "c": "8"}, "n": {"kind": "identity"}}, "stage_horizon", -3),
+    # past stage 14,285 a stage size 2^i - 1 cannot be written as a JSON number
+    ({"eta": {"kind": "reciprocal", "c": "8"}, "n": {"kind": "identity"}}, "stage_horizon",
+     cli.STAGE_HORIZON_MAX + 1),
+    ({"eta": {"kind": "reciprocal", "c": "8"}, "n": {"kind": "identity"}}, "stage_horizon",
+     100_000),
 ], ids=repr)
 def test_negative_construct_count_is_config_error(tmp_path, capsys, cls, field, value):
     cfg = write_cfg(tmp_path, {"kind": "construct", "seed": 1, "class": cls, field: value})
     assert run_cli(["construct", "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_CONFIG
     assert f"config error: config field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_stage_horizon_at_its_maximum_runs(tmp_path):
+    cls = {"eta": {"kind": "reciprocal", "c": "8"}, "n": {"kind": "identity"}}
+    cfg = write_cfg(tmp_path, {"kind": "construct", "seed": 1, "class": cls,
+                               "stage_horizon": cli.STAGE_HORIZON_MAX})
+    assert run_cli(["construct", "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_OK
+    sizes = json.loads((tmp_path / "o" / "report.json").read_text())["stage_sizes"]
+    assert len(sizes) == cli.STAGE_HORIZON_MAX and sizes["4096"] == 2 ** 4096 - 1
 
 
 MALFORMED = ["two", -1, 0, 1.5, True, None, [], {}]
@@ -707,6 +722,23 @@ def test_budget_charges_the_enumerated_samples(tmp_path, budget, learners, code)
     assert run_cli(["nfl-exact", "--config", cfg, "--out", tmp_path / "o"]) == code
 
 
+@pytest.mark.parametrize("m,learners", [(20_000, [UNION]), (14_000, [UNION]),
+                                        (10 ** 8, [UNION]), (10 ** 8, EXCHANGEABLE)])
+def test_budget_at_huge_m_exits_3_with_a_short_message(tmp_path, capsys, m, learners):
+    # 2^20000 sequences have too many digits to print, and 2^(10^8) takes
+    # most of a second to build: the check builds neither
+    cfg = write_cfg(tmp_path, {
+        "kind": "nfl-exact", "seed": 1,
+        "instance": {"task": "distribution", "eta": "1/2", "n": 1},
+        "m": m, "learners": learners,
+    })
+    start = time.perf_counter()
+    assert run_cli(["nfl-exact", "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_BUDGET
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "budget exceeded: 4 members x " in err and len(err) < 200
+
+
 def test_failed_assertion_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, {
         "kind": "nfl-exact", "seed": 1,
@@ -836,7 +868,9 @@ def test_configs_match_schema():
     assert len(configs) == 13
     for cfg in configs:
         jsonschema.validate(cfg, schema)
-    for bad in ({"class": {"n": 2}}, {"max_members": -1}, {"stage_horizon": -3}):
+    assert schema["properties"]["stage_horizon"]["maximum"] == cli.STAGE_HORIZON_MAX
+    for bad in ({"class": {"n": 2}}, {"max_members": -1}, {"stage_horizon": -3},
+                {"stage_horizon": cli.STAGE_HORIZON_MAX + 1}):
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate({"kind": "construct", "seed": 3, **bad}, schema)
 

@@ -454,6 +454,6 @@ class TestRankedMembers:
         members = list(tr.members)
         assert len(set(members)) < len(members)
         for member in members:
-            assert tr.index_of(member) == members.index(member)
+            assert tr.members.index(member) == members.index(member)
         with pytest.raises(ValueError):
-            tr.index_of(pl.delta(99))
+            tr.members.index(pl.delta(99))

@@ -865,6 +865,16 @@ class TestSelectRows:
             assert list(learner.run_draws(target, m, [])) == []
 
 
+def advertised_sample_size(learner, delta) -> int:
+    """The union bound advertised for a truncation learner's reduction:
+    stages-by-width squared inside the log, 128/eps^2 outside."""
+    spec = learner.staged.spec
+    idx = spec.settling_index(learner.eps / 4)
+    eps = float(learner.eps)
+    return math.ceil(128 * (math.log(3 * (idx * spec.n_max(idx)) ** 2)
+                            + math.log(1 / float(delta))) / eps ** 2)
+
+
 class TestTruncationLearner:
     def staged(self):
         return pl.StagedClass("distribution",
@@ -873,7 +883,7 @@ class TestTruncationLearner:
     def test_truncates_and_learns(self):
         learner = pl.TruncationLearner(self.staged(), 8)
         assert len(learner.cls) == 27
-        assert learner.advertised_sample_size(0.1) == 18
+        assert advertised_sample_size(learner, 0.1) == 18
         target = learner.cls[26]
         s = pl.draw(target, 18, pl.RngStream(SEED, 5))
         assert learner.run(s) in learner.cls.members
@@ -891,7 +901,7 @@ class TestTruncationLearner:
                                 pl.SequenceSpec(pl.Reciprocal(F(1, 2)), pl.IdentityN()))
         learner = pl.TruncationLearner(staged, F(1, 2))
         assert len(learner.cls) == 27
-        m = learner.advertised_sample_size(0.2)
+        m = advertised_sample_size(learner, 0.2)
         target = learner.cls[26]  # stage 4, A=[1,2,3,4], level 1/8
         ok = 0
         trials = 30
@@ -1087,6 +1097,14 @@ class TestBaselinesAndLosses:
     def test_distribution_baseline(self):
         out = pl.EmpiricalBaseline("distribution").run((1, 1, 2))
         assert dict(out.items) == {1: F(2, 3), 2: F(1, 3)}
+
+    def test_distribution_baseline_shares_equal_masses(self):
+        # rows of 3 and of 4 points: one Fraction per distinct (count, m) of the call
+        counts = np.array([[1, 2, 0], [2, 1, 0], [0, 1, 2], [1, 1, 2], [2, 1, 1]])
+        outs = list(pl.EmpiricalBaseline("distribution").run_counts((0, 1, 2), counts))
+        masses = [w for out in outs for _, w in out.items]
+        assert [dict(out.items) for out in outs][3] == {0: F(1, 4), 1: F(1, 4), 2: F(1, 2)}
+        assert len({id(w) for w in masses}) == len(set(masses)) == 4
 
     def test_plurality_labeler(self):
         base = pl.EmpiricalBaseline("classification")

@@ -1,8 +1,10 @@
 """Lower-bound harness: pairing contract, measure preservation, exact
 oracles, Markov conversion, Monte Carlo cross-checks, complexity search."""
 
+import contextlib
 import itertools
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -47,10 +49,30 @@ def swap_member_index(inst, member_index, seq):
     if inst.task == "distribution":
         partner = pl.swap_distribution(inst.window, seq, inst.family[member_index])
         try:
-            return inst.family.index_of(partner)
+            return inst.family.members.index(partner)
         except ValueError:
             return None
-    return nfl.swap_labeling_index(inst.window, seq, member_index)
+    # flip every label off the observed points: in the labeled families a
+    # member's index is its labeling bitmask
+    fixed = observed_atoms("classification", seq, inst.window)
+    return member_index ^ sum(1 << (x - 1) for x in range(1, inst.window + 1) if x not in fixed)
+
+
+@contextlib.contextmanager
+def counted_fractions():
+    """A one-item list holding the number of Fraction(...) calls in the
+    block; arithmetic on Fractions builds its results without one."""
+    count, new = [0], F.__new__
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    F.__new__ = counting
+    try:
+        yield count
+    finally:
+        F.__new__ = new
 
 
 def all_pairs(inst, m):
@@ -167,6 +189,40 @@ class TestSymmetrizedBound:
         with pytest.raises(EnumerationBudgetExceeded):
             pl.symmetrized_lower_bound(inst, 10, budget=1000)
 
+    @pytest.mark.parametrize("exchangeable", [False, True])
+    def test_budget_is_charged_exactly(self, exchangeable):
+        # 28 members of support 3: 28 x 3^5 sequences or 28 x C(7, 5) multisets
+        inst = pl.nfl_distribution_instance(F(1, 2), 2)
+        charge = 28 * (math.comb(7, 5) if exchangeable else 3 ** 5)
+        nfl._check_enum_budget(inst, 5, charge, exchangeable)
+        with pytest.raises(EnumerationBudgetExceeded):
+            nfl._check_enum_budget(inst, 5, charge - 1, exchangeable)
+
+    @pytest.mark.parametrize("exchangeable", [False, True])
+    def test_budget_at_huge_m_names_the_sizes_without_building_them(self, exchangeable):
+        # s^m = 2^(10^8) would take most of a second to build and has too
+        # many digits to print
+        inst = pl.nfl_distribution_instance(F(1, 2), 1)
+        with pytest.raises(EnumerationBudgetExceeded) as caught:
+            nfl._check_enum_budget(inst, 10 ** 8, 10 ** 7, exchangeable)
+        size = "C(100000001, 100000000) multisets" if exchangeable else "2^100000000 sequences"
+        assert str(caught.value) == (f"4 members x {size} of 100000000 points over 2 atoms "
+                                     f"> budget 10000000 weighted samples")
+
+    def test_budget_of_one_atom_supports_takes_no_step_per_point(self):
+        # eta = 1: each of the 4 members is a point mass, with one sequence at any m
+        inst = pl.nfl_distribution_instance(F(1), 1)
+        start = time.perf_counter()
+        nfl._check_enum_budget(inst, 10 ** 8, 4, False)
+        with pytest.raises(EnumerationBudgetExceeded):
+            nfl._check_enum_budget(inst, 10 ** 8, 3, False)
+        assert time.perf_counter() - start < 1
+
+    def test_budget_at_huge_m_raises_before_enumerating(self):
+        inst = pl.nfl_distribution_instance(F(1, 2), 1)
+        with pytest.raises(EnumerationBudgetExceeded):
+            pl.symmetrized_lower_bound(inst, 20_000)
+
     def test_halved_bound_stays_below_within_family_floor(self):
         # the fully within-family chain value (swaps that leave the family
         # contribute nothing) still dominates the reported halved bound
@@ -223,6 +279,100 @@ def off_shape_instances():
     built = make_instance("distribution", F(1, 2), 2)
     yield pytest.param(pl.NflInstance("distribution", built.eta, built.window, 1, built.family),
                        id="wrong-set-size")
+    # members whose every window point has mass q = 1/4, but too few or too
+    # many of them, or one that is no window point
+    for name, odd in (("missing-point", {0: F(3, 4), 1: F(1, 4)}),
+                      ("extra-point", {0: F(1, 4), 1: F(1, 4), 2: F(1, 4), 3: F(1, 4)}),
+                      ("tuple-atom", {0: F(1, 2), 1: F(1, 4), (2, 1): F(1, 4)}),
+                      ("outside-window", {0: F(1, 2), 1: F(1, 4), 9: F(1, 4)})):
+        fam = pl.FiniteClass("distribution", [pl.SparseDist(odd)] + list(built.family.members))
+        yield pytest.param(pl.NflInstance("distribution", built.eta, built.window, 2, fam),
+                           id=name)
+    # anchor mass moved onto a window point: every marginal is at least q
+    built = make_instance("classification", F(1, 2), 2)
+    heavy = dict(built.family[0].items)
+    heavy[(0, 0)] -= F(1, 8)
+    heavy[(1, 0)] += F(1, 8)
+    fam = pl.FiniteClass("classification", [pl.SparseDist(heavy)] + list(built.family.members))
+    yield pytest.param(pl.NflInstance("classification", built.eta, built.window, None, fam),
+                       id="heavier-point")
+    # q * denom = 3/2: the window masses 1/3 equal its floor, not q
+    fam = pl.FiniteClass("distribution", [pl.SparseDist({0: F(2, 3), a: F(1, 3)}) for a in (1, 2)])
+    yield pytest.param(pl.NflInstance("distribution", F(1, 2), 2, 1, fam), id="fractional-share")
+
+
+def reference_window_point_mass(inst):
+    """`nfl._window_point_mass` member by member, comparing Fractions."""
+    dist_task = inst.task == "distribution"
+    if len(inst.family) == 0 or inst.window < 1 or (dist_task and not inst.set_size):
+        return None
+    if dist_task:
+        q = inst.eta / inst.set_size
+    elif inst.task == "classification":
+        q = inst.eta / inst.window
+    else:
+        q = F(1, inst.window)
+    window = range(1, inst.window + 1)
+    for member in inst.family.members:
+        if not isinstance(member, pl.SparseDist):
+            return None
+        if dist_task:
+            points = [(a, w) for a, w in member.items if a != 0]
+            if len(points) != inst.set_size or any(
+                    not isinstance(a, int) or a not in window or w != q for a, w in points):
+                return None
+            continue
+        marginal = dict.fromkeys(window, F(0))
+        for a, w in member.items:
+            if not isinstance(a, tuple):
+                return None
+            if a[0] in marginal:
+                marginal[a[0]] += w
+        if any(w != q for w in marginal.values()):
+            return None
+    return q
+
+
+def object_table_instances():
+    """Instances whose mass table holds Python ints: denominators past 2^62."""
+    tiny = F(1, 2 ** 63)
+    real = make_instance("real", F(1, 2), 2)  # eta is no mass here: split a label instead
+    split = pl.SparseDist({(1, 0): F(1, 2) - tiny, (1, 1): tiny, (2, 0): F(1, 2)})
+    real = pl.NflInstance("real", real.eta, 2, None, pl.FiniteClass(
+        "real", [split] + list(real.family.members), real_ctx=real.family.real_ctx))
+    for built in (make_instance("distribution", tiny, 2),
+                  make_instance("classification", tiny, 2), real):
+        task = built.task
+        yield pytest.param(built, id=f"object-{task}")
+        members = [tilted(built.family[0])] + list(built.family.members)[1:]
+        fam = pl.FiniteClass(task, members, real_ctx=built.family.real_ctx)
+        yield pytest.param(pl.NflInstance(task, built.eta, built.window, built.set_size, fam),
+                           id=f"object-tilted-{task}")
+
+
+class TestWindowPointMass:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("eta", [F(1, 2), F(1, 3), F(1)], ids=str)
+    @pytest.mark.parametrize("task", ["distribution", "classification", "real"])
+    def test_constructor_instances_agree_with_the_reference(self, task, eta, n):
+        inst = make_instance(task, eta, n)
+        assert nfl._window_point_mass(inst) == reference_window_point_mass(inst) is not None
+
+    @pytest.mark.parametrize("inst", list(off_shape_instances()) + list(object_table_instances()))
+    def test_hand_built_instances_agree_with_the_reference(self, inst):
+        assert nfl._window_point_mass(inst) == reference_window_point_mass(inst)
+
+    def test_object_tables_reach_both_answers(self):
+        cases = [p.values[0] for p in object_table_instances()]
+        assert all(inst.family.mass_table().mass.dtype == object for inst in cases)
+        found = [nfl._window_point_mass(inst) for inst in cases]
+        assert found[0::2] == [F(1, 2 ** 64), F(1, 2 ** 65), F(1, 2)] and found[1::2] == [None] * 3
+
+    def test_a_member_that_is_no_distribution_builds_no_table(self):
+        built = make_instance("real", F(1, 2), 2)
+        fam = pl.FiniteClass("real", [built.family[0], "not a distribution"])
+        inst = pl.NflInstance("real", built.eta, built.window, None, fam)
+        assert nfl._window_point_mass(inst) is None and fam._mass_table is None
 
 
 class TestClosedFormFloor:
@@ -688,6 +838,43 @@ class TestExactOracle:
         lr = report.learners[0]
         assert lr.class_average <= lr.class_max
         assert all(0 <= v <= 1 for v in lr.per_member_mean)
+
+    @pytest.mark.parametrize("task,n,m,groups", [
+        ("distribution", 2, 3, 1), ("classification", 2, 2, 1), ("real", 3, 2, 1),
+        # more than MEMBER_CHUNK members: several groups, each with its own
+        # scale for classification
+        ("distribution", 3, 2, 7), ("classification", 3, 2, 2)])
+    def test_class_summaries_equal_the_per_member_ones(self, task, n, m, groups):
+        inst = make_instance(task, F(1, 2), n)
+        fam = inst.family
+        learners = ([pl.ScheffeLearner(fam)] if task == "distribution"
+                    else [pl.ErmLearner.for_class(fam)]) + [
+            pl.EmpiricalBaseline(task, real_ctx=fam.real_ctx)]
+        assert -(-len(fam) // nfl.MEMBER_CHUNK) == groups
+        for lr in pl.nfl_exact(inst, learners, m, thresholds=THRESHOLDS).learners:
+            assert lr.class_average == sum(lr.per_member_mean) / len(fam)
+            assert lr.class_max == max(lr.per_member_mean)
+
+    def test_equal_values_share_one_fraction(self):
+        inst = pl.nfl_distribution_instance(F(1, 2), 3)
+        report = pl.nfl_exact(inst, [pl.ScheffeLearner(inst.family)], 3)
+        lr = report.learners[0]
+        for values in [lr.per_member_mean] + list(lr.tails.values()):
+            assert len({id(v) for v in values}) == len(set(values)) < len(values)
+
+    def test_builds_a_fraction_per_distinct_value_not_per_member(self):
+        # the `exact` benchmark workload: 220 members, whose means and tails
+        # take at most 8 distinct values per learner; the table is prebuilt
+        inst = pl.nfl_distribution_instance(F(1, 2), 3)
+        fam = inst.family
+        learners = [pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution"),
+                    pl.ConstantLearner(fam[7], "distribution")]
+        fam.mass_table()
+        with counted_fractions() as built:
+            report = pl.nfl_exact(inst, learners, 3)
+        assert built[0] <= 128
+        assert [lr.class_average for lr in report.learners] == [
+            sum(lr.per_member_mean) / len(fam) for lr in report.learners]
 
     def test_report_serializes(self):
         inst = pl.nfl_distribution_instance(F(1, 2), 2)
