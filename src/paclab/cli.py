@@ -15,6 +15,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -87,7 +88,7 @@ _MISSING = object()
 
 class Reader:
     """A JSON object of a config and its path. `get` and `list` convert a
-    field with `conv` (`_int`, `Fraction`, ..., or `Reader` for a nested
+    field with `conv` (`_int`, `_rational`, ..., or `Reader` for a nested
     object) and raise ConfigError with the field's full path, such as
     `class.eta.c` or `f.values[1]`. A null field with default None is absent."""
 
@@ -130,28 +131,27 @@ def _int(value) -> int:
     return int(value)
 
 
-def _trial_count(value) -> int:
-    """A JSON integer of at least 1."""
-    n = _int(value)
-    if n < 1:
-        raise ValueError("a Monte Carlo run needs at least one trial")
-    return n
+def _int_in(lo: int, hi: int | None = None):
+    """Converter for a JSON integer (`_int`) in lo..hi, `hi` inclusive;
+    with no upper bound when `hi` is None."""
+    def conv(value) -> int:
+        n = _int(value)
+        if n < lo or hi is not None and n > hi:
+            raise ValueError(f"below {lo}" if n < lo else f"above {hi}")
+        return n
+    return conv
 
 
-def _non_negative(value) -> int:
-    """A JSON integer of at least 0: a sample size or a count to report."""
-    n = _int(value)
-    if n < 0:
-        raise ValueError("cannot be negative")
-    return n
+RATIONAL = re.compile(r"^-?[0-9]+(/[0-9]+|\.[0-9]+)?$")  # the schema's $defs/rational
 
 
-def _stage_horizon(value) -> int:
-    """A count of stages to report, 0..STAGE_HORIZON_MAX."""
-    n = _non_negative(value)
-    if n > STAGE_HORIZON_MAX:
-        raise ValueError(f"at most {STAGE_HORIZON_MAX} stages are reported")
-    return n
+def _rational(value) -> Fraction:
+    """A JSON integer (`_int`) or a `RATIONAL` string such as "-2", "1/3" or
+    "0.15"; not a JSON float, whose binary value 0.1 is not 1/10, nor an
+    exponent, whose power may hang the run. A default may be a Fraction."""
+    if isinstance(value, str) and not RATIONAL.search(value):
+        raise ValueError("not an integer or a string such as '-2', '1/3' or '0.15'")
+    return Fraction(value if isinstance(value, (str, Fraction)) else _int(value))
 
 
 def _bool(value) -> bool:
@@ -170,16 +170,6 @@ def _convert(conv, value, path: str):
         return conv(value)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(path, f"{value!r}: {exc}") from None
-
-
-def _index(size: int):
-    """Converter for a member index into a class of `size` members."""
-    def conv(value) -> int:
-        i = _int(value)
-        if not 0 <= i < size:
-            raise ValueError(f"member index {i} outside 0..{size - 1}")
-        return i
-    return conv
 
 
 def _rule_tag(value):
@@ -202,9 +192,9 @@ def _by_kind(what: str, makers: dict):
 
 
 eta_rule_from_json = _by_kind("eta rule", {
-    "constant": lambda r: Constant(r.get("c", Fraction)),
-    "reciprocal": lambda r: Reciprocal(r.get("c", Fraction)),
-    "table": lambda r: EtaTable(tuple(r.list("values", Fraction))),
+    "constant": lambda r: Constant(r.get("c", _rational)),
+    "reciprocal": lambda r: Reciprocal(r.get("c", _rational)),
+    "table": lambda r: EtaTable(tuple(r.list("values", _rational))),
     "poly-witness": lambda r: PolyWitness(tuple(r.list("f", _int)), r.get("k", _int)),
 })
 n_rule_from_json = _by_kind("n rule", {
@@ -215,7 +205,7 @@ n_rule_from_json = _by_kind("n rule", {
 loss_rule_from_json = _by_kind("loss rule", {
     "absolute": lambda r: AbsoluteLoss(),
     "squared": lambda r: SquaredLoss(),
-    "capped-linear": lambda r: CappedLinearLoss(r.get("cap", Fraction)),
+    "capped-linear": lambda r: CappedLinearLoss(r.get("cap", _rational)),
 })
 
 
@@ -240,23 +230,23 @@ def _load_class(spec: Reader, staged):
     which is truncated at the spec's truncate_epsilon."""
     budget = spec.get("budget", _int, DEFAULT_MEMBER_BUDGET)
     if staged is not None:
-        return staged.truncate(spec.get("truncate_epsilon", Fraction), budget=budget)
+        return staged.truncate(spec.get("truncate_epsilon", _rational), budget=budget)
     family = spec.get("family", str)
     if family == "anchored":
-        return anchored_family(spec.get("eta", Fraction), spec.get("n", _int),
+        return anchored_family(spec.get("eta", _rational), spec.get("n", _int),
                                size_filter=spec.get("filter", _int, None), budget=budget)
     if family == "labeled":
-        return labeled_anchored_family(spec.get("eta", Fraction), spec.get("n", _int),
+        return labeled_anchored_family(spec.get("eta", _rational), spec.get("n", _int),
                                        budget=budget)
     if family == "plateau-data":
         loss = loss_rule_from_json(spec.get("loss", Reader))
-        return plateau_data_family(loss, spec.get("eta", Fraction), spec.get("width", _int),
+        return plateau_data_family(loss, spec.get("eta", _rational), spec.get("width", _int),
                                    budget=budget)
     raise ConfigError(spec.at("family"), f"unknown family {family!r}")
 
 
 def _class_and_learner(cfg: Reader):
-    """The finite class and the learner of a learn/sample-complexity config."""
+    """The finite class and the learner builder of a learn/sample-complexity config."""
     spec = cfg.get("class", Reader)
     staged = _load_staged(spec)
     if staged is not None and staged.task == TASK_REAL:
@@ -268,7 +258,7 @@ def _class_and_learner(cfg: Reader):
 
 def _load_instance(spec: Reader):
     task = spec.get("task", str, "distribution")
-    eta = spec.get("eta", Fraction)
+    eta = spec.get("eta", _rational)
     budget = spec.get("budget", _int, DEFAULT_MEMBER_BUDGET)
     if task == "distribution":
         return nfl_distribution_instance(eta, spec.get("n", _int), budget=budget)
@@ -281,27 +271,34 @@ def _load_instance(spec: Reader):
 
 
 def _load_learner(spec: Reader, cls: FiniteClass, staged=None):
+    """Read a whole learner spec, a union's constituents included, and
+    return a function of no arguments that builds the learner: a run calls
+    it once every field of its config is read."""
     kind = spec.get("kind", str)
     if kind == "scheffe":
-        return ScheffeLearner(cls)
+        return lambda: ScheffeLearner(cls)
     if kind == "truncation":
         if staged is None:
             raise ConfigError(spec.at("kind"), "truncation learner needs a staged class spec")
-        return TruncationLearner(staged, spec.get("epsilon", Fraction),
-                                 budget=spec.get("budget", _int, DEFAULT_MEMBER_BUDGET))
+        eps = spec.get("epsilon", _rational)
+        budget = spec.get("budget", _int, DEFAULT_MEMBER_BUDGET)
+        return lambda: TruncationLearner(staged, eps, budget=budget)
     if kind == "erm":
-        return ErmLearner.for_class(cls)
+        return lambda: ErmLearner.for_class(cls)
     if kind == "union":
         subs = [_load_learner(s, cls, staged) for s in spec.list("of", Reader)]
-        return UnionLearner(subs, real_ctx=cls.real_ctx)
+        return lambda: UnionLearner([build() for build in subs], real_ctx=cls.real_ctx)
     if kind == "empirical-baseline":
-        return EmpiricalBaseline(cls.task, real_ctx=cls.real_ctx)
+        return lambda: EmpiricalBaseline(cls.task, real_ctx=cls.real_ctx)
     if kind == "constant":
-        idx = spec.get("member_index", _index(len(cls)))
-        member = cls.members[idx]
-        if cls.task != TASK_DISTRIBUTION:  # a data distribution: output its Bayes labeler
-            member = EmpiricalBaseline(cls.task, cls.real_ctx).labeler(bayes_labeler(member).ones)
-        return ConstantLearner(member, cls.task, name=f"constant-m{idx}")
+        idx = spec.get("member_index", _int_in(0, len(cls) - 1))
+
+        def build():
+            member = cls.members[idx]
+            if cls.task != TASK_DISTRIBUTION:  # a data distribution: output its Bayes labeler
+                member = EmpiricalBaseline(cls.task, cls.real_ctx).labeler(bayes_labeler(member).ones)
+            return ConstantLearner(member, cls.task, name=f"constant-m{idx}")
+        return build
     raise ConfigError(spec.at("kind"), f"unknown learner {kind!r}")
 
 
@@ -338,7 +335,7 @@ def _run_construct(cfg: Reader, rng, base_dir):
     if staged is not None and not spec.has("truncate_epsilon"):
         # countable handle: report the rules and the first stage sizes, no
         # member materialization beyond what the caller asks for
-        horizon = cfg.get("stage_horizon", _stage_horizon, 6)
+        horizon = cfg.get("stage_horizon", _int_in(0, STAGE_HORIZON_MAX), 6)
         levels, sizes = {}, {}
         for i in range(1, horizon + 1):
             levels[str(i)] = frac_str(staged.spec.eta_value(i))
@@ -352,7 +349,7 @@ def _run_construct(cfg: Reader, rng, base_dir):
             "stage_sizes": sizes,
         }
         return report, {}, []
-    cap = cfg.get("max_members", _non_negative, 1 << 12)
+    cap = cfg.get("max_members", _int_in(0), 1 << 12)
     cls = _load_class(spec, staged)
     members = [m.to_json_obj() if isinstance(m, SparseDist) else repr(m)
                for m in cls.members[:cap]]
@@ -368,12 +365,13 @@ def _run_construct(cfg: Reader, rng, base_dir):
 
 def _run_learn(cfg: Reader, rng, base_dir):
     # trials and m first: a run that cannot happen builds no class or learner
-    trials = cfg.get("trials", _trial_count, 1)
-    m = cfg.get("m", _non_negative)
-    cls, learner = _class_and_learner(cfg)
-    target_idx = cfg.get("target_index", _index(len(cls)))
-    threshold = cfg.get("threshold", Fraction, "1/8")
-    max_rate = cfg.get("assert_failure_rate_at_most", Fraction, None)
+    trials = cfg.get("trials", _int_in(1), 1)
+    m = cfg.get("m", _int_in(0))
+    cls, build = _class_and_learner(cfg)
+    target_idx = cfg.get("target_index", _int_in(0, len(cls) - 1))
+    threshold = cfg.get("threshold", _rational, "1/8")
+    max_rate = cfg.get("assert_failure_rate_at_most", _rational, None)
+    learner = build()
     stats = mc_risk(cls, learner, m, trials, rng, threshold, member_indices=[target_idx])
     report = {
         "kind": "learn",
@@ -396,16 +394,17 @@ def _run_sample_complexity(cfg: Reader, rng, base_dir):
                 (("trials", 200), ("m_min", 1), ("m_max", 1024), ("targets_cap", 64))}
     points = cfg.list("points", Reader, None)
     if points is None:  # one point, from top-level epsilon and delta
-        asks = [(cfg.get("epsilon", Fraction), cfg.get("delta", Fraction),
+        asks = [(cfg.get("epsilon", _rational), cfg.get("delta", _rational),
                  None, None, None, None)]
     else:
-        asks = [(pt.get("epsilon", Fraction), pt.get("delta", Fraction),
+        asks = [(pt.get("epsilon", _rational), pt.get("delta", _rational),
                  pt.get("k", _int, None), pt.get("assert_m_hat_at_least", _int, None),
                  pt.get("assert_m_hat_at_most", _int, None), pt.path) for pt in points]
     # a protocol that cannot run is rejected before the class and learner are built
     for eps, delta, *_ in asks:
         check_search_protocol(eps, delta, learner=Learner, **protocol)
-    cls, learner = _class_and_learner(cfg)
+    cls, build = _class_and_learner(cfg)
+    learner = build()
     results = [estimate_sample_complexity(cls, learner, eps, delta, rng.child(i), k=k,
                                           **protocol)
                for i, (eps, delta, k, *_) in enumerate(asks)]
@@ -425,15 +424,16 @@ def _run_sample_complexity(cfg: Reader, rng, base_dir):
 
 
 def _run_nfl_exact(cfg: Reader, rng, base_dir):
-    m = cfg.get("m", _non_negative)  # before the instance, as in _run_learn
+    m = cfg.get("m", _int_in(0))  # before the instance, as in _run_learn
     inst = _load_instance(cfg.get("instance", Reader))
-    learners = [_load_learner(s, inst.family) for s in cfg.list("learners", Reader)]
-    thresholds = cfg.list("thresholds", Fraction, []) or None
+    builds = [_load_learner(s, inst.family) for s in cfg.list("learners", Reader)]
+    thresholds = cfg.list("thresholds", _rational, []) or None
     budget = cfg.get("enum_budget", _int, DEFAULT_ENUM_BUDGET)
     asserts = cfg.get("assert", Reader, {})
     above_bound = asserts.get("learners_above_bound", _bool, False)
     markov_tails = asserts.get("markov_tails", _bool, False)
-    bound_eq = asserts.get("bound_equals", Fraction, None)
+    bound_eq = asserts.get("bound_equals", _rational, None)
+    learners = [build() for build in builds]
     report_obj = nfl_exact(inst, learners, m, thresholds=thresholds, budget=budget)
     failures = [f"{lr.name}: average {lr.class_average} below bound" for lr in report_obj.learners
                 if above_bound and lr.class_average < report_obj.symmetrized_bound]
@@ -449,12 +449,13 @@ def _run_nfl_exact(cfg: Reader, rng, base_dir):
 
 
 def _run_nfl_mc(cfg: Reader, rng, base_dir):
-    trials = cfg.get("trials", _trial_count)  # before the instance, as in _run_learn
-    m = cfg.get("m", _non_negative)
+    trials = cfg.get("trials", _int_in(1))  # before the instance, as in _run_learn
+    m = cfg.get("m", _int_in(0))
     inst = _load_instance(cfg.get("instance", Reader))
-    learner = _load_learner(cfg.get("learner", Reader), inst.family)
-    threshold = cfg.get("threshold", Fraction, inst.eta / 8)
-    indices = cfg.list("member_indices", _index(len(inst.family)), None)
+    build = _load_learner(cfg.get("learner", Reader), inst.family)
+    threshold = cfg.get("threshold", _rational, inst.eta / 8)
+    indices = cfg.list("member_indices", _int_in(0, len(inst.family) - 1), None)
+    learner = build()
     stats = mc_risk(inst.family, learner, m, trials, rng, threshold, member_indices=indices)
     report = {
         "kind": "nfl-mc",
@@ -609,7 +610,7 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: cannot read {config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+    except (ValueError, RecursionError) as exc:  # or an integer of too many digits, or too deep
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

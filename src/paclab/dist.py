@@ -19,8 +19,8 @@ also reads, gives a chunk of samples as rows of positions in the canonical
 atoms, which one offset bincount turns into count rows.
 
 `MassTable` holds the masses of a list of distributions as one integer
-matrix over a common denominator; the Scheffé engine, `opt_loss` and the
-exact oracle all read their members' masses from it.
+matrix over a common denominator; the Scheffé engine and the exact oracle
+read their members' masses from it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .errors import BadDistribution, BadRange, BadWeights, EmptySample, EmptySup
 from .rng import RngStream
 
 Atom = Union[int, tuple]
-Prob = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -226,17 +225,6 @@ class MassTable:
 
     def __len__(self):
         return len(self.members)
-
-    def l1(self, q: SparseDist) -> tuple:
-        """(nums, scale) with tv(members[i], q) == Fraction(int(nums[i]), scale):
-        nums holds every member's L1 distance to q as a numerator over
-        scale / 2. Atoms of q outside the columns count in full. nums is
-        int64 while scale < INT64_SAFE, exact Python ints past it."""
-        half = math.lcm(self.denom, *(w.denominator for _, w in q.items))
-        dtype = np.int64 if 2 * half < INT64_SAFE else object
-        (row,), (outside,) = self.numerators([q], half, dtype)
-        diff = self.mass.astype(dtype, copy=False) * (half // self.denom) - row
-        return np.abs(diff, out=diff).sum(axis=1) + outside, 2 * half
 
     def numerators(self, dists: Sequence[SparseDist], scale: int, dtype) -> tuple:
         """(rows, outside) in `dtype`: rows[k, j] is dists[k]'s mass at atoms[j]

@@ -269,9 +269,6 @@ class SequenceSpec:
         """Least i such that the (raw) level stays <= eps from i on."""
         return self.eta.settling_index(Fraction(eps))
 
-    def n_max(self, i: int) -> int:
-        return max(self.n_value(j) for j in range(1, i + 1))
-
     def to_json_obj(self):
         return {"eta": self.eta.to_json_obj(), "n": self.n.to_json_obj()}
 

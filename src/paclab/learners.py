@@ -367,8 +367,7 @@ class ErmLearner(Learner):
 
     exchangeable = True
 
-    def __init__(self, hypotheses: Sequence, task: str, real_ctx=None,
-                 name: Optional[str] = None):
+    def __init__(self, hypotheses: Sequence, task: str, real_ctx=None):
         if not hypotheses:
             raise EmptyClass("ERM over an empty hypothesis list")
         if task not in (TASK_CLASSIFICATION, TASK_REAL):
@@ -376,7 +375,7 @@ class ErmLearner(Learner):
         self.hypotheses = list(hypotheses)
         self.task = task
         self.real_ctx = real_ctx
-        self.name = name or f"erm({len(self.hypotheses)})"
+        self.name = f"erm({len(self.hypotheses)})"
 
     @staticmethod
     def for_class(cls: FiniteClass) -> "ErmLearner":

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-import numpy as np
-
-from .dist import SparseDist, frac_str, tv
+from .dist import SparseDist, tv
 from .errors import BadRange, EtaAboveGmax
 from .families import (
     BinaryHypothesis,
@@ -58,9 +56,6 @@ class LossRule:
         if not 0 <= y <= self.g_max:
             raise EtaAboveGmax(f"level {y} outside [0, {self.g_max}]")
         return y
-
-    def to_json_obj(self):
-        return {"kind": self.name}
 
 
 class AbsoluteLoss(LossRule):
@@ -108,9 +103,6 @@ class CappedLinearLoss(LossRule):
 
     def g(self, t: Fraction) -> Fraction:
         return min(abs(Fraction(t)), Fraction(self.cap))
-
-    def to_json_obj(self):
-        return {"kind": "capped-linear", "cap": frac_str(Fraction(self.cap))}
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +169,7 @@ def task_loss(cls: FiniteClass, out, target: SparseDist) -> Fraction:
 
 def opt_loss(cls: FiniteClass, target: SparseDist) -> Tuple[Fraction, int]:
     """Least loss over the class against the target, with the witness index
-    (the first one on ties). A distribution class reads every member's TV
-    to the target off one row of L1 numerators of its mass table."""
-    if cls.task == TASK_DISTRIBUTION and len(cls):
-        nums, scale = cls.mass_table().l1(target)
-        best_i = int(np.argmin(nums))
-        return Fraction(int(nums[best_i]), scale), best_i
+    (the first one on ties)."""
     best, best_i = None, -1
     for i, member in enumerate(cls.members):
         val = task_loss(cls, member, target)

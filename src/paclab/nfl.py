@@ -33,7 +33,7 @@ support. A learner whose output ignores the order of the points
 by its multinomial coefficient, through `Learner.run_counts`; any other
 learner sees every sequence. The weights are integers over the
 denominator^m of the family's shared mass table (`FiniteClass.mass_table`),
-and the enumeration budget charges exactly the samples enumerated.
+and the enumeration budget charges the points of the samples enumerated.
 """
 
 from __future__ import annotations
@@ -226,10 +226,10 @@ def pair_distance(inst: NflInstance, member_index: int, fixed: frozenset) -> Fra
 # ---------------------------------------------------------------------------
 
 def _check_enum_budget(inst: NflInstance, m: int, budget: int, exchangeable: bool):
-    """Charge members x (samples per member) against the budget: the
-    C(s+m-1, m) multisets of the largest support s when `exchangeable`,
-    its s^m sequences otherwise. The charge is built one factor at a time
-    and stops at the first past the budget, so a huge m costs nothing."""
+    """Charge members x (samples per member) x max(m, 1) points against the
+    budget, each sample an m-tuple: C(s+m-1, m) multisets of the largest
+    support s when `exchangeable`, s^m sequences otherwise. The charge stops
+    at the first factor past the budget, so a huge m costs nothing."""
     if m < 0:
         raise BadRange(f"sample size m={m} is negative")
     size = len(inst.family)
@@ -240,7 +240,7 @@ def _check_enum_budget(inst: NflInstance, m: int, budget: int, exchangeable: boo
     else:
         kind, per_member = "sequences", f"{support}^{m}"
         factors = itertools.repeat((support, 1), m if support > 1 else 0)
-    charge = size
+    charge = size * max(m, 1)
     for num, den in factors:
         if charge > budget:
             break

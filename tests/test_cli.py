@@ -100,19 +100,24 @@ SMALL = CONFIG_DIR / "construct_small.json"
     (["construct", "--config", "."], "config error:"),
     (["construct", "--config", "latin1.json"], "config error:"),
     (["construct", "--config", "deep.json"], "config error:"),
+    (["construct", "--config", "huge.json"], "config error:"),
     (["construct", "--config", SMALL, "--out", "file"], "output error:"),
     (["construct", "--config", SMALL, "--out", "file/sub"], "output error:"),
 ], ids=["unknown-subcommand", "no-config", "no-value-at-end", "no-value", "unknown-option",
         "prefix", "non-integer-seed", "two-subcommands", "config-is-a-directory",
-        "config-not-utf8", "config-nested-too-deep", "out-is-a-file", "out-below-a-file"])
+        "config-not-utf8", "config-nested-too-deep", "config-int-too-long", "out-is-a-file",
+        "out-below-a-file"])
 def test_bad_argv_or_paths_exit_2_without_a_traceback(tmp_path, args, says):
     (tmp_path / "latin1.json").write_bytes(b'{"kind": "construct", "seed": 1, "x": "\xe9"}')
     (tmp_path / "deep.json").write_text("[" * 100_000)
+    # more digits than Python converts to an int
+    (tmp_path / "huge.json").write_text('{"kind": "construct", "seed": 1%s}' % ("0" * 5000))
     (tmp_path / "file").write_text("")
     proc = run_module(args, tmp_path)
     assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
     assert says in proc.stderr and "Traceback" not in proc.stderr
-    assert {p.name for p in tmp_path.iterdir()} == {"latin1.json", "deep.json", "file"}
+    assert {p.name for p in tmp_path.iterdir()} == {"latin1.json", "deep.json", "huge.json",
+                                                   "file"}
     assert (tmp_path / "file").read_text() == ""
 
 
@@ -147,9 +152,9 @@ def test_an_unusable_out_fails_before_the_run(tmp_path, monkeypatch):
 
 
 INSTANCE = {"task": "distribution", "eta": "1/2", "n": 2}  # 28 members
-INDEX_FIELDS = {
+INDEX_FIELDS = {  # each into a class of 28 members
     "target_index": lambda i: {
-        "kind": "learn", "class": {"family": "anchored", "eta": "1/2", "n": 2},
+        "kind": "learn", "class": {"family": "anchored", "eta": "1/2", "n": 8, "filter": 2},
         "learner": {"kind": "scheffe"}, "target_index": i, "m": 4},
     "learners[0].member_index": lambda i: {
         "kind": "nfl-exact", "instance": INSTANCE, "m": 0,
@@ -160,7 +165,7 @@ INDEX_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("value", [500, -1])
+@pytest.mark.parametrize("value", [500, 28, -1])  # 28: the class size, one past the last index
 @pytest.mark.parametrize("path", sorted(INDEX_FIELDS))
 def test_member_index_out_of_range_is_config_error(tmp_path, capsys, path, value):
     cfg = {**INDEX_FIELDS[path](value), "seed": 1}
@@ -169,6 +174,13 @@ def test_member_index_out_of_range_is_config_error(tmp_path, capsys, path, value
     assert code == cli.EXIT_CONFIG
     assert f"config error: config field '{path}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("path", sorted(INDEX_FIELDS))
+def test_last_member_index_runs(tmp_path, path):
+    cfg = {**INDEX_FIELDS[path](27), "seed": 1}
+    assert run_cli([cfg["kind"], "--config", write_cfg(tmp_path, cfg),
+                    "--out", tmp_path / "o"]) == cli.EXIT_OK
 
 
 NOT_INTEGERS = ["two", None, [], {}, True, 1.5, "3"]
@@ -549,6 +561,81 @@ def test_negative_m_builds_no_class(tmp_path, monkeypatch, capsys, sub, body):
     assert "config error: config field 'm'" in capsys.readouterr().err
 
 
+UNION_OF_TWO = {"kind": "union", "of": [{"kind": "scheffe"}, {"kind": "empirical-baseline"}]}
+BAD_CONSTANT = {"kind": "constant", "member_index": -1}
+# a valid config of each subcommand that takes learners; LATE_FIELDS puts a
+# malformed value into each field read after its learner spec
+LATE_BASES = {
+    "learn": {"class": {"family": "anchored", "eta": "1/2", "n": 2}, "learner": UNION_OF_TWO,
+              "target_index": 0, "m": 4, "trials": 2},
+    "nfl-exact": {"instance": INSTANCE, "m": 2, "learners": [{"kind": "scheffe"}, UNION_OF_TWO]},
+    "nfl-mc": {"instance": INSTANCE, "m": 2, "trials": 3, "learner": UNION_OF_TWO},
+    "sample-complexity": {"class": {"family": "anchored", "eta": "1/2", "n": 2},
+                          "learner": UNION_OF_TWO, "epsilon": "1/2", "delta": "1/4",
+                          "protocol": {"trials": 20, "m_max": 8, "targets_cap": 2}},
+}
+LATE_FIELDS = [  # (subcommand, site, value, the field the error names)
+    ("learn", ("threshold",), "x", "threshold"),
+    ("learn", ("target_index",), 3, "target_index"),  # the class has 3 members
+    ("learn", ("assert_failure_rate_at_most",), 0.5, "assert_failure_rate_at_most"),
+    ("learn", ("learner", "of", 1), BAD_CONSTANT, "learner.of[1].member_index"),
+    ("nfl-exact", ("thresholds",), ["1/8", "x"], "thresholds[1]"),
+    ("nfl-exact", ("enum_budget",), "x", "enum_budget"),
+    ("nfl-exact", ("assert",), {"learners_above_bound": "yes"}, "assert.learners_above_bound"),
+    ("nfl-exact", ("assert",), {"markov_tails": 1}, "assert.markov_tails"),
+    ("nfl-exact", ("assert",), {"bound_equals": "1e-3"}, "assert.bound_equals"),
+    ("nfl-exact", ("learners", 1, "of", 1), BAD_CONSTANT, "learners[1].of[1].member_index"),
+    ("nfl-mc", ("threshold",), 0.1, "threshold"),
+    ("nfl-mc", ("member_indices",), [0, 28], "member_indices[1]"),
+    ("nfl-mc", ("learner", "of", 1), BAD_CONSTANT, "learner.of[1].member_index"),
+    ("sample-complexity", ("learner", "of", 1), BAD_CONSTANT, "learner.of[1].member_index"),
+]
+# such faults on classes whose ERM learner builds a Bayes labeler per member:
+# 5 to 25 s of work on a 2-vCPU VM when the learner was built before the
+# field was read
+SLOW_LEARNER_CONFIGS = [
+    ({"kind": "learn", "class": {"family": "labeled", "eta": "1/2", "n": 9},
+      "learner": {"kind": "erm"}, "target_index": 0, "m": 4, "threshold": "x"}, "threshold"),
+    ({"kind": "nfl-exact", "instance": {"task": "classification", "eta": "1/2", "n": 9}, "m": 2,
+      "learners": [{"kind": "erm"}], "enum_budget": "x"}, "enum_budget"),
+    ({"kind": "nfl-mc", "instance": {"task": "classification", "eta": "1/2", "n": 8}, "m": 2,
+      "trials": 3, "learner": {"kind": "union", "of": [{"kind": "erm"}, BAD_CONSTANT]}},
+     "learner.of[1].member_index"),
+]
+
+
+def late_field_cases():
+    for sub, site, value, field in LATE_FIELDS:
+        yield pytest.param(mutated({"kind": sub, **LATE_BASES[sub]}, site, value), field,
+                           id=f"{sub}-{field}")
+    for cfg, field in SLOW_LEARNER_CONFIGS:
+        yield pytest.param(cfg, field, id=f"{cfg['kind']}-{field}-erm")
+
+
+def test_late_field_bases_run_clean(tmp_path):
+    for sub, body in LATE_BASES.items():
+        cfg = write_cfg(tmp_path, {"kind": sub, "seed": 1, **body})
+        assert run_cli([sub, "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_OK, sub
+
+
+@pytest.mark.parametrize("cfg,field", list(late_field_cases()))
+def test_malformed_late_field_builds_no_learner(tmp_path, monkeypatch, capsys, cfg, field):
+    # every field is read before any learner is built, a union's later
+    # constituents included
+    def refuse(*args, **kwargs):
+        raise AssertionError("a learner was built before the whole config was read")
+
+    monkeypatch.setattr(learners.ErmLearner, "for_class", refuse)
+    for kind in ("ScheffeLearner", "UnionLearner", "TruncationLearner", "EmpiricalBaseline",
+                 "ConstantLearner"):
+        monkeypatch.setattr(getattr(learners, kind), "__init__", refuse)
+    path = write_cfg(tmp_path, {"seed": 1, **cfg})
+    out = tmp_path / "o"
+    assert run_cli([cfg["kind"], "--config", path, "--out", out]) == cli.EXIT_CONFIG
+    assert f"config error: config field '{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # sha256 of every file but manifest.json that each shipped config writes, as
 # shipped (seed None) and with --seed 2, and that each benchmark workload
 # config writes at seed 2 (the benchmark pins its default seed itself). These
@@ -704,14 +791,14 @@ UNION = {"kind": "union", "of": [{"kind": "scheffe"}, {"kind": "empirical-baseli
 
 
 @pytest.mark.parametrize("budget,learners,code", [
-    # 28 members x C(7, 5) = 588 multisets of 3 support atoms fit, where the
-    # 9-point alphabet's 9^5 = 59,049 sequences would not
+    # 28 members x C(7, 5) = 588 multisets of 3 support atoms, 5 points
+    # each, fit, where the 9-point alphabet's 9^5 = 59,049 sequences would not
     (10_000, EXCHANGEABLE, cli.EXIT_OK),
-    (588, EXCHANGEABLE, cli.EXIT_OK),
-    (587, EXCHANGEABLE, cli.EXIT_BUDGET),
-    # a union is charged its 28 x 3^5 = 6,804 sequences
-    (10_000, EXCHANGEABLE + [UNION], cli.EXIT_OK),
-    (6_803, EXCHANGEABLE + [UNION], cli.EXIT_BUDGET),
+    (2_940, EXCHANGEABLE, cli.EXIT_OK),
+    (2_939, EXCHANGEABLE, cli.EXIT_BUDGET),
+    # a union is charged its 28 x 3^5 = 6,804 sequences of 5 points
+    (100_000, EXCHANGEABLE + [UNION], cli.EXIT_OK),
+    (34_019, EXCHANGEABLE + [UNION], cli.EXIT_BUDGET),
 ], ids=["multisets", "multisets-at-budget", "multisets-over", "sequences", "sequences-over"])
 def test_budget_charges_the_enumerated_samples(tmp_path, budget, learners, code):
     cfg = write_cfg(tmp_path, {
@@ -850,7 +937,12 @@ def test_staged_spec_without_family_learns(tmp_path, sub, extra):
     assert reports[0] == reports[1]
 
 
-def test_configs_match_schema():
+NOT_RATIONALS = [0.1, 1.5, "1e-5000", "1E3", "2.5e1", "0x10", "1/3.0", " 1/3", "1/-3", "inf",
+                 "nan", "1_000", "", "1/3\n3", True, None, ["1/3"]]
+RATIONALS = [3, 2.0, -2, "-2", "1/3", "0.15", "-0.5", "5/1", "007"]
+
+
+def test_configs_match_schema(tmp_path, capsys):
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(SCHEMA.read_text())
     jsonschema.Draft202012Validator.check_schema(schema)
@@ -873,6 +965,99 @@ def test_configs_match_schema():
                 {"stage_horizon": cli.STAGE_HORIZON_MAX + 1}):
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate({"kind": "construct", "seed": 3, **bad}, schema)
+    # rationals: the schema and the CLI admit the same values; no float, no exponent
+    assert schema["$defs"]["rational"]["anyOf"][1]["pattern"] == cli.RATIONAL.pattern
+    validator = jsonschema.Draft202012Validator(schema)
+    base = {"kind": "nfl-mc", "seed": 3, "instance": INSTANCE, "m": 2, "trials": 3,
+            "learner": {"kind": "scheffe"}, "member_indices": [0]}
+    cases = [(v, "threshold", True) for v in RATIONALS] + [
+        (v, field, False) for v in NOT_RATIONALS for field in ("threshold", "instance.eta")]
+    for value, field, valid in cases:
+        cfg = mutated(base, tuple(field.split(".")), value)
+        assert validator.is_valid(cfg) == valid, (field, value)
+        code = run_cli(["nfl-mc", "--config", write_cfg(tmp_path, cfg), "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == (cli.EXIT_OK if valid else cli.EXIT_CONFIG), (field, value, err)
+        assert valid or err.startswith(f"config error: config field '{field}'"), err
+
+
+def bounded_integer_fields(schema) -> dict:
+    """{path: (minimum, maximum)} of each integer field of the schema with a
+    bound, through "properties" and "items" from the top and from each
+    $defs entry; "[]" stands for a list item."""
+    found = {}
+
+    def walk(node, path):
+        if node.get("type") == "integer" and ("minimum" in node or "maximum" in node):
+            found[path] = (node.get("minimum"), node.get("maximum"))
+        for name, sub in node.get("properties", {}).items():
+            walk(sub, path + (name,))
+        if isinstance(node.get("items"), dict):
+            walk(node["items"], path + ("[]",))
+
+    walk(schema, ())
+    for name, sub in schema["$defs"].items():
+        walk(sub, ("$defs", name))
+    return found
+
+
+# a search every output passes (eps 1), so one trial certifies delta 99/100
+ANY_SEARCH = {"kind": "sample-complexity", "class": {"family": "anchored", "eta": "1/2", "n": 1},
+              "learner": {"kind": "scheffe"}, "epsilon": "1", "delta": "99/100"}
+SPOT = {"k": 1, "trials": 30, "targets_cap": 1, "m_max": 64}
+# a config with each bounded integer field of the schema set to v
+BOUNDED_RUNS = {
+    ("m",): lambda v: {"kind": "nfl-exact", "instance": INSTANCE, "m": v, "learners": []},
+    ("trials",): lambda v: {"kind": "nfl-mc", "instance": INSTANCE, "m": 2, "trials": v,
+                            "learner": {"kind": "scheffe"}, "member_indices": [0]},
+    ("target_index",): INDEX_FIELDS["target_index"],
+    ("member_indices", "[]"): lambda v: {"kind": "nfl-mc", "instance": INSTANCE, "m": 2,
+                                         "trials": 3, "learner": {"kind": "scheffe"},
+                                         "member_indices": [v]},
+    ("protocol", "trials"): lambda v: {**ANY_SEARCH, "protocol": {"trials": v, "targets_cap": 1}},
+    ("protocol", "targets_cap"): lambda v: {**ANY_SEARCH,
+                                            "protocol": {"trials": 1, "targets_cap": v}},
+    ("spot_check", "k"): lambda v: {"kind": "synthesize", "g": {"values": [1, 4, 9]},
+                                    "spot_check": {**SPOT, "k": v}},
+    ("spot_check", "trials"): lambda v: {"kind": "synthesize", "g": {"values": [1, 4, 9]},
+                                         "spot_check": {**SPOT, "trials": v}},
+    ("spot_check", "targets_cap"): lambda v: {"kind": "synthesize", "g": {"values": [1, 4, 9]},
+                                              "spot_check": {**SPOT, "targets_cap": v}},
+    ("max_members",): lambda v: {"kind": "construct",
+                                 "class": {"family": "anchored", "eta": "1/2", "n": 2},
+                                 "max_members": v},
+    ("stage_horizon",): lambda v: {"kind": "construct", "stage_horizon": v, "class": {
+        "eta": {"kind": "reciprocal", "c": "8"}, "n": {"kind": "identity"}}},
+    ("$defs", "learner", "member_index"): INDEX_FIELDS["learners[0].member_index"],
+}
+SCHEMA_BOUNDS = bounded_integer_fields(json.loads(SCHEMA.read_text()))
+
+
+def test_every_bounded_schema_field_is_run():
+    assert set(SCHEMA_BOUNDS) == set(BOUNDED_RUNS)
+
+
+@pytest.mark.parametrize("path", sorted(SCHEMA_BOUNDS), ids=".".join)
+def test_schema_integer_bounds_match_the_cli(tmp_path, path):
+    # each bound is accepted and one past it is a config error, by the
+    # schema and the CLI alike
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(json.loads(SCHEMA.read_text()))
+    low, high = SCHEMA_BOUNDS[path]
+    cases = [(low, True), (low - 1, False)] if low is not None else []
+    cases += [(high, True), (high + 1, False)] if high is not None else []
+    for value, valid in cases:
+        cfg = {"seed": 1, **BOUNDED_RUNS[path](value)}
+        assert validator.is_valid(cfg) == valid, value
+        code = run_cli([cfg["kind"], "--config", write_cfg(tmp_path, cfg),
+                        "--out", tmp_path / "o"])
+        if not valid:
+            assert code == cli.EXIT_CONFIG, value
+        elif path == ("spot_check", "trials"):
+            # accepted, but one trial cannot certify the spot check's delta 1/7
+            assert code == cli.EXIT_BUDGET
+        else:
+            assert code == cli.EXIT_OK, value
 
 
 def test_dominate_reads_csv_tables(tmp_path):

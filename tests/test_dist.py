@@ -317,12 +317,6 @@ class TestEmpirical:
 # denominators 3, 7 and 2; atom 5 only in the last member
 TABLE_MEMBERS = [pl.SparseDist({0: F(1, 3), 1: F(2, 3)}), pl.SparseDist({1: F(1, 7), 2: F(6, 7)}),
                  pl.SparseDist({0: F(1, 2), 5: F(1, 2)})]
-HUGE = 2 ** 64 + 13  # no int64 numerator over this denominator
-
-
-def l1_as_tv(table, q):
-    nums, scale = table.l1(q)
-    return [F(int(v), scale) for v in nums]
 
 
 class TestMassTable:
@@ -333,39 +327,6 @@ class TestMassTable:
         for i, p in enumerate(TABLE_MEMBERS):
             assert [F(int(v), table.denom) for v in table.mass[i]] == \
                 [p.prob(a) for a in table.atoms]
-
-    @pytest.mark.parametrize("q", [
-        *TABLE_MEMBERS,
-        pl.delta(9),                                  # wholly outside the columns
-        pl.SparseDist({0: F(1, 5), 9: F(4, 5)}),      # partly outside
-        pl.uniform([1, 2, 5]),
-        pl.SparseDist({(1, 0): F(1, 2), 2: F(1, 2)}),  # a labeled atom outside
-    ], ids=repr)
-    def test_l1_is_tv(self, q):
-        table = pl.MassTable(TABLE_MEMBERS)
-        assert l1_as_tv(table, q) == [pl.tv(p, q) for p in TABLE_MEMBERS]
-
-    def test_labeled_members(self):
-        fam = pl.labeled_anchored_family(F(1, 3), 2)
-        table = pl.MassTable(fam.members)
-        q = pl.SparseDist({(0, 0): F(1, 2), (1, 1): F(1, 4), (9, 0): F(1, 4)})
-        assert l1_as_tv(table, q) == [pl.tv(p, q) for p in fam.members]
-
-    def test_object_path_past_int64(self):
-        members = [pl.SparseDist({0: F(k, HUGE), 1: F(HUGE - 2 * k, HUGE), 2: F(k, HUGE)})
-                   for k in (1, 5, HUGE // 3)]
-        table = pl.MassTable(members)
-        assert table.mass.dtype == object and table.denom == HUGE
-        for q in (*members, pl.uniform([0, 1, 7])):
-            assert l1_as_tv(table, q) == [pl.tv(p, q) for p in members]
-
-    def test_fine_target_takes_the_object_path(self):
-        # an int64 table, but a target whose denominator pushes the scale past int64
-        table = pl.MassTable(TABLE_MEMBERS)
-        q = pl.SparseDist({1: F(1, 2 ** 63), 2: 1 - F(1, 2 ** 63)})
-        nums, _ = table.l1(q)
-        assert nums.dtype == object
-        assert l1_as_tv(table, q) == [pl.tv(p, q) for p in TABLE_MEMBERS]
 
     def test_rejects_non_distributions(self):
         with pytest.raises(BadDistribution):

@@ -181,12 +181,6 @@ class TestSequenceSpecs:
         with pytest.raises(BadN):
             pl.PolyWitness((4, 2, 1), k=2)
 
-    def test_n_max(self):
-        spec = pl.SequenceSpec(pl.Reciprocal(F(8)), pl.NTable((3, 1, 7, 2)))
-        assert spec.n_max(1) == 3
-        assert spec.n_max(3) == 7
-        assert spec.n_max(4) == 7
-
     def test_affine_of_target(self):
         rule = pl.AffineOfTarget((1, 4, 9))
         assert [rule.value(i) for i in (1, 2, 3)] == [16, 40, 80]

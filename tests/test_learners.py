@@ -871,7 +871,8 @@ def advertised_sample_size(learner, delta) -> int:
     spec = learner.staged.spec
     idx = spec.settling_index(learner.eps / 4)
     eps = float(learner.eps)
-    return math.ceil(128 * (math.log(3 * (idx * spec.n_max(idx)) ** 2)
+    n_max = max(spec.n_value(j) for j in range(1, idx + 1))
+    return math.ceil(128 * (math.log(3 * (idx * n_max) ** 2)
                             + math.log(1 / float(delta))) / eps ** 2)
 
 

@@ -191,9 +191,10 @@ class TestSymmetrizedBound:
 
     @pytest.mark.parametrize("exchangeable", [False, True])
     def test_budget_is_charged_exactly(self, exchangeable):
-        # 28 members of support 3: 28 x 3^5 sequences or 28 x C(7, 5) multisets
+        # 28 members of support 3: 28 x 3^5 sequences or 28 x C(7, 5)
+        # multisets, each of 5 points
         inst = pl.nfl_distribution_instance(F(1, 2), 2)
-        charge = 28 * (math.comb(7, 5) if exchangeable else 3 ** 5)
+        charge = 28 * (math.comb(7, 5) if exchangeable else 3 ** 5) * 5
         nfl._check_enum_budget(inst, 5, charge, exchangeable)
         with pytest.raises(EnumerationBudgetExceeded):
             nfl._check_enum_budget(inst, 5, charge - 1, exchangeable)
@@ -210,12 +211,13 @@ class TestSymmetrizedBound:
                                      f"> budget 10000000 weighted samples")
 
     def test_budget_of_one_atom_supports_takes_no_step_per_point(self):
-        # eta = 1: each of the 4 members is a point mass, with one sequence at any m
+        # eta = 1: each of the 4 members is a point mass, with one sequence
+        # at any m, of m points
         inst = pl.nfl_distribution_instance(F(1), 1)
         start = time.perf_counter()
-        nfl._check_enum_budget(inst, 10 ** 8, 4, False)
+        nfl._check_enum_budget(inst, 10 ** 8, 4 * 10 ** 8, False)
         with pytest.raises(EnumerationBudgetExceeded):
-            nfl._check_enum_budget(inst, 10 ** 8, 3, False)
+            nfl._check_enum_budget(inst, 10 ** 8, 4 * 10 ** 8 - 1, False)
         assert time.perf_counter() - start < 1
 
     def test_budget_at_huge_m_raises_before_enumerating(self):
@@ -503,7 +505,7 @@ class TestExactOracleAgainstReference:
 
     def test_past_int64_case_runs_on_the_object_path(self):
         table = huge_denominator_instance().family.mass_table()
-        assert table.mass.dtype == object and table.l1(table.members[0])[0].dtype == object
+        assert table.mass.dtype == object
 
 
 def exchangeable_learners(inst):
@@ -782,11 +784,12 @@ class TestMemberSamples:
         assert {(i, tuple(row.tolist())): w for i, row, w in weighted(True)} == summed
 
     @pytest.mark.parametrize("shape,union,enough", [
-        ("closed-form", False, 588), ("closed-form", True, 6_804), ("tilted", False, 6_804)],
+        ("closed-form", False, 2_940), ("closed-form", True, 34_020), ("tilted", False, 34_020)],
         ids=["multisets", "sequences", "enumerated-floor"])
     def test_over_budget_runs_no_learner(self, shape, union, enough):
-        # 28 members of 3 atoms at m = 5: 588 multisets, 6,804 sequences; a
-        # union is charged the sequences, and so is an enumerated floor
+        # 28 members of 3 atoms at m = 5: 588 multisets, 6,804 sequences, each
+        # charged its 5 points; a union is charged the sequences, and so is
+        # an enumerated floor
         inst = make_instance("distribution", F(1, 2), 2)
         if shape == "tilted":
             members = [tilted(inst.family[0])] + list(inst.family.members)[1:]
