@@ -66,7 +66,6 @@ from .nfl import (
     NflInstance,
     clopper_pearson_lower,
     clopper_pearson_upper,
-    closed_form_floor,
     estimate_sample_complexity,
     markov_reverse,
     mc_risk,

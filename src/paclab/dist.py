@@ -28,6 +28,7 @@ from __future__ import annotations
 import _random
 import itertools
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -46,8 +47,13 @@ DRAW_POINTS = 1 << 14  # most sample points one pass of draws holds: 128 KB a fl
 
 
 def frac_str(x: Fraction) -> str:
-    """The one rational encoding in reports: always "num/den", so 1 is "1/1"."""
-    return f"{x.numerator}/{x.denominator}"
+    """The one rational encoding in reports: always "num/den", so 1 is "1/1".
+    A rational with more digits than Python prints of an int raises BadRange."""
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise BadRange(f"a reported rational has more than {sys.get_int_max_str_digits()} "
+                       "digits, the limit on printing an int") from None
 
 
 def atom_key(a: Atom):

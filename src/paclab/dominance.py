@@ -26,7 +26,7 @@ from .families import (
     TASK_DISTRIBUTION,
     anchored_family,
 )
-from .nfl import check_search_protocol, estimate_sample_complexity, markov_reverse
+from .nfl import estimate_sample_complexity, markov_reverse
 from .rng import RngStream
 
 
@@ -198,8 +198,6 @@ def _spot_check(g: FunctionTable, k: int, rng: RngStream, trials: int,
         n_spot += 1
     eps = eta / 8
     delta = markov_reverse(eta / 4, eta / 8)
-    # a protocol that cannot run is rejected before the class is built
-    check_search_protocol(eps, delta, trials, targets_cap, 1, m_max, ScheffeLearner)
     family = anchored_family(eta, 4 * n_spot, size_filter=n_spot)
     learner = ScheffeLearner(family)
     point = estimate_sample_complexity(

@@ -83,7 +83,7 @@ class BadRange(PaclabError):
 
 
 class EnumerationBudgetExceeded(PaclabError):
-    """Exact oracle would enumerate more weighted samples than allowed."""
+    """Exact oracle would enumerate more sample points than allowed."""
 
 
 class EmptyEstimate(PaclabError):

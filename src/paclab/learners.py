@@ -7,7 +7,7 @@ canonical order, and the Scheffé engine's choice is the exact lowest-index
 argmin (`ScheffeEngine`).
 
 Every `exchangeable` learner implements one method, `run_counts`, on count
-rows; `run` on one sample is run_counts on its count row. `run_block`
+rows; `run` is `run_block` on one sample, so run_counts on its count row. `run_block`
 counts a block of tuples SELECT_CHUNK samples at a time (`dist.count_rows`),
 and `run_draws` counts each chunk of drawn atom positions (`dist.draw_rows`)
 with one offset bincount, so Monte Carlo trials build no tuples. On a class
@@ -224,10 +224,8 @@ class Learner:
     name: str = "learner"
 
     def run(self, sample: Sequence):
-        """The output on one sample: run_counts() on its count row if `exchangeable`."""
-        if self.exchangeable:
-            return next(iter(self.run_counts(*count_rows([sample]))))
-        return next(self.run_block([sample]))
+        """The output on one sample: run_block() on it alone."""
+        return next(iter(self.run_block([sample])))
 
     def run_block(self, samples: Iterable):
         """run() on each sample, lazily and in order, SELECT_CHUNK samples at

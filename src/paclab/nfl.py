@@ -19,14 +19,6 @@ bound keeps a factor 1/2 of the chain value, which at every shipped
 instance leaves it below the fully within-family certified floor
 (asserted exactly in the tests).
 
-That symmetrized floor has a closed form, eta/4 * (1 - q)^m with q the
-mass a member puts on each window point, and `nfl_exact` reports it
-(`closed_form_floor`) on every instance whose members all have that
-shape; on any other it enumerates. The enumeration
-`symmetrized_lower_bound` stays as the reference oracle the tests check
-the closed form against; it walks sequences, independently of the exact
-oracle's enumeration.
-
 The exact oracle enumerates each member's samples over that member's own
 support. A learner whose output ignores the order of the points
 (`Learner.exchangeable`) sees one row of atom counts per multiset, weighted
@@ -34,6 +26,13 @@ by its multinomial coefficient, through `Learner.run_counts`; any other
 learner sees every sequence. The weights are integers over the
 denominator^m of the family's shared mass table (`FiniteClass.mass_table`),
 and the enumeration budget charges the points of the samples enumerated.
+The symmetrized floor `nfl_exact` reports is one more integer sum over the
+count rows: each weight times the member's points its sample left unseen.
+`symmetrized_lower_bound` computes the same floor by walking sequences with
+Fraction likelihoods, independently of that enumeration, and stays as the
+reference oracle; on the instances the nfl_*_instance constructors build,
+the floor is eta/4 * (1 - q)^m, q the mass a member puts on each window
+point, which the tests check.
 """
 
 from __future__ import annotations
@@ -174,9 +173,8 @@ class NflInstance:
     """A family prepared for the lower-bound machinery.
 
     The nfl_*_instance constructors build every member with the same mass
-    on each of its window points, which `closed_form_floor` needs; an
-    instance built by hand may lack that shape, and then `nfl_exact`
-    enumerates its floor instead."""
+    on each of its window points; an instance built by hand may have any
+    shape, and gets its floor from the same enumeration."""
 
     task: str
     eta: Fraction
@@ -248,7 +246,7 @@ def _check_enum_budget(inst: NflInstance, m: int, budget: int, exchangeable: boo
     if charge > budget:
         raise EnumerationBudgetExceeded(
             f"{size} members x {per_member} {kind} of {m} points over {support} atoms "
-            f"> budget {budget} weighted samples")
+            f"> budget {budget} sample points")
 
 
 def symmetrized_lower_bound(inst: NflInstance, m: int,
@@ -315,65 +313,6 @@ class ExactOracleReport:
             "reference_lines": {k: frac_str(v) for k, v in self.reference_lines.items()},
             "learners": [lr.to_json_obj() for lr in self.learners],
         }
-
-
-def _window_point_mass(inst: NflInstance) -> Optional[Fraction]:
-    """q, if every member of a non-empty family puts mass exactly q on
-    each point of its window, and None otherwise. q is eta/set_size for a
-    distribution instance, whose members must each have exactly set_size
-    atoms other than the anchor, all in 1..window; eta/window for
-    classification and 1/window for the real task, as the marginal of
-    every x in 1..window. The three nfl_*_instance constructors build
-    this shape; a hand-built NflInstance need not have it. The test
-    compares integers on the family's mass table."""
-    dist_task = inst.task == TASK_DISTRIBUTION
-    if len(inst.family) == 0 or inst.window < 1 or (dist_task and not inst.set_size):
-        return None
-    if not all(isinstance(p, SparseDist) for p in inst.family.members):
-        return None
-    if dist_task:
-        q = inst.eta / inst.set_size
-    elif inst.task == TASK_CLASSIFICATION:
-        q = inst.eta / inst.window
-    else:
-        q = Fraction(1, inst.window)
-    table = inst.family.mass_table()
-    share, rest = divmod(q.numerator * table.denom, q.denominator)  # q over table.denom
-    if rest:
-        return None
-    if dist_task:  # every row: set_size window atoms of mass q, besides the anchor
-        if not all(a == 0 or isinstance(a, int) and 1 <= a <= inst.window for a in table.atoms):
-            return None
-        mass = table.mass[:, np.array([a != 0 for a in table.atoms])]
-        held = mass != 0
-        shaped = (held.sum(axis=1) == inst.set_size).all() and (mass[held] == share).all()
-    else:  # every row's marginal on each x in 1..window, by an atoms x window 0/1 matrix
-        if not all(isinstance(a, tuple) for a in table.atoms):
-            return None
-        onto = np.array([[a[0] == x for x in range(1, inst.window + 1)] for a in table.atoms])
-        shaped = (table.mass @ onto == share).all()
-    return q if shaped else None
-
-
-def closed_form_floor(inst: NflInstance, m: int) -> Fraction:
-    """The symmetrized floor in closed form: eta/4 * (1 - q)^m.
-
-    q is the mass a member puts on each point of its window: eta/n for a
-    distribution instance (n = set_size), eta/window for classification,
-    1/window for the real task. A member's pair distance is eta times the
-    fraction of those points its sample missed, and each one is missed
-    with probability (1 - q)^m. So on every instance of that shape (the
-    three nfl_*_instance constructors build it) this equals
-    `symmetrized_lower_bound`, the enumeration kept as the reference
-    oracle, at a cost free of m. Any other instance raises BadPrecondition.
-    """
-    if m < 0:
-        raise BadRange(f"sample size m={m} is negative")
-    q = _window_point_mass(inst)
-    if q is None:
-        raise BadPrecondition("the closed-form floor needs every member to put the same "
-                              "mass on each of its window points")
-    return inst.eta / 4 * (1 - q) ** m
 
 
 def _member_samples(table: MassTable, m: int, exchangeable: bool) -> tuple:
@@ -449,34 +388,57 @@ def _sample_losses(inst: NflInstance, outputs: list, out_ids: np.ndarray, groups
         yield members, weights, np.array(nums, dtype=dtype)[inverse].reshape(k.shape), scale
 
 
+def _floor(inst: NflInstance, groups: list, rows: np.ndarray, total: int) -> Fraction:
+    """`symmetrized_lower_bound` from `_member_samples`' count rows: eta over
+    4 |family| scale total, times the sum of each (member, sample) weight by
+    the member's points the sample left unseen, as `pair_distance` and
+    `observed_atoms` define them. Distribution: scale set_size, a member's
+    points its atoms but the anchor, seen when an int in 1..window. Labeled
+    tasks: scale window, the points the x in 1..window, seen when the sample
+    holds an atom (x, b). Row sums are int64 while total times the most
+    points stays below INT64_SAFE."""
+    table, window, held = inst.family.mass_table(), range(1, inst.window + 1), rows > 0
+    if inst.task == TASK_DISTRIBUTION:
+        scale = inst.set_size
+        points = (table.mass[:, np.array([a != 0 for a in table.atoms], dtype=bool)] != 0).sum(1)
+        seen = held[:, np.array([a in window for a in table.atoms], dtype=bool)].sum(axis=1)
+    else:
+        scale, points = inst.window, np.full(len(table), inst.window)
+        seen = (held @ np.array([[a[0] == x for x in window] for a in table.atoms],
+                                dtype=bool)).sum(axis=1)
+    dtype = np.int64 if total * int(points.max()) < INT64_SAFE else object
+    unseen = sum(sum((weights * (points[members, None] - seen[ids]).astype(dtype))
+                     .sum(axis=1).tolist()) for members, ids, weights in groups)
+    return inst.eta * Fraction(unseen, 4 * len(inst.family) * scale * total)
+
+
 def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
               thresholds: Optional[Sequence] = None,
               budget: int = DEFAULT_ENUM_BUDGET) -> ExactOracleReport:
     """Exact per-member risk of each learner by full enumeration of every
-    member's length-m samples with exact likelihood weights. The reported
-    floor is `closed_form_floor` on an instance of the constructors' shape
-    and the enumerated `symmetrized_lower_bound` on any other; either way
-    it and the budget are settled before any learner runs.
+    member's length-m samples with exact likelihood weights. The budget and
+    the reported floor are settled before any learner runs.
 
     `_member_samples` enumerates the samples with integer weights over the
     family's common denominator^m: the `exchangeable` learners read their
     distinct count rows as one matrix (`Learner.run_counts`), the others
-    the distinct sequences as one block. `_sample_losses` gives each
+    the distinct sequences as one block. The floor is summed over the count
+    rows (`_floor`), which are enumerated for it alone when no learner is
+    exchangeable; the budget charges those learners' sequences, which
+    outnumber the rows. `_sample_losses` gives each
     (member, sample) loss as an integer over one scale per group of members,
     so a member's mean is one Fraction and each tail an integer sum. Members
     of equal mean or tail share one Fraction, and the class average and max
     read each group's integer sums.
     """
     _check_enum_budget(inst, m, budget, all(ln.exchangeable for ln in learners))
-    try:
-        bound = closed_form_floor(inst, m)
-    except BadPrecondition:
-        bound = symmetrized_lower_bound(inst, m, budget=budget)
     eta = inst.eta
     thresholds = [Fraction(a) for a in (thresholds if thresholds is not None else [eta / 8])]
     family, table = inst.family, inst.family.mass_table()
     total = table.denom ** m
-    enumerated = {ex: _member_samples(table, m, ex) for ex in {ln.exchangeable for ln in learners}}
+    enumerated = {ex: _member_samples(table, m, ex)
+                  for ex in {True} | {ln.exchangeable for ln in learners}}
+    bound = _floor(inst, *enumerated[True], total)
     reports = []
     for learner in learners:
         groups, samples = enumerated[learner.exchangeable]

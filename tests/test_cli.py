@@ -121,6 +121,22 @@ def test_bad_argv_or_paths_exit_2_without_a_traceback(tmp_path, args, says):
     assert (tmp_path / "file").read_text() == ""
 
 
+@pytest.mark.parametrize("instance,m", [
+    ({"task": "distribution", "eta": "1/1000", "n": 1}, 1500),
+    ({"task": "distribution", "eta": "1/" + "3" * 2500, "n": 1}, 2),
+], ids=["short-eta-large-m", "long-eta"])
+def test_reported_rational_past_the_digit_limit_exits_2(tmp_path, instance, m):
+    # the floor's denominator, 1000^1500 or (333...3)^2 times a small factor,
+    # has more digits than Python prints of an int
+    cfg = write_cfg(tmp_path, {"kind": "nfl-exact", "seed": 1, "instance": instance, "m": m,
+                               "learners": [{"kind": "constant", "member_index": 0}]})
+    proc = run_module(["nfl-exact", "--config", cfg, "--out", "out"], tmp_path)
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error: BadRange: ")
+    assert f"{sys.get_int_max_str_digits()} digits" in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
+
+
 def test_help_prints_usage_to_stdout(tmp_path):
     proc = run_module(["--help"], tmp_path)
     assert proc.returncode == 0 and proc.stdout.startswith("usage: paclab")

@@ -208,7 +208,7 @@ class TestSymmetrizedBound:
             nfl._check_enum_budget(inst, 10 ** 8, 10 ** 7, exchangeable)
         size = "C(100000001, 100000000) multisets" if exchangeable else "2^100000000 sequences"
         assert str(caught.value) == (f"4 members x {size} of 100000000 points over 2 atoms "
-                                     f"> budget 10000000 weighted samples")
+                                     f"> budget 10000000 sample points")
 
     def test_budget_of_one_atom_supports_takes_no_step_per_point(self):
         # eta = 1: each of the 4 members is a point mass, with one sequence
@@ -270,7 +270,8 @@ def tilted(member):
 
 
 def off_shape_instances():
-    """Hand-built instances the closed form does not cover."""
+    """Hand-built instances whose members do not all put the same mass on
+    each of their window points."""
     yield pytest.param(huge_denominator_instance(), id="huge-denominator")
     for task in ("distribution", "classification", "real"):
         built = make_instance(task, F(1, 2), 2)
@@ -303,38 +304,6 @@ def off_shape_instances():
     yield pytest.param(pl.NflInstance("distribution", F(1, 2), 2, 1, fam), id="fractional-share")
 
 
-def reference_window_point_mass(inst):
-    """`nfl._window_point_mass` member by member, comparing Fractions."""
-    dist_task = inst.task == "distribution"
-    if len(inst.family) == 0 or inst.window < 1 or (dist_task and not inst.set_size):
-        return None
-    if dist_task:
-        q = inst.eta / inst.set_size
-    elif inst.task == "classification":
-        q = inst.eta / inst.window
-    else:
-        q = F(1, inst.window)
-    window = range(1, inst.window + 1)
-    for member in inst.family.members:
-        if not isinstance(member, pl.SparseDist):
-            return None
-        if dist_task:
-            points = [(a, w) for a, w in member.items if a != 0]
-            if len(points) != inst.set_size or any(
-                    not isinstance(a, int) or a not in window or w != q for a, w in points):
-                return None
-            continue
-        marginal = dict.fromkeys(window, F(0))
-        for a, w in member.items:
-            if not isinstance(a, tuple):
-                return None
-            if a[0] in marginal:
-                marginal[a[0]] += w
-        if any(w != q for w in marginal.values()):
-            return None
-    return q
-
-
 def object_table_instances():
     """Instances whose mass table holds Python ints: denominators past 2^62."""
     tiny = F(1, 2 ** 63)
@@ -352,39 +321,34 @@ def object_table_instances():
                            id=f"object-tilted-{task}")
 
 
-class TestWindowPointMass:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("eta", [F(1, 2), F(1, 3), F(1)], ids=str)
-    @pytest.mark.parametrize("task", ["distribution", "classification", "real"])
-    def test_constructor_instances_agree_with_the_reference(self, task, eta, n):
-        inst = make_instance(task, eta, n)
-        assert nfl._window_point_mass(inst) == reference_window_point_mass(inst) is not None
+def window_point_mass(inst):
+    """q, the mass each member of a constructor's instance puts on each
+    point of its window."""
+    if inst.task == "distribution":
+        return inst.eta / inst.set_size
+    if inst.task == "classification":
+        return inst.eta / inst.window
+    return F(1, inst.window)
 
-    @pytest.mark.parametrize("inst", list(off_shape_instances()) + list(object_table_instances()))
-    def test_hand_built_instances_agree_with_the_reference(self, inst):
-        assert nfl._window_point_mass(inst) == reference_window_point_mass(inst)
 
-    def test_object_tables_reach_both_answers(self):
-        cases = [p.values[0] for p in object_table_instances()]
-        assert all(inst.family.mass_table().mass.dtype == object for inst in cases)
-        found = [nfl._window_point_mass(inst) for inst in cases]
-        assert found[0::2] == [F(1, 2 ** 64), F(1, 2 ** 65), F(1, 2)] and found[1::2] == [None] * 3
-
-    def test_a_member_that_is_no_distribution_builds_no_table(self):
-        built = make_instance("real", F(1, 2), 2)
-        fam = pl.FiniteClass("real", [built.family[0], "not a distribution"])
-        inst = pl.NflInstance("real", built.eta, built.window, None, fam)
-        assert nfl._window_point_mass(inst) is None and fam._mass_table is None
+def floor_of(inst, m, made=()):
+    return pl.nfl_exact(inst, made, m).symmetrized_bound
 
 
 class TestClosedFormFloor:
+    """nfl_exact's floor, summed over its own enumeration, against the
+    sequence walk `symmetrized_lower_bound` and the closed form
+    eta/4 * (1 - q)^m: every window point goes unseen with probability
+    (1 - q)^m."""
+
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("eta", [F(1, 2), F(1, 3), F(1)], ids=str)
     @pytest.mark.parametrize("task", ["distribution", "classification", "real"])
     def test_equals_enumeration(self, task, eta, n, m):
         inst = make_instance(task, eta, n)
-        assert pl.closed_form_floor(inst, m) == pl.symmetrized_lower_bound(inst, m)
+        assert floor_of(inst, m) == pl.symmetrized_lower_bound(inst, m) \
+            == eta / 4 * (1 - window_point_mass(inst)) ** m
 
     @pytest.mark.parametrize("task,n,m,value", [
         ("distribution", 2, 0, F(1, 8)),
@@ -393,37 +357,52 @@ class TestClosedFormFloor:
         ("distribution", 3, 3, F(125, 1728)),
     ])
     def test_pinned_values(self, task, n, m, value):
-        assert pl.closed_form_floor(make_instance(task, F(1, 2), n), m) == value
+        assert floor_of(make_instance(task, F(1, 2), n), m) == value
 
-    def test_negative_m(self):
-        with pytest.raises(BadRange):
-            pl.closed_form_floor(make_instance("distribution", F(1, 2), 1), -1)
+    @pytest.mark.parametrize("inst", [pytest.param(make_instance("distribution", F(1, 2), 2),
+                                                   id="distribution")]
+                             + list(off_shape_instances()))
+    def test_exact_oracle_reports_it_without_enumerating(self, monkeypatch, inst):
+        expected = pl.symmetrized_lower_bound(inst, 2)
 
-    def test_exact_oracle_reports_it_without_enumerating(self, monkeypatch):
         def no_enumeration(*args, **kwargs):
             raise AssertionError("the floor was enumerated")
 
         monkeypatch.setattr(nfl, "symmetrized_lower_bound", no_enumeration)
         monkeypatch.setattr(nfl, "sequence_prob", no_enumeration)
-        inst = make_instance("distribution", F(1, 2), 2)
-        report = pl.nfl_exact(inst, [pl.EmpiricalBaseline("distribution")], 2)
-        assert report.symmetrized_bound == F(9, 128)
+        made = [pl.EmpiricalBaseline(inst.task, real_ctx=inst.family.real_ctx)]
+        assert floor_of(inst, 2, made) == expected
 
-    @pytest.mark.parametrize("inst", list(off_shape_instances()))
-    def test_hand_built_instance_of_another_shape_is_enumerated(self, inst):
-        with pytest.raises(BadPrecondition):
-            pl.closed_form_floor(inst, 2)
-        report = pl.nfl_exact(inst, [pl.EmpiricalBaseline(inst.task, real_ctx=inst.family.real_ctx)], 2)
-        assert report.symmetrized_bound == pl.symmetrized_lower_bound(inst, 2)
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("inst", list(off_shape_instances()) + list(object_table_instances()))
+    def test_hand_built_instances_equal_the_reference(self, inst, m):
+        # at m >= 2 only a union runs, so the count rows are enumerated for
+        # the floor alone
+        ctx = inst.family.real_ctx
+        made = [pl.UnionLearner([pl.EmpiricalBaseline(inst.task, real_ctx=ctx)], real_ctx=ctx)]
+        assert floor_of(inst, m, made if m >= 2 else []) == pl.symmetrized_lower_bound(inst, m)
 
     @pytest.mark.parametrize("task", ["distribution", "classification", "real"])
     def test_hand_built_instance_of_the_same_shape_keeps_the_closed_form(self, task):
         built = make_instance(task, F(1, 2), 2)
         fam = pl.FiniteClass(task, list(built.family.members), real_ctx=built.family.real_ctx)
         inst = pl.NflInstance(task, built.eta, built.window, built.set_size, fam)
-        assert pl.closed_form_floor(inst, 2) == pl.symmetrized_lower_bound(inst, 2) \
-            == pl.closed_form_floor(built, 2)
+        assert floor_of(inst, 2) == pl.symmetrized_lower_bound(inst, 2) == floor_of(built, 2)
 
+    def test_weights_times_unseen_points_past_int64(self):
+        # denominator 2^31 - 1: the weights over denom^2 fit int64, but each
+        # member leaves 3 to 5 of its points unseen at m = 2, so a member's
+        # weighted sum passes 2^63
+        denom = 2 ** 31 - 1
+        members = [pl.SparseDist({0: 1 - F(5 * k, denom),
+                                  **{x: F(k, denom) for x in range(first, first + 5)}})
+                   for k, first in ((denom // 6, 1), (denom // 7, 2))]
+        fam = pl.FiniteClass("distribution", members)
+        inst = pl.NflInstance("distribution", F(1, 2), 8, 5, fam)
+        table = inst.family.mass_table()
+        assert table.denom == denom and table.denom ** 2 < pl.dist.INT64_SAFE
+        assert nfl._member_samples(table, 2, True)[0][0][2].dtype == np.int64
+        assert floor_of(inst, 2) == pl.symmetrized_lower_bound(inst, 2)
 
 
 THRESHOLDS = [F(1, 16), F(1, 8), F(1, 4)]
@@ -784,12 +763,12 @@ class TestMemberSamples:
         assert {(i, tuple(row.tolist())): w for i, row, w in weighted(True)} == summed
 
     @pytest.mark.parametrize("shape,union,enough", [
-        ("closed-form", False, 2_940), ("closed-form", True, 34_020), ("tilted", False, 34_020)],
+        ("built", False, 2_940), ("built", True, 34_020), ("tilted", False, 2_940)],
         ids=["multisets", "sequences", "enumerated-floor"])
     def test_over_budget_runs_no_learner(self, shape, union, enough):
         # 28 members of 3 atoms at m = 5: 588 multisets, 6,804 sequences, each
-        # charged its 5 points; a union is charged the sequences, and so is
-        # an enumerated floor
+        # charged its 5 points; a union is charged the sequences, and a
+        # hand-built instance's floor nothing beyond the multisets
         inst = make_instance("distribution", F(1, 2), 2)
         if shape == "tilted":
             members = [tilted(inst.family[0])] + list(inst.family.members)[1:]
