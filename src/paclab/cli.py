@@ -72,9 +72,6 @@ from .nfl import (
 )
 from .rng import RngStream
 
-SUBCOMMANDS = ("construct", "learn", "sample-complexity", "nfl-exact",
-               "nfl-mc", "dominate", "synthesize")
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
@@ -326,7 +323,7 @@ def _table(spec: Reader, base_dir: Path) -> FunctionTable:
 
 # ---------------------------------------------------------------------------
 # subcommand bodies: each reads all its fields before any work, then returns
-# (report_obj, extra_files, failed_assertions)
+# (report body, extra_files, failed_assertions) for run_experiment to wrap
 # ---------------------------------------------------------------------------
 
 def _run_construct(cfg: Reader, rng, base_dir):
@@ -340,27 +337,23 @@ def _run_construct(cfg: Reader, rng, base_dir):
         for i in range(1, horizon + 1):
             levels[str(i)] = frac_str(staged.spec.eta_value(i))
             sizes[str(i)] = staged.stage_size(i)
-        report = {
-            "kind": "construct",
+        return {
             "task": staged.task,
             "size": "countably-infinite",
             "staged": staged.to_json_obj(),
             "stage_levels": levels,
             "stage_sizes": sizes,
-        }
-        return report, {}, []
+        }, {}, []
     cap = cfg.get("max_members", _int_in(0), 1 << 12)
     cls = _load_class(spec, staged)
     members = [m.to_json_obj() if isinstance(m, SparseDist) else repr(m)
                for m in cls.members[:cap]]
-    report = {
-        "kind": "construct",
+    return {
         "task": cls.task,
         "size": len(cls),
         "labels": cls.labels[:cap],
         "members": members,
-    }
-    return report, {}, []
+    }, {}, []
 
 
 def _run_learn(cfg: Reader, rng, base_dir):
@@ -374,7 +367,6 @@ def _run_learn(cfg: Reader, rng, base_dir):
     learner = build()
     stats = mc_risk(cls, learner, m, trials, rng, threshold, member_indices=[target_idx])
     report = {
-        "kind": "learn",
         "learner": learner.name,
         "m": m,
         "target_index": target_idx,
@@ -410,7 +402,6 @@ def _run_sample_complexity(cfg: Reader, rng, base_dir):
                for i, (eps, delta, k, *_) in enumerate(asks)]
     curve = ComplexityCurve(results)
     report = {
-        "kind": "sample-complexity",
         "learner": learner.name,
         "points": [p.to_json_obj() for p in results],
     }
@@ -445,7 +436,7 @@ def _run_nfl_exact(cfg: Reader, rng, base_dir):
                         failures.append(f"{lr.name}: Markov floor above exact tail at {a}")
     if bound_eq is not None and report_obj.symmetrized_bound != bound_eq:
         failures.append(f"bound {report_obj.symmetrized_bound} != {bound_eq}")
-    return {"kind": "nfl-exact", **report_obj.to_json_obj()}, {}, failures
+    return report_obj.to_json_obj(), {}, failures
 
 
 def _run_nfl_mc(cfg: Reader, rng, base_dir):
@@ -458,7 +449,6 @@ def _run_nfl_mc(cfg: Reader, rng, base_dir):
     learner = build()
     stats = mc_risk(inst.family, learner, m, trials, rng, threshold, member_indices=indices)
     report = {
-        "kind": "nfl-mc",
         "learner": learner.name,
         "m": m,
         "trials": trials,
@@ -472,7 +462,7 @@ def _run_dominate(cfg: Reader, rng, base_dir):
     g = _table(cfg.get("g", Reader), base_dir)
     assert_dominates = cfg.get("assert_dominates", _bool, False)
     cert = dominates_prefix(f, g)
-    report = {"kind": "dominate", "f": f.to_json_obj(), "g": g.to_json_obj(),
+    report = {"f": f.to_json_obj(), "g": g.to_json_obj(),
               "certificate": cert.to_json_obj()}
     failures = ["dominance assertion failed"] if assert_dominates and not cert.dominates else []
     return report, {}, failures
@@ -499,8 +489,7 @@ def _run_synthesize(cfg: Reader, rng, base_dir):
         m_hat = rep.spot_check["point"]["m_hat"]
         if m_hat <= exceeds:
             failures.append(f"spot check m_hat {m_hat} does not exceed {exceeds}")
-    return ({"kind": "synthesize", **rep.to_json_obj()},
-            {"plotdata.csv": "\n".join(lines) + "\n"}, failures)
+    return rep.to_json_obj(), {"plotdata.csv": "\n".join(lines) + "\n"}, failures
 
 
 _RUNNERS = {
@@ -512,6 +501,7 @@ _RUNNERS = {
     "dominate": _run_dominate,
     "synthesize": _run_synthesize,
 }
+SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def run_experiment(subcommand: str, cfg, out_dir=None, seed_override=None,
@@ -534,9 +524,8 @@ def run_experiment(subcommand: str, cfg, out_dir=None, seed_override=None,
     seed = reader.get("seed", _int)
     rng = RngStream(seed, 0)
 
-    report, extra_files, failures = _RUNNERS[subcommand](reader, rng, base_dir)
-    report["seed"] = seed
-    report["assertion_failures"] = failures
+    body, extra_files, failures = _RUNNERS[subcommand](reader, rng, base_dir)
+    report = {"kind": subcommand, **body, "seed": seed, "assertion_failures": failures}
 
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {"report.json": json.dumps(report, indent=2) + "\n", **extra_files}

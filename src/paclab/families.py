@@ -24,6 +24,7 @@ import bisect
 import itertools
 import math
 import operator
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .dist import MassTable, SparseDist, delta, frac_str
 from .errors import (
     BadEta,
     BadN,
+    BadRange,
     ClassTooLarge,
     EtaAboveGmax,
     NonVanishing,
@@ -369,6 +371,17 @@ class FiniteClass:
         return self._mass_table
 
 
+def capped_product(factors, cap: int, product: int = 1) -> int:
+    """`product` times num/den over the (num, den) pairs of `factors`, each
+    num >= den with every partial product an integer; or the first partial
+    product past `cap`. A size is compared with its budget unbuilt."""
+    for num, den in factors:
+        if product > cap:
+            break
+        product = product * num // den
+    return product
+
+
 def _concat(head, parts: list) -> _Ranked:
     """`head`, then the items of each sequence in `parts`, by rank."""
     # rank of each part's first item; the last entry is the total size
@@ -437,9 +450,14 @@ def anchored_family(eta, n: int, size_filter: Optional[int] = None,
         raise BadN(f"n={n} < 1")
     if size_filter is not None and not 1 <= size_filter <= n:
         raise BadN(f"size filter {size_filter} outside 1..{n}")
-    count = math.comb(n, size_filter) if size_filter is not None else (1 << n) - 1
+    if size_filter is None:  # 2^n - 1 > budget iff 2^n > budget + 1
+        size, count = f"2^{n} - 1", capped_product(((2, 1) for _ in range(n)), budget + 1) - 1
+    else:  # C(n, r) = C(n, n - r), the product of (n - r + k)/k over k = 1..r
+        r = min(size_filter, n - size_filter)
+        factors = ((n - r + k, k) for k in range(1, r + 1))
+        size, count = f"C({n}, {size_filter})", capped_product(factors, budget)
     if count > budget:
-        raise ClassTooLarge(f"{count} members exceed budget {budget}")
+        raise ClassTooLarge(f"{size} members exceed budget {budget}")
     # member i's subset bitmask: i + 1, or the i-th one of the filtered size
     if size_filter is None:
         mask_of = lambda i: i + 1
@@ -469,7 +487,7 @@ def labeled_anchored_family(eta, n: int, budget: int = DEFAULT_MEMBER_BUDGET) ->
     if n < 1:
         raise BadN(f"n={n} < 1")
     width = 2 * n
-    count = 1 << width
+    count = capped_product(((2, 1) for _ in range(width)), budget)
     if count > budget:
         raise ClassTooLarge(f"2^{width} members exceed budget {budget}")
     anchor = _anchor(eta, (0, 0))
@@ -492,7 +510,7 @@ def plateau_family(loss, eta, n: int, budget: int = DEFAULT_MEMBER_BUDGET) -> Fi
         raise EtaAboveGmax(f"eta={eta} above attainable loss {loss.g_max}")
     if n < 1:
         raise BadN(f"n={n} < 1")
-    count = 1 << n
+    count = capped_product(((2, 1) for _ in range(n)), budget)
     if count > budget:
         raise ClassTooLarge(f"2^{n} members exceed budget {budget}")
     height = loss.g_inverse(eta)
@@ -547,12 +565,15 @@ class StagedClass:
         return eta, n
 
     def stage_size(self, i: int) -> int:
+        """Stage i's member count. One with more digits than Python prints of an
+        int (2^b has over L digits iff 2^b >= 10^L) raises BadRange unbuilt."""
         _, n = self.stage_params(i)
-        if self.task == TASK_DISTRIBUTION:
-            return (1 << n) - 1
-        if self.task == TASK_CLASSIFICATION:
-            return 1 << (2 * n)
-        return 1 << n
+        bits = 2 * n if self.task == TASK_CLASSIFICATION else n
+        limit = sys.get_int_max_str_digits()
+        if limit and bits >= (10 ** limit - 1).bit_length():
+            raise BadRange(f"stage {i} has a member count of more than {limit} digits, "
+                           "the limit on printing an int")
+        return (1 << bits) - 1 if self.task == TASK_DISTRIBUTION else 1 << bits
 
     def stage(self, i: int, budget: int = DEFAULT_MEMBER_BUDGET) -> FiniteClass:
         eta, n = self.stage_params(i)
@@ -580,10 +601,13 @@ class StagedClass:
         within level <= eps/4 of the base member."""
         eps = Fraction(eps)
         cutoff = self.spec.settling_index(eps / 4)
-        total = 1 + sum(self.stage_size(i) for i in range(1, cutoff + 1))
-        if total > budget:
-            raise ClassTooLarge(f"truncation at stage {cutoff} has {total} members, budget {budget}")
-        stages = [self.stage(i, budget=budget) for i in range(1, cutoff + 1)]
+        stages, total = [], 1
+        for i in range(1, cutoff + 1):  # lazy stages, each checked against the budget as built
+            stages.append(self.stage(i, budget=budget))
+            total += len(stages[-1])
+            if total > budget:
+                raise ClassTooLarge(f"truncation at stage {cutoff}: stages 1..{i} already hold "
+                                    f"{total} members, budget {budget}")
         return FiniteClass(self.task, _concat(self.base_member(), [f.members for f in stages]),
                            _concat("base", [f.labels for f in stages]),
                            real_ctx=stages[0].real_ctx,

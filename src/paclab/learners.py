@@ -432,7 +432,11 @@ class UnionLearner(Learner):
             raise MixedTasks(f"constituents disagree on task: {sorted(tasks)}")
         self.learners = list(learners)
         self.task = learners[0].task
-        self.real_ctx = real_ctx
+        # the real task's context, if not given: the first constituent's that carries one
+        self.real_ctx = real_ctx or next(filter(None, (getattr(ln, "real_ctx", None)
+                                                       for ln in learners)), None)
+        if self.task == TASK_REAL and self.real_ctx is None:
+            raise MixedTasks("a real-task union needs a task context")
         self.agnostic_factor = 3 if self.task == TASK_DISTRIBUTION else 1
         # both halves non-empty, and the first half of ceil(m/2) points
         # large enough for every constituent

@@ -38,12 +38,7 @@ BAYES_RISK_CACHE_SIZE = 1024  # most distributions whose Bayes risk is remembere
 class LossRule:
     """Pointwise loss g(|h(x)-y|) with g(0)=0 and g positive somewhere."""
 
-    name = "abstract"
-
-    @property
-    def g_max(self) -> Fraction:
-        """min(sup_{a>0} g(a), 1): the largest usable level."""
-        raise NotImplementedError
+    g_max = Fraction(1)  # min(sup_{a>0} g(a), 1): the largest usable level
 
     def g(self, t: Fraction) -> Fraction:
         raise NotImplementedError
@@ -59,23 +54,11 @@ class LossRule:
 
 
 class AbsoluteLoss(LossRule):
-    name = "absolute"
-
-    @property
-    def g_max(self) -> Fraction:
-        return Fraction(1)
-
     def g(self, t: Fraction) -> Fraction:
         return abs(Fraction(t))
 
 
 class SquaredLoss(LossRule):
-    name = "squared"
-
-    @property
-    def g_max(self) -> Fraction:
-        return Fraction(1)
-
     def g(self, t: Fraction) -> Fraction:
         t = Fraction(t)
         return t * t
@@ -92,10 +75,6 @@ class SquaredLoss(LossRule):
 @dataclass(frozen=True)
 class CappedLinearLoss(LossRule):
     cap: Fraction
-
-    @property
-    def name(self):
-        return f"capped-linear({self.cap})"
 
     @property
     def g_max(self) -> Fraction:

@@ -63,6 +63,7 @@ from .families import (
     TASK_DISTRIBUTION,
     TASK_REAL,
     anchored_family,
+    capped_product,
     labeled_anchored_family,
     plateau_data_family,
 )
@@ -237,13 +238,8 @@ def _check_enum_budget(inst: NflInstance, m: int, budget: int, exchangeable: boo
         factors = ((m + k, k) for k in range(1, support))
     else:
         kind, per_member = "sequences", f"{support}^{m}"
-        factors = itertools.repeat((support, 1), m if support > 1 else 0)
-    charge = size * max(m, 1)
-    for num, den in factors:
-        if charge > budget:
-            break
-        charge = charge * num // den
-    if charge > budget:
+        factors = ((support, 1) for _ in range(m if support > 1 else 0))
+    if capped_product(factors, budget, size * max(m, 1)) > budget:
         raise EnumerationBudgetExceeded(
             f"{size} members x {per_member} {kind} of {m} points over {support} atoms "
             f"> budget {budget} sample points")

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import os
+import resource
 import runpy
 import subprocess
 import sys
@@ -341,6 +342,8 @@ def test_stage_horizon_at_its_maximum_runs(tmp_path):
     assert run_cli(["construct", "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_OK
     sizes = json.loads((tmp_path / "o" / "report.json").read_text())["stage_sizes"]
     assert len(sizes) == cli.STAGE_HORIZON_MAX and sizes["4096"] == 2 ** 4096 - 1
+    # run_experiment writes the envelope of this branch too
+    assert (tmp_path / "o" / "report.json").read_text().startswith('{\n  "kind": "construct",\n')
 
 
 MALFORMED = ["two", -1, 0, 1.5, True, None, [], {}]
@@ -842,6 +845,47 @@ def test_budget_at_huge_m_exits_3_with_a_short_message(tmp_path, capsys, m, lear
     assert "budget exceeded: 4 members x " in err and len(err) < 200
 
 
+STAGED_RECIPROCAL = {"family": "staged", "eta": {"kind": "reciprocal", "c": "8"}}
+TRUNCATE_AT_1 = {"truncate_epsilon": "1"}
+TRUNCATE_RUN = {"learner": {"kind": "truncation", "epsilon": "1"}, "target_index": 0, "m": 1}
+
+
+@pytest.mark.parametrize("sub,body", [
+    # sizes printed in the message: 2^15000 - 1 has too many digits
+    ("construct", {"class": {"family": "anchored", "eta": "1/2", "n": 15000}}),
+    ("construct", {"class": {"family": "anchored", "eta": "1/2", "n": 100000,
+                             "filter": 50000}}),
+    # sizes too large to build: 2^(2^63), C(2^33, 2^31)
+    ("construct", {"class": {"family": "plateau-data", "loss": {"kind": "absolute"},
+                             "eta": "1/2", "width": 2 ** 63}}),
+    ("nfl-mc", {"instance": {"task": "distribution", "eta": "1/2", "n": 2 ** 31}, "m": 2,
+                "trials": 1, "learner": {"kind": "scheffe"}}),
+    # a truncation at stage 4 x 10^8, or one whose ninth stage has width 10^11
+    ("learn", {"class": {**STAGED_RECIPROCAL, "eta": {"kind": "reciprocal", "c": "100000000"},
+                         "n": {"kind": "identity"}, **TRUNCATE_AT_1}, **TRUNCATE_RUN}),
+    ("learn", {"class": {**STAGED_RECIPROCAL, "n": {"kind": "table", "values": [
+        1, 2, 3, 4, 5, 6, 7, 8, 10 ** 11]}, **TRUNCATE_AT_1}, **TRUNCATE_RUN}),
+    # 2^(2^63) sequences, past what itertools.repeat counts
+    ("nfl-exact", {"instance": {"task": "distribution", "eta": "1/2", "n": 1}, "m": 2 ** 63,
+                   "learners": [UNION]}),
+    # stage sizes with more digits than Python prints of an int
+    ("construct", {"class": {**STAGED_RECIPROCAL, "n": {"kind": "table", "values": [20000]}},
+                   "stage_horizon": 1}),
+    ("construct", {"class": {**STAGED_RECIPROCAL, "n": {"kind": "table", "values": [10 ** 11]}},
+                   "stage_horizon": 1}),
+], ids=["anchored-2^n", "anchored-C(n,r)", "plateau-2^w", "nfl-mc-C(n,r)", "truncate-late-cutoff",
+        "truncate-wide-stage", "union-huge-m", "stage-size-digits", "stage-size-wide"])
+def test_sizes_past_their_bound_exit_before_they_are_built(tmp_path, sub, body):
+    cfg = write_cfg(tmp_path, {"kind": sub, "seed": 1, **body})
+    # a size that is built anyway fails the address-space cap or the timeout
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+    proc = subprocess.run([sys.executable, "-m", "paclab.cli", sub, "--config", cfg, "--out", "out"],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+                          capture_output=True, text=True, timeout=10, preexec_fn=cap)
+    assert proc.returncode in (cli.EXIT_CONFIG, cli.EXIT_BUDGET), proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
+
+
 def test_failed_assertion_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, {
         "kind": "nfl-exact", "seed": 1,
@@ -977,6 +1021,7 @@ def test_configs_match_schema(tmp_path, capsys):
     for cfg in configs:
         jsonschema.validate(cfg, schema)
     assert schema["properties"]["stage_horizon"]["maximum"] == cli.STAGE_HORIZON_MAX
+    assert tuple(schema["properties"]["kind"]["enum"]) == cli.SUBCOMMANDS
     for bad in ({"class": {"n": 2}}, {"max_members": -1}, {"stage_horizon": -3},
                 {"stage_horizon": cli.STAGE_HORIZON_MAX + 1}):
         with pytest.raises(jsonschema.ValidationError):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -440,6 +441,17 @@ class TestRankedMembers:
         with pytest.raises(ClassTooLarge):
             pl.StagedClass("distribution", STAGES).truncate(F(1, 8), budget=1000)
         assert built == []
+
+    @pytest.mark.parametrize("build,size,count", [
+        (lambda b: pl.anchored_family(F(1, 2), 10, budget=b), "2^10 - 1", 1023),
+        (lambda b: pl.anchored_family(F(1, 2), 10, size_filter=7, budget=b), "C(10, 7)", 120),
+        (lambda b: pl.labeled_anchored_family(F(1, 2), 3, budget=b), "2^6", 64),
+        (lambda b: pl.plateau_family(LOSS, F(1, 2), 6, budget=b), "2^6", 64),
+    ], ids=["anchored", "filtered", "labeled", "plateau"])
+    def test_budget_admits_the_size_and_names_it_past(self, build, size, count):
+        assert len(build(count)) == count
+        with pytest.raises(ClassTooLarge, match=re.escape(f"{size} members exceed budget {count - 1}")):
+            build(count - 1)
 
     def test_index_of_is_the_first_index(self):
         # stage 1 A=[1] and stage 2 A=[1] coincide at clamped level 1

@@ -1005,7 +1005,7 @@ def test_erm_and_baseline_equal_counting_references(task, loss, sample, ones, le
         hyps = [pl.RealHypothesis(tuple((x, levels[x]) for x in sorted(s))) for s in ones]
     erm = pl.ErmLearner(hyps, task, real_ctx=ctx)
     assert erm.run(sample) is counting_erm(erm, sample)
-    wide = task == "real" and loss.name == "squared" and any(b for _, b in sample)
+    wide = task == "real" and isinstance(loss, pl.SquaredLoss) and any(b for _, b in sample)
     atoms, counts = count_rows([sample])
     assert erm._summed_losses(atoms, counts).dtype == (object if wide else np.int64)
     # an all-zero row over the same atoms (run_draws at m = 0) sums to 0 in that dtype
@@ -1063,6 +1063,17 @@ class TestUnion:
         if task == "distribution":
             # the Scheffé constituent counts the first halves a chunk at a time
             assert rows == [SELECT_CHUNK, SELECT_CHUNK, len(samples) - 2 * SELECT_CHUNK]
+
+    def test_real_task_context_comes_from_a_constituent(self):
+        inst = pl.nfl_real_instance(pl.AbsoluteLoss(), F(1, 2), 2)
+        ctx = inst.family.real_ctx
+        zero = pl.ConstantLearner(pl.RealHypothesis(()), "real")
+        union = pl.UnionLearner([zero, pl.EmpiricalBaseline("real", real_ctx=ctx)])
+        assert union.real_ctx is ctx
+        # the baseline labels point 2 from the first half, and the second half agrees
+        assert union.run(((2, 1), (1, 0), (2, 1))) == pl.RealHypothesis(((2, ctx.level_value),))
+        with pytest.raises(MixedTasks):
+            pl.UnionLearner([zero])
 
     def test_mixed_tasks_rejected(self):
         fam = pl.anchored_family(F(1, 2), 2)
@@ -1144,6 +1155,13 @@ class TestBaselinesAndLosses:
                     == pl.zero_one_risk(h, member) - pl.zero_one_risk(pl.bayes_labeler(member), member)
         info = losses.bayes_risk.cache_info()
         assert (info.misses, info.maxsize) == (4, losses.BAYES_RISK_CACHE_SIZE)
+
+    @pytest.mark.parametrize("loss,g_max", [
+        (pl.AbsoluteLoss(), 1), (pl.SquaredLoss(), 1),
+        (pl.CappedLinearLoss(F(1, 2)), F(1, 2)), (pl.CappedLinearLoss(F(2)), 1),
+    ], ids=["absolute", "squared", "capped-1/2", "capped-2"])
+    def test_g_max_is_the_largest_usable_level(self, loss, g_max):
+        assert loss.g_max == g_max
 
     def test_h_zero_risk_at_most_level(self):
         # realizable plateau targets: the zero hypothesis misses only the
