@@ -527,12 +527,13 @@ def run_experiment(subcommand: str, cfg, out_dir=None, seed_override=None,
     body, extra_files, failures = _RUNNERS[subcommand](reader, rng, base_dir)
     report = {"kind": subcommand, **body, "seed": seed, "assertion_failures": failures}
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = {"report.json": json.dumps(report, indent=2) + "\n", **extra_files}
+    files = {name: body.encode() for name, body in
+             {"report.json": json.dumps(report, indent=2) + "\n", **extra_files}.items()}
+    out_dir.mkdir(parents=True, exist_ok=True)  # after serializing: a failed dump makes none
     digests = {}
     for name, body in files.items():
-        (out_dir / name).write_text(body)
-        digests[name] = hashlib.sha256(body.encode()).hexdigest()
+        (out_dir / name).write_bytes(body)
+        digests[name] = hashlib.sha256(body).hexdigest()
 
     manifest = {
         "artifact_version": __version__,

@@ -223,30 +223,26 @@ class MassTable:
         self.atoms = sorted({a for p in self.members for a in p.support()}, key=atom_key)
         self.column = {a: j for j, a in enumerate(self.atoms)}
         self.denom = math.lcm(*{w.denominator for p in self.members for _, w in p.items})
-        dtype = np.int64 if self.denom < INT64_SAFE else object
-        self.mass = np.zeros((len(self.members), len(self.atoms)), dtype=dtype)
-        for i, p in enumerate(self.members):
+        shape, denom = (len(self.members), len(self.atoms)), self.denom
+        flat = [0] * (shape[0] * shape[1])  # the matrix row by row, as Python ints
+        for base, p in zip(itertools.count(0, shape[1]), self.members):
             for a, w in p.items:
-                self.mass[i, self.column[a]] = w.numerator * (self.denom // w.denominator)
+                flat[base + self.column[a]] = w.numerator * (denom // w.denominator)
+        self.mass = np.array(flat, dtype=np.int64 if denom < INT64_SAFE else object).reshape(shape)
 
     def __len__(self):
         return len(self.members)
 
-    def numerators(self, dists: Sequence[SparseDist], scale: int, dtype) -> tuple:
-        """(rows, outside) in `dtype`: rows[k, j] is dists[k]'s mass at atoms[j]
-        and outside[k] its mass off the columns, as numerators over `scale`, a
-        multiple of every mass's denominator."""
-        rows = np.zeros((len(dists), len(self.atoms)), dtype=dtype)
-        outside = np.zeros(len(dists), dtype=dtype)
+    def numerators(self, dists: Sequence[SparseDist], scale: int) -> np.ndarray:
+        """Row k: dists[k]'s masses at atoms, then its mass off them, as numerators
+        over `scale`, a multiple of every mass's denominator; int64 while scale <
+        INT64_SAFE, else Python ints."""
+        off = len(self.atoms)  # the column of the mass off the atoms
+        rows = np.zeros((len(dists), off + 1), dtype=np.int64 if scale < INT64_SAFE else object)
         for k, q in enumerate(dists):
             for a, w in q.items:
-                num = w.numerator * (scale // w.denominator)
-                j = self.column.get(a)
-                if j is None:
-                    outside[k] += num
-                else:
-                    rows[k, j] = num
-        return rows, outside
+                rows[k, self.column.get(a, off)] += w.numerator * (scale // w.denominator)
+        return rows
 
 
 def tv_brute_force(p: SparseDist, q: SparseDist) -> Fraction:

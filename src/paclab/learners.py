@@ -257,6 +257,22 @@ class Learner:
         overrides run_block()."""
         raise NotImplementedError
 
+    def distinct_outputs(self, atoms: Sequence, samples) -> tuple:
+        """(inverse, outputs): each sample's index among the distinct outputs, in first-seen
+        order, on count rows over `atoms` (run_counts) if `exchangeable`, else on tuples."""
+        ids: dict = {}  # output -> id; equal outputs share one id
+        outs = self.run_counts(atoms, samples) if self.exchangeable else self.run_block(samples)
+        return np.array([ids.setdefault(out, len(ids)) for out in outs], dtype=np.intp), list(ids)
+
+    def mass_rows(self, table: MassTable, samples) -> tuple:
+        """(inverse, rows, scale): the output on samples[r], as distinct_outputs()
+        takes them over table.atoms, is rows[inverse[r]] (`MassTable.numerators`)
+        over scale, a multiple of table.denom; by default the lcm of it and every
+        distinct output's denominators."""
+        inverse, outputs = self.distinct_outputs(table.atoms, samples)
+        scale = math.lcm(table.denom, *(w.denominator for q in outputs for _, w in q.items))
+        return inverse, table.numerators(outputs, scale), scale
+
 
 class ScheffeLearner(Learner):
     """3-agnostic finite-class distribution learner: the engine's choice.
@@ -294,21 +310,34 @@ class ScheffeLearner(Learner):
 
     def run_counts(self, atoms: Sequence, counts: np.ndarray) -> list:
         """The selection on each count row; each distinct member is read once."""
-        if self.cls.window is None:
-            chosen = self.engine._select_counts(atoms, counts)
-        else:
-            seen = counts != 0
-            keys = (seen @ _window_weights(tuple(atoms), self.cls.window[0])).tolist()
-            if 0 in keys and not seen.any(axis=1).all():  # an empty row has key 0
-                raise EmptySample("minimum-distance selection needs a sample")
-            chosen = memoised(self._ranks, keys, self._rank)
-            if -1 in chosen:  # rows of more than n window atoms
-                wide = [r for r, i in enumerate(chosen) if i < 0]
-                for r, i in zip(wide, self.engine._select_counts(atoms, counts[wide])):
-                    chosen[r] = i
+        chosen = self._choose(atoms, counts)
         members = self.cls.members
         outputs = {i: members[i] for i in set(chosen)}
         return [outputs[i] for i in chosen]
+
+    def mass_rows(self, table: MassTable, samples) -> tuple:
+        """On the class's own table, the chosen members' mass rows over
+        table.denom, with no member read; any other table takes the default."""
+        if self.cls._mass_table is not table:  # mass_table() would build it
+            return super().mass_rows(table, samples)
+        chosen, inverse = np.unique(self._choose(table.atoms, samples), return_inverse=True)
+        off = np.zeros((len(chosen), 1), table.mass.dtype)  # no mass off the table
+        return inverse, np.hstack([table.mass[chosen], off]), table.denom
+
+    def _choose(self, atoms: Sequence, counts: np.ndarray) -> list:
+        """The member index selected on each count row, by rule or engine."""
+        if self.cls.window is None:
+            return self.engine._select_counts(atoms, counts)
+        seen = counts != 0
+        keys = (seen @ _window_weights(tuple(atoms), self.cls.window[0])).tolist()
+        if 0 in keys and not seen.any(axis=1).all():  # an empty row has key 0
+            raise EmptySample("minimum-distance selection needs a sample")
+        chosen = memoised(self._ranks, keys, self._rank)
+        if -1 in chosen:  # rows of more than n window atoms
+            wide = [r for r, i in enumerate(chosen) if i < 0]
+            for r, i in zip(wide, self.engine._select_counts(atoms, counts[wide])):
+                chosen[r] = i
+        return chosen
 
     def _rank(self, masks: list) -> list:
         """The rule's member index for each seen-window bitmask, -1 past n atoms."""
@@ -503,6 +532,17 @@ class EmpiricalBaseline(Learner):
             for c in set(row) - mass.keys():
                 mass[c] = Fraction(c, m)
             yield SparseDist._trusted(tuple((a, mass[c]) for a, c in zip(atoms, row) if c))
+
+    def mass_rows(self, table: MassTable, samples) -> tuple:
+        """Each count row is its own output, c/m as c * (scale / m) over scale,
+        the lcm of table.denom and every m: no distribution, no Fraction."""
+        ms = samples.sum(axis=1).tolist()
+        if not all(ms):
+            raise EmptySample("empirical distribution of an empty sample")
+        scale = math.lcm(table.denom, *set(ms))
+        dtype = np.int64 if scale < INT64_SAFE else object
+        rows = samples.astype(dtype) * np.array([scale // m for m in ms], dtype=dtype)[:, None]
+        return np.arange(len(ms)), np.hstack([rows, np.zeros((len(ms), 1), dtype)]), scale
 
 
 class ConstantLearner(Learner):

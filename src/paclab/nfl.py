@@ -22,7 +22,7 @@ instance leaves it below the fully within-family certified floor
 The exact oracle enumerates each member's samples over that member's own
 support. A learner whose output ignores the order of the points
 (`Learner.exchangeable`) sees one row of atom counts per multiset, weighted
-by its multinomial coefficient, through `Learner.run_counts`; any other
+by its multinomial coefficient, as one matrix of count rows; any other
 learner sees every sequence. The weights are integers over the
 denominator^m of the family's shared mass table (`FiniteClass.mass_table`),
 and the enumeration budget charges the points of the samples enumerated.
@@ -228,11 +228,12 @@ def _check_enum_budget(inst: NflInstance, m: int, budget: int, exchangeable: boo
     """Charge members x (samples per member) x max(m, 1) points against the
     budget, each sample an m-tuple: C(s+m-1, m) multisets of the largest
     support s when `exchangeable`, s^m sequences otherwise. The charge stops
-    at the first factor past the budget, so a huge m costs nothing."""
+    at the first factor past the budget, so a huge m costs nothing. A class with
+    a window reads s off its first member, since all its members have as many."""
     if m < 0:
         raise BadRange(f"sample size m={m} is negative")
-    size = len(inst.family)
-    support = max(len(p.support()) for p in inst.family.members)
+    fam, size = inst.family, len(inst.family)
+    support = max(len(p.support()) for p in ([fam[0]] if fam.window else fam.members))
     if exchangeable:  # C(s+m-1, m) is the product of (m+k)/k over k < s
         kind, per_member = "multisets", f"C({support + m - 1}, {m})"
         factors = ((m + k, k) for k in range(1, support))
@@ -313,7 +314,7 @@ class ExactOracleReport:
 
 def _member_samples(table: MassTable, m: int, exchangeable: bool) -> tuple:
     """Every member's length-m samples over its own support, as (groups,
-    samples). `samples` holds the distinct samples in first-seen order: an
+    samples). `samples` holds the distinct samples in ascending key order: an
     (r, len(table.atoms)) matrix of count rows, one per multiset, when
     `exchangeable`, else a list of atom tuples, one per sequence. A group is
     (members, ids, weights) for at most MEMBER_CHUNK members of one support
@@ -330,8 +331,7 @@ def _member_samples(table: MassTable, m: int, exchangeable: bool) -> tuple:
     for i, p in enumerate(table.members):
         by_size.setdefault(len(p.items), []).append(i)
     dtype = np.int64 if table.denom ** max(m, 1) < INT64_SAFE else object  # nums and weights
-    keys: dict = {}  # sample key -> index in samples
-    groups = []
+    groups = []  # [members, sample keys, weights]; the keys become sample ids below
     for s, indices in by_size.items():
         picks = list(itertools.combinations_with_replacement(range(s), m) if exchangeable
                      else itertools.product(range(s), repeat=m))
@@ -345,43 +345,46 @@ def _member_samples(table: MassTable, m: int, exchangeable: bool) -> tuple:
             cols = np.nonzero(mass)[1].reshape(len(members), s)
             nums = np.take_along_axis(mass, cols, 1).astype(dtype)
             found = place[cols] @ counts.T if exchangeable else cols[:, picks] @ place
-            ids = [keys.setdefault(key, len(keys)) for key in found.ravel().tolist()]
-            groups.append((members, np.array(ids).reshape(found.shape),
-                           coefs * np.prod(nums[:, None, :] ** counts, axis=2)))
-    digits = np.array(list(keys), dtype=place.dtype)[:, None] // place % base
+            groups.append([members, found, coefs * np.prod(nums[:, None, :] ** counts, axis=2)])
+    unique, ids = np.unique(np.concatenate([g[1].ravel() for g in groups]), return_inverse=True)
+    for group, part in zip(groups, np.split(ids, np.cumsum([g[1].size for g in groups])[:-1])):
+        group[1] = part.reshape(group[1].shape)
+    digits = unique[:, None] // place % base
     if exchangeable:
         return groups, digits.astype(np.min_scalar_type(m))
     return groups, [tuple(map(table.atoms.__getitem__, row)) for row in digits.tolist()]
 
 
-def _sample_losses(inst: NflInstance, outputs: list, out_ids: np.ndarray, groups: list,
-                   total: int):
+def _sample_losses(inst: NflInstance, answer: tuple, groups: list, total: int):
     """Per group of `_member_samples`, lazily: (members, weights, nums, scale),
-    nums[g, t] / scale the loss against members[g] of outputs[out_ids[k]], k
-    its t-th sample. Distribution: TV as L1 numerators over 2H, H the lcm of
-    the table's and the outputs' denominators. Other tasks: task_loss once per
-    distinct (member, output), over the group's lcm. nums is int64 while each
-    weight * nums and row sum (weights sum to `total`) stays below INT64_SAFE."""
+    nums[g, t] / scale the loss against members[g] of the output on its t-th
+    sample. Distribution: TV as L1 numerators over 2H between the member's
+    table row and the output's row of `answer`, `Learner.mass_rows`' (inverse,
+    rows, H). Other tasks: task_loss once per distinct (member, output) of
+    `Learner.distinct_outputs`' answer, over the group's lcm. nums is int64
+    while each weight * nums and row sum (weights sum to `total`) stays below
+    INT64_SAFE."""
     family, table = inst.family, inst.family.mass_table()
     if inst.task == TASK_DISTRIBUTION:
-        half = math.lcm(table.denom, *(w.denominator for q in outputs for _, w in q.items))
+        inverse, rows, half = answer
         dtype = np.int64 if 2 * half * total < INT64_SAFE else object
-        rows, outside = table.numerators(outputs, half, dtype)
+        rows, outside = rows[:, :-1].astype(dtype), rows[:, -1].astype(dtype)
         mass = table.mass.astype(dtype, copy=False) * (half // table.denom)
         for members, ids, weights in groups:
-            k = out_ids[ids]
+            k = inverse[ids]
             diff = rows[k] - mass[members, None, :]
             yield members, weights, np.abs(diff, out=diff).sum(axis=2) + outside[k], 2 * half
         return
+    inverse, outputs = answer
     for members, ids, weights in groups:
-        k = out_ids[ids]
-        pairs, inverse = np.unique(members[:, None] * len(outputs) + k, return_inverse=True)
+        k = inverse[ids]
+        pairs, pair_ids = np.unique(members[:, None] * len(outputs) + k, return_inverse=True)
         losses = [task_loss(family, outputs[p % len(outputs)], family[p // len(outputs)])
                   for p in pairs.tolist()]
         scale = math.lcm(*(err.denominator for err in losses))
         nums = [err.numerator * (scale // err.denominator) for err in losses]
         dtype = np.int64 if max(map(abs, nums)) * total < INT64_SAFE else object
-        yield members, weights, np.array(nums, dtype=dtype)[inverse].reshape(k.shape), scale
+        yield members, weights, np.array(nums, dtype=dtype)[pair_ids].reshape(k.shape), scale
 
 
 def _floor(inst: NflInstance, groups: list, rows: np.ndarray, total: int) -> Fraction:
@@ -417,11 +420,12 @@ def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
 
     `_member_samples` enumerates the samples with integer weights over the
     family's common denominator^m: the `exchangeable` learners read their
-    distinct count rows as one matrix (`Learner.run_counts`), the others
-    the distinct sequences as one block. The floor is summed over the count
-    rows (`_floor`), which are enumerated for it alone when no learner is
-    exchangeable; the budget charges those learners' sequences, which
-    outnumber the rows. `_sample_losses` gives each
+    distinct count rows as one matrix, the others the distinct sequences as
+    one block, and answer with mass rows on the distribution task
+    (`Learner.mass_rows`), else with their distinct outputs. The floor is
+    summed over the count rows (`_floor`), which are enumerated for it alone
+    when no learner is exchangeable; the budget charges those learners'
+    sequences, which outnumber the rows. `_sample_losses` gives each
     (member, sample) loss as an integer over one scale per group of members,
     so a member's mean is one Fraction and each tail an integer sum. Members
     of equal mean or tail share one Fraction, and the class average and max
@@ -438,14 +442,12 @@ def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
     reports = []
     for learner in learners:
         groups, samples = enumerated[learner.exchangeable]
-        ids: dict = {}  # output -> id; equal outputs share one id
-        outs = (learner.run_counts(table.atoms, samples) if learner.exchangeable
-                else learner.run_block(samples))
-        out_ids = np.array([ids.setdefault(out, len(ids)) for out in outs], dtype=np.intp)
+        answer = (learner.mass_rows(table, samples) if inst.task == TASK_DISTRIBUTION
+                  else learner.distinct_outputs(table.atoms, samples))
         frac = functools.cache(Fraction)  # one Fraction per distinct (numerator, denominator)
         means, tails = [None] * len(family), [[None] * len(family) for _ in thresholds]
         sums, tops = [], []  # per group: its means' sum and largest mean
-        for members, weights, nums, scale in _sample_losses(inst, list(ids), out_ids, groups, total):
+        for members, weights, nums, scale in _sample_losses(inst, answer, groups, total):
             members, row = members.tolist(), (weights * nums).sum(axis=1).tolist()
             for i, v in zip(members, row):
                 means[i] = frac(v, scale * total)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import paclab as pl
 from paclab import cli, dominance, learners
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -843,6 +844,38 @@ def test_budget_at_huge_m_exits_3_with_a_short_message(tmp_path, capsys, m, lear
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert "budget exceeded: 4 members x " in err and len(err) < 200
+
+
+def test_over_budget_window_class_builds_at_most_one_member(tmp_path, monkeypatch):
+    # C(24, 6) = 134,596 members, each of the same 7-atom support: the
+    # check reads it off the first member and builds no other
+    built, trusted = [], pl.SparseDist._trusted.__func__
+
+    def counted(cls, items, tag=None):
+        built.append(tag)
+        return trusted(cls, items, tag)
+
+    monkeypatch.setattr(pl.SparseDist, "_trusted", classmethod(counted))
+    cfg = write_cfg(tmp_path, {
+        "kind": "nfl-exact", "seed": 1,
+        "instance": {"task": "distribution", "eta": "1/2", "n": 6},
+        "m": 100_000, "learners": [{"kind": "empirical-baseline"}],
+    })
+    start = time.perf_counter()
+    assert run_cli(["nfl-exact", "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_BUDGET
+    assert time.perf_counter() - start < 0.5
+    assert len(built) <= 1
+
+
+def test_unserializable_report_makes_no_output_directory(tmp_path, monkeypatch):
+    def unserializable(cfg, rng, base_dir):
+        return {"value": object()}, {"extra.csv": "a\n"}, []
+
+    monkeypatch.setitem(cli._RUNNERS, "construct", unserializable)
+    out = tmp_path / "new" / "out"
+    with pytest.raises(TypeError):
+        cli.run_experiment("construct", {"kind": "construct", "seed": 1}, out)
+    assert not (tmp_path / "new").exists()
 
 
 STAGED_RECIPROCAL = {"family": "staged", "eta": {"kind": "reciprocal", "c": "8"}}

@@ -272,11 +272,12 @@ def counted_passes(monkeypatch):
 
 
 def counted_rule_rows(monkeypatch):
-    """Two lists that get the number of rows of each run_counts call of a
-    Scheffé learner and of each selection call of any engine; on a class
-    with a declared window the support rule answers the difference."""
+    """Two lists that get the number of rows of each selection of a Scheffé
+    learner (`_choose`, which run_counts and mass_rows share) and of each
+    selection call of any engine; on a class with a declared window the
+    support rule answers the difference."""
     rows, engined = [], []
-    run, select = pl.ScheffeLearner.run_counts, pl.ScheffeEngine._select_counts
+    run, select = pl.ScheffeLearner._choose, pl.ScheffeEngine._select_counts
 
     def counted_run(self, atoms, counts):
         rows.append(len(counts))
@@ -286,7 +287,7 @@ def counted_rule_rows(monkeypatch):
         engined.append(len(counts))
         return select(self, atoms, counts)
 
-    monkeypatch.setattr(pl.ScheffeLearner, "run_counts", counted_run)
+    monkeypatch.setattr(pl.ScheffeLearner, "_choose", counted_run)
     monkeypatch.setattr(pl.ScheffeEngine, "_select_counts", counted_select)
     return rows, engined
 

@@ -429,15 +429,32 @@ def reference_exact(inst, learner, m, thresholds):
     return means, tails
 
 
+def off_table_case():
+    """A two-member instance on atoms 0, 6 and 7, and a truncation learner
+    whose class lies mostly on atoms 1..5, so some of its outputs put mass
+    on atoms the instance's table has no column for."""
+    fam = pl.FiniteClass("distribution", [pl.SparseDist({0: F(1, 2), a: F(1, 2)}) for a in (6, 7)])
+    staged = pl.StagedClass("distribution", pl.SequenceSpec(pl.Reciprocal(F(1)), pl.NTable((1, 5))))
+    return pl.NflInstance("distribution", F(1, 2), 7, 1, fam), pl.TruncationLearner(staged, 2)
+
+
 def oracle_cases():
+    # every distribution learner answers nfl_exact through mass_rows: the
+    # Scheffé learner on its own class's table and the empirical baseline
+    # read rows directly; the constant, the union, the truncation and a
+    # Scheffé learner over another class take the default conversion
     dist = make_instance("distribution", F(1, 2), 2)
     fam = dist.family
     yield pytest.param(dist, 3, [
         pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution"),
         pl.ConstantLearner(fam[3], "distribution"),
         # the union selects on the second half, so its output depends on order
-        pl.UnionLearner([pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution")])],
+        pl.UnionLearner([pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution")]),
+        pl.ScheffeLearner(pl.FiniteClass("distribution", list(fam.members)[::3]))],
         id="distribution")
+    inst, truncation = off_table_case()
+    yield pytest.param(inst, 3, [truncation, pl.ScheffeLearner(inst.family),
+                                 pl.EmpiricalBaseline("distribution")], id="off-table")
     for task, inst in (("classification", make_instance("classification", F(1, 2), 2)),
                        ("real", make_instance("real", F(1, 2), 3))):
         fam = inst.family
@@ -450,7 +467,9 @@ def oracle_cases():
     inst = huge_denominator_instance()
     yield pytest.param(inst, 2, [
         pl.ScheffeLearner(inst.family), pl.EmpiricalBaseline("distribution"),
-        pl.ConstantLearner(inst.family[2], "distribution")], id="past-int64")
+        pl.ConstantLearner(inst.family[2], "distribution"),
+        pl.ScheffeLearner(pl.FiniteClass("distribution", list(inst.family.members)[1:]))],
+        id="past-int64")
     inst = huge_denominator_instance(3 ** 26)  # int64 masses, but denom^2 is past int64
     yield pytest.param(inst, 2, [
         pl.ScheffeLearner(inst.family), pl.EmpiricalBaseline("distribution"),
@@ -481,6 +500,12 @@ class TestExactOracleAgainstReference:
         once = pl.nfl_exact(inst, [learner], 1, thresholds=[F(1, 8)]).learners[0].tails
         twice = pl.nfl_exact(inst, [learner], 1, thresholds=[F(1, 8), F(1, 8)]).learners[0].tails
         assert twice == once and len(once[F(1, 8)]) == len(inst.family)
+
+    def test_off_table_case_puts_mass_off_the_table(self):
+        inst, truncation = off_table_case()
+        table = inst.family.mass_table()
+        _, rows, _ = truncation.mass_rows(table, nfl._member_samples(table, 3, True)[1])
+        assert rows[:, -1].any()
 
     def test_past_int64_case_runs_on_the_object_path(self):
         table = huge_denominator_instance().family.mass_table()
@@ -575,13 +600,15 @@ class TestExchangeableLearners:
         learners = [pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution"),
                     pl.ConstantLearner(fam[0], "distribution"),
                     pl.UnionLearner([pl.ScheffeLearner(fam), pl.EmpiricalBaseline("distribution")])]
-        read = [counted_counts(learner) for learner in learners[:3]]
-        read.append(counted_block(learners[3])[0])
+        read = [counted_rows(learner) for learner in learners]
+        union_read = counted_block(learners[3])[0]
         pl.nfl_exact(inst, learners, 3)
         # every learner is handed each distinct sample once: the exchangeable
-        # ones as count rows, the union as sequences
+        # ones as count rows, the union as sequences, which its default
+        # mass_rows hands to run_block
         assert [len(samples) for samples in read] == [455, 455, 455, 2197]
         assert all(len(set(samples)) == len(samples) for samples in read)
+        assert union_read == read[3]
 
     @pytest.mark.parametrize("case", COUNT_CASES, ids="-".join)
     @settings(max_examples=30, deadline=None)
@@ -657,6 +684,20 @@ def counted_counts(learner):
         return run_counts(atoms, counts)
 
     learner.run_counts = counted
+    return read
+
+
+def counted_rows(learner):
+    """Wrap the learner's mass_rows, through which the exact oracle runs every
+    learner on the distribution task; returns the samples it reads, in order:
+    count rows as tuples, or sequences."""
+    read, mass_rows = [], learner.mass_rows
+
+    def counted(table, samples):
+        read.extend(map(tuple, samples.tolist() if isinstance(samples, np.ndarray) else samples))
+        return mass_rows(table, samples)
+
+    learner.mass_rows = counted
     return read
 
 
@@ -777,8 +818,7 @@ class TestMemberSamples:
         made = [pl.ScheffeLearner(inst.family), pl.EmpiricalBaseline("distribution")]
         if union:
             made.append(pl.UnionLearner(made[:]))
-        read = [counted_counts(learner) if learner.exchangeable else counted_block(learner)[0]
-                for learner in made]
+        read = [counted_rows(learner) for learner in made]
         with pytest.raises(EnumerationBudgetExceeded):
             pl.nfl_exact(inst, made, 5, budget=enough - 1)
         assert all(samples == [] for samples in read)
@@ -857,6 +897,21 @@ class TestExactOracle:
         assert built[0] <= 128
         assert [lr.class_average for lr in report.learners] == [
             sum(lr.per_member_mean) / len(fam) for lr in report.learners]
+
+    def test_empirical_baseline_builds_no_distribution(self, monkeypatch):
+        # the baseline answers with its count rows scaled: 455 multisets,
+        # no empirical SparseDist
+        inst = pl.nfl_distribution_instance(F(1, 2), 3)
+        inst.family.mass_table()
+        built, fill = [], pl.SparseDist._fill
+
+        def counted(self, items, tag):
+            built.append(items)
+            fill(self, items, tag)
+
+        monkeypatch.setattr(pl.SparseDist, "_fill", counted)
+        report = pl.nfl_exact(inst, [pl.EmpiricalBaseline("distribution")], 3)
+        assert built == [] and report.learners[0].class_average == F(179, 432)
 
     def test_report_serializes(self):
         inst = pl.nfl_distribution_instance(F(1, 2), 2)
