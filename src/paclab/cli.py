@@ -52,7 +52,6 @@ from .learners import (
     ConstantLearner,
     EmpiricalBaseline,
     ErmLearner,
-    Learner,
     ScheffeLearner,
     TruncationLearner,
     UnionLearner,
@@ -78,6 +77,7 @@ EXIT_BUDGET = 3
 EXIT_ASSERT = 4
 # past stage 14,285 a stage size 2^i - 1 has more digits than Python writes as an int
 STAGE_HORIZON_MAX = 4096
+MAX_TRIALS = 2 ** 20  # most trials a config may ask for: 2^31 would draw 16 GiB of seeds
 
 
 _MISSING = object()
@@ -358,7 +358,7 @@ def _run_construct(cfg: Reader, rng, base_dir):
 
 def _run_learn(cfg: Reader, rng, base_dir):
     # trials and m first: a run that cannot happen builds no class or learner
-    trials = cfg.get("trials", _int_in(1), 1)
+    trials = cfg.get("trials", _int_in(1, MAX_TRIALS), 1)
     m = cfg.get("m", _int_in(0))
     cls, build = _class_and_learner(cfg)
     target_idx = cfg.get("target_index", _int_in(0, len(cls) - 1))
@@ -382,8 +382,9 @@ def _run_learn(cfg: Reader, rng, base_dir):
 
 def _run_sample_complexity(cfg: Reader, rng, base_dir):
     proto = cfg.get("protocol", Reader, {})
-    protocol = {f: proto.get(f, _int, d) for f, d in
-                (("trials", 200), ("m_min", 1), ("m_max", 1024), ("targets_cap", 64))}
+    protocol = {f: proto.get(f, conv, d) for f, conv, d in
+                (("trials", _int_in(1, MAX_TRIALS), 200), ("m_min", _int, 1),
+                 ("m_max", _int, 1024), ("targets_cap", _int, 64))}
     points = cfg.list("points", Reader, None)
     if points is None:  # one point, from top-level epsilon and delta
         asks = [(cfg.get("epsilon", _rational), cfg.get("delta", _rational),
@@ -394,7 +395,7 @@ def _run_sample_complexity(cfg: Reader, rng, base_dir):
                  pt.get("assert_m_hat_at_most", _int, None), pt.path) for pt in points]
     # a protocol that cannot run is rejected before the class and learner are built
     for eps, delta, *_ in asks:
-        check_search_protocol(eps, delta, learner=Learner, **protocol)
+        check_search_protocol(eps, delta, **protocol)
     cls, build = _class_and_learner(cfg)
     learner = build()
     results = [estimate_sample_complexity(cls, learner, eps, delta, rng.child(i), k=k,
@@ -440,7 +441,7 @@ def _run_nfl_exact(cfg: Reader, rng, base_dir):
 
 
 def _run_nfl_mc(cfg: Reader, rng, base_dir):
-    trials = cfg.get("trials", _int_in(1))  # before the instance, as in _run_learn
+    trials = cfg.get("trials", _int_in(1, MAX_TRIALS))  # before the instance, as in _run_learn
     m = cfg.get("m", _int_in(0))
     inst = _load_instance(cfg.get("instance", Reader))
     build = _load_learner(cfg.get("learner", Reader), inst.family)
@@ -474,7 +475,7 @@ def _run_synthesize(cfg: Reader, rng, base_dir):
     kwargs, exceeds = {}, None
     if spot is not None:
         kwargs = dict(spot_check_k=spot.get("k", _int),
-                      trials=spot.get("trials", _int, 120),
+                      trials=spot.get("trials", _int_in(1, MAX_TRIALS), 120),
                       member_budget=spot.get("member_budget", _int, 1024),
                       m_max=spot.get("m_max", _int, 256),
                       targets_cap=spot.get("targets_cap", _int, 64))

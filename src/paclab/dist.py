@@ -46,6 +46,12 @@ SELECT_CHUNK = 32  # samples drawn, and Scheffé-selected, at a time
 DRAW_POINTS = 1 << 14  # most sample points one pass of draws holds: 128 KB a float array
 
 
+def int_dtype(bound: int) -> np.dtype:
+    """The dtype of an integer matrix whose entries stay at most `bound` in
+    absolute value: int64 while bound < INT64_SAFE, else object (Python ints)."""
+    return np.dtype(np.int64 if bound < INT64_SAFE else object)
+
+
 def frac_str(x: Fraction) -> str:
     """The one rational encoding in reports: always "num/den", so 1 is "1/1".
     A rational with more digits than Python prints of an int raises BadRange."""
@@ -212,8 +218,7 @@ class MassTable:
     Columns are the atoms of every member's support in canonical order
     (`atoms`, with `column` mapping an atom to its column); `mass[i, j]`
     is member i's mass at atoms[j] as a numerator over `denom`, the least
-    common denominator of every mass. The matrix is int64 while
-    denom < INT64_SAFE and exact Python ints (object dtype) past it.
+    common denominator of every mass, in `int_dtype(denom)`.
     """
 
     def __init__(self, members: Sequence[SparseDist]):
@@ -223,26 +228,22 @@ class MassTable:
         self.atoms = sorted({a for p in self.members for a in p.support()}, key=atom_key)
         self.column = {a: j for j, a in enumerate(self.atoms)}
         self.denom = math.lcm(*{w.denominator for p in self.members for _, w in p.items})
-        shape, denom = (len(self.members), len(self.atoms)), self.denom
-        flat = [0] * (shape[0] * shape[1])  # the matrix row by row, as Python ints
-        for base, p in zip(itertools.count(0, shape[1]), self.members):
-            for a, w in p.items:
-                flat[base + self.column[a]] = w.numerator * (denom // w.denominator)
-        self.mass = np.array(flat, dtype=np.int64 if denom < INT64_SAFE else object).reshape(shape)
+        self.mass = self.numerators(self.members, self.denom)
 
     def __len__(self):
         return len(self.members)
 
     def numerators(self, dists: Sequence[SparseDist], scale: int) -> np.ndarray:
-        """Row k: dists[k]'s masses at atoms, then its mass off them, as numerators
-        over `scale`, a multiple of every mass's denominator; int64 while scale <
-        INT64_SAFE, else Python ints."""
-        off = len(self.atoms)  # the column of the mass off the atoms
-        rows = np.zeros((len(dists), off + 1), dtype=np.int64 if scale < INT64_SAFE else object)
-        for k, q in enumerate(dists):
+        """Row k: dists[k]'s masses at atoms as numerators over `scale`, a
+        multiple of every mass's denominator, in `int_dtype(scale)`; an atom
+        off the table is skipped, so a row's mass off it is scale minus its sum."""
+        width, column = len(self.atoms), self.column
+        flat = [0] * (len(dists) * width)  # the matrix row by row, as Python ints
+        for base, q in zip(itertools.count(0, width), dists):
             for a, w in q.items:
-                rows[k, self.column.get(a, off)] += w.numerator * (scale // w.denominator)
-        return rows
+                if (j := column.get(a)) is not None:
+                    flat[base + j] = w.numerator * (scale // w.denominator)
+        return np.array(flat, dtype=int_dtype(scale)).reshape(len(dists), width)
 
 
 def tv_brute_force(p: SparseDist, q: SparseDist) -> Fraction:

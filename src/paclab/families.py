@@ -303,9 +303,12 @@ class RealTaskContext:
 class _Ranked(Sequence):
     """Read-only sequence of `size` items; item i is `item_at(i)`, built on
     first access and kept, so reading it again returns the same object.
-    A slice builds only the items it holds."""
+    A slice builds only the items it holds. A size past sys.maxsize, which
+    len() cannot return, raises ClassTooLarge."""
 
     def __init__(self, size: int, item_at: Callable[[int], object]):
+        if size > sys.maxsize:
+            raise ClassTooLarge(f"more members than len() counts, sys.maxsize = {sys.maxsize}")
         self._size = size
         self._item_at = item_at
         self._built: dict = {}

@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dist import INT64_SAFE, SELECT_CHUNK, MassTable, SparseDist, count_rows, draw_rows, draws
+from .dist import SELECT_CHUNK, MassTable, SparseDist, count_rows, draw_rows, draws, int_dtype
 from .errors import EmptyClass, EmptySample, MixedTasks, SampleTooSmall
 from .families import (
     BinaryHypothesis,
@@ -89,10 +89,10 @@ class ScheffeEngine:
 
     Widths: every entry of `_nums` is at most denom, and every deviation
     numerator |nums * m - denom * count| of an m-point sample at most
-    denom * m. While denom < INT64_SAFE `_nums` is held in the narrowest
-    of int16, int32 and int64 that holds denom, and each full pass
-    computes in the narrowest that holds denom * m, so no step can
-    overflow; past int64 it computes on Python ints (object dtype).
+    denom * m. `_nums` is held in `_int_dtype(denom)`, the narrowest of
+    int16, int32 and `dist.int_dtype` that holds denom, and each full pass
+    computes in `_int_dtype(denom * m)`, so no step can overflow; past
+    int64 it computes on Python ints (object dtype).
     """
 
     def __init__(self, members: MassTable | Sequence[SparseDist]):
@@ -174,18 +174,13 @@ class ScheffeEngine:
         return int(np.abs(dev, out=dev).max(axis=1).argmin())
 
 
-# (largest bound, dtype), narrowest first; int64 stops below INT64_SAFE, and
-# Python ints (object) hold the rest
-_INT_WIDTHS = ((np.iinfo(np.int16).max, np.dtype(np.int16)),
-               (np.iinfo(np.int32).max, np.dtype(np.int32)),
-               (INT64_SAFE - 1, np.dtype(np.int64)),
-               (math.inf, np.dtype(object)))
-
-
 def _int_dtype(bound: int) -> np.dtype:
-    """The narrowest of int16, int32 and int64 that holds every integer of
-    absolute value at most `bound`; object (Python ints) once bound >= INT64_SAFE."""
-    return next(dtype for top, dtype in _INT_WIDTHS if bound <= top)
+    """The narrowest of int16 and int32 that holds every integer of absolute
+    value at most `bound`, else `int_dtype(bound)`."""
+    for dtype in (np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return int_dtype(bound)
 
 
 def memoised(memo: dict, keys: list, solve) -> list:
@@ -321,8 +316,7 @@ class ScheffeLearner(Learner):
         if self.cls._mass_table is not table:  # mass_table() would build it
             return super().mass_rows(table, samples)
         chosen, inverse = np.unique(self._choose(table.atoms, samples), return_inverse=True)
-        off = np.zeros((len(chosen), 1), table.mass.dtype)  # no mass off the table
-        return inverse, np.hstack([table.mass[chosen], off]), table.denom
+        return inverse, table.mass[chosen], table.denom
 
     def _choose(self, atoms: Sequence, counts: np.ndarray) -> list:
         """The member index selected on each count row, by rule or engine."""
@@ -356,7 +350,7 @@ class ScheffeLearner(Learner):
         """C(position, slot) for slots 1..n, 0 at slot 0 and past n."""
         width, n = len(self.cls.window[0]), self.cls.window[1]
         return np.array([[math.comb(p, i) if 1 <= i <= n else 0 for i in range(width + 1)]
-                         for p in range(width)], dtype=np.int64)
+                         for p in range(width)], dtype=int_dtype(math.comb(width, n)))
 
 
 @lru_cache(maxsize=SELECT_MEMO_SIZE)
@@ -364,8 +358,7 @@ def _window_weights(atoms: tuple, window: tuple) -> np.ndarray:
     """1 << position for each of `atoms` in `window`, 0 for every other atom
     (Python ints past 62 positions); shared between calls, so never written."""
     weight = {a: 1 << p for p, a in enumerate(window)}
-    dtype = np.int64 if len(window) < 63 else object
-    return np.array([weight.get(a, 0) for a in atoms], dtype=dtype)
+    return np.array([weight.get(a, 0) for a in atoms], dtype=int_dtype((1 << len(window)) - 1))
 
 
 class TruncationLearner(ScheffeLearner):
@@ -427,8 +420,8 @@ class ErmLearner(Learner):
         """The (rows, hypotheses) integer matrix of each row's summed losses.
         Classification counts mistakes, the atoms (x, b) with h(x) != b, in
         int64. The real task scales each loss g(|h(x) - y(b)|) to an integer
-        over the losses' common denominator, in int64 while the largest one
-        times max(m, 1) stays below INT64_SAFE, else in Python ints."""
+        over the losses' common denominator, in `int_dtype` of the largest
+        one times max(m, 1)."""
         if self.task == TASK_CLASSIFICATION:
             wrong = np.array([[h(x) != b for x, b in atoms] for h in self.hypotheses],
                              dtype=np.int64)
@@ -439,7 +432,7 @@ class ErmLearner(Learner):
         scale = math.lcm(*(g.denominator for row in loss for g in row))
         nums = [[g.numerator * (scale // g.denominator) for g in row] for row in loss]
         top = max((num for row in nums for num in row), default=0)
-        dtype = np.int64 if top * int(counts.sum(axis=1).max(initial=1)) < INT64_SAFE else object
+        dtype = int_dtype(top * int(counts.sum(axis=1).max(initial=1)))
         nums = np.array(nums, dtype=dtype).reshape(len(loss), len(atoms))
         return counts.astype(dtype) @ nums.T
 
@@ -540,9 +533,9 @@ class EmpiricalBaseline(Learner):
         if not all(ms):
             raise EmptySample("empirical distribution of an empty sample")
         scale = math.lcm(table.denom, *set(ms))
-        dtype = np.int64 if scale < INT64_SAFE else object
+        dtype = int_dtype(scale)
         rows = samples.astype(dtype) * np.array([scale // m for m in ms], dtype=dtype)[:, None]
-        return np.arange(len(ms)), np.hstack([rows, np.zeros((len(ms), 1), dtype)]), scale
+        return np.arange(len(ms)), rows, scale
 
 
 class ConstantLearner(Learner):

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .dist import (INT64_SAFE, SELECT_CHUNK, MassTable, SparseDist, delta, frac_str, mixture,
+from .dist import (SELECT_CHUNK, MassTable, SparseDist, delta, frac_str, int_dtype, mixture,
                    sequence_prob, uniform)
 from .errors import (
     BadPrecondition,
@@ -322,15 +322,14 @@ def _member_samples(table: MassTable, m: int, exchangeable: bool) -> tuple:
     weights[g, t] = likelihood * denom^m is prod(num^c) times, for a multiset,
     its multinomial coefficient, with c its counts on the member's support
     and num the member's numerators. A sample's integer key is its count row
-    in base m+1, or its columns in base len(atoms). Keys and weights are
-    int64 below INT64_SAFE, Python ints past it."""
+    in base m+1, or its columns in base len(atoms). Keys and weights take
+    `int_dtype` of base^width and of denom^m."""
     base, width = (m + 1, len(table.atoms)) if exchangeable else (len(table.atoms), m)
-    place = np.array([base ** d for d in range(width)],
-                     dtype=np.int64 if base ** width < INT64_SAFE else object)
+    place = np.array([base ** d for d in range(width)], dtype=int_dtype(base ** width))
     by_size: dict = {}  # support size -> member indices
     for i, p in enumerate(table.members):
         by_size.setdefault(len(p.items), []).append(i)
-    dtype = np.int64 if table.denom ** max(m, 1) < INT64_SAFE else object  # nums and weights
+    dtype = int_dtype(table.denom ** max(m, 1))  # nums and weights
     groups = []  # [members, sample keys, weights]; the keys become sample ids below
     for s, indices in by_size.items():
         picks = list(itertools.combinations_with_replacement(range(s), m) if exchangeable
@@ -360,15 +359,16 @@ def _sample_losses(inst: NflInstance, answer: tuple, groups: list, total: int):
     nums[g, t] / scale the loss against members[g] of the output on its t-th
     sample. Distribution: TV as L1 numerators over 2H between the member's
     table row and the output's row of `answer`, `Learner.mass_rows`' (inverse,
-    rows, H). Other tasks: task_loss once per distinct (member, output) of
-    `Learner.distinct_outputs`' answer, over the group's lcm. nums is int64
-    while each weight * nums and row sum (weights sum to `total`) stays below
-    INT64_SAFE."""
+    rows, H), plus the output's mass off the table, H minus its row's sum.
+    Other tasks: task_loss once per distinct (member, output) of
+    `Learner.distinct_outputs`' answer, over the group's lcm. nums takes
+    `int_dtype` of the largest weight * nums row sum (weights sum to `total`)."""
     family, table = inst.family, inst.family.mass_table()
     if inst.task == TASK_DISTRIBUTION:
         inverse, rows, half = answer
-        dtype = np.int64 if 2 * half * total < INT64_SAFE else object
-        rows, outside = rows[:, :-1].astype(dtype), rows[:, -1].astype(dtype)
+        dtype = int_dtype(2 * half * total)
+        rows = rows.astype(dtype)
+        outside = half - rows.sum(axis=1)
         mass = table.mass.astype(dtype, copy=False) * (half // table.denom)
         for members, ids, weights in groups:
             k = inverse[ids]
@@ -383,7 +383,7 @@ def _sample_losses(inst: NflInstance, answer: tuple, groups: list, total: int):
                   for p in pairs.tolist()]
         scale = math.lcm(*(err.denominator for err in losses))
         nums = [err.numerator * (scale // err.denominator) for err in losses]
-        dtype = np.int64 if max(map(abs, nums)) * total < INT64_SAFE else object
+        dtype = int_dtype(max(map(abs, nums)) * total)
         yield members, weights, np.array(nums, dtype=dtype)[pair_ids].reshape(k.shape), scale
 
 
@@ -394,8 +394,8 @@ def _floor(inst: NflInstance, groups: list, rows: np.ndarray, total: int) -> Fra
     `observed_atoms` define them. Distribution: scale set_size, a member's
     points its atoms but the anchor, seen when an int in 1..window. Labeled
     tasks: scale window, the points the x in 1..window, seen when the sample
-    holds an atom (x, b). Row sums are int64 while total times the most
-    points stays below INT64_SAFE."""
+    holds an atom (x, b). Row sums take `int_dtype` of total times the most
+    points."""
     table, window, held = inst.family.mass_table(), range(1, inst.window + 1), rows > 0
     if inst.task == TASK_DISTRIBUTION:
         scale = inst.set_size
@@ -405,7 +405,7 @@ def _floor(inst: NflInstance, groups: list, rows: np.ndarray, total: int) -> Fra
         scale, points = inst.window, np.full(len(table), inst.window)
         seen = (held @ np.array([[a[0] == x for x in window] for a in table.atoms],
                                 dtype=bool)).sum(axis=1)
-    dtype = np.int64 if total * int(points.max()) < INT64_SAFE else object
+    dtype = int_dtype(total * int(points.max()))
     unseen = sum(sum((weights * (points[members, None] - seen[ids]).astype(dtype))
                      .sum(axis=1).tolist()) for members, ids, weights in groups)
     return inst.eta * Fraction(unseen, 4 * len(inst.family) * scale * total)
@@ -711,19 +711,18 @@ def _no_level_certified(eps, delta, m_max: int, last_failed: int) -> SearchBound
 
 
 def check_search_protocol(eps, delta, trials: int, targets_cap: int, m_min: int,
-                          m_max: int, learner) -> int:
+                          m_max: int, min_sample: int = 1) -> int:
     """The checks of `estimate_sample_complexity` that need no class:
     eps >= 0 and 0 < delta < 1 (else BadRange), at least one trial and one
-    target (else EmptyEstimate), and a first level max(m_min,
-    learner.min_sample) within m_max (else SearchBoundExceeded, as when no
-    level certifies). Returns that first level. `learner` may be a learner
-    class, so a caller that builds a costly learner can run the checks first."""
+    target (else EmptyEstimate), and a first level max(m_min, min_sample),
+    the learner's smallest sample, within m_max (else SearchBoundExceeded,
+    as when no level certifies). Returns that first level."""
     if eps < 0 or not 0 < delta < 1:
         raise BadRange(f"the search needs epsilon >= 0 and 0 < delta < 1, not {eps} and {delta}")
     if trials < 1 or targets_cap < 1:
         raise EmptyEstimate(f"the search needs trials >= 1 and targets_cap >= 1, "
                             f"not {trials} and {targets_cap}")
-    m_start = max(m_min, learner.min_sample)
+    m_start = max(m_min, min_sample)
     if m_start > m_max:
         raise _no_level_certified(eps, delta, m_max, m_start - 1)
     return m_start
@@ -747,7 +746,8 @@ def estimate_sample_complexity(cls: FiniteClass, learner: Learner, eps, delta,
     eps, delta = Fraction(eps), Fraction(delta)
     if len(cls) == 0:
         raise EmptyClass("no targets")
-    m_start = check_search_protocol(eps, delta, trials, targets_cap, m_min, m_max, learner)
+    m_start = check_search_protocol(eps, delta, trials, targets_cap, m_min, m_max,
+                                    learner.min_sample)
     max_fail = max_certifiable_failures(trials, float(delta))
     if max_fail < 0:
         raise SearchBoundExceeded(

@@ -883,39 +883,58 @@ TRUNCATE_AT_1 = {"truncate_epsilon": "1"}
 TRUNCATE_RUN = {"learner": {"kind": "truncation", "epsilon": "1"}, "target_index": 0, "m": 1}
 
 
-@pytest.mark.parametrize("sub,body", [
+ANCHORED_1 = {"family": "anchored", "eta": "1/2", "n": 1}
+# C(96, 24), about 1.3 x 10^22 members: within the budget, past what len() counts
+PAST_MAXSIZE = {"family": "anchored", "eta": "1", "n": 96, "filter": 24, "budget": 10 ** 30}
+
+
+@pytest.mark.parametrize("sub,body,code", [
     # sizes printed in the message: 2^15000 - 1 has too many digits
-    ("construct", {"class": {"family": "anchored", "eta": "1/2", "n": 15000}}),
+    ("construct", {"class": {"family": "anchored", "eta": "1/2", "n": 15000}}, 3),
     ("construct", {"class": {"family": "anchored", "eta": "1/2", "n": 100000,
-                             "filter": 50000}}),
+                             "filter": 50000}}, 3),
     # sizes too large to build: 2^(2^63), C(2^33, 2^31)
     ("construct", {"class": {"family": "plateau-data", "loss": {"kind": "absolute"},
-                             "eta": "1/2", "width": 2 ** 63}}),
+                             "eta": "1/2", "width": 2 ** 63}}, 3),
     ("nfl-mc", {"instance": {"task": "distribution", "eta": "1/2", "n": 2 ** 31}, "m": 2,
-                "trials": 1, "learner": {"kind": "scheffe"}}),
+                "trials": 1, "learner": {"kind": "scheffe"}}, 3),
     # a truncation at stage 4 x 10^8, or one whose ninth stage has width 10^11
     ("learn", {"class": {**STAGED_RECIPROCAL, "eta": {"kind": "reciprocal", "c": "100000000"},
-                         "n": {"kind": "identity"}, **TRUNCATE_AT_1}, **TRUNCATE_RUN}),
+                         "n": {"kind": "identity"}, **TRUNCATE_AT_1}, **TRUNCATE_RUN}, 3),
     ("learn", {"class": {**STAGED_RECIPROCAL, "n": {"kind": "table", "values": [
-        1, 2, 3, 4, 5, 6, 7, 8, 10 ** 11]}, **TRUNCATE_AT_1}, **TRUNCATE_RUN}),
+        1, 2, 3, 4, 5, 6, 7, 8, 10 ** 11]}, **TRUNCATE_AT_1}, **TRUNCATE_RUN}, 3),
     # 2^(2^63) sequences, past what itertools.repeat counts
     ("nfl-exact", {"instance": {"task": "distribution", "eta": "1/2", "n": 1}, "m": 2 ** 63,
-                   "learners": [UNION]}),
+                   "learners": [UNION]}, 3),
     # stage sizes with more digits than Python prints of an int
     ("construct", {"class": {**STAGED_RECIPROCAL, "n": {"kind": "table", "values": [20000]}},
-                   "stage_horizon": 1}),
+                   "stage_horizon": 1}, 2),
     ("construct", {"class": {**STAGED_RECIPROCAL, "n": {"kind": "table", "values": [10 ** 11]}},
-                   "stage_horizon": 1}),
+                   "stage_horizon": 1}, 2),
+    # 2^31 trials, past cli.MAX_TRIALS: their child seeds alone would take 16 GiB
+    ("learn", {"class": ANCHORED_1, "learner": {"kind": "scheffe"}, "target_index": 0, "m": 1,
+               "trials": 2 ** 31}, 2),
+    ("nfl-mc", {"instance": {"task": "distribution", "eta": "1/2", "n": 1}, "m": 2,
+                "trials": 2 ** 31, "learner": {"kind": "scheffe"}}, 2),
+    ("sample-complexity", {"class": ANCHORED_1, "learner": {"kind": "scheffe"}, "epsilon": "1/4",
+                           "delta": "1/4", "protocol": {"trials": 2 ** 31}}, 2),
+    ("synthesize", {"g": {"values": [1, 4, 9]}, "spot_check": {"k": 1, "trials": 2 ** 31}}, 2),
+    # a class of more members than sys.maxsize
+    ("construct", {"class": PAST_MAXSIZE}, 3),
+    ("learn", {"class": PAST_MAXSIZE, "learner": {"kind": "scheffe"}, "target_index": 0,
+               "m": 1}, 3),
 ], ids=["anchored-2^n", "anchored-C(n,r)", "plateau-2^w", "nfl-mc-C(n,r)", "truncate-late-cutoff",
-        "truncate-wide-stage", "union-huge-m", "stage-size-digits", "stage-size-wide"])
-def test_sizes_past_their_bound_exit_before_they_are_built(tmp_path, sub, body):
+        "truncate-wide-stage", "union-huge-m", "stage-size-digits", "stage-size-wide",
+        "learn-trials", "nfl-mc-trials", "protocol-trials", "spot-check-trials",
+        "construct-past-maxsize", "learn-past-maxsize"])
+def test_sizes_past_their_bound_exit_before_they_are_built(tmp_path, sub, body, code):
     cfg = write_cfg(tmp_path, {"kind": sub, "seed": 1, **body})
     # a size that is built anyway fails the address-space cap or the timeout
     cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
     proc = subprocess.run([sys.executable, "-m", "paclab.cli", sub, "--config", cfg, "--out", "out"],
                           cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
                           capture_output=True, text=True, timeout=10, preexec_fn=cap)
-    assert proc.returncode in (cli.EXIT_CONFIG, cli.EXIT_BUDGET), proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
 
 
@@ -1054,6 +1073,11 @@ def test_configs_match_schema(tmp_path, capsys):
     for cfg in configs:
         jsonschema.validate(cfg, schema)
     assert schema["properties"]["stage_horizon"]["maximum"] == cli.STAGE_HORIZON_MAX
+    # learn.trials and nfl-mc.trials share the top-level field
+    props = schema["properties"]
+    for trials in (props["trials"], props["protocol"]["properties"]["trials"],
+                   props["spot_check"]["properties"]["trials"]):
+        assert trials["maximum"] == cli.MAX_TRIALS
     assert tuple(schema["properties"]["kind"]["enum"]) == cli.SUBCOMMANDS
     for bad in ({"class": {"n": 2}}, {"max_members": -1}, {"stage_horizon": -3},
                 {"stage_horizon": cli.STAGE_HORIZON_MAX + 1}):
@@ -1099,22 +1123,27 @@ def bounded_integer_fields(schema) -> dict:
 ANY_SEARCH = {"kind": "sample-complexity", "class": {"family": "anchored", "eta": "1/2", "n": 1},
               "learner": {"kind": "scheffe"}, "epsilon": "1", "delta": "99/100"}
 SPOT = {"k": 1, "trials": 30, "targets_cap": 1, "m_max": 64}
+# runs that read their trials field, then stop at a budget check (exit 3):
+# an instance past its member budget, or a search whose first level is past
+# m_max. So the bound, cli.MAX_TRIALS, is accepted without a trial drawn.
+STOPPED_BY_BUDGET = {("trials",), ("protocol", "trials"), ("spot_check", "trials")}
 # a config with each bounded integer field of the schema set to v
 BOUNDED_RUNS = {
     ("m",): lambda v: {"kind": "nfl-exact", "instance": INSTANCE, "m": v, "learners": []},
-    ("trials",): lambda v: {"kind": "nfl-mc", "instance": INSTANCE, "m": 2, "trials": v,
-                            "learner": {"kind": "scheffe"}, "member_indices": [0]},
+    ("trials",): lambda v: {"kind": "nfl-mc", "instance": {**INSTANCE, "budget": 1}, "m": 2,
+                            "trials": v, "learner": {"kind": "scheffe"}},
     ("target_index",): INDEX_FIELDS["target_index"],
     ("member_indices", "[]"): lambda v: {"kind": "nfl-mc", "instance": INSTANCE, "m": 2,
                                          "trials": 3, "learner": {"kind": "scheffe"},
                                          "member_indices": [v]},
-    ("protocol", "trials"): lambda v: {**ANY_SEARCH, "protocol": {"trials": v, "targets_cap": 1}},
+    ("protocol", "trials"): lambda v: {**ANY_SEARCH, "protocol": {"trials": v, "m_min": 2,
+                                                                  "m_max": 1}},
     ("protocol", "targets_cap"): lambda v: {**ANY_SEARCH,
                                             "protocol": {"trials": 1, "targets_cap": v}},
     ("spot_check", "k"): lambda v: {"kind": "synthesize", "g": {"values": [1, 4, 9]},
                                     "spot_check": {**SPOT, "k": v}},
     ("spot_check", "trials"): lambda v: {"kind": "synthesize", "g": {"values": [1, 4, 9]},
-                                         "spot_check": {**SPOT, "trials": v}},
+                                         "spot_check": {**SPOT, "trials": v, "m_max": 0}},
     ("spot_check", "targets_cap"): lambda v: {"kind": "synthesize", "g": {"values": [1, 4, 9]},
                                               "spot_check": {**SPOT, "targets_cap": v}},
     ("max_members",): lambda v: {"kind": "construct",
@@ -1147,9 +1176,8 @@ def test_schema_integer_bounds_match_the_cli(tmp_path, path):
                         "--out", tmp_path / "o"])
         if not valid:
             assert code == cli.EXIT_CONFIG, value
-        elif path == ("spot_check", "trials"):
-            # accepted, but one trial cannot certify the spot check's delta 1/7
-            assert code == cli.EXIT_BUDGET
+        elif path in STOPPED_BY_BUDGET:
+            assert code == cli.EXIT_BUDGET, value
         else:
             assert code == cli.EXIT_OK, value
 

@@ -491,7 +491,7 @@ class TestExactOracleAgainstReference:
         # with the int64 limit at 1, every sample key, weight and loss
         # numerator of the enumeration is a Python int
         expected = pl.nfl_exact(inst, learners, m, thresholds=THRESHOLDS).to_json_obj()
-        monkeypatch.setattr(nfl, "INT64_SAFE", 1)
+        monkeypatch.setattr(pl.dist, "INT64_SAFE", 1)
         assert pl.nfl_exact(inst, learners, m, thresholds=THRESHOLDS).to_json_obj() == expected
 
     def test_repeated_threshold_counts_once(self):
@@ -501,11 +501,26 @@ class TestExactOracleAgainstReference:
         twice = pl.nfl_exact(inst, [learner], 1, thresholds=[F(1, 8), F(1, 8)]).learners[0].tails
         assert twice == once and len(once[F(1, 8)]) == len(inst.family)
 
+    @pytest.mark.parametrize("inst,m,learners", [case for case in oracle_cases()
+                                                 if case.values[0].task == "distribution"])
+    def test_mass_rows_hold_only_table_columns(self, inst, m, learners, request):
+        # a row holds the table's columns alone: an output's mass off the
+        # table is its scale minus its row's sum, so only the off-table case
+        # has rows that sum below their scale
+        table, short = inst.family.mass_table(), False
+        for learner in learners:
+            samples = nfl._member_samples(table, m, learner.exchangeable)[1]
+            _, rows, scale = learner.mass_rows(table, samples)
+            sums = rows.sum(axis=1)
+            assert rows.shape[1] == len(table.atoms) and (sums <= scale).all(), learner.name
+            short |= bool((sums < scale).any())
+        assert short == (request.node.callspec.id == "off-table")
+
     def test_off_table_case_puts_mass_off_the_table(self):
         inst, truncation = off_table_case()
         table = inst.family.mass_table()
-        _, rows, _ = truncation.mass_rows(table, nfl._member_samples(table, 3, True)[1])
-        assert rows[:, -1].any()
+        _, rows, scale = truncation.mass_rows(table, nfl._member_samples(table, 3, True)[1])
+        assert (rows.sum(axis=1) < scale).any()
 
     def test_past_int64_case_runs_on_the_object_path(self):
         table = huge_denominator_instance().family.mass_table()
