@@ -170,11 +170,12 @@ def _convert(conv, value, path: str):
 
 
 def _rule_tag(value):
-    """A table's closed-form tag, a [kind, order] pair such as ["poly", 2];
-    an empty or null tag is no tag."""
+    """A table's closed-form tag, a [kind, order] pair such as ["poly", 2]
+    with a finite order (not NaN or Infinity); an empty or null tag is no tag."""
     if value and not (isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)
-                      and isinstance(value[1], (int, float)) and not isinstance(value[1], bool)):
-        raise ValueError("not a [string, number] pair")
+                      and isinstance(value[1], (int, float)) and not isinstance(value[1], bool)
+                      and abs(value[1]) < float("inf")):
+        raise ValueError("not a [string, finite number] pair")
     return tuple(value) if value else None
 
 
@@ -374,9 +375,9 @@ def _run_learn(cfg: Reader, rng, base_dir):
     }
     failures = []
     if max_rate is not None:
-        rate = stats[0].failures / stats[0].trials
-        if rate > float(max_rate):
-            failures.append(f"failure rate {rate} above {float(max_rate)}")
+        rate = Fraction(stats[0].failures, stats[0].trials)
+        if rate > max_rate:
+            failures.append(f"failure rate {frac_str(rate)} above {frac_str(max_rate)}")
     return report, {}, failures
 
 

@@ -12,21 +12,17 @@ symbolic asymptotic verdict.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .dist import frac_str
-from .errors import BadN, BadPrecondition, EmptyList, LengthMismatch
-from .families import (
-    AffineOfTarget,
-    Reciprocal,
-    SequenceSpec,
-    StagedClass,
-    TASK_DISTRIBUTION,
-    anchored_family,
-)
-from .nfl import estimate_sample_complexity, markov_reverse
+from .errors import BadN, BadPrecondition, BadRange, EmptyList, LengthMismatch
+from .families import AffineOfTarget, Reciprocal, SequenceSpec, StagedClass, TASK_DISTRIBUTION
+from .learners import ScheffeLearner
+from .nfl import (REFERENCE_DELTA, estimate_sample_complexity, nfl_distribution_instance,
+                  reference_lines)
 from .rng import RngStream
 
 
@@ -86,17 +82,18 @@ class DominanceCertificate:
 
 
 def _asymptotic_verdict(f_rule, g_rule) -> Optional[str]:
-    # Shipped rule tags only: ("poly", degree) and ("exp", base). Equal
-    # orders say nothing about dominance without constants, hence "same-order".
+    # Shipped rule tags only: ("poly", degree) and ("exp", base), orders
+    # compared as given, so exactly. Equal orders say nothing about
+    # dominance without constants, hence "same-order".
     if not f_rule or not g_rule:
         return None
     fk, gk = f_rule[0], g_rule[0]
     if fk == "exp" and gk == "poly":
-        return "dominates" if float(f_rule[1]) > 1 else None
-    if fk == "poly" and gk == "exp" and float(g_rule[1]) > 1:
+        return "dominates" if f_rule[1] > 1 else None
+    if fk == "poly" and gk == "exp" and g_rule[1] > 1:
         return "dominated"
     if fk == gk and fk in ("poly", "exp"):
-        rf, rg = float(f_rule[1]), float(g_rule[1])
+        rf, rg = f_rule[1], g_rule[1]
         if rf > rg:
             return "dominates"
         if rf < rg:
@@ -152,7 +149,6 @@ class SynthesisReport:
     spec: SequenceSpec
     lower_bounds: FunctionTable
     certificate: DominanceCertificate
-    delta_reference: Fraction          # the fixed 1/7 convention
     spot_check: Optional[dict] = None  # one empirical complexity point
 
     def to_json_obj(self):
@@ -161,59 +157,50 @@ class SynthesisReport:
             "spec": self.spec.to_json_obj(),
             "lower_bounds": self.lower_bounds.to_json_obj(),
             "certificate": self.certificate.to_json_obj(),
-            "delta_reference": "1/7",
+            "delta_reference": frac_str(REFERENCE_DELTA),
             "spot_check": self.spot_check,
         }
 
 
 def synthesized_class(g: FunctionTable) -> StagedClass:
-    """The staged union with level rule 8/k and stage width 8*(g(k)+1)."""
+    """The staged union with level rule min(1, 8/k) and stage width 8*(g(k)+1).
+    Stage k's hard instance needs more than a quarter of its width, LB(k) =
+    2*(g(k)+1) > g(k), samples."""
     spec = SequenceSpec(eta=Reciprocal(Fraction(8)), n=AffineOfTarget(tuple(g.values)))
     return StagedClass(TASK_DISTRIBUTION, spec)
 
 
-def stage_lower_bound(g: FunctionTable, k: int) -> int:
-    """Quarter of the stage width: the certified floor on the number of
-    samples needed at stage k, equal to 2*(g(k)+1) > g(k)."""
-    return 2 * (g.at(k) + 1)
-
-
-def _spot_check(g: FunctionTable, k: int, rng: RngStream, trials: int,
+def _spot_check(cls: StagedClass, k: int, rng: RngStream, trials: int,
                 member_budget: int, m_max: int, targets_cap: int) -> dict:
     """Empirical complexity point on a subfamily embedded in stage k.
 
     The stage's full hard family is far beyond any enumeration budget,
-    so the check runs on the largest filtered family (support size n'
-    inside a 4n' window, n' * 4 <= stage width) whose size fits the
+    so the check runs on the largest distribution instance (support size
+    n' inside a 4n' window, n' * 4 <= stage width) whose size fits the
     member budget; a subfamily's complexity can only understate the
     stage's, so exceeding the target is still meaningful.
     """
-    from .learners import ScheffeLearner
-
-    width = 8 * (g.at(k) + 1)  # k outside the table raises before 8/k
-    eta = min(Fraction(1), Fraction(8, k))
+    width = cls.spec.n_value(k)  # read first: a k outside the table raises BadN before 8/k
     n_spot = 1
     while (4 * (n_spot + 1) <= width
            and math.comb(4 * (n_spot + 1), n_spot + 1) <= member_budget):
         n_spot += 1
-    eps = eta / 8
-    delta = markov_reverse(eta / 4, eta / 8)
-    family = anchored_family(eta, 4 * n_spot, size_filter=n_spot)
-    learner = ScheffeLearner(family)
+    inst = nfl_distribution_instance(cls.spec.eta_value(k), n_spot)
+    lines = reference_lines(inst.eta)
+    eps, delta = lines["eta_over_8"], lines["markov_delta"]
     point = estimate_sample_complexity(
-        family, learner, eps, delta, rng.child(k), trials=trials,
+        inst.family, ScheffeLearner(inst.family), eps, delta, rng.child(k), trials=trials,
         m_max=m_max, targets_cap=targets_cap, k=k)
     return {
         "k": k,
         "stage_width": width,
-        "subfamily": {"eta": frac_str(eta),
-                      "window": 4 * n_spot, "set_size": n_spot,
-                      "members": len(family)},
+        "subfamily": {"eta": frac_str(inst.eta), "window": inst.window,
+                      "set_size": inst.set_size, "members": len(inst.family)},
         "epsilon": frac_str(eps),
         "delta_convention": "markov_reverse(eta/4, eta/8); the fixed 1/7 "
                             "convention is reported, not used",
         "delta": frac_str(delta),
-        "delta_reference": "1/7",
+        "delta_reference": frac_str(lines["reference_delta"]),
         "point": point.to_json_obj(),
     }
 
@@ -224,22 +211,25 @@ def synthesize(g: FunctionTable, rng: Optional[RngStream] = None,
                targets_cap: int = 64) -> SynthesisReport:
     """Growth target -> hard class -> stagewise lower-bound certificate.
 
-    The lower-bound line is LB(k) = 2*(g(k)+1), which strictly exceeds
-    g(k) everywhere, certified on the tabulated prefix. With
-    spot_check_k set, one empirical complexity estimate on an embedded
-    subfamily is attached (requires rng).
+    The lower-bound line is LB(k), a quarter of `synthesized_class(g)`'s
+    stage width, which strictly exceeds g(k) everywhere, certified on the
+    tabulated prefix. An LB(k) with more digits than Python prints of an
+    int raises BadRange. With spot_check_k set, one empirical complexity
+    estimate on an embedded subfamily is attached (requires rng).
     """
     cls = synthesized_class(g)
-    lb = FunctionTable.from_rule(lambda k: stage_lower_bound(g, k), g.horizon,
-                                 rule=g.rule)
+    lb = FunctionTable.from_rule(lambda k: cls.spec.n_value(k) // 4, g.horizon, rule=g.rule)
+    limit = sys.get_int_max_str_digits()  # 0: Python prints ints of any length
+    cap = 10 ** limit if limit else math.inf
+    for k, v in enumerate(lb.values, start=1):
+        if v >= cap:
+            raise BadRange(f"stage {k} has a lower bound of more than {limit} digits, "
+                           "the limit on printing an int")
     cert = dominates_prefix(lb, g)
     spot = None
     if spot_check_k is not None:
         if rng is None:
             raise BadPrecondition("spot check needs an rng stream")
-        spot = _spot_check(g, spot_check_k, rng, trials, member_budget, m_max,
-                           targets_cap)
-    return SynthesisReport(
-        target=g, spec=cls.spec, lower_bounds=lb, certificate=cert,
-        delta_reference=Fraction(1, 7), spot_check=spot,
-    )
+        spot = _spot_check(cls, spot_check_k, rng, trials, member_budget, m_max, targets_cap)
+    return SynthesisReport(target=g, spec=cls.spec, lower_bounds=lb, certificate=cert,
+                           spot_check=spot)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -285,29 +285,28 @@ class LearnerReport:
 
 @dataclass
 class ExactOracleReport:
-    task: str
-    eta: Fraction
-    window: int
-    set_size: Optional[int]
+    """`nfl_exact`'s answer; the instance's fields and reference lines are
+    read off `inst` when the report is written."""
+
+    inst: NflInstance
     m: int
-    family_size: int
     symmetrized_bound: Fraction
     thresholds: List[Fraction]
     learners: List[LearnerReport]
-    reference_lines: Dict[str, Fraction] = field(default_factory=dict)
 
     def to_json_obj(self):
+        inst = self.inst
         return {
-            "task": self.task,
-            "eta": frac_str(self.eta),
-            "window": self.window,
-            "set_size": self.set_size,
+            "task": inst.task,
+            "eta": frac_str(inst.eta),
+            "window": inst.window,
+            "set_size": inst.set_size,
             "m": self.m,
-            "family_size": self.family_size,
+            "family_size": len(inst.family),
             "symmetrized_bound": frac_str(self.symmetrized_bound),
             "symmetrized_bound_decimal": format(float(self.symmetrized_bound), ".12g"),
             "thresholds": [frac_str(a) for a in self.thresholds],
-            "reference_lines": {k: frac_str(v) for k, v in self.reference_lines.items()},
+            "reference_lines": {k: frac_str(v) for k, v in reference_lines(inst.eta).items()},
             "learners": [lr.to_json_obj() for lr in self.learners],
         }
 
@@ -432,8 +431,7 @@ def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
     read each group's integer sums.
     """
     _check_enum_budget(inst, m, budget, all(ln.exchangeable for ln in learners))
-    eta = inst.eta
-    thresholds = [Fraction(a) for a in (thresholds if thresholds is not None else [eta / 8])]
+    thresholds = [Fraction(a) for a in (thresholds if thresholds is not None else [inst.eta / 8])]
     family, table = inst.family, inst.family.mass_table()
     total = table.denom ** m
     enumerated = {ex: _member_samples(table, m, ex)
@@ -465,17 +463,8 @@ def nfl_exact(inst: NflInstance, learners: Sequence[Learner], m: int,
             class_max=max(tops),
             tails=dict(zip(thresholds, tails)),
         ))
-    return ExactOracleReport(
-        task=inst.task, eta=eta, window=inst.window, set_size=inst.set_size,
-        m=m, family_size=len(family),
-        symmetrized_bound=bound, thresholds=thresholds, learners=reports,
-        reference_lines={
-            "eta_over_4": eta / 4,
-            "eta_over_8": eta / 8,
-            "reference_delta": Fraction(1, 7),
-            "markov_delta": markov_reverse(eta / 4, eta / 8),
-        },
-    )
+    return ExactOracleReport(inst=inst, m=m, symmetrized_bound=bound,
+                             thresholds=thresholds, learners=reports)
 
 
 def markov_reverse(mean, a) -> Fraction:
@@ -487,6 +476,17 @@ def markov_reverse(mean, a) -> Fraction:
     if not 0 <= mean <= 1:
         raise BadRange(f"mean {mean} outside [0,1]")
     return max(Fraction(0), (mean - a) / (1 - a))
+
+
+REFERENCE_DELTA = Fraction(1, 7)  # the fixed delta convention, reported next to markov_delta
+
+
+def reference_lines(eta) -> Dict[str, Fraction]:
+    """The lines a level's reports quote: eta/4, eta/8, the fixed
+    REFERENCE_DELTA, and markov_reverse(eta/4, eta/8), the least chance
+    that an error of mean eta/4 in [0, 1] reaches eta/8."""
+    return {"eta_over_4": eta / 4, "eta_over_8": eta / 8, "reference_delta": REFERENCE_DELTA,
+            "markov_delta": markov_reverse(eta / 4, eta / 8)}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import inspect
 import json
 import os
 import resource
@@ -9,12 +10,14 @@ import runpy
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import paclab as pl
 from paclab import cli, dominance, learners
+from paclab.dist import frac_str
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = CONFIG_DIR.parent / "src"
@@ -202,6 +205,7 @@ def test_last_member_index_runs(tmp_path, path):
 
 
 NOT_INTEGERS = ["two", None, [], {}, True, 1.5, "3"]
+NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infinity
 
 
 @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
@@ -220,14 +224,20 @@ def test_non_integer_table_value_is_config_error(tmp_path, capsys, kind, table, 
                                         ({"values": [1, 4, 9], "rule": "two"}, "rule"),
                                         ({"values": [1, 4, 9], "rule": [None, 2]}, "rule"),
                                         ({"values": [1, 4, 9], "rule": ["poly", "two"]}, "rule"),
-                                        ({"values": [1, 4, 9], "rule": ["poly", True]}, "rule")],
+                                        ({"values": [1, 4, 9], "rule": ["poly", True]}, "rule"),
+                                        ({"values": [1, 4, 9], "rule": ["exp", NAN]}, "rule"),
+                                        ({"values": [1, 4, 9], "rule": ["exp", INF]}, "rule"),
+                                        ({"values": [1, 4, 9], "rule": ["poly", -INF]}, "rule"),
+                                        # written as the bare JSON number 1e999
+                                        ({"values": [1, 4, 9], "rule": ["exp", "1e999"]}, "rule")],
                          ids=repr)
 @pytest.mark.parametrize("kind,table", [("dominate", "f"), ("synthesize", "g")])
 def test_bad_table_reports_its_field(tmp_path, capsys, kind, table, spec, field):
     cfg = {"kind": kind, "seed": 1, "f": {"values": [2, 5, 10]}, "g": {"values": [1, 4, 9]}}
     cfg[table] = spec
-    out = tmp_path / "o"
-    assert run_cli([kind, "--config", write_cfg(tmp_path, cfg), "--out", out]) == cli.EXIT_CONFIG
+    out, path = tmp_path / "o", tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"1e999"', "1e999"))
+    assert run_cli([kind, "--config", path, "--out", out]) == cli.EXIT_CONFIG
     assert f"config error: config field '{table}.{field}'" in capsys.readouterr().err
     assert not out.exists()
 
@@ -347,7 +357,15 @@ def test_stage_horizon_at_its_maximum_runs(tmp_path):
     assert (tmp_path / "o" / "report.json").read_text().startswith('{\n  "kind": "construct",\n')
 
 
-MALFORMED = ["two", -1, 0, 1.5, True, None, [], {}]
+MALFORMED = ["two", -1, 0, 1.5, True, None, [], {}, 10 ** 400, NAN, INF]
+
+
+def strict_json(text: str):
+    """json.loads that rejects the NaN and Infinity tokens JSON does not have."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
 
 # fields the shipped configs leave unset, each added to a copy of one
 # config: (config, JSON path, value); a table's csv names F_CSV
@@ -400,7 +418,8 @@ def mutation_cases():
 
 def test_mutated_shipped_configs_never_raise(tmp_path, capsys):
     # each site, replaced in turn by each malformed value and run with the
-    # config's own kind, ends in a documented exit code
+    # config's own kind, ends in a documented exit code, and a report it
+    # writes is strict JSON
     (tmp_path / "f.csv").write_text(F_CSV)
     cases, bad = 0, []
     for name, base, site in mutation_cases():
@@ -410,13 +429,15 @@ def test_mutated_shipped_configs_never_raise(tmp_path, capsys):
             case = f"{name} {site} = {value!r}"
             try:
                 code = run_cli([base["kind"], "--config", cfg, "--out", tmp_path / "o"])
+                if code in (0, 4):
+                    strict_json((tmp_path / "o" / "report.json").read_text())
             except Exception as exc:
                 bad.append(f"{case}: {type(exc).__name__}: {exc}")
                 continue
             if code not in (0, 2, 3, 4):
                 bad.append(f"{case}: exit {code}")
     capsys.readouterr()
-    assert cases == 1200
+    assert cases == 1650
     assert bad == []
 
 
@@ -622,6 +643,21 @@ SLOW_LEARNER_CONFIGS = [
       "trials": 3, "learner": {"kind": "union", "of": [{"kind": "erm"}, BAD_CONSTANT]}},
      "learner.of[1].member_index"),
 ]
+
+
+@pytest.mark.parametrize("bound", [10 ** 400, -10 ** 400], ids=["1e400", "-1e400"])
+def test_failure_rate_bound_past_a_float_is_compared_exactly(tmp_path, bound):
+    # a rate in [0, 1] never exceeds 10^400 and always exceeds -10^400
+    cfg = {"kind": "learn", "seed": 1, **LATE_BASES["learn"],
+           "assert_failure_rate_at_most": bound}
+    out = tmp_path / "o"
+    code = run_cli(["learn", "--config", write_cfg(tmp_path, cfg), "--out", out])
+    report = json.loads((out / "report.json").read_text())
+    stats = report["stats"][0]
+    rate = frac_str(Fraction(stats["failures"], stats["trials"]))
+    failed = [f"failure rate {rate} above {bound}/1"]
+    assert (code, report["assertion_failures"]) == (
+        (cli.EXIT_OK, []) if bound > 0 else (cli.EXIT_ASSERT, failed))
 
 
 def late_field_cases():
@@ -1182,6 +1218,37 @@ def test_schema_integer_bounds_match_the_cli(tmp_path, path):
             assert code == cli.EXIT_OK, value
 
 
+class Captured(Exception):
+    """Raised by a stand-in for a library call once it has kept its arguments."""
+
+
+@pytest.mark.parametrize("field,name,defaults,cfg", [
+    ("protocol", "estimate_sample_complexity",
+     {"trials": 200, "m_min": 1, "m_max": 1024, "targets_cap": 64},
+     {"kind": "sample-complexity", "class": {"family": "anchored", "eta": "1/2", "n": 2},
+      "learner": {"kind": "scheffe"}, "epsilon": "1/2", "delta": "1/4"}),
+    ("spot_check", "synthesize",
+     {"trials": 120, "member_budget": 1024, "m_max": 256, "targets_cap": 64},
+     {"kind": "synthesize", "g": {"values": [1, 4, 9]}, "spot_check": {"k": 1}}),
+], ids=["protocol", "spot_check"])
+def test_search_defaults_agree(tmp_path, monkeypatch, field, name, defaults, cfg):
+    # each default is stated in the schema, the library call's signature and
+    # the CLI, which passes it when the config leaves the field out
+    props = json.loads(SCHEMA.read_text())["properties"][field]["properties"]
+    assert {f: props[f]["default"] for f in defaults} == defaults
+    params = inspect.signature(getattr(cli, name)).parameters
+    assert {f: params[f].default for f in defaults} == defaults
+    passed = {}
+
+    def stand_in(*args, **kwargs):
+        passed.update(kwargs)
+        raise Captured
+    monkeypatch.setattr(cli, name, stand_in)
+    with pytest.raises(Captured):
+        cli.run_experiment(cfg["kind"], {"seed": 1, **cfg}, tmp_path / "o")
+    assert {f: passed[f] for f in defaults} == defaults
+
+
 def test_dominate_reads_csv_tables(tmp_path):
     (tmp_path / "f.csv").write_text("k,value\n1,2\n2,5\n3,10\n")
     cfg = write_cfg(tmp_path, {
@@ -1305,6 +1372,24 @@ def test_multi_point_curve_with_k(tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("1,1/2,1/10,")
     assert lines[2].startswith("2,1/4,1/10,")
+
+
+@pytest.mark.parametrize("g,code", [(5 * 10 ** 4299, cli.EXIT_CONFIG), (10 ** 4299, cli.EXIT_OK)],
+                         ids=["lb-4301-digits", "lb-4300-digits"])
+def test_synthesize_lower_bound_past_the_digit_limit_exits_2(tmp_path, capsys, g, code):
+    # LB(1) = 2 * (g(1) + 1) has 4,301 digits for g(1) = 5 * 10^4299, and
+    # 4,300, as many as Python prints of an int, for 10^4299
+    cfg = write_cfg(tmp_path, {"kind": "synthesize", "seed": 1, "g": {"values": [g]}})
+    out = tmp_path / "o"
+    assert run_cli(["synthesize", "--config", cfg, "--out", out]) == code
+    if code == cli.EXIT_CONFIG:
+        assert capsys.readouterr().err.startswith(
+            f"config error: BadRange: stage 1 has a lower bound of more than "
+            f"{sys.get_int_max_str_digits()} digits")
+        assert not out.exists()
+    else:
+        report = json.loads((out / "report.json").read_text())
+        assert report["lower_bounds"]["values"] == [2 * (g + 1)]
 
 
 def test_synthesize_spot_check_config(tmp_path):

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 import paclab as pl
-from paclab.errors import EmptyList, LengthMismatch
+from paclab.dist import frac_str
+from paclab.errors import BadN, EmptyList, LengthMismatch
+from paclab.nfl import reference_lines
 
 SEED = 20260808
 
@@ -43,6 +45,15 @@ class TestDominatesPrefix:
         g = table(lambda k: k ** 3, 8, rule=("poly", 3))
         assert pl.dominates_prefix(f, g).asymptotic == "dominates"
         assert pl.dominates_prefix(g, f).asymptotic == "dominated"
+
+    def test_orders_past_float_compare_exactly(self):
+        # 10^400 overflows a float, and 10^400 + 1 rounds to the same one
+        f = table(lambda k: 2 ** k, 8, rule=("exp", 10 ** 400))
+        g = table(lambda k: 2 ** k, 8, rule=("exp", 10 ** 400 + 1))
+        assert pl.dominates_prefix(f, table(lambda k: k, 8, rule=("poly", 2))).asymptotic \
+            == "dominates"
+        assert pl.dominates_prefix(f, g).asymptotic == "dominated"
+        assert pl.dominates_prefix(g, f).asymptotic == "dominates"
 
 
 class TestDiagonalize:
@@ -103,3 +114,24 @@ class TestSynthesize:
         obj = rep.to_json_obj()
         assert obj["lower_bounds"]["values"] == [4, 10, 20, 34, 52]
         assert obj["certificate"]["dominates_on_prefix"] is True
+
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_spot_check_reads_the_stage(self, k):
+        # the spot check's stage width, level and conventions, and LB(k), are
+        # what the synthesized class's rules give at k
+        g = table(lambda k: k * k, 10)
+        spec = pl.synthesized_class(g).spec
+        rep = pl.synthesize(g, rng=pl.RngStream(SEED, 0), spot_check_k=k, trials=60,
+                            m_max=64, targets_cap=2)
+        spot, eta = rep.spot_check, spec.eta_value(k)
+        assert spot["stage_width"] == spec.n_value(k) == 8 * (g.at(k) + 1)
+        assert spot["subfamily"]["eta"] == frac_str(eta) == ("1/1" if k == 1 else "4/5")
+        assert rep.lower_bounds.at(k) == spec.n_value(k) // 4 == 2 * (g.at(k) + 1)
+        lines = reference_lines(eta)
+        assert (spot["epsilon"], spot["delta"], spot["delta_reference"]) == tuple(
+            frac_str(lines[name]) for name in ("eta_over_8", "markov_delta", "reference_delta"))
+
+    @pytest.mark.parametrize("k", [0, 11])
+    def test_spot_check_outside_the_table_raises_before_its_level(self, k):
+        with pytest.raises(BadN):
+            pl.synthesize(table(lambda k: k * k, 10), rng=pl.RngStream(SEED, 0), spot_check_k=k)

@@ -933,12 +933,19 @@ class TestExactOracle:
         report = pl.nfl_exact(inst, [pl.ConstantLearner(pl.delta(0), "distribution")], 0)
         obj = report.to_json_obj()
         assert obj["symmetrized_bound"] == "1/8"
-        assert obj["reference_lines"]["markov_delta"] == "1/15"
+        # the instance's fields and reference lines are read off the instance
+        assert {f: obj[f] for f in ("task", "eta", "window", "set_size", "family_size")} == {
+            "task": "distribution", "eta": "1/2", "window": 8, "set_size": 2,
+            "family_size": len(inst.family)}
+        assert obj["reference_lines"] == {"eta_over_4": "1/8", "eta_over_8": "1/16",
+                                          "reference_delta": "1/7", "markov_delta": "1/15"}
 
 
 class TestMarkov:
     def test_reference_point(self):
         assert pl.markov_reverse(F(1, 4), F(1, 8)) == F(1, 7)
+        # the fixed reference delta is the Markov delta of level 1
+        assert nfl.reference_lines(1)["markov_delta"] == nfl.REFERENCE_DELTA == F(1, 7)
 
     def test_degenerate_points(self):
         assert pl.markov_reverse(F(1, 8), F(1, 8)) == 0
